@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import fermion, mappings, optimizer, simulator, trotter
 from .circuits import GateCounts, count_gates, synthesize_plan
 from .fermion import IntegralSet
 from .mappings import MappingScheme
+from .pauli import QubitOperator
 from .trotter import OrderingStrategy
 
 CSV_HEADER = ("system,n_qubits,mapping,ordering,seed,mode,"
@@ -60,7 +65,6 @@ class BenchConfig:
     n_steps: int = 1
     time: float = 1.0
     with_error: bool = False
-    error_qubit_limit: int = simulator.OPERATOR_QUBIT_LIMIT
     workers: int = 1
 
     def __post_init__(self):
@@ -85,55 +89,78 @@ class BenchRow:
     error: str | None = None
 
 
-def _cell(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme,
-          ordering: OrderingStrategy, mode: str) -> BenchRow:
-    row = BenchRow(system=inp.system, n_qubits=0, mapping=scheme.value,
-                   ordering=ordering.kind, seed=ordering.seed, mode=mode)
+def exact_ground(qop: QubitOperator) -> tuple[float, np.ndarray]:
+    """Ground energy and state; the operator matrix is dropped once solved."""
+    return simulator.ground_state(simulator.operator_matrix(qop))
+
+
+@contextlib.contextmanager
+def _isolated(rows: list[BenchRow]):
+    """Record a stage failure in each row that has none yet; sweeps never abort."""
     try:
-        ints = inp.load()
-        ham = fermion.build_hamiltonian(ints)
-        row.n_qubits = ham.n_modes
+        yield
+    except Exception as exc:
+        for row in rows:
+            row.error = row.error or f"{type(exc).__name__}: {exc}"
+
+
+def _plan_and_count(cfg: BenchConfig, qop: QubitOperator, ordering: OrderingStrategy,
+                    time: float, rows: list[BenchRow]) -> trotter.TrotterPlan | None:
+    """Stage (ordering): one plan, then per row (mode) its synthesis and counts."""
+    with _isolated(rows):
+        plan = trotter.plan_for(qop, ordering, cfg.n_steps, time)
+        for row in rows:
+            with _isolated([row]):
+                circ = synthesize_plan(plan, row.mode)
+                row.raw = count_gates(circ)
+                if cfg.optimize_level == "cancel":
+                    circ = optimizer.cancel_adjacent(circ)
+                elif cfg.optimize_level == "full":
+                    circ = optimizer.optimize(circ)
+                row.optimized = count_gates(circ)
+                row.savings = ((row.raw.total - row.optimized.total) / row.raw.total
+                               if row.raw.total else 0.0)
+        return plan
+
+
+def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> list[BenchRow]:
+    """Every cell of one (input, mapping) pair, each stage run once per key:
+    (input, mapping) → ordering → mode, then the ground state and one Trotter
+    error per ordering.  A ground-state failure leaves the counts in place."""
+    by_ordering = [[BenchRow(inp.system, 0, scheme.value, o.kind, o.seed, mode)
+                    for mode in cfg.modes] for o in cfg.orderings]
+    rows = [row for group in by_ordering for row in group]
+    with _isolated(rows):
+        ham = fermion.build_hamiltonian(inp.load())
+        for row in rows:
+            row.n_qubits = ham.n_modes
         qop = mappings.map_operator(ham, scheme)
         time = simulator.safe_evolution_time(qop, cfg.time)
-        plan = trotter.plan_for(qop, ordering, cfg.n_steps, time)
-        circ = synthesize_plan(plan, mode)
-        row.raw = count_gates(circ)
-        if cfg.optimize_level == "none":
-            opt = circ
-        elif cfg.optimize_level == "cancel":
-            opt = optimizer.cancel_adjacent(circ)
-        else:
-            opt = optimizer.optimize(circ)
-        row.optimized = count_gates(opt)
-        row.savings = ((row.raw.total - row.optimized.total) / row.raw.total
-                       if row.raw.total else 0.0)
-        if cfg.with_error and row.n_qubits <= cfg.error_qubit_limit:
-            matrix = simulator.operator_matrix(qop)
-            energy, ground = simulator.ground_state(matrix)
-            rep = simulator.trotter_error(plan, energy, ground,
-                                          ordering=str(ordering), mapping=scheme.value)
-            row.trotter_error = rep.error
-    except Exception as exc:  # cell isolation: a sweep never aborts
-        row.error = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _cell_args(args) -> BenchRow:
-    return _cell(*args)
+        plans = [_plan_and_count(cfg, qop, o, time, group)
+                 for o, group in zip(cfg.orderings, by_ordering)]
+        if cfg.with_error and qop.n <= simulator.OPERATOR_QUBIT_LIMIT:
+            energy, ground = exact_ground(qop)
+            for o, group, plan in zip(cfg.orderings, by_ordering, plans):
+                if plan is None:  # its rows already hold the plan's failure
+                    continue
+                with _isolated(group):
+                    error = simulator.trotter_error(plan, energy, ground, ordering=str(o),
+                                                    mapping=scheme.value).error
+                    for row in group:
+                        if row.error is None:
+                            row.trotter_error = error
+    return rows
 
 
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     """Cartesian sweep; rows sorted by (system, mapping, ordering, mode)."""
-    cells = [(cfg, inp, scheme, ordering, mode)
-             for inp in cfg.inputs
-             for scheme in cfg.mappings
-             for ordering in cfg.orderings
-             for mode in cfg.modes]
+    args = zip(*itertools.product([cfg], cfg.inputs, cfg.mappings))  # cfgs, inputs, schemes
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_cell_args, cells))
+            groups = list(pool.map(_sweep_pair, *args))
     else:
-        rows = [_cell(*c) for c in cells]
+        groups = list(map(_sweep_pair, *args))
+    rows = [row for group in groups for row in group]
     rows.sort(key=lambda r: (r.system, r.mapping, r.ordering, str(r.seed), r.mode))
     return rows
 

@@ -269,12 +269,9 @@ def term_gate_counts(string: PauliString, mode: str = "canonical") -> GateCounts
         return GateCounts(0, 0, 0, 0)
     nx = (string.x & ~string.z).bit_count()
     ny = (string.x & string.z).bit_count()
-    if mode == "canonical":
-        single = 2 * (nx + ny)
-        ent = 2 * (w - 1)
-    elif mode == "basis_shift":
-        # Same multiset as canonical: basis pairs move inward, each group
-        # contributes (|group|-1) chain CNOTs plus one coupling per side.
+    if mode in ("canonical", "basis_shift"):
+        # basis_shift has the canonical multiset: basis pairs move inward, each
+        # group contributes (|group|-1) chain CNOTs plus one coupling per side.
         single = 2 * (nx + ny)
         ent = 2 * (w - 1)
     elif mode == "ancilla":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -27,19 +28,14 @@ def _write(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
-def _load_operator(path: str, mapping: str) -> pauli.QubitOperator:
-    ints = fermion.parse_fcidump(Path(path).read_text())
-    ham = fermion.build_hamiltonian(ints)
-    return mappings.map_operator(ham, MappingScheme(mapping))
-
-
 @main.command("map")
 @click.argument("integrals", type=click.Path(exists=True))
 @click.option("--mapping", type=click.Choice(["jw", "bk"]), default="jw", show_default=True)
 @click.option("-o", "--output", default=None, help="Pauli term file (default stdout).")
 def map_cmd(integrals, mapping, output):
     """Map an FCIDUMP integral file to a Pauli term file."""
-    qop = _load_operator(integrals, mapping)
+    ham = fermion.build_hamiltonian(bench_mod.BenchInput.parse(integrals).load())
+    qop = mappings.map_operator(ham, MappingScheme(mapping))
     _write(pauli.format_terms(qop), output)
 
 
@@ -98,12 +94,13 @@ def optimize_cmd(circuit, level, cross_step, window, output):
 
 @main.command("bench")
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--mapping", "mapping_names", multiple=True, default=("jw", "bk"),
-              show_default=True)
+@click.option("--mapping", "mapping_names", type=click.Choice(["jw", "bk"]), multiple=True,
+              default=("jw", "bk"), show_default=True)
 @_ordering_option
 @click.option("--orderings", default=None,
               help="Comma-separated list overriding --ordering.")
-@click.option("--mode", "modes", multiple=True, default=("canonical",), show_default=True)
+@click.option("--mode", "modes", type=click.Choice(SYNTHESIS_MODES), multiple=True,
+              default=("canonical",), show_default=True)
 @click.option("--optimize", "level", type=click.Choice(bench_mod.OPTIMIZE_LEVELS),
               default="full", show_default=True)
 @click.option("--steps", type=int, default=1, show_default=True)
@@ -145,8 +142,8 @@ def bench_cmd(inputs, mapping_names, ordering, magnitude_direction, orderings, m
 
 @main.command("trotter-error")
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--mapping", "mapping_names", multiple=True, default=("jw", "bk"),
-              show_default=True)
+@click.option("--mapping", "mapping_names", type=click.Choice(["jw", "bk"]), multiple=True,
+              default=("jw", "bk"), show_default=True)
 @_ordering_option
 @click.option("--orderings", default=None,
               help="Comma-separated list overriding --ordering.")
@@ -158,34 +155,22 @@ def trotter_error_cmd(inputs, mapping_names, ordering, magnitude_direction, orde
                       steps_list, time_, output):
     """Measure Trotter error against exact ground energies (JSON report)."""
     names = orderings.split(",") if orderings else [ordering]
+    strategies = [_parse_ordering(n, magnitude_direction) for n in names]
     reports = []
     for spec in inputs:
         inp = bench_mod.BenchInput.parse(spec)
-        ints = inp.load()
-        ham = fermion.build_hamiltonian(ints)
-        for mname in mapping_names:
-            scheme = MappingScheme(mname)
+        ham = fermion.build_hamiltonian(inp.load())
+        for scheme in map(MappingScheme, mapping_names):
             qop = mappings.map_operator(ham, scheme)
-            matrix = simulator.operator_matrix(qop)
-            energy, ground = simulator.ground_state(matrix)
+            energy, ground = bench_mod.exact_ground(qop)
             time_used = simulator.safe_evolution_time(qop, time_)
-            for name in names:
-                strategy = _parse_ordering(name, magnitude_direction)
+            for strategy in strategies:
                 for n_steps in (int(s) for s in steps_list.split(",")):
                     plan = trotter.plan_for(qop, strategy, n_steps, time_used)
                     rep = simulator.trotter_error(
                         plan, energy, ground,
                         ordering=str(strategy), mapping=scheme.value)
-                    reports.append({
-                        "system": inp.system, "n_qubits": qop.n,
-                        "mapping": rep.mapping, "ordering": rep.ordering,
-                        "n_steps": rep.n_steps, "time": rep.time,
-                        "exact_energy": rep.exact_energy,
-                        "estimated_energy": rep.estimated_energy,
-                        "error": rep.error,
-                        "overlap_magnitude": rep.overlap_magnitude,
-                        "unreliable": rep.unreliable,
-                    })
+                    reports.append({"system": inp.system, "n_qubits": qop.n, **asdict(rep)})
     _write(json.dumps(reports, indent=2) + "\n", output)
 
 

@@ -245,7 +245,7 @@ def synthetic_integrals(n_spatial: int, seed: int, density: float = 1.0) -> Inte
 
 
 class ResourceLimitError(RuntimeError):
-    """Fock-space construction requested beyond the qubit limit."""
+    """Dense or sparse construction requested beyond the qubit limit."""
 
 
 def _ladder_matrix(mode: int, dagger: bool, n_modes: int) -> sp.csr_matrix:

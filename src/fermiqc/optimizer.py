@@ -34,16 +34,6 @@ def commute(a: Gate, b: Gate) -> bool:
     return False
 
 
-def _cancel_adjacent_pass(gates: list[Gate]) -> list[Gate]:
-    out: list[Gate] = []
-    for g in gates:
-        if out and out[-1].inverse_partner() == g:
-            out.pop()
-        else:
-            out.append(g)
-    return out
-
-
 def _commute_and_cancel_pass(gates: list[Gate], window: int | None) -> list[Gate]:
     gates = list(gates)
     i = 0
@@ -99,15 +89,16 @@ def _rebuild(c: Circuit, segments: list[list[Gate]]) -> Circuit:
 
 
 def cancel_adjacent(c: Circuit, cross_step: bool = False) -> Circuit:
-    """Remove adjacent self-inverse pairs repeatedly until none remain."""
+    """Remove adjacent self-inverse pairs; one stack pass leaves none."""
     segs = []
     for seg in _segments(c, cross_step):
-        while True:
-            new = _cancel_adjacent_pass(seg)
-            if len(new) == len(seg):
-                break
-            seg = new
-        segs.append(seg)
+        out: list[Gate] = []
+        for g in seg:
+            if out and out[-1].inverse_partner() == g:
+                out.pop()
+            else:
+                out.append(g)
+        segs.append(out)
     return _rebuild(c, segs)
 
 

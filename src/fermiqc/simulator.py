@@ -16,16 +16,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .circuits import Circuit, Gate
+from .fermion import ResourceLimitError
 from .pauli import PauliString, QubitOperator
 from .trotter import TrotterPlan
 
 OPERATOR_QUBIT_LIMIT = 16
 UNITARY_QUBIT_LIMIT = 10
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
-
-
-class ResourceLimitError(RuntimeError):
-    """Dense or sparse construction requested beyond the qubit limit."""
 
 
 class EigensolverError(RuntimeError):
@@ -79,7 +76,9 @@ def ground_state(m: sp.spmatrix | np.ndarray, herm_tol: float = 1e-10,
         energy, vec = vals[0], vecs[:, 0]
     else:
         try:
-            vals, vecs = spla.eigsh(m, k=1, which="SA")
+            # A fixed start vector makes the result repeatable bit for bit.
+            v0 = np.random.default_rng(0).standard_normal(dim).astype(m.dtype)
+            vals, vecs = spla.eigsh(m, k=1, which="SA", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise EigensolverError("lowest-eigenpair iteration did not converge",
                                    iterations=getattr(exc, "maxiter", None)) from exc
@@ -113,13 +112,13 @@ def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrotterErrorReport:
+    mapping: str
+    ordering: str
+    n_steps: int
+    time: float
     exact_energy: float
     estimated_energy: float
     error: float
-    ordering: str
-    mapping: str
-    n_steps: int
-    time: float
     overlap_magnitude: float
     unreliable: bool
 

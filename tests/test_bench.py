@@ -1,10 +1,12 @@
 """Benchmark sweeps, report round-trips and the command-line front end."""
 
 import json
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
+from fermiqc import mappings, simulator, trotter
 from fermiqc.bench import (CSV_HEADER, BenchConfig, BenchInput, emit_report,
                            parse_report, run_bench)
 from fermiqc.cli import main
@@ -65,6 +67,36 @@ class TestRunBench:
         cfg = tiny_config(inputs=[BenchInput.parse("/no/such/file.fcidump")])
         rows = run_bench(cfg)
         assert all(row.error is not None for row in rows)
+
+    def test_each_stage_runs_once_per_key(self, monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(mappings, "map_operator")
+        counted(simulator, "operator_matrix")
+        counted(trotter, "plan_for")
+        counted(simulator, "trotter_error")
+        rows = run_bench(tiny_config(with_error=True, time=0.1))
+        assert len(rows) == 8 and all(row.error is None for row in rows)
+        # 2 (input, mapping) pairs x 2 orderings; the modes share each plan.
+        assert calls == {"map_operator": 2, "operator_matrix": 2,
+                         "plan_for": 4, "trotter_error": 4}
+
+    def test_ground_state_failure_keeps_counts(self, monkeypatch):
+        def fail(m):
+            raise simulator.EigensolverError("no convergence")
+        monkeypatch.setattr(simulator, "ground_state", fail)
+        for row in run_bench(tiny_config(with_error=True, time=0.1)):
+            assert row.error == "EigensolverError: no convergence"
+            assert row.n_qubits == 4 and row.optimized is not None
+            assert row.trotter_error is None
 
     def test_parallel_matches_serial(self):
         serial = emit_report(run_bench(tiny_config(workers=1)))
@@ -139,6 +171,13 @@ class TestCli:
     def test_bench_exit_code_on_failure(self):
         r = CliRunner().invoke(main, ["bench", "/missing.fcidump"])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("option,value", [("--mode", "canonical,ancilla"),
+                                              ("--mapping", "jw,bk")])
+    def test_bench_rejects_unknown_choice(self, option, value):
+        r = CliRunner().invoke(main, ["bench", "synthetic:n=2,seed=1", option, value])
+        assert r.exit_code == 2
+        assert f"Invalid value for '{option}'" in r.output
 
     def test_bench_orderings_override(self):
         r = self.run("bench", "synthetic:n=2,seed=1", "--orderings",

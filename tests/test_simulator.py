@@ -56,6 +56,12 @@ class TestGroundState:
         assert energy == pytest.approx(dense[0], abs=1e-8)
         np.testing.assert_allclose(m @ vec, energy * vec, atol=1e-8)
 
+    def test_sparse_path_repeatable(self, rng):
+        m = operator_matrix(random_operator(rng, 7, n_terms=8))
+        (e1, v1), (e2, v2) = ground_state(m), ground_state(m)
+        assert e1 == e2
+        assert np.array_equal(v1, v2)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
