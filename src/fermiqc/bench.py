@@ -11,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import click
 import numpy as np
 
 from . import fermion, mappings, optimizer, simulator, trotter
@@ -26,6 +27,7 @@ CSV_HEADER = ("system,n_qubits,mapping,ordering,seed,mode,"
               "savings,trotter_error")
 
 OPTIMIZE_LEVELS = ("none", "cancel", "full")
+_SYNTHETIC_KEYS = {"n": int, "seed": int, "density": float}
 
 
 @dataclass(frozen=True)
@@ -40,10 +42,21 @@ class BenchInput:
     def parse(cls, spec: str) -> "BenchInput":
         """``path/to/file.fcidump`` or ``synthetic:n=8,seed=1,density=1.0``."""
         if spec.startswith("synthetic:"):
-            kv = dict(part.split("=") for part in spec[len("synthetic:"):].split(","))
-            n = int(kv["n"])
-            seed = int(kv.get("seed", "0"))
-            density = float(kv.get("density", "1.0"))
+            kv = {"seed": 0, "density": 1.0}
+            for part in spec[len("synthetic:"):].split(","):
+                key, _, value = part.partition("=")
+                if key not in _SYNTHETIC_KEYS:
+                    raise click.BadParameter(f"{spec!r}: unknown key {key!r}; "
+                                             f"expected {', '.join(_SYNTHETIC_KEYS)}")
+                try:
+                    kv[key] = _SYNTHETIC_KEYS[key](value)
+                except ValueError:
+                    raise click.BadParameter(f"{spec!r}: {key} must be "
+                                             f"{_SYNTHETIC_KEYS[key].__name__}, "
+                                             f"got {value!r}") from None
+            if "n" not in kv:
+                raise click.BadParameter(f"{spec!r}: missing key 'n'")
+            n, seed, density = kv["n"], kv["seed"], kv["density"]
             return cls(f"synthetic-n{n}-s{seed}-d{density:g}", synthetic=(n, seed, density))
         return cls(Path(spec).stem, path=spec)
 

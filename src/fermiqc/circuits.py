@@ -293,21 +293,60 @@ def format_circuit(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FIELDS = {**dict.fromkeys(SINGLE_QUBIT_KINDS, 2), **dict.fromkeys(TWO_QUBIT_KINDS, 3), "RZ": 3}
+
+
+class _QubitFields(dict):
+    """Qubit field -> index; each distinct field is checked against the register once."""
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, text: str) -> int:
+        q = int(text)
+        if not 0 <= q < self.width:
+            raise ValueError(f"qubit {q} outside register of width {self.width}")
+        self[text] = q
+        return q
+
+
 def parse_circuit(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    """Inverse of :func:`format_circuit`; errors name the offending line."""
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        head = raw.strip()
+        if head and raw[0] != "#":
+            break
+    else:
         raise ValueError("empty circuit file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "QUBITS" or head[2] != "ANCILLA":
-        raise ValueError(f"bad circuit header {lines[0]!r}")
-    circ = Circuit(int(head[1]), ancilla=bool(int(head[3])))
-    for ln in lines[1:]:
-        fields = ln.split()
-        kind = fields[0]
-        if kind == "RZ":
-            circ.append(RZ(int(fields[1]), float(fields[2])))
-        elif kind in TWO_QUBIT_KINDS:
-            circ.append(Gate(kind, (int(fields[1]), int(fields[2]))))
-        else:
-            circ.append(Gate(kind, (int(fields[1]),)))
+    fields = head.split()
+    try:
+        if len(fields) != 4 or fields[0] != "QUBITS" or fields[2] != "ANCILLA":
+            raise ValueError
+        circ = Circuit(int(fields[1]), ancilla=bool(int(fields[3])))
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad circuit header {head!r}") from None
+    qubit = _QubitFields(circ.width)
+    gates = circ.gates
+    try:
+        for lineno, raw in lines:
+            ln = raw.strip()
+            if not ln or raw[0] == "#":
+                continue
+            fields = ln.split()
+            kind = fields[0]
+            if len(fields) != _FIELDS.get(kind):
+                if kind not in _FIELDS:
+                    raise ValueError(f"unknown gate kind {kind!r}")
+                raise ValueError(f"{kind} takes {_FIELDS[kind] - 1} operands, "
+                                 f"got {len(fields) - 1}")
+            if kind == "RZ":
+                gates.append(RZ(qubit[fields[1]], float(fields[2])))
+            elif kind in TWO_QUBIT_KINDS:
+                gates.append(Gate(kind, (qubit[fields[1]], qubit[fields[2]])))
+            else:
+                gates.append(Gate(kind, (qubit[fields[1]],)))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
     return circ

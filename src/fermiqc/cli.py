@@ -74,12 +74,15 @@ def compile_cmd(terms, ordering, magnitude_direction, steps, time_, mode, qubits
 @click.option("--optimize", "level", type=click.Choice(bench_mod.OPTIMIZE_LEVELS),
               default="full", show_default=True)
 @click.option("--cross-step", is_flag=True, help="Cancel across Trotter-step seams.")
-@click.option("--window", type=int, default=None,
+@click.option("--window", type=click.IntRange(min=0), default=None,
               help="Bound on the forward commutation scan.")
 @click.option("-o", "--output", default=None)
 def optimize_cmd(circuit, level, cross_step, window, output):
     """Run peephole optimization on a circuit file."""
-    circ = parse_circuit(Path(circuit).read_text())
+    try:
+        circ = parse_circuit(Path(circuit).read_text())
+    except ValueError as exc:
+        raise click.ClickException(f"{circuit}: {exc}") from None
     if level == "cancel":
         out = optimizer.cancel_adjacent(circ, cross_step)
     elif level == "full":
@@ -104,7 +107,8 @@ def optimize_cmd(circuit, level, cross_step, window, output):
 @click.option("--optimize", "level", type=click.Choice(bench_mod.OPTIMIZE_LEVELS),
               default="full", show_default=True)
 @click.option("--steps", type=int, default=1, show_default=True)
-@click.option("--time", "time_", type=float, default=1.0, show_default=True)
+@click.option("--time", "time_", type=click.FloatRange(0, min_open=True), default=1.0,
+              show_default=True)
 @click.option("--error/--no-error", "with_error", default=False,
               help="Also measure Trotter error (small systems only).")
 @click.option("--workers", type=int, default=1, show_default=True)
@@ -149,7 +153,8 @@ def bench_cmd(inputs, mapping_names, ordering, magnitude_direction, orderings, m
               help="Comma-separated list overriding --ordering.")
 @click.option("--steps", "steps_list", default="1", show_default=True,
               help="Comma-separated Trotter step counts.")
-@click.option("--time", "time_", type=float, default=1.0, show_default=True)
+@click.option("--time", "time_", type=click.FloatRange(0, min_open=True), default=1.0,
+              show_default=True)
 @click.option("-o", "--output", default=None)
 def trotter_error_cmd(inputs, mapping_names, ordering, magnitude_direction, orderings,
                       steps_list, time_, output):

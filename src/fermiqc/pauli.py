@@ -9,6 +9,7 @@ I=0, X=1, Y=2, Z=3, with qubit 0 the most significant digit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 AXIS_CHARS = "IXYZ"
@@ -153,8 +154,9 @@ class QubitOperator:
             self._terms[string] = new
 
     @property
-    def terms(self) -> dict[PauliString, complex]:
-        return dict(self._terms)
+    def terms(self) -> Mapping[PauliString, complex]:
+        """Read-only view of the non-identity terms (not a copy)."""
+        return MappingProxyType(self._terms)
 
     def items(self) -> Iterator[tuple[PauliString, complex]]:
         return iter(self._terms.items())

@@ -1,13 +1,14 @@
 """Shared oracles for the test suite.
 
 Everything here is built from first principles (explicit Kronecker
-products, dense linear algebra) so the package code under test is never
-used to check itself.
+products, dense linear algebra, a plain list-based peephole optimizer) so
+the package code under test is never used to check itself.
 """
 
 import numpy as np
 import pytest
 
+from fermiqc.circuits import Circuit, Gate
 from fermiqc.fermion import FermionOperator
 from fermiqc.pauli import PauliString
 
@@ -68,6 +69,112 @@ def strip_global_phase(u: np.ndarray) -> np.ndarray:
 def assert_same_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10):
     np.testing.assert_allclose(strip_global_phase(a), strip_global_phase(b),
                                atol=tol, rtol=0)
+
+
+# ---- reference peephole optimizer ------------------------------------------
+# The list-based greedy the package optimizer must reproduce exactly: its own
+# inverse table and set-based commutation rules, an O(n) ``del`` per
+# cancelled pair, and a step back of one gate after each cancellation.
+
+_REF_DIAGONAL = frozenset({"RZ", "CZ"})
+_REF_INVERSE = {"H": "H", "X": "X", "CNOT": "CNOT", "CZ": "CZ", "YB": "YBD", "YBD": "YB"}
+
+
+def reference_partner(g: Gate) -> Gate | None:
+    kind = _REF_INVERSE.get(g.kind)
+    return None if kind is None else Gate(kind, g.qubits)
+
+
+def reference_commute(a: Gate, b: Gate) -> bool:
+    if not set(a.qubits) & set(b.qubits):
+        return True
+    if a.kind in _REF_DIAGONAL and b.kind in _REF_DIAGONAL:
+        return True
+    if a.kind == "CNOT" and b.kind == "CNOT":
+        return a.qubits[1] != b.qubits[0] and b.qubits[1] != a.qubits[0]
+    for first, second in ((a, b), (b, a)):
+        if first.kind in _REF_DIAGONAL and second.kind == "CNOT":
+            return second.qubits[1] not in first.qubits
+    return False
+
+
+def _reference_commute_pass(gates: list[Gate], window: int | None) -> list[Gate]:
+    gates = list(gates)
+    i = 0
+    while i < len(gates):
+        g = gates[i]
+        partner = reference_partner(g)
+        if partner is None:
+            i += 1
+            continue
+        j = i + 1
+        limit = len(gates) if window is None else min(len(gates), i + 1 + window)
+        hit = None
+        while j < limit:
+            if gates[j] == partner:
+                hit = j
+                break
+            if not reference_commute(g, gates[j]):
+                break
+            j += 1
+        if hit is None:
+            i += 1
+        else:
+            del gates[hit]
+            del gates[i]
+            i = max(i - 1, 0)
+    return gates
+
+
+def _reference_segments(c: Circuit, cross_step: bool) -> list[list[Gate]]:
+    if cross_step or not c.barriers:
+        return [list(c.gates)]
+    bounds = [0, *c.barriers, len(c.gates)]
+    return [c.gates[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _reference_rebuild(c: Circuit, segments: list[list[Gate]]) -> Circuit:
+    gates: list[Gate] = []
+    barriers: list[int] = []
+    for k, seg in enumerate(segments):
+        if k:
+            barriers.append(len(gates))
+        gates.extend(seg)
+    return Circuit(c.n_qubits, gates, ancilla=c.ancilla, barriers=barriers)
+
+
+def reference_cancel_adjacent(c: Circuit, cross_step: bool = False) -> Circuit:
+    segs = []
+    for seg in _reference_segments(c, cross_step):
+        out: list[Gate] = []
+        for g in seg:
+            if out and reference_partner(out[-1]) == g:
+                out.pop()
+            else:
+                out.append(g)
+        segs.append(out)
+    return _reference_rebuild(c, segs)
+
+
+def reference_commute_and_cancel(c: Circuit, cross_step: bool = False,
+                                 window: int | None = None) -> Circuit:
+    return _reference_rebuild(c, [_reference_commute_pass(seg, window)
+                                  for seg in _reference_segments(c, cross_step)])
+
+
+def reference_optimize(c: Circuit, cross_step: bool = False, window: int | None = None,
+                       passes: list[int] | None = None) -> Circuit:
+    """Both passes to fixpoint; appends each round's nonzero removal to ``passes``."""
+    current = c
+    while True:
+        before = len(current.gates)
+        current = reference_cancel_adjacent(current, cross_step)
+        current = reference_commute_and_cancel(current, cross_step, window)
+        removed = before - len(current.gates)
+        if passes is not None and removed:
+            passes.append(removed)
+        if removed == 0:
+            return current
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -41,6 +42,18 @@ class TestBenchInput:
         inp = BenchInput.parse(str(path))
         assert inp.system == "h2_sto3g"
         assert inp.load().n_spatial == 2
+
+    @pytest.mark.parametrize("spec,fragment", [
+        ("synthetic:n=2,sed=1", "unknown key 'sed'"),
+        ("synthetic:n=x", "n must be int, got 'x'"),
+        ("synthetic:n=2,density=dense", "density must be float, got 'dense'"),
+        ("synthetic:seed=1", "missing key 'n'"),
+        ("synthetic:n", "n must be int, got ''"),
+    ])
+    def test_parse_synthetic_rejects_bad_spec(self, spec, fragment):
+        with pytest.raises(click.BadParameter) as err:
+            BenchInput.parse(spec)
+        assert repr(spec) in err.value.message and fragment in err.value.message
 
 
 class TestRunBench:
@@ -202,3 +215,37 @@ class TestCli:
         desc = self.run(*base, "--magnitude-direction", "desc")
         asc = self.run(*base, "--magnitude-direction", "asc")
         assert desc.exit_code == 0 and asc.exit_code == 0
+
+    @pytest.mark.parametrize("args", [
+        ["trotter-error", "synthetic:n=2,seed=1", "--time", "0"],
+        ["bench", "synthetic:n=2,seed=1", "--error", "--time", "0"],
+        ["bench", "synthetic:n=2,seed=1", "--time", "-1"],
+    ])
+    def test_time_must_be_positive(self, args):
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 2
+        assert "Invalid value for '--time'" in r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+
+    def test_optimize_rejects_negative_window(self, tmp_path):
+        circ = tmp_path / "c.txt"
+        circ.write_text("QUBITS 1 ANCILLA 0\nH 0\nH 0\n")
+        r = CliRunner().invoke(main, ["optimize", str(circ), "--window", "-3"])
+        assert r.exit_code == 2
+        assert "Invalid value for '--window'" in r.output
+
+    @pytest.mark.parametrize("spec", ["synthetic:n=2,sed=1", "synthetic:n=x"])
+    def test_bad_synthetic_spec_is_one_line(self, spec):
+        r = CliRunner().invoke(main, ["bench", spec])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.output.splitlines()[-1].startswith(f"Error: Invalid value: {spec!r}: ")
+        assert "Traceback" not in r.output
+
+    def test_optimize_reports_bad_circuit_line(self, tmp_path):
+        circ = tmp_path / "c.txt"
+        circ.write_text("QUBITS 2 ANCILLA 0\nH 0\nCNOT 1\n")
+        r = CliRunner().invoke(main, ["optimize", str(circ)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: {circ}: line 3: CNOT takes 2 operands, got 1\n"

@@ -190,3 +190,22 @@ class TestSerialization:
             parse_circuit("GATES 3\nH 0\n")
         with pytest.raises(ValueError):
             parse_circuit("")
+
+    @pytest.mark.parametrize("body,line,message", [
+        ("H 0\nCNOT 1\n", 3, "CNOT takes 2 operands, got 1"),
+        ("H 0\n\n# note\nFOO 1\n", 5, "unknown gate kind 'FOO'"),
+        ("H x\n", 2, "invalid literal for int()"),
+        ("RZ 0 half\n", 2, "could not convert string to float"),
+        ("H 0 1\n", 2, "H takes 1 operands, got 2"),
+        ("CNOT 1 1\n", 2, "CNOT needs two distinct qubits"),
+        ("H 7\n", 2, "qubit 7 outside register of width 2"),
+        ("CZ 0 -1\n", 2, "qubit -1 outside register of width 2"),
+    ])
+    def test_gate_errors_name_the_line(self, body, line, message):
+        with pytest.raises(ValueError, match=rf"^line {line}: ") as err:
+            parse_circuit("QUBITS 2 ANCILLA 0\n" + body)
+        assert message in str(err.value)
+
+    def test_header_error_names_the_line(self):
+        with pytest.raises(ValueError, match=r"^line 2: bad circuit header"):
+            parse_circuit("\nQUBITS two ANCILLA 0\nH 0\n")

@@ -1,7 +1,11 @@
 """Peephole optimizer: rule soundness, exactness and barrier discipline."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermiqc.circuits import (CNOT, CZ, RZ, YB, YBD, Circuit, Gate, H, X,
                               count_gates, synthesize_plan)
@@ -11,7 +15,9 @@ from fermiqc.pauli import QubitOperator
 from fermiqc.simulator import circuit_unitary
 from fermiqc.trotter import OrderingStrategy, plan_for
 
-from conftest import random_pauli_string
+from conftest import (random_pauli_string,
+                      reference_cancel_adjacent, reference_commute,
+                      reference_commute_and_cancel, reference_optimize)
 
 
 def gate_unitary(g: Gate, n: int) -> np.ndarray:
@@ -168,3 +174,80 @@ class TestOptimize:
         once = optimize(circ)
         twice = optimize(once)
         assert once.gates == twice.gates
+
+
+def all_gates(n: int) -> list[Gate]:
+    out = [Gate(k, (q,)) for k in ("H", "X", "YB", "YBD") for q in range(n)]
+    out += [RZ(q, 0.25) for q in range(n)]
+    out += [Gate(k, pair) for k in ("CNOT", "CZ")
+            for pair in itertools.permutations(range(n), 2)]
+    return out
+
+
+@st.composite
+def circuits(draw, max_qubits: int = 5, max_gates: int = 40) -> Circuit:
+    """Random circuits over a small alphabet, so inverse pairs are common."""
+    n = draw(st.integers(1, max_qubits))
+    kinds = ["H", "X", "YB", "YBD", "RZ"] + (["CNOT", "CZ"] if n > 1 else [])
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
+        a = draw(st.integers(0, n - 1))
+        if kind in ("CNOT", "CZ"):
+            b = draw(st.integers(0, n - 2))
+            gates.append(Gate(kind, (a, b + (b >= a))))
+        elif kind == "RZ":
+            gates.append(RZ(a, draw(st.floats(-3.0, 3.0))))
+        else:
+            gates.append(Gate(kind, (a,)))
+    barriers = sorted(draw(st.lists(st.integers(0, len(gates)), max_size=3)))
+    return Circuit(n, gates, barriers=barriers)
+
+
+windows = st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6])
+
+
+def assert_equal_up_to_phase(a: np.ndarray, b: np.ndarray) -> None:
+    # Phase from the overlap, not from one pivot entry: ties between
+    # entries of equal magnitude make a pivot choice unstable.
+    overlap = np.vdot(b, a)
+    np.testing.assert_allclose(a, b * (overlap / abs(overlap)), atol=1e-10, rtol=0)
+
+
+def is_subsequence(short: list[Gate], long: list[Gate]) -> bool:
+    it = iter(long)
+    return all(any(g == h for h in it) for g in short)
+
+
+class TestAgainstReference:
+    """The optimizer reproduces the plain list-based greedy exactly."""
+
+    def test_commute_matches_reference_rules(self):
+        gates = all_gates(3)
+        for a, b in itertools.product(gates, gates):
+            assert commute(a, b) == reference_commute(a, b), (a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(circuits(), st.booleans(), windows)
+    def test_passes_match_reference(self, circ, cross_step, window):
+        report, passes = OptimizationReport(), []
+        got = optimize(circ, cross_step, window, report)
+        want = reference_optimize(circ, cross_step, window, passes)
+        assert (got.gates, got.barriers, report.passes) == (want.gates, want.barriers, passes)
+        got = commute_and_cancel(circ, cross_step, window)
+        want = reference_commute_and_cancel(circ, cross_step, window)
+        assert (got.gates, got.barriers) == (want.gates, want.barriers)
+        got = cancel_adjacent(circ, cross_step)
+        want = reference_cancel_adjacent(circ, cross_step)
+        assert (got.gates, got.barriers) == (want.gates, want.barriers)
+
+
+class TestSafety:
+    @settings(max_examples=100, deadline=None)
+    @given(circuits(max_qubits=4), st.booleans(), windows)
+    def test_unitary_kept_and_rz_survive_in_order(self, circ, cross_step, window):
+        out = optimize(circ, cross_step, window)
+        assert_equal_up_to_phase(circuit_unitary(out), circuit_unitary(circ))
+        rz = [g for g in circ.gates if g.kind == "RZ"]
+        assert [g for g in out.gates if g.kind == "RZ"] == rz
+        assert is_subsequence(out.gates, circ.gates)

@@ -106,6 +106,16 @@ class TestQubitOperator:
         assert op.terms == {s: 3.5}
         assert op.constant == 0.5
 
+    def test_terms_is_a_read_only_view(self):
+        op = QubitOperator(1)
+        s = PauliString.from_label("Z")
+        op.add_term(1.0, s)
+        view = op.terms
+        with pytest.raises(TypeError):
+            view[s] = 2.0
+        op.add_term(1.0, PauliString.from_label("X"))
+        assert len(view) == 2 and op.terms[s] == 1.0
+
     def test_exact_cancellation_drops_term(self):
         op = QubitOperator(1)
         s = PauliString.from_label("X")
