@@ -52,10 +52,21 @@ def _parse_ordering(text: str, magnitude_direction: str) -> OrderingStrategy:
     return OrderingStrategy.parse(text, descending_magnitude=magnitude_direction == "desc")
 
 
+def _steps_list(ctx, param, value: str) -> list[int]:
+    """Comma-separated Trotter step counts, each at least 1."""
+    try:
+        steps = [int(s) for s in value.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a comma-separated list of integers") from None
+    if min(steps) < 1:
+        raise click.BadParameter(f"{value!r}: every step count must be >= 1")
+    return steps
+
+
 @main.command("compile")
 @click.argument("terms", type=click.Path(exists=True))
 @_ordering_option
-@click.option("--steps", type=int, default=1, show_default=True)
+@click.option("--steps", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--time", "time_", type=float, default=1.0, show_default=True)
 @click.option("--mode", type=click.Choice(SYNTHESIS_MODES), default="canonical",
               show_default=True)
@@ -63,9 +74,12 @@ def _parse_ordering(text: str, magnitude_direction: str) -> OrderingStrategy:
 @click.option("-o", "--output", default=None)
 def compile_cmd(terms, ordering, magnitude_direction, steps, time_, mode, qubits, output):
     """Compile a Pauli term file into a Trotter-step circuit file."""
-    qop = pauli.parse_terms(Path(terms).read_text(), n_qubits=qubits)
     strategy = _parse_ordering(ordering, magnitude_direction)
-    plan = trotter.plan_for(qop, strategy, steps, time_)
+    try:
+        qop = pauli.parse_terms(Path(terms).read_text(), n_qubits=qubits)
+        plan = trotter.plan_for(qop, strategy, steps, time_)
+    except ValueError as exc:
+        raise click.ClickException(f"{terms}: {exc}") from None
     _write(format_circuit(synthesize_plan(plan, mode)), output)
 
 
@@ -106,7 +120,7 @@ def optimize_cmd(circuit, level, cross_step, window, output):
               default=("canonical",), show_default=True)
 @click.option("--optimize", "level", type=click.Choice(bench_mod.OPTIMIZE_LEVELS),
               default="full", show_default=True)
-@click.option("--steps", type=int, default=1, show_default=True)
+@click.option("--steps", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--time", "time_", type=click.FloatRange(0, min_open=True), default=1.0,
               show_default=True)
 @click.option("--error/--no-error", "with_error", default=False,
@@ -151,7 +165,7 @@ def bench_cmd(inputs, mapping_names, ordering, magnitude_direction, orderings, m
 @_ordering_option
 @click.option("--orderings", default=None,
               help="Comma-separated list overriding --ordering.")
-@click.option("--steps", "steps_list", default="1", show_default=True,
+@click.option("--steps", "steps_list", default="1", show_default=True, callback=_steps_list,
               help="Comma-separated Trotter step counts.")
 @click.option("--time", "time_", type=click.FloatRange(0, min_open=True), default=1.0,
               show_default=True)
@@ -170,7 +184,7 @@ def trotter_error_cmd(inputs, mapping_names, ordering, magnitude_direction, orde
             energy, ground = bench_mod.exact_ground(qop)
             time_used = simulator.safe_evolution_time(qop, time_)
             for strategy in strategies:
-                for n_steps in (int(s) for s in steps_list.split(",")):
+                for n_steps in steps_list:
                     plan = trotter.plan_for(qop, strategy, n_steps, time_used)
                     rep = simulator.trotter_error(
                         plan, energy, ground,

@@ -216,27 +216,44 @@ def parse_terms(text: str, n_qubits: int | None = None) -> QubitOperator:
     Register size is inferred from the largest qubit index unless given.
     """
     entries: list[tuple[complex, list[tuple[int, str]]]] = []
-    max_q = -1
+    known: dict[str, tuple[int, str]] = {}  # each distinct field is checked once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
         head = fields[0]
-        if not (head.startswith("(") and head.endswith(")")):
-            raise ValueError(f"line {lineno}: malformed coefficient {head!r}")
-        re_s, im_s = head[1:-1].split(",")
-        coeff = complex(float(re_s), float(im_s))
+        parts = head[1:-1].split(",")
+        if not (head.startswith("(") and head.endswith(")")) or len(parts) != 2:
+            raise ValueError(f"line {lineno}: malformed coefficient {head!r}, "
+                             f"expected (re,im)")
+        try:
+            coeff = complex(float(parts[0]), float(parts[1]))
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed coefficient {head!r}") from None
         ops = []
         for f in fields[1:]:
-            axis, q = f[0], int(f[1:])
-            if axis not in "XYZ":
-                raise ValueError(f"line {lineno}: bad axis {f!r}")
-            ops.append((q, axis))
-            max_q = max(max_q, q)
+            if f not in known:
+                known[f] = _parse_op(f, n_qubits, lineno)
+            ops.append(known[f])
+        if len({q for q, _ in ops}) != len(ops):
+            raise ValueError(f"line {lineno}: a qubit appears twice")
         entries.append((coeff, ops))
+    max_q = max((q for q, _ in known.values()), default=-1)
     n = n_qubits if n_qubits is not None else max_q + 1
     op = QubitOperator(max(n, 0))
     for coeff, ops in entries:
         op.add_term(coeff, PauliString.from_ops(op.n, ops))
     return op
+
+
+def _parse_op(field: str, n_qubits: int | None, lineno: int) -> tuple[int, str]:
+    """``X3`` -> (3, "X")."""
+    axis, q = field[0], field[1:]
+    if axis not in "XYZ":
+        raise ValueError(f"line {lineno}: bad axis {field!r}")
+    if not (q.isascii() and q.isdigit()):
+        raise ValueError(f"line {lineno}: bad qubit index {field!r}")
+    if n_qubits is not None and int(q) >= n_qubits:
+        raise ValueError(f"line {lineno}: qubit {q} outside register of size {n_qubits}")
+    return int(q), axis

@@ -31,37 +31,50 @@ class EigensolverError(RuntimeError):
         self.iterations = iterations
 
 
-def _zparity(indices: np.ndarray, z: int) -> np.ndarray:
-    par = np.zeros(len(indices), dtype=np.int64)
-    while z:
-        b = (z & -z).bit_length() - 1
-        par ^= (indices >> b) & 1
-        z &= z - 1
-    return par
+def _parity(indices: np.ndarray, z: int) -> np.ndarray:
+    """Parity (0 or 1) of the bits of each index under the Z mask."""
+    return np.bitwise_count(indices & z) & 1
+
+
+def _y_phase(s: PauliString) -> complex:
+    """i^ny, the phase of P = i^ny X^x Z^z (Y = iXZ)."""
+    return _I_POWERS[(s.x & s.z).bit_count() % 4]
 
 
 def _pauli_action(s: PauliString, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Columns c map to rows c ^ x with the returned phases."""
     idx = np.arange(dim, dtype=np.int64)
-    ny = (s.x & s.z).bit_count()
-    phases = np.where(_zparity(idx, s.z) == 1, -1.0, 1.0).astype(complex)
-    phases *= _I_POWERS[ny % 4]
+    phases = np.where(_parity(idx, s.z), -1.0, 1.0).astype(complex)
+    phases *= _y_phase(s)
     return idx ^ s.x, phases
 
 
 def operator_matrix(op: QubitOperator, limit: int = OPERATOR_QUBIT_LIMIT) -> sp.csr_matrix:
-    """Sparse matrix of the Pauli terms plus the identity constant."""
+    """Sparse matrix of the Pauli terms plus the identity constant.
+
+    Terms with X mask x fill only the entries (c ^ x, c): each X mask is one
+    vector over the columns, summed in term order (the constant first on
+    x = 0), so every entry is the sum term-by-term assembly makes."""
     if op.n > limit:
         raise ResourceLimitError(f"{op.n} qubits exceeds the {limit}-qubit matrix limit")
     dim = 1 << op.n
     cols = np.arange(dim, dtype=np.int64)
-    total = sp.csr_matrix((dim, dim), dtype=complex)
-    if op.constant != 0:
-        total = total + op.constant * sp.identity(dim, format="csr", dtype=complex)
+    groups: dict[int, list[tuple[int, complex]]] = {0: []}  # x = 0 holds the constant
     for s, c in op.items():
-        rows, phases = _pauli_action(s, dim)
-        total = total + sp.csr_matrix((c * phases, (rows, cols)), shape=(dim, dim))
-    return total.tocsr()
+        groups.setdefault(s.x, []).append((s.z, c * _y_phase(s)))
+    rows, nz_cols, data = [], [], []
+    for x, terms in groups.items():
+        diag = np.full(dim, op.constant if x == 0 else 0j)
+        for z, w in terms:
+            diag += np.where(_parity(cols, z), -w, w)
+        nz = np.flatnonzero(diag).astype(np.int32)
+        rows.append(nz ^ np.int32(x))
+        nz_cols.append(nz)
+        data.append(diag[nz])
+    coo = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(nz_cols))),
+                        shape=(dim, dim))
+    del rows, nz_cols, data  # the pieces would otherwise live through the CSR copy
+    return coo.tocsr()
 
 
 def ground_state(m: sp.spmatrix | np.ndarray, herm_tol: float = 1e-10,
@@ -92,21 +105,33 @@ def ground_state(m: sp.spmatrix | np.ndarray, herm_tol: float = 1e-10,
 def apply_pauli(s: PauliString, state: np.ndarray) -> np.ndarray:
     rows, phases = _pauli_action(s, len(state))
     # xor-indexing is an involution: out[j] = phase[j^x] * state[j^x]
-    src = rows
-    return (phases * state)[src]
+    return (phases * state)[rows]
 
 
 def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
     """Apply (prod_j exp(-i theta_j/2 P_j))^n using the closed form
-    exp(-i phi P)|psi> = cos(phi)|psi> - i sin(phi) P|psi> (P^2 = I)."""
+    exp(-i phi P)|psi> = cos(phi)|psi> - i sin(phi) P|psi> (P^2 = I).
+
+    (P|psi>)[j] = i^ny (-1)^parity(z & (j ^ x)) psi[j ^ x]: the permutations
+    (one per X mask), sign flips and scalars are built once per plan."""
     dim = 1 << plan.n_qubits
     if len(state) != dim:
         raise ValueError(f"state has dimension {len(state)}, plan needs {dim}")
+    idx = np.arange(dim, dtype=np.int64)
+    perms = {x: idx ^ x for x in {s.x for s, _ in plan.ordered_terms}}
+    table = [(perms[s.x], _parity(perms[s.x], s.z).astype(bool), math.cos(0.5 * theta),
+              -1j * math.sin(0.5 * theta) * _y_phase(s))
+             for (s, _), theta in zip(plan.ordered_terms, plan.angles())]
     psi = state.astype(complex, copy=True)
-    half_angles = [0.5 * th for th in plan.angles()]
+    moved = np.empty_like(psi)
     for _ in range(plan.n_steps):
-        for (string, _), phi in zip(plan.ordered_terms, half_angles):
-            psi = math.cos(phi) * psi - 1j * math.sin(phi) * apply_pauli(string, psi)
+        for perm, flip, cos, scale in table:
+            # mode="wrap" spares the copy of `out` that "raise" makes; perm is in range.
+            np.take(psi, perm, out=moved, mode="wrap")
+            np.negative(moved, out=moved, where=flip)
+            moved *= scale
+            psi *= cos
+            psi += moved
     return psi
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .pauli import PauliString, QubitOperator, lex_key
+from .pauli import DEFAULT_TOL, PauliString, QubitOperator, lex_key
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,14 @@ def build_plan(ordered: list[tuple[PauliString, complex]], n_steps: int,
 
 def plan_for(op: QubitOperator, strategy: OrderingStrategy, n_steps: int,
              time: float, extra_offset: float = 0.0) -> TrotterPlan:
-    """Order an operator's terms and wrap them in a plan."""
+    """Order an operator's terms and wrap them in a plan.
+
+    A plan's angles and offset are real, so a non-Hermitian operator (an
+    imaginary part above DEFAULT_TOL) raises ValueError.
+    """
+    for s, c in ((PauliString(op.n), op.constant), *op.items()):
+        if abs(c.imag) > DEFAULT_TOL:
+            raise ValueError(f"operator is not Hermitian: term {s.label} has "
+                             f"coefficient {c!r}")
     return build_plan(order_terms(op, strategy), n_steps, time,
                       offset=op.constant.real + extra_offset, n_qubits=op.n)

@@ -1,12 +1,16 @@
 """Shared oracles for the test suite.
 
 Everything here is built from first principles (explicit Kronecker
-products, dense linear algebra, a plain list-based peephole optimizer) so
-the package code under test is never used to check itself.
+products, dense linear algebra, a plain list-based peephole optimizer,
+term-by-term simulator loops) so the package code under test is never used
+to check itself.
 """
+
+import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fermiqc.circuits import Circuit, Gate
 from fermiqc.fermion import FermionOperator
@@ -57,18 +61,21 @@ def random_fermion_operator(rng: np.random.Generator, n_modes: int,
     return op
 
 
-def strip_global_phase(u: np.ndarray) -> np.ndarray:
-    """Normalize the phase of the largest entry to be real positive."""
-    flat = np.argmax(np.abs(u))
-    pivot = u.flat[flat]
-    if abs(pivot) < 1e-14:
+def strip_global_phase(u: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``u`` rotated by the global phase of its overlap with ``ref``.
+
+    The overlap vdot(ref, u) fixes one phase even when several entries tie
+    in magnitude (as in every one-qubit Clifford), where a largest-entry
+    pivot is ambiguous.
+    """
+    overlap = np.vdot(ref, u)
+    if abs(overlap) < 1e-14:
         return u
-    return u * (abs(pivot) / pivot)
+    return u * (abs(overlap) / overlap)
 
 
 def assert_same_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10):
-    np.testing.assert_allclose(strip_global_phase(a), strip_global_phase(b),
-                               atol=tol, rtol=0)
+    np.testing.assert_allclose(strip_global_phase(a, b), b, atol=tol, rtol=0)
 
 
 # ---- reference peephole optimizer ------------------------------------------
@@ -175,6 +182,50 @@ def reference_optimize(c: Circuit, cross_step: bool = False, window: int | None 
             passes.append(removed)
         if removed == 0:
             return current
+
+
+# ---- reference simulator kernels -------------------------------------------
+# The term-by-term loops the package kernels must reproduce bit for bit: a
+# per-bit parity loop, one CSR matrix added per term, and every term's
+# action rebuilt at every Trotter step.
+
+def _reference_zparity(indices: np.ndarray, z: int) -> np.ndarray:
+    par = np.zeros(len(indices), dtype=np.int64)
+    while z:
+        b = (z & -z).bit_length() - 1
+        par ^= (indices >> b) & 1
+        z &= z - 1
+    return par
+
+
+def _reference_pauli_action(s: PauliString, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.arange(dim, dtype=np.int64)
+    ny = (s.x & s.z).bit_count()
+    phases = np.where(_reference_zparity(idx, s.z) == 1, -1.0, 1.0).astype(complex)
+    phases *= (1.0, 1.0j, -1.0, -1.0j)[ny % 4]
+    return idx ^ s.x, phases
+
+
+def reference_operator_matrix(op) -> sp.csr_matrix:
+    dim = 1 << op.n
+    cols = np.arange(dim, dtype=np.int64)
+    total = sp.csr_matrix((dim, dim), dtype=complex)
+    if op.constant != 0:
+        total = total + op.constant * sp.identity(dim, format="csr", dtype=complex)
+    for s, c in op.items():
+        rows, phases = _reference_pauli_action(s, dim)
+        total = total + sp.csr_matrix((c * phases, (rows, cols)), shape=(dim, dim))
+    return total.tocsr()
+
+
+def reference_apply_trotterized(plan, state: np.ndarray) -> np.ndarray:
+    psi = state.astype(complex, copy=True)
+    half_angles = [0.5 * th for th in plan.angles()]
+    for _ in range(plan.n_steps):
+        for (string, _), phi in zip(plan.ordered_terms, half_angles):
+            rows, phases = _reference_pauli_action(string, len(psi))
+            psi = math.cos(phi) * psi - 1j * math.sin(phi) * (phases * psi)[rows]
+    return psi
 
 
 @pytest.fixture

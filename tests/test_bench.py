@@ -249,3 +249,30 @@ class TestCli:
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)
         assert r.output == f"Error: {circ}: line 3: CNOT takes 2 operands, got 1\n"
+
+    @pytest.mark.parametrize("args", [
+        ["compile", "TERMS", "--steps", "0"],
+        ["bench", "synthetic:n=2,seed=1", "--steps", "0"],
+        ["trotter-error", "synthetic:n=2,seed=1", "--steps", "1,0"],
+        ["trotter-error", "synthetic:n=2,seed=1", "--steps", "1,x"],
+    ], ids=["compile", "bench", "trotter-error-zero", "trotter-error-not-int"])
+    def test_steps_must_be_positive(self, args, tmp_path):
+        terms = tmp_path / "t.terms"
+        terms.write_text("(1.0,0.0) X0\n")
+        r = CliRunner().invoke(main, [str(terms) if a == "TERMS" else a for a in args])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.output.splitlines()[-1].startswith("Error: Invalid value for '--steps'")
+
+    @pytest.mark.parametrize("text,message", [
+        ("(0.0,0.0)\n(1.0,2.0) X0 Y1\n",
+         "operator is not Hermitian: term XY has coefficient (1+2j)"),
+        ("(0.5,0.0) X0\n(1.0) X0\n", "line 2: malformed coefficient '(1.0)', expected (re,im)"),
+    ], ids=["non-hermitian", "short-coefficient"])
+    def test_compile_reports_bad_terms_in_one_line(self, tmp_path, text, message):
+        terms = tmp_path / "t.terms"
+        terms.write_text(text)
+        r = CliRunner().invoke(main, ["compile", str(terms)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: {terms}: {message}\n"

@@ -209,3 +209,12 @@ class TestSerialization:
     def test_header_error_names_the_line(self):
         with pytest.raises(ValueError, match=r"^line 2: bad circuit header"):
             parse_circuit("\nQUBITS two ANCILLA 0\nH 0\n")
+
+
+def test_phase_oracle_ignores_magnitude_ties():
+    # All four entries have magnitude 1/sqrt(2); rounding makes a different
+    # entry the largest with and without the identity pair YB YBD in front.
+    gates = [YB(0), RZ(0, 1.9452146449735768), RZ(0, -0.28489514565904095), YBD(0), YB(0)]
+    u = circuit_unitary(Circuit(1, gates))
+    assert_same_up_to_phase(circuit_unitary(Circuit(1, [YB(0), YBD(0), *gates])), u)
+    assert_same_up_to_phase(1j * u, u)

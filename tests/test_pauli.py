@@ -1,5 +1,7 @@
 """Pauli-string algebra checked against explicit Kronecker-product matrices."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,20 @@ class TestSerialization:
             pauli.parse_terms("0.5 X0\n")
         with pytest.raises(ValueError, match="bad axis"):
             pauli.parse_terms("(0.5,0.0) Q0\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("(1.0) X0", "malformed coefficient '(1.0)'"),
+        ("(1.0,2.0,3.0) X0", "malformed coefficient"),
+        ("(a,0.0) X0", "malformed coefficient '(a,0.0)'"),
+        ("(1.0,0.0) Xa", "bad qubit index 'Xa'"),
+        ("(1.0,0.0) X", "bad qubit index 'X'"),
+        ("(1.0,0.0) X-1", "bad qubit index 'X-1'"),
+        ("(1.0,0.0) X0 Z0", "a qubit appears twice"),
+        ("(1.0,0.0) X4", "qubit 4 outside register of size 4"),
+    ])
+    def test_errors_name_the_line(self, line, message):
+        with pytest.raises(ValueError, match=r"^line 3: " + re.escape(message)):
+            pauli.parse_terms(f"# header\n(0.5,0.0) Z1\n{line}\n", n_qubits=4)
 
     def test_dense_equivalence_after_roundtrip(self, rng):
         op = QubitOperator(3, constant=1.0)

@@ -3,17 +3,22 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fermiqc import fermion, mappings
 from fermiqc.circuits import CNOT, CZ, RZ, YB, YBD, Circuit, H, X
 from fermiqc.pauli import PauliString, QubitOperator
 from fermiqc.simulator import (EigensolverError, ResourceLimitError, apply_circuit,
                                apply_pauli, apply_trotterized, circuit_unitary,
                                ground_state, operator_matrix, pauli_exponential,
                                safe_evolution_time, trotter_error)
-from fermiqc.trotter import OrderingStrategy, plan_for
+from fermiqc.fixtures import FIXTURE_NAMES, fixture_text
+from fermiqc.trotter import OrderingStrategy, build_plan, plan_for
 
 from conftest import (operator_dense, pauli_matrix, random_pauli_string,
-                      assert_same_up_to_phase)
+                      assert_same_up_to_phase, reference_apply_trotterized,
+                      reference_operator_matrix)
 
 
 def random_operator(rng, n, n_terms=5) -> QubitOperator:
@@ -247,10 +252,60 @@ def test_trotterized_evolution_preserves_norm(rng):
 
 
 def test_mappings_are_isospectral_on_fixtures():
-    from fermiqc import fermion, mappings
-    from fermiqc.fixtures import FIXTURE_NAMES, fixture_text
     for name in FIXTURE_NAMES:
         ham = fermion.build_hamiltonian(fermion.parse_fcidump(fixture_text(name)))
         energies = [ground_state(operator_matrix(mappings.map_operator(ham, scheme)))[0]
                     for scheme in ("jw", "bk")]
         assert energies[0] == pytest.approx(energies[1], abs=1e-9), name
+
+
+# Few distinct values, so sums of terms sharing an X mask often cancel exactly.
+_COEFFS = st.sampled_from([0.5, -0.5, 0.25, 1.0, 0.5j, -0.5j, 0.25 - 0.75j, 1e-3])
+
+
+@st.composite
+def operators(draw, max_qubits=6):
+    n = draw(st.integers(0, max_qubits))
+    constant = draw(st.sampled_from([0.0, 0.5, -0.25, 0.5 - 0.5j]))
+    op = QubitOperator(n, constant=constant)
+    xs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 12))):
+        x, z = draw(st.sampled_from(xs)), draw(st.integers(0, (1 << n) - 1))
+        op.add_term(draw(_COEFFS | st.complex_numbers(max_magnitude=2.0)),
+                    PauliString(n, x, z))
+    return op
+
+
+def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+class TestAgainstReference:
+    """The kernels repeat the term-by-term loops bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operators(), st.integers(1, 3), st.floats(0.01, 3.0), st.randoms())
+    def test_matches_reference_loops(self, op, n_steps, time, random):
+        assert_same_csr(operator_matrix(op), reference_operator_matrix(op))
+        ordered = list(op.items())
+        random.shuffle(ordered)
+        plan = build_plan(ordered, n_steps, time, n_qubits=op.n)
+        rng = np.random.default_rng(random.getrandbits(32))
+        state = rng.normal(size=1 << op.n) + 1j * rng.normal(size=1 << op.n)
+        assert np.array_equal(apply_trotterized(plan, state),
+                              reference_apply_trotterized(plan, state))
+
+    @pytest.mark.parametrize("scheme", ["jw", "bk"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_operators(self, name, scheme, rng):
+        ham = fermion.build_hamiltonian(fermion.parse_fcidump(fixture_text(name)))
+        qop = mappings.map_operator(ham, scheme)
+        assert_same_csr(operator_matrix(qop), reference_operator_matrix(qop))
+        plan = plan_for(qop, OrderingStrategy("magnitude"), n_steps=2, time=0.1)
+        state = rng.normal(size=1 << qop.n) + 1j * rng.normal(size=1 << qop.n)
+        assert np.array_equal(apply_trotterized(plan, state),
+                              reference_apply_trotterized(plan, state))

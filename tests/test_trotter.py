@@ -96,6 +96,17 @@ class TestTrotterPlan:
         with pytest.raises(ValueError):
             build_plan([(PauliString.from_label("X"), 1.0)], 0, 1.0)
 
+    @pytest.mark.parametrize("constant,coeff,bad", [(0.0, 1.0 + 2.0j, "XY"),
+                                                    (0.5 - 1e-3j, 1.0, "II")])
+    def test_plan_for_rejects_non_hermitian(self, constant, coeff, bad):
+        op = QubitOperator(2, {PauliString.from_label("XY"): coeff}, constant=constant)
+        with pytest.raises(ValueError, match=f"not Hermitian: term {bad} "):
+            plan_for(op, OrderingStrategy("lex"), 1, 1.0)
+
+    def test_plan_for_keeps_imaginary_parts_within_tolerance(self):
+        op = QubitOperator(1, {PauliString.from_label("X"): 1.0 + 1e-13j}, constant=1e-13j)
+        assert plan_for(op, OrderingStrategy("lex"), 1, 1.0).angles() == [2.0]
+
     def test_register_size_inferred(self):
         plan = build_plan([(PauliString.from_label("XZ"), 1.0)], 2, 0.5)
         assert isinstance(plan, TrotterPlan)
