@@ -20,7 +20,7 @@ _SELF_INVERSE = frozenset({"H", "X", "CNOT", "CZ"})
 _INVERSE_KIND = {"H": "H", "X": "X", "CNOT": "CNOT", "CZ": "CZ", "YB": "YBD", "YBD": "YB"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: str
     qubits: tuple[int, ...]

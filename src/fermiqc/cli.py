@@ -35,7 +35,10 @@ def _write(text: str, output: str | None) -> None:
 def map_cmd(integrals, mapping, output):
     """Map an FCIDUMP integral file to a Pauli term file."""
     ham = fermion.build_hamiltonian(bench_mod.BenchInput.parse(integrals).load())
-    qop = mappings.map_operator(ham, MappingScheme(mapping))
+    try:
+        qop = mappings.map_operator(ham, MappingScheme(mapping))
+    except fermion.ResourceLimitError as exc:
+        raise click.ClickException(f"{integrals}: {exc}") from None
     _write(pauli.format_terms(qop), output)
 
 
@@ -48,8 +51,16 @@ def _ordering_option(fn):
     return fn
 
 
-def _parse_ordering(text: str, magnitude_direction: str) -> OrderingStrategy:
-    return OrderingStrategy.parse(text, descending_magnitude=magnitude_direction == "desc")
+def _parse_orderings(ordering: str, orderings: str | None,
+                     magnitude_direction: str) -> list[OrderingStrategy]:
+    """``--orderings`` (comma-separated) if given, else ``--ordering``."""
+    option = "--orderings" if orderings else "--ordering"
+    names = orderings.split(",") if orderings else [ordering]
+    try:
+        return [OrderingStrategy.parse(n, descending_magnitude=magnitude_direction == "desc")
+                for n in names]
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=f"'{option}'") from None
 
 
 def _steps_list(ctx, param, value: str) -> list[int]:
@@ -74,7 +85,7 @@ def _steps_list(ctx, param, value: str) -> list[int]:
 @click.option("-o", "--output", default=None)
 def compile_cmd(terms, ordering, magnitude_direction, steps, time_, mode, qubits, output):
     """Compile a Pauli term file into a Trotter-step circuit file."""
-    strategy = _parse_ordering(ordering, magnitude_direction)
+    [strategy] = _parse_orderings(ordering, None, magnitude_direction)
     try:
         qop = pauli.parse_terms(Path(terms).read_text(), n_qubits=qubits)
         plan = trotter.plan_for(qop, strategy, steps, time_)
@@ -136,11 +147,10 @@ def bench_cmd(inputs, mapping_names, ordering, magnitude_direction, orderings, m
     INPUTS are FCIDUMP paths or synthetic specs like
     ``synthetic:n=8,seed=1,density=1.0``.
     """
-    names = orderings.split(",") if orderings else [ordering]
     cfg = bench_mod.BenchConfig(
         inputs=[bench_mod.BenchInput.parse(s) for s in inputs],
         mappings=[MappingScheme(m) for m in mapping_names],
-        orderings=[_parse_ordering(n, magnitude_direction) for n in names],
+        orderings=_parse_orderings(ordering, orderings, magnitude_direction),
         modes=list(modes),
         optimize_level=level,
         n_steps=steps,
@@ -173,8 +183,7 @@ def bench_cmd(inputs, mapping_names, ordering, magnitude_direction, orderings, m
 def trotter_error_cmd(inputs, mapping_names, ordering, magnitude_direction, orderings,
                       steps_list, time_, output):
     """Measure Trotter error against exact ground energies (JSON report)."""
-    names = orderings.split(",") if orderings else [ordering]
-    strategies = [_parse_ordering(n, magnitude_direction) for n in names]
+    strategies = _parse_orderings(ordering, orderings, magnitude_direction)
     reports = []
     for spec in inputs:
         inp = bench_mod.BenchInput.parse(spec)

@@ -189,29 +189,26 @@ def build_hamiltonian(ints: IntegralSet) -> FermionOperator:
     """
     n = ints.n_spatial
     op = FermionOperator(2 * n, constant=ints.core_energy)
-    for p in range(n):
-        for q in range(n):
-            v = ints.one_body[p, q]
-            if v == 0.0:
-                continue
-            for spin in (0, 1):
-                op.add(v, ((2 * p + spin, True), (2 * q + spin, False)))
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    v = ints.two_body[p, q, r, s]
-                    if v == 0.0:
-                        continue
-                    for s1 in (0, 1):
-                        for s2 in (0, 1):
-                            i = 2 * p + s1
-                            j = 2 * r + s2
-                            k = 2 * s + s2
-                            l = 2 * q + s1
-                            if i == j or k == l:
-                                continue
-                            op.add(0.5 * v, ((i, True), (j, True), (k, False), (l, False)))
+    # Shared factor tuples; nonzero() walks the arrays in row-major order,
+    # the order of the nested index loops, and every mode is in range.
+    cre = [(m, True) for m in range(2 * n)]
+    ann = [(m, False) for m in range(2 * n)]
+    products = op.products
+    h = ints.one_body
+    for p, q in zip(*(a.tolist() for a in np.nonzero(h))):
+        v = h[p, q]
+        for spin in (0, 1):
+            products.append((v, (cre[2 * p + spin], ann[2 * q + spin])))
+    g = ints.two_body
+    nz = np.nonzero(g)
+    for p, q, r, s, v in zip(*(a.tolist() for a in nz), g[nz]):
+        half = 0.5 * v
+        for s1 in (0, 1):
+            i, l = 2 * p + s1, 2 * q + s1
+            for s2 in (0, 1):
+                j, k = 2 * r + s2, 2 * s + s2
+                if i != j and k != l:
+                    products.append((half, (cre[i], cre[j], ann[k], ann[l])))
     return op
 
 

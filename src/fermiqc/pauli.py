@@ -3,7 +3,9 @@
 Strings are stored symplectically as a pair of bitmasks (x, z):
 I=(0,0), X=(1,0), Y=(1,1), Z=(0,1) on each qubit.  The equivalent
 base-4 digit encoding used for lexicographic ordering is
-I=0, X=1, Y=2, Z=3, with qubit 0 the most significant digit.
+I=0, X=1, Y=2, Z=3, with qubit 0 the most significant digit; ``lex_key``
+reads those digits as one integer (digit = 2z + (x xor z)), built a byte
+of qubits at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class DimensionError(ValueError):
     """Raised when operands act on registers of different sizes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliString:
     """An n-qubit tensor product of I/X/Y/Z, without coefficient."""
 
@@ -99,9 +101,18 @@ class PauliString:
         return f"PauliString({self.label!r})"
 
 
-def lex_key(s: PauliString) -> tuple[int, ...]:
-    """Base-4 digit sequence, qubit 0 most significant."""
-    return s.axes
+# Byte of 8 qubit bits -> those bits two apart, qubit 0 highest (bit i -> bit 14 - 2i).
+_SPREAD = tuple(sum(1 << (14 - 2 * i) for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def lex_key(s: PauliString) -> int:
+    """Base-4 digits (I=0, X=1, Y=2, Z=3) read as one integer, qubit 0 most
+    significant; on one register it orders strings like their labels."""
+    d = s.x ^ s.z  # digit = 2z + (x ^ z)
+    key = 0
+    for shift in range(0, s.n, 8):
+        key = key << 16 | _SPREAD[s.z >> shift & 255] << 1 | _SPREAD[d >> shift & 255]
+    return key >> 2 * (-s.n % 8)  # drop the padding digits of the last byte
 
 
 def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
@@ -196,18 +207,24 @@ def simplify(op: QubitOperator, tol: float = DEFAULT_TOL) -> QubitOperator:
 
 def format_terms(op: QubitOperator) -> str:
     """Serialize one term per line: ``(re,im) X0 Z1 ...``; identity has no ops."""
+    names = [("", f"X{q}", f"Z{q}", f"Y{q}") for q in range(op.n)]  # by x bit + 2 * z bit
     lines = []
     if op.constant != 0:
-        lines.append(_format_term(op.constant, PauliString(op.n)))
+        lines.append(_format_term(op.constant, PauliString(op.n), names))
     for s in sorted(op._terms, key=lex_key):
-        lines.append(_format_term(op._terms[s], s))
+        lines.append(_format_term(op._terms[s], s, names))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _format_term(coeff: complex, s: PauliString) -> str:
-    ops = " ".join(f"{AXIS_CHARS[s.axis(q)]}{q}" for q in s.support)
-    head = f"({coeff.real!r},{coeff.imag!r})"
-    return f"{head} {ops}".rstrip()
+def _format_term(coeff: complex, s: PauliString, names: list[tuple[str, ...]]) -> str:
+    fields = [f"({coeff.real!r},{coeff.imag!r})"]
+    x, z = s.x, s.z
+    m = x | z
+    while m:  # the set bits, lowest qubit first
+        q = (m & -m).bit_length() - 1
+        fields.append(names[q][(x >> q & 1) | (z >> q & 1) << 1])
+        m &= m - 1
+    return " ".join(fields)
 
 
 def parse_terms(text: str, n_qubits: int | None = None) -> QubitOperator:

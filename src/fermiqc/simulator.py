@@ -77,11 +77,21 @@ def operator_matrix(op: QubitOperator, limit: int = OPERATOR_QUBIT_LIMIT) -> sp.
     return coo.tocsr()
 
 
+def _hermitian_defect(m: sp.csr_matrix) -> float:
+    """max |m - m^H|, with one matrix-sized temporary (the transpose) when
+    m's sparsity pattern is symmetric, as every operator_matrix's is."""
+    t = m.transpose().tocsr()
+    if not (np.array_equal(t.indptr, m.indptr) and np.array_equal(t.indices, m.indices)):
+        return abs(m - m.getH()).max()
+    d = np.conjugate(t.data, out=t.data)
+    return np.abs(np.subtract(m.data, d, out=d)).max(initial=0.0)
+
+
 def ground_state(m: sp.spmatrix | np.ndarray, herm_tol: float = 1e-10,
                  residual_tol: float = 1e-9) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a Hermitian matrix."""
     m = sp.csr_matrix(m)
-    if (abs(m - m.getH())).max() > herm_tol:
+    if _hermitian_defect(m) > herm_tol:
         raise ValueError("matrix is not Hermitian")
     dim = m.shape[0]
     if dim <= 64:

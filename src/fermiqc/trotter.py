@@ -28,7 +28,10 @@ class OrderingStrategy:
     def parse(cls, text: str, descending_magnitude: bool = True) -> "OrderingStrategy":
         """Parse CLI spellings: magnitude | lex | lexomag | random:<seed>."""
         if text.startswith("random:"):
-            return cls("random", int(text.split(":", 1)[1]))
+            try:
+                return cls("random", int(text.split(":", 1)[1]))
+            except ValueError:
+                raise ValueError(f"random ordering needs an integer seed, got {text!r}") from None
         return cls(text, descending_magnitude=descending_magnitude)
 
     def __str__(self):

@@ -2,8 +2,8 @@
 
 Everything here is built from first principles (explicit Kronecker
 products, dense linear algebra, a plain list-based peephole optimizer,
-term-by-term simulator loops) so the package code under test is never used
-to check itself.
+term-by-term simulator loops, a dictionary-based fermion-to-qubit
+expansion) so the package code under test is never used to check itself.
 """
 
 import math
@@ -14,7 +14,8 @@ import scipy.sparse as sp
 
 from fermiqc.circuits import Circuit, Gate
 from fermiqc.fermion import FermionOperator
-from fermiqc.pauli import PauliString
+from fermiqc.mappings import MappingScheme, _ladder_images
+from fermiqc.pauli import DEFAULT_TOL, PauliString, QubitOperator
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -226,6 +227,54 @@ def reference_apply_trotterized(plan, state: np.ndarray) -> np.ndarray:
             rows, phases = _reference_pauli_action(string, len(psi))
             psi = math.cos(phi) * psi - 1j * math.sin(phi) * (phases * psi)[rows]
     return psi
+
+
+# ---- reference mapping and term-file writer ---------------------------------
+# The entry-by-entry loops the package must reproduce exactly: each ladder
+# product doubles a list of (c, x, z) entries per factor, one dictionary sums
+# the entries in order, and the terms are written in tuple-of-digits order.
+
+def reference_map_operator(op: FermionOperator, scheme: MappingScheme,
+                           tol: float = DEFAULT_TOL) -> QubitOperator:
+    scheme = MappingScheme(scheme)
+    n = op.n_modes
+    imgs = _ladder_images(n, scheme)
+    acc: dict[tuple[int, int], complex] = {}
+    for coeff, factors in op.products:
+        entries = [(complex(coeff), 0, 0)]
+        for mode, dagger in factors:
+            fx, z_sym, z_anti = imgs[mode]
+            half = 0.5 if dagger else -0.5
+            new = []
+            for c, x, z in entries:
+                sign = -1.0 if (z & fx).bit_count() & 1 else 1.0
+                new.append((0.5 * sign * c, x ^ fx, z ^ z_sym))
+                new.append((half * sign * c, x ^ fx, z ^ z_anti))
+            entries = new
+        for c, x, z in entries:
+            acc[x, z] = acc.get((x, z), 0.0) + c
+    out = QubitOperator(n, constant=op.constant)
+    for (x, z), c in acc.items():
+        coeff = c * (1.0, -1.0j, -1.0, 1.0j)[(x & z).bit_count() % 4]
+        if x == 0 and z == 0:
+            out.constant += coeff
+        elif abs(coeff) > tol:
+            out.add_term(coeff, PauliString(n, x, z))
+    return out
+
+
+def reference_lex_key(s: PauliString) -> tuple[int, ...]:
+    return tuple(s.axis(q) for q in range(s.n))
+
+
+def reference_format_terms(op: QubitOperator) -> str:
+    def line(coeff, s):
+        ops = " ".join(f"{'IXYZ'[s.axis(q)]}{q}" for q in range(s.n) if s.axis(q))
+        return f"({coeff.real!r},{coeff.imag!r}) {ops}".rstrip()
+
+    lines = [line(op.constant, PauliString(op.n))] if op.constant != 0 else []
+    lines += [line(c, s) for s, c in sorted(op.items(), key=lambda t: reference_lex_key(t[0]))]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 @pytest.fixture

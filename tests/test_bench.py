@@ -276,3 +276,36 @@ class TestCli:
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)
         assert r.output == f"Error: {terms}: {message}\n"
+
+    @pytest.mark.parametrize("args,option", [
+        (["compile", "TERMS", "--ordering", "foo"], "--ordering"),
+        (["compile", "TERMS", "--ordering", "random:x"], "--ordering"),
+        (["bench", "synthetic:n=2,seed=1", "--orderings", "lex,random:x"], "--orderings"),
+        (["bench", "synthetic:n=2,seed=1", "--ordering", "foo"], "--ordering"),
+        (["trotter-error", "synthetic:n=2,seed=1", "--orderings", "lex,foo"], "--orderings"),
+        (["trotter-error", "synthetic:n=2,seed=1", "--ordering", "random:"], "--ordering"),
+    ], ids=["compile", "compile-seed", "bench-seed", "bench", "trotter-error",
+            "trotter-error-seed"])
+    def test_bad_ordering_is_one_line(self, args, option, tmp_path):
+        terms = tmp_path / "t.terms"
+        terms.write_text("(1.0,0.0) X0\n")
+        r = CliRunner().invoke(main, [str(terms) if a == "TERMS" else a for a in args])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.output.splitlines()[-1].startswith(f"Error: Invalid value for '{option}': ")
+        assert "Traceback" not in r.output
+
+    def test_register_above_map_limit_is_one_line(self, tmp_path):
+        # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map limit.
+        fcidump = tmp_path / "big.fcidump"
+        fcidump.write_text("&FCI NORB=33,NELEC=2,MS2=0,\n&END\n"
+                           " 0.5   1   1   0   0\n 1.0   0   0   0   0\n")
+        r = CliRunner().invoke(main, ["map", str(fcidump)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: {fcidump}: 66 modes exceeds the 64-mode map limit\n"
+        r = CliRunner().invoke(main, ["bench", str(fcidump), "--mapping", "bk"])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.stderr == ("cell failed: big/bk/magnitude/canonical: ResourceLimitError: "
+                            "66 modes exceeds the 64-mode map limit\n")

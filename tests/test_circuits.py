@@ -1,5 +1,7 @@
 """Circuit synthesis against the dense Pauli-exponential oracle."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,14 @@ def realized_unitary(circ: Circuit) -> np.ndarray:
 
 
 class TestGate:
+    def test_slotted_pickle_hash_and_equality(self):
+        g = RZ(2, 0.25)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g) and back is not g
+        assert not hasattr(g, "__dict__")
+        with pytest.raises(AttributeError):
+            g.angle = 0.5
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Gate("CNOT", (1, 1))

@@ -1,16 +1,21 @@
 """Jordan-Wigner and Bravyi-Kitaev mappings against first-principles oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermiqc import mappings
-from fermiqc.fermion import FermionOperator, fock_matrix
+from fermiqc import fermion, mappings
+from fermiqc.fermion import FermionOperator, ResourceLimitError, fock_matrix
+from fermiqc.fixtures import FIXTURE_NAMES, fixture_text
 from fermiqc.mappings import (MappingScheme, basis_permutation, bk_index_sets,
                               bk_matrix, map_operator, occupation_to_qubits)
 from fermiqc.pauli import PauliString
 from fermiqc.simulator import operator_matrix
 
-from conftest import random_fermion_operator
+from conftest import random_fermion_operator, reference_map_operator
 
 
 class TestBkMatrix:
@@ -193,3 +198,75 @@ def test_mapped_identity_goes_to_constant():
     qop = map_operator(op, "jw")
     assert len(qop) == 0
     assert qop.constant == pytest.approx(2.5)
+
+
+def test_rejects_registers_above_the_limit():
+    op = FermionOperator(mappings.MAP_MODE_LIMIT + 1)
+    op.add(1.0, ((0, True), (0, False)))
+    with pytest.raises(ResourceLimitError, match="^65 modes exceeds the 64-mode map limit$"):
+        map_operator(op, "jw")
+
+
+# ---- exactness against the entry-by-entry reference loop -------------------
+
+def assert_same_operator(got, want):
+    """Same terms in the same insertion order, repr-equal coefficients and constant."""
+    assert got.n == want.n
+    assert [(s, repr(c)) for s, c in got.items()] == [(s, repr(c)) for s, c in want.items()]
+    assert repr(got.constant) == repr(want.constant)
+
+
+_COEFFS = st.sampled_from([1.0, -1.0, 0.5, -0.0, 0.0, 0.25 - 0.5j, -0.5j, 1e-13, 3.0 + 0.0j])
+
+
+@st.composite
+def fermion_operators(draw):
+    """Products of 0-5 factors with repeated modes, real and complex
+    coefficients, exact cancellations and an occasional shared X mask."""
+    n = draw(st.integers(0, 64))
+    op = FermionOperator(n, constant=draw(st.sampled_from([0.0, -0.0, 1.5, -0.25])))
+    if n == 0:
+        for _ in range(draw(st.integers(0, 3))):
+            op.add(draw(_COEFFS), ())
+        return op
+    modes = st.integers(0, n - 1)
+    if draw(st.booleans()):  # few distinct modes: repeats and shared X masks
+        modes = st.sampled_from(draw(st.lists(modes, min_size=1, max_size=3)))
+    for _ in range(draw(st.integers(0, 12))):
+        factors = tuple(draw(st.lists(st.tuples(modes, st.booleans()), max_size=5)))
+        coeff = draw(_COEFFS | st.complex_numbers(max_magnitude=2.0)
+                     | st.floats(-2.0, 2.0))
+        op.add(coeff, factors)
+        if draw(st.integers(0, 3)) == 0:  # cancels exactly
+            op.add(-coeff, factors)
+    return op
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(fermion_operators(), st.sampled_from(list(MappingScheme)),
+           st.sampled_from([1, 2, 3, 16, mappings._CHUNK]))
+    def test_matches_reference_loop(self, op, scheme, chunk):
+        with mock.patch.object(mappings, "_CHUNK", chunk):
+            got = map_operator(op, scheme)
+        assert_same_operator(got, reference_map_operator(op, scheme))
+
+    def test_x_group_larger_than_a_chunk(self):
+        # Every a+_i a+_j a_j a_i has X mask 0, so the x = 0 group holds more
+        # entries than one chunk; the hopping terms interleave other masks.
+        n = 10
+        op = FermionOperator(n, constant=0.5)
+        for k in range(mappings._CHUNK // 16 + 50):
+            i, j = k % n, (3 * k + 1) % n
+            op.add(0.1 * (k % 7) - 0.3, ((i, True), (j, True), (j, False), (i, False)))
+            op.add(0.25j * (k % 3), ((i, True), (j, False)))
+        for scheme in MappingScheme:
+            assert_same_operator(map_operator(op, scheme), reference_map_operator(op, scheme))
+
+    @pytest.mark.parametrize("scheme", list(MappingScheme))
+    @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "synthetic-n6"])
+    def test_hamiltonians(self, name, scheme):
+        ints = (fermion.synthetic_integrals(6, seed=3) if name == "synthetic-n6"
+                else fermion.parse_fcidump(fixture_text(name)))
+        ham = fermion.build_hamiltonian(ints)
+        assert_same_operator(map_operator(ham, scheme), reference_map_operator(ham, scheme))

@@ -1,5 +1,6 @@
 """Pauli-string algebra checked against explicit Kronecker-product matrices."""
 
+import pickle
 import re
 
 import numpy as np
@@ -11,7 +12,8 @@ from fermiqc import pauli
 from fermiqc.pauli import (DEFAULT_TOL, DimensionError, PauliString, QubitOperator,
                            commutes, lex_key, multiply, simplify)
 
-from conftest import operator_dense, pauli_matrix
+from conftest import (operator_dense, pauli_matrix, reference_format_terms,
+                      reference_lex_key)
 
 digit_lists = st.lists(st.integers(0, 3), min_size=1, max_size=5)
 
@@ -23,6 +25,15 @@ class TestPauliString:
         assert s.axes == (1, 0, 3, 2)
         assert s.weight == 3
         assert s.support == (0, 2, 3)
+
+    def test_slotted_pickle_hash_and_equality(self):
+        # Strings cross process boundaries with `bench --workers` and key dicts.
+        s = PauliString.from_label("XIZY")
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and hash(back) == hash(s) and back is not s
+        assert not hasattr(s, "__dict__")
+        with pytest.raises(AttributeError):
+            s.x = 0
 
     @given(digit_lists)
     def test_axes_roundtrip(self, digits):
@@ -96,6 +107,46 @@ class TestLexKey:
         by_key = sorted(strings, key=lex_key)
         by_label = sorted(strings, key=lambda s: s.label)
         assert [s.label for s in by_key] == [s.label for s in by_label]
+
+
+    @given(st.integers(0, 70).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=2, max_size=6)))
+    def test_integer_key_orders_like_digit_tuples(self, rows):
+        strings = [PauliString.from_axes(d) for d in rows]
+        assert ([lex_key(s) for s in strings] == [
+            sum(d << 2 * (s.n - 1 - q) for q, d in enumerate(reference_lex_key(s)))
+            for s in strings])
+        assert sorted(strings, key=lex_key) == sorted(strings, key=reference_lex_key)
+
+
+_TERM_COEFFS = st.sampled_from([1.0, -1.0, 0.5j, -0.0, 0.25 - 0.5j, 1e-300, 1 / 3]) | \
+    st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def qubit_operators(draw, max_qubits=70):
+    """Operators built through add_term, the way parse_terms builds them."""
+    n = draw(st.integers(0, max_qubits))
+    op = QubitOperator(n)
+    digits = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    for _ in range(draw(st.integers(0, 8))):
+        op.add_term(draw(_TERM_COEFFS), PauliString.from_axes(draw(digits)))
+    return op
+
+
+class TestTermFiles:
+    @settings(max_examples=200)
+    @given(qubit_operators())
+    def test_format_matches_reference(self, op):
+        assert pauli.format_terms(op) == reference_format_terms(op)
+
+    @settings(max_examples=200)
+    @given(qubit_operators())
+    def test_roundtrip(self, op):
+        text = pauli.format_terms(op)
+        back = pauli.parse_terms(text, n_qubits=op.n)
+        assert back == op
+        assert pauli.format_terms(back) == text
 
 
 class TestQubitOperator:

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermiqc import fermion, mappings
+from fermiqc import fermion, mappings, simulator
 from fermiqc.circuits import CNOT, CZ, RZ, YB, YBD, Circuit, H, X
 from fermiqc.pauli import PauliString, QubitOperator
 from fermiqc.simulator import (EigensolverError, ResourceLimitError, apply_circuit,
@@ -70,6 +70,29 @@ class TestGroundState:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("m", [[[0.0, 1.0], [2.0, 0.0]], [[0.0, 1j], [1j, 0.0]],
+                                   [[1j, 0.0], [0.0, 1.0]]],
+                             ids=["values", "imaginary", "diagonal"])
+    def test_rejects_non_hermitian_symmetric_pattern(self, m):
+        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+            ground_state(np.array(m))
+
+    def test_hermitian_within_tolerance(self):
+        energy, _ = ground_state(np.array([[0.0, 1.0 + 1e-12j], [1.0, 0.0]]))
+        assert energy == pytest.approx(-1.0)
+
+    def test_hermitian_defect_is_max_of_difference(self, rng):
+        # The symmetric-pattern shortcut and the fallback both give
+        # max |m - m^H| as a sparse difference computes it.
+        for trial in range(40):
+            dim = int(rng.integers(1, 9))
+            a = sp.random(dim, dim, density=0.5, random_state=trial, format="csr")
+            a = a + 1j * sp.random(dim, dim, density=0.5, random_state=trial + 100)
+            for m in (sp.csr_matrix(a), sp.csr_matrix(a + a.getH()),
+                      sp.csr_matrix(a + a.T), sp.csr_matrix((dim, dim), dtype=complex)):
+                want = abs(m - m.getH()).max()
+                assert simulator._hermitian_defect(m) == want
 
     def test_accepts_sparse_input(self):
         energy, _ = ground_state(sp.diags([1.0, -2.0]))
