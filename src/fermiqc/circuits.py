@@ -10,18 +10,21 @@ Gate conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .pauli import PauliString
 from .trotter import TrotterPlan
 
 SINGLE_QUBIT_KINDS = frozenset({"H", "YB", "YBD", "X", "RZ"})
 TWO_QUBIT_KINDS = frozenset({"CNOT", "CZ"})
-_SELF_INVERSE = frozenset({"H", "X", "CNOT", "CZ"})
 _INVERSE_KIND = {"H": "H", "X": "X", "CNOT": "CNOT", "CZ": "CZ", "YB": "YBD", "YBD": "YB"}
 
 
 @dataclass(frozen=True, slots=True)
 class Gate:
+    """One gate.  The Clifford constructors below share one instance per
+    (kind, qubits), validated once; each RZ is its own instance."""
+
     kind: str
     qubits: tuple[int, ...]
     angle: float | None = None
@@ -35,42 +38,46 @@ class Gate:
                 raise ValueError(f"{self.kind} acts on one qubit")
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if min(self.qubits) < 0:
+            raise ValueError(f"{self.kind} on negative qubit {min(self.qubits)}")
         if (self.kind == "RZ") != (self.angle is not None):
             raise ValueError("angle given exactly for RZ")
 
     def inverse_partner(self) -> "Gate | None":
         """The gate that cancels this one exactly, if it is Clifford."""
         kind = _INVERSE_KIND.get(self.kind)
-        if kind is None:
-            return None
-        if self.kind == "CZ":
-            return self
-        return Gate(kind, self.qubits)
+        return None if kind is None else _clifford(kind, self.qubits)
+
+
+@cache
+def _clifford(kind: str, qubits: tuple[int, ...]) -> Gate:
+    """The shared Gate of a Clifford (kind, qubits)."""
+    return Gate(kind, qubits)
 
 
 def H(q: int) -> Gate:
-    return Gate("H", (q,))
+    return _clifford("H", (q,))
 
 
 def X(q: int) -> Gate:
-    return Gate("X", (q,))
+    return _clifford("X", (q,))
 
 
 def YB(q: int) -> Gate:
-    return Gate("YB", (q,))
+    return _clifford("YB", (q,))
 
 
 def YBD(q: int) -> Gate:
-    return Gate("YBD", (q,))
+    return _clifford("YBD", (q,))
 
 
 def CNOT(control: int, target: int) -> Gate:
-    return Gate("CNOT", (control, target))
+    return _clifford("CNOT", (control, target))
 
 
 def CZ(a: int, b: int) -> Gate:
     # Symmetric gate; store qubits sorted so equal CZs compare equal.
-    return Gate("CZ", (min(a, b), max(a, b)))
+    return _clifford("CZ", (min(a, b), max(a, b)))
 
 
 def RZ(q: int, angle: float) -> Gate:
@@ -146,6 +153,13 @@ def count_gates(c: Circuit) -> GateCounts:
 SYNTHESIS_MODES = ("canonical", "basis_shift", "ancilla")
 
 
+def _support(string: PauliString) -> tuple[int, ...]:
+    support = string.support
+    if not support:
+        raise ValueError("identity term has no circuit; handle it as an offset")
+    return support
+
+
 def _basis_gates(string: PauliString, qubits) -> tuple[list[Gate], list[Gate]]:
     pre, post = [], []
     for q in qubits:
@@ -159,20 +173,16 @@ def _basis_gates(string: PauliString, qubits) -> tuple[list[Gate], list[Gate]]:
     return pre, post
 
 
-def synthesize_term(string: PauliString, theta: float) -> Circuit:
-    """Canonical construction: basis changes outside a linear CNOT ladder."""
-    support = string.support
-    if not support:
-        raise ValueError("identity term has no circuit; handle it as an offset")
-    circ = Circuit(string.n)
+def _canonical_gates(string: PauliString, theta: float) -> list[Gate]:
+    support = _support(string)
     pre, post = _basis_gates(string, support)
     ladder = [CNOT(a, b) for a, b in zip(support, support[1:])]
-    circ.extend(pre)
-    circ.extend(ladder)
-    circ.append(RZ(support[-1], theta))
-    circ.extend(reversed(ladder))
-    circ.extend(reversed(post))
-    return circ
+    return [*pre, *ladder, RZ(support[-1], theta), *reversed(ladder), *reversed(post)]
+
+
+def synthesize_term(string: PauliString, theta: float) -> Circuit:
+    """Canonical construction: basis changes outside a linear CNOT ladder."""
+    return Circuit(string.n, _canonical_gates(string, theta))
 
 
 def _central_sequence(axis: int, qubit: int, theta: float) -> list[Gate]:
@@ -183,6 +193,28 @@ def _central_sequence(axis: int, qubit: int, theta: float) -> list[Gate]:
     return [YB(qubit), RZ(qubit, theta), YBD(qubit)]
 
 
+def _basis_shift_gates(string: PauliString, theta: float) -> list[Gate]:
+    support = _support(string)
+    central = support[-1]
+    rest = support[:-1]
+    cut = (len(rest) + 1) // 2
+    groups = [g for g in (rest[:cut], rest[cut:]) if g]
+    central_axis = string.axis(central)
+    couple = CZ if central_axis == 1 else CNOT
+
+    halves: list[tuple[list[Gate], list[Gate]]] = []
+    for group in groups:
+        pre, post = _basis_gates(string, group)
+        chain = [CNOT(a, b) for a, b in zip(group, group[1:])]
+        k = couple(group[-1], central)
+        halves.append(([*pre, *chain, k], [k, *reversed(chain), *reversed(post)]))
+    gates = [g for first, _ in halves for g in first]
+    gates += _central_sequence(central_axis, central, theta)
+    for _, second in reversed(halves):
+        gates += second
+    return gates
+
+
 def synthesize_term_basis_shift(string: PauliString, theta: float) -> Circuit:
     """Basis changes pulled inside the parity strings.
 
@@ -191,29 +223,15 @@ def synthesize_term_basis_shift(string: PauliString, theta: float) -> Circuit:
     the central axis is X, CNOT when it is Y or Z.  The central basis
     change then sits directly against the rotation.
     """
-    support = string.support
-    if not support:
-        raise ValueError("identity term has no circuit; handle it as an offset")
-    central = support[-1]
-    rest = support[:-1]
-    cut = (len(rest) + 1) // 2
-    groups = [g for g in (rest[:cut], rest[cut:]) if g]
-    central_axis = string.axis(central)
-    couple = CZ if central_axis == 1 else CNOT
+    return Circuit(string.n, _basis_shift_gates(string, theta))
 
-    circ = Circuit(string.n)
-    halves: list[tuple[list[Gate], list[Gate]]] = []
-    for group in groups:
-        pre, post = _basis_gates(string, group)
-        chain = [CNOT(a, b) for a, b in zip(group, group[1:])]
-        k = couple(group[-1], central)
-        halves.append((pre + chain + [k], [k] + list(reversed(chain)) + list(reversed(post))))
-    for first, _ in halves:
-        circ.extend(first)
-    circ.extend(_central_sequence(central_axis, central, theta))
-    for _, second in reversed(halves):
-        circ.extend(second)
-    return circ
+
+def _ancilla_gates(string: PauliString, theta: float) -> list[Gate]:
+    support = _support(string)
+    anc = string.n
+    pre, post = _basis_gates(string, support)
+    return [*pre, *(CNOT(q, anc) for q in support), RZ(anc, theta),
+            *(CNOT(q, anc) for q in reversed(support)), *reversed(post)]
 
 
 def synthesize_term_ancilla(string: PauliString, theta: float) -> Circuit:
@@ -222,40 +240,34 @@ def synthesize_term_ancilla(string: PauliString, theta: float) -> Circuit:
     Acting on |psi>|0> the circuit applies exp(-i theta/2 P) to the data
     register and returns the ancilla to |0>.
     """
-    support = string.support
-    if not support:
-        raise ValueError("identity term has no circuit; handle it as an offset")
-    circ = Circuit(string.n, ancilla=True)
-    anc = circ.ancilla_index
-    pre, post = _basis_gates(string, support)
-    circ.extend(pre)
-    circ.extend(CNOT(q, anc) for q in support)
-    circ.append(RZ(anc, theta))
-    circ.extend(CNOT(q, anc) for q in reversed(support))
-    circ.extend(reversed(post))
-    return circ
+    return Circuit(string.n, _ancilla_gates(string, theta), ancilla=True)
 
 
-_SYNTH = {
-    "canonical": synthesize_term,
-    "basis_shift": synthesize_term_basis_shift,
-    "ancilla": synthesize_term_ancilla,
+_TERM_GATES = {
+    "canonical": _canonical_gates,
+    "basis_shift": _basis_shift_gates,
+    "ancilla": _ancilla_gates,
 }
 
 
 def synthesize_plan(plan: TrotterPlan, mode: str = "canonical") -> Circuit:
-    """Concatenate per-term circuits in plan order, n_steps times."""
-    if mode not in _SYNTH:
+    """Concatenate per-term gates in plan order, n_steps times.
+
+    One step's gate list is built once; the steps share its Gate objects,
+    with a barrier at each seam.
+    """
+    if mode not in _TERM_GATES:
         raise ValueError(f"unknown synthesis mode {mode!r}; pick from {SYNTHESIS_MODES}")
-    synth = _SYNTH[mode]
-    circ = Circuit(plan.n_qubits, ancilla=(mode == "ancilla"))
-    angles = plan.angles()
-    for step in range(plan.n_steps):
-        if step and circ.gates:
-            circ.barriers.append(len(circ.gates))
-        for (string, _), theta in zip(plan.ordered_terms, angles):
-            circ.gates.extend(synth(string, theta).gates)
-    return circ
+    term_gates = _TERM_GATES[mode]
+    step: list[Gate] = []
+    for (string, _), theta in zip(plan.ordered_terms, plan.angles()):
+        if string.n != plan.n_qubits:
+            raise ValueError(f"term {string.label} acts on {string.n} qubits, "
+                             f"the plan on {plan.n_qubits}")
+        step += term_gates(string, theta)
+    barriers = list(range(len(step), len(step) * plan.n_steps, len(step))) if step else []
+    return Circuit(plan.n_qubits, step * plan.n_steps, ancilla=(mode == "ancilla"),
+                   barriers=barriers)
 
 
 def term_gate_counts(string: PauliString, mode: str = "canonical") -> GateCounts:
@@ -283,36 +295,58 @@ def term_gate_counts(string: PauliString, mode: str = "canonical") -> GateCounts
 
 
 def format_circuit(c: Circuit) -> str:
-    """One gate per line under a ``QUBITS <n> ANCILLA <0|1>`` header."""
-    lines = [f"QUBITS {c.n_qubits} ANCILLA {1 if c.ancilla else 0}"]
+    """One gate per line under a ``QUBITS <n> ANCILLA <0|1>`` header, and a
+    ``BARRIER`` line at each barrier index."""
+    # A Clifford gate is one shared object, so its line is built once and
+    # kept under its id; c.gates keeps every key alive.  RZ lines are not
+    # kept: RZ(q, 0.0) == RZ(q, -0.0), so any cache keyed on the gate's
+    # value would write one for the other.
+    clifford: dict[int, str] = {}
+    body = []
     for g in c.gates:
-        if g.kind == "RZ":
-            lines.append(f"RZ {g.qubits[0]} {g.angle!r}")
-        else:
-            lines.append(f"{g.kind} {' '.join(str(q) for q in g.qubits)}")
-    return "\n".join(lines) + "\n"
+        line = clifford.get(id(g))
+        if line is None:
+            if g.kind == "RZ":
+                line = f"RZ {g.qubits[0]} {g.angle!r}"
+            else:
+                line = clifford[id(g)] = f"{g.kind} {' '.join(map(str, g.qubits))}"
+        body.append(line)
+    for b in reversed(c.barriers):
+        body.insert(b, "BARRIER")
+    return "\n".join([f"QUBITS {c.n_qubits} ANCILLA {1 if c.ancilla else 0}", *body]) + "\n"
 
 
-_FIELDS = {**dict.fromkeys(SINGLE_QUBIT_KINDS, 2), **dict.fromkeys(TWO_QUBIT_KINDS, 3), "RZ": 3}
+# Fields per line, kind included.  A valid BARRIER line never reaches
+# _parse_gate; the entry words the error for one with operands.
+_FIELDS = {**dict.fromkeys(SINGLE_QUBIT_KINDS, 2), **dict.fromkeys(TWO_QUBIT_KINDS, 3),
+           "RZ": 3, "BARRIER": 1}
 
 
-class _QubitFields(dict):
-    """Qubit field -> index; each distinct field is checked against the register once."""
+def _qubit(text: str, width: int) -> int:
+    q = int(text)
+    if not 0 <= q < width:
+        raise ValueError(f"qubit {q} outside register of width {width}")
+    return q
 
-    def __init__(self, width: int):
-        super().__init__()
-        self.width = width
 
-    def __missing__(self, text: str) -> int:
-        q = int(text)
-        if not 0 <= q < self.width:
-            raise ValueError(f"qubit {q} outside register of width {self.width}")
-        self[text] = q
-        return q
+def _parse_gate(fields: list[str], width: int) -> Gate:
+    kind = fields[0]
+    if len(fields) != _FIELDS.get(kind):
+        if kind not in _FIELDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        raise ValueError(f"{kind} takes {_FIELDS[kind] - 1} operands, "
+                         f"got {len(fields) - 1}")
+    if kind == "RZ":
+        return RZ(_qubit(fields[1], width), float(fields[2]))
+    return _clifford(kind, tuple(_qubit(f, width) for f in fields[1:]))
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Inverse of :func:`format_circuit`; errors name the offending line."""
+    """Inverse of :func:`format_circuit`; errors name the offending line.
+
+    Each distinct gate line is parsed and validated once; its repeats
+    share the resulting Gate.
+    """
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
         head = raw.strip()
@@ -327,26 +361,21 @@ def parse_circuit(text: str) -> Circuit:
         circ = Circuit(int(fields[1]), ancilla=bool(int(fields[3])))
     except ValueError:
         raise ValueError(f"line {lineno}: bad circuit header {head!r}") from None
-    qubit = _QubitFields(circ.width)
-    gates = circ.gates
+    width = circ.width
+    gates, barriers = circ.gates, circ.barriers
+    seen: dict[str, Gate] = {}
     try:
         for lineno, raw in lines:
             ln = raw.strip()
-            if not ln or raw[0] == "#":
-                continue
-            fields = ln.split()
-            kind = fields[0]
-            if len(fields) != _FIELDS.get(kind):
-                if kind not in _FIELDS:
-                    raise ValueError(f"unknown gate kind {kind!r}")
-                raise ValueError(f"{kind} takes {_FIELDS[kind] - 1} operands, "
-                                 f"got {len(fields) - 1}")
-            if kind == "RZ":
-                gates.append(RZ(qubit[fields[1]], float(fields[2])))
-            elif kind in TWO_QUBIT_KINDS:
-                gates.append(Gate(kind, (qubit[fields[1]], qubit[fields[2]])))
-            else:
-                gates.append(Gate(kind, (qubit[fields[1]],)))
+            g = seen.get(ln)
+            if g is None:
+                if not ln or raw[0] == "#":
+                    continue
+                if ln == "BARRIER":
+                    barriers.append(len(gates))
+                    continue
+                g = seen[ln] = _parse_gate(ln.split(), width)
+            gates.append(g)
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
     return circ

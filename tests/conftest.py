@@ -2,8 +2,9 @@
 
 Everything here is built from first principles (explicit Kronecker
 products, dense linear algebra, a plain list-based peephole optimizer,
-term-by-term simulator loops, a dictionary-based fermion-to-qubit
-expansion) so the package code under test is never used to check itself.
+gate-by-gate circuit-file loops, term-by-term simulator loops, a
+dictionary-based fermion-to-qubit expansion) so the package code under
+test is never used to check itself.
 """
 
 import math
@@ -183,6 +184,66 @@ def reference_optimize(c: Circuit, cross_step: bool = False, window: int | None 
             passes.append(removed)
         if removed == 0:
             return current
+
+
+# ---- reference circuit-file writer and reader ------------------------------
+# The gate-by-gate loops the package must reproduce on barrier-free files:
+# every gate formatted afresh, every line parsed into a new validated Gate.
+
+def reference_format_circuit(c: Circuit) -> str:
+    lines = [f"QUBITS {c.n_qubits} ANCILLA {1 if c.ancilla else 0}"]
+    for g in c.gates:
+        if g.kind == "RZ":
+            lines.append(f"RZ {g.qubits[0]} {g.angle!r}")
+        else:
+            lines.append(f"{g.kind} {' '.join(str(q) for q in g.qubits)}")
+    return "\n".join(lines) + "\n"
+
+
+_REF_FIELDS = {"H": 2, "X": 2, "YB": 2, "YBD": 2, "RZ": 3, "CNOT": 3, "CZ": 3}
+
+
+def reference_parse_circuit(text: str) -> Circuit:
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        head = raw.strip()
+        if head and raw[0] != "#":
+            break
+    else:
+        raise ValueError("empty circuit file")
+    fields = head.split()
+    try:
+        if len(fields) != 4 or fields[0] != "QUBITS" or fields[2] != "ANCILLA":
+            raise ValueError
+        circ = Circuit(int(fields[1]), ancilla=bool(int(fields[3])))
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad circuit header {head!r}") from None
+
+    def qubit(text: str) -> int:
+        q = int(text)
+        if not 0 <= q < circ.width:
+            raise ValueError(f"qubit {q} outside register of width {circ.width}")
+        return q
+
+    try:
+        for lineno, raw in lines:
+            ln = raw.strip()
+            if not ln or raw[0] == "#":
+                continue
+            fields = ln.split()
+            kind = fields[0]
+            if len(fields) != _REF_FIELDS.get(kind):
+                if kind not in _REF_FIELDS:
+                    raise ValueError(f"unknown gate kind {kind!r}")
+                raise ValueError(f"{kind} takes {_REF_FIELDS[kind] - 1} operands, "
+                                 f"got {len(fields) - 1}")
+            if kind == "RZ":
+                circ.gates.append(Gate("RZ", (qubit(fields[1]),), float(fields[2])))
+            else:
+                circ.gates.append(Gate(kind, tuple(qubit(f) for f in fields[1:])))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return circ
 
 
 # ---- reference simulator kernels -------------------------------------------

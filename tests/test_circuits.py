@@ -1,9 +1,12 @@
 """Circuit synthesis against the dense Pauli-exponential oracle."""
 
+import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fermiqc.circuits import (CNOT, CZ, RZ, YB, YBD, Circuit, Gate, GateCounts, H, X,
                               SYNTHESIS_MODES, count_gates, format_circuit,
@@ -14,7 +17,8 @@ from fermiqc.pauli import PauliString, QubitOperator
 from fermiqc.simulator import circuit_unitary, pauli_exponential
 from fermiqc.trotter import OrderingStrategy, plan_for
 
-from conftest import assert_same_up_to_phase, random_pauli_string
+from conftest import (assert_same_up_to_phase, random_pauli_string,
+                      reference_format_circuit, reference_parse_circuit)
 
 _SYNTH = {
     "canonical": synthesize_term,
@@ -53,8 +57,21 @@ class TestGate:
         with pytest.raises(ValueError):
             Gate("RZ", (0,))
 
+    def test_negative_qubit_rejected_at_construction(self):
+        for make in (lambda: Gate("H", (-1,)), lambda: CNOT(0, -2), lambda: CZ(-1, 1),
+                     lambda: RZ(-3, 0.5)):
+            with pytest.raises(ValueError, match="negative qubit"):
+                make()
+
     def test_cz_symmetric(self):
         assert CZ(3, 1) == CZ(1, 3)
+
+    def test_clifford_constructors_share_one_gate(self):
+        assert H(0) is H(0) and CNOT(1, 2) is CNOT(1, 2) and CZ(3, 1) is CZ(1, 3)
+        assert YB(2).inverse_partner() is YBD(2)
+        assert H(0) is not H(1) and CNOT(1, 2) is not CNOT(2, 1)
+        assert H(0) == Gate("H", (0,))
+        assert RZ(0, 0.5) is not RZ(0, 0.5)
 
     def test_inverse_partner(self):
         assert H(0).inverse_partner() == H(0)
@@ -153,11 +170,11 @@ class TestTermGateCounts:
 
 
 class TestSynthesizePlan:
-    def make_plan(self, n_steps=1):
+    def make_plan(self, n_steps=1, time=1.0):
         op = QubitOperator(3)
         op.add_term(0.5, PauliString.from_label("XZI"))
         op.add_term(-0.25, PauliString.from_label("IYZ"))
-        return plan_for(op, OrderingStrategy("lex"), n_steps, 1.0)
+        return plan_for(op, OrderingStrategy("lex"), n_steps, time)
 
     def test_matches_term_product(self):
         plan = self.make_plan()
@@ -180,6 +197,22 @@ class TestSynthesizePlan:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             synthesize_plan(self.make_plan(), "fancy")
+
+    @pytest.mark.parametrize("mode", SYNTHESIS_MODES)
+    def test_steps_repeat_one_step(self, mode):
+        one = synthesize_plan(self.make_plan(time=1.0 / 3), mode)
+        three = synthesize_plan(self.make_plan(n_steps=3), mode)
+        assert three.gates == one.gates * 3
+        step = three.gates[:len(one.gates)]
+        assert all(a is b for a, b in zip(three.gates, step * 3))
+        assert three.barriers == [len(one.gates), 2 * len(one.gates)]
+
+    @pytest.mark.parametrize("mode", SYNTHESIS_MODES)
+    def test_term_register_must_match_plan(self, mode):
+        plan = self.make_plan()
+        plan.ordered_terms.append((PauliString.from_label("XY"), 0.5))
+        with pytest.raises(ValueError, match="acts on 2 qubits, the plan on 3"):
+            synthesize_plan(plan, mode)
 
 
 class TestSerialization:
@@ -210,6 +243,9 @@ class TestSerialization:
         ("CNOT 1 1\n", 2, "CNOT needs two distinct qubits"),
         ("H 7\n", 2, "qubit 7 outside register of width 2"),
         ("CZ 0 -1\n", 2, "qubit -1 outside register of width 2"),
+        ("H 0\n  # indented\n", 3, "unknown gate kind '#'"),
+        ("H 0\nH 5\nH 0\nH 5\n", 3, "qubit 5 outside register of width 2"),
+        ("H 0\nBARRIER 1\n", 3, "BARRIER takes 0 operands, got 1"),
     ])
     def test_gate_errors_name_the_line(self, body, line, message):
         with pytest.raises(ValueError, match=rf"^line {line}: ") as err:
@@ -219,6 +255,88 @@ class TestSerialization:
     def test_header_error_names_the_line(self):
         with pytest.raises(ValueError, match=r"^line 2: bad circuit header"):
             parse_circuit("\nQUBITS two ANCILLA 0\nH 0\n")
+
+    def test_barriers_written_and_restored(self):
+        plan = TestSynthesizePlan().make_plan(n_steps=3)
+        circ = synthesize_plan(plan, "ancilla")
+        text = format_circuit(circ)
+        assert text.count("\nBARRIER\n") == 2
+        assert parse_circuit(text) == circ
+
+    def test_both_zero_signs_written(self):
+        text = format_circuit(Circuit(1, [RZ(0, 0.0), RZ(0, -0.0)]))
+        assert text == "QUBITS 1 ANCILLA 0\nRZ 0 0.0\nRZ 0 -0.0\n"
+        back = parse_circuit(text)
+        assert [math.copysign(1.0, g.angle) for g in back.gates] == [1.0, -1.0]
+
+
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     math.inf, -math.inf, 0.1 + 1e-17, -1.2345678901234567]),
+    st.floats(allow_nan=False))
+
+
+@st.composite
+def circuits(draw, max_qubits: int = 4, max_gates: int = 30,
+             with_barriers: bool = True) -> Circuit:
+    """Random circuits, with an ancilla or not, over every gate kind."""
+    n = draw(st.integers(1, max_qubits))
+    ancilla = draw(st.booleans())
+    width = n + ancilla
+    kinds = ["H", "X", "YB", "YBD", "RZ"] + (["CNOT", "CZ"] if width > 1 else [])
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
+        a = draw(st.integers(0, width - 1))
+        if kind in ("CNOT", "CZ"):
+            b = draw(st.integers(0, width - 2))
+            gates.append(Gate(kind, (a, b + (b >= a))))
+        elif kind == "RZ":
+            gates.append(RZ(a, draw(_ANGLES)))
+        else:
+            gates.append(Gate(kind, (a,)))
+    barriers = []
+    if with_barriers:
+        barriers = sorted(draw(st.lists(st.integers(0, len(gates)), max_size=4)))
+    return Circuit(n, gates, ancilla=ancilla, barriers=barriers)
+
+
+class TestCircuitFileProperties:
+    @given(circuits())
+    def test_roundtrip(self, circ):
+        text = format_circuit(circ)
+        back = parse_circuit(text)
+        assert back == circ
+        assert format_circuit(back) == text
+
+    @given(circuits(with_barriers=False), st.lists(st.sampled_from(["", "# note", "  "])),
+           st.randoms(use_true_random=False))
+    def test_matches_reference_loops(self, circ, extra, random):
+        text = format_circuit(circ)
+        assert text == reference_format_circuit(circ)
+        # Blank lines, comments and indentation between the gate lines.
+        lines = text.splitlines()
+        body = [" " + ln if random.random() < 0.2 else ln for ln in lines[1:]]
+        for ln in extra:
+            body.insert(random.randint(0, len(body)), ln)
+        decorated = "\n".join([lines[0], *body]) + "\n"
+        assert parse_circuit(decorated) == reference_parse_circuit(decorated) == circ
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["H", "X", "YB", "YBD", "CNOT", "CZ", "RZ", "FOO", "#", ""]),
+        st.lists(st.sampled_from(["0", "1", "2", "-1", "x", "0.5", "-0.0", "inf"]),
+                 max_size=3)), max_size=8))
+    def test_errors_match_reference(self, rows):
+        text = "QUBITS 2 ANCILLA 0\n" + "".join(
+            " ".join([kind, *ops]) + "\n" for kind, ops in rows)
+        try:
+            want = reference_parse_circuit(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                parse_circuit(text)
+            assert str(err.value) == str(exc)
+        else:
+            assert parse_circuit(text) == want
 
 
 def test_phase_oracle_ignores_magnitude_ties():

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fermiqc import fermion
 from fermiqc.fermion import (FcidumpError, FermionOperator, IntegralSet,
@@ -22,6 +24,16 @@ class TestParseFcidump:
         np.testing.assert_allclose(back.two_body, ints.two_body, atol=1e-14)
         assert back.core_energy == pytest.approx(ints.core_energy)
         assert not back.core_energy_missing
+
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 1.0, exclude_min=True))
+    def test_roundtrip_is_exact(self, n, seed, density):
+        ints = synthetic_integrals(n, seed=seed, density=density)
+        back = parse_fcidump(write_fcidump(ints))
+        assert back.one_body.tobytes() == ints.one_body.tobytes()
+        assert back.two_body.tobytes() == ints.two_body.tobytes()
+        assert back.core_energy == ints.core_energy
+        assert (back.n_spatial, back.n_electrons, back.ms2) == (n, ints.n_electrons, ints.ms2)
 
     def test_accepts_stream_and_bytes(self):
         text = write_fcidump(synthetic_integrals(2, seed=0))
