@@ -23,7 +23,9 @@ _INVERSE_KIND = {"H": "H", "X": "X", "CNOT": "CNOT", "CZ": "CZ", "YB": "YBD", "Y
 @dataclass(frozen=True, slots=True)
 class Gate:
     """One gate.  The Clifford constructors below share one instance per
-    (kind, qubits), validated once; each RZ is its own instance."""
+    (kind, qubits), validated once.  RZ() builds a new instance per call;
+    parse_circuit shares one per distinct line, so never key a cache on
+    an RZ's identity."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -295,8 +297,10 @@ def term_gate_counts(string: PauliString, mode: str = "canonical") -> GateCounts
 
 
 def format_circuit(c: Circuit) -> str:
-    """One gate per line under a ``QUBITS <n> ANCILLA <0|1>`` header, and a
-    ``BARRIER`` line at each barrier index."""
+    """One gate per line under a ``QUBITS <n> ANCILLA <0|1>`` header.
+
+    Barriers are not written, so a circuit read back has none.
+    """
     # A Clifford gate is one shared object, so its line is built once and
     # kept under its id; c.gates keeps every key alive.  RZ lines are not
     # kept: RZ(q, 0.0) == RZ(q, -0.0), so any cache keyed on the gate's
@@ -311,15 +315,10 @@ def format_circuit(c: Circuit) -> str:
             else:
                 line = clifford[id(g)] = f"{g.kind} {' '.join(map(str, g.qubits))}"
         body.append(line)
-    for b in reversed(c.barriers):
-        body.insert(b, "BARRIER")
     return "\n".join([f"QUBITS {c.n_qubits} ANCILLA {1 if c.ancilla else 0}", *body]) + "\n"
 
 
-# Fields per line, kind included.  A valid BARRIER line never reaches
-# _parse_gate; the entry words the error for one with operands.
-_FIELDS = {**dict.fromkeys(SINGLE_QUBIT_KINDS, 2), **dict.fromkeys(TWO_QUBIT_KINDS, 3),
-           "RZ": 3, "BARRIER": 1}
+_FIELDS = {**dict.fromkeys(SINGLE_QUBIT_KINDS, 2), **dict.fromkeys(TWO_QUBIT_KINDS, 3), "RZ": 3}
 
 
 def _qubit(text: str, width: int) -> int:
@@ -362,7 +361,7 @@ def parse_circuit(text: str) -> Circuit:
     except ValueError:
         raise ValueError(f"line {lineno}: bad circuit header {head!r}") from None
     width = circ.width
-    gates, barriers = circ.gates, circ.barriers
+    gates = circ.gates
     seen: dict[str, Gate] = {}
     try:
         for lineno, raw in lines:
@@ -370,9 +369,6 @@ def parse_circuit(text: str) -> Circuit:
             g = seen.get(ln)
             if g is None:
                 if not ln or raw[0] == "#":
-                    continue
-                if ln == "BARRIER":
-                    barriers.append(len(gates))
                     continue
                 g = seen[ln] = _parse_gate(ln.split(), width)
             gates.append(g)

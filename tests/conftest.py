@@ -187,7 +187,7 @@ def reference_optimize(c: Circuit, cross_step: bool = False, window: int | None 
 
 
 # ---- reference circuit-file writer and reader ------------------------------
-# The gate-by-gate loops the package must reproduce on barrier-free files:
+# The gate-by-gate loops the package must reproduce on every circuit file:
 # every gate formatted afresh, every line parsed into a new validated Gate.
 
 def reference_format_circuit(c: Circuit) -> str:

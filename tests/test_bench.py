@@ -10,7 +10,6 @@ from click.testing import CliRunner
 from fermiqc import mappings, simulator, trotter
 from fermiqc.bench import (CSV_HEADER, BenchConfig, BenchInput, emit_report,
                            parse_report, run_bench)
-from fermiqc.circuits import parse_circuit
 from fermiqc.cli import main
 from fermiqc.fixtures import fixture_path
 from fermiqc.mappings import MappingScheme
@@ -175,25 +174,6 @@ class TestCli:
         r = self.run("optimize", str(circ), "-o", str(opt))
         assert r.exit_code == 0
         assert opt.read_text().count("\n") <= circ.read_text().count("\n")
-
-    def test_circuit_file_keeps_step_barriers(self, tmp_path):
-        # LiH/JW, magnitude, ancilla, 3 steps: cancelling across the step
-        # seams removes 4 more gates, which bench does not do by default.
-        lih = str(fixture_path("lih_sto3g"))
-        terms, circ, opt = (tmp_path / name for name in ("t.terms", "c.circ", "o.circ"))
-        assert self.run("map", lih, "--mapping", "jw", "-o", str(terms)).exit_code == 0
-        r = self.run("compile", str(terms), "--ordering", "magnitude", "--mode", "ancilla",
-                     "--steps", "3", "-o", str(circ))
-        assert r.exit_code == 0 and circ.read_text().count("\nBARRIER\n") == 2
-        r = self.run("bench", lih, "--mapping", "jw", "--ordering", "magnitude", "--mode",
-                     "ancilla", "--steps", "3", "--format", "json")
-        [row] = json.loads(r.stdout)
-        assert row["opt"]["total"] == 21294
-        for flags, total in (([], 21294), (["--cross-step"], 21290)):
-            r = self.run("optimize", str(circ), *flags, "-o", str(opt))
-            assert r.exit_code == 0
-            assert len(parse_circuit(opt.read_text()).gates) == total
-            assert opt.read_text().count("BARRIER") == (0 if flags else 2)
 
     def test_bench_csv_to_stdout(self):
         r = self.run("bench", "synthetic:n=2,seed=1", "--mode", "canonical",
