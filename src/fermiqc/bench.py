@@ -222,27 +222,3 @@ def emit_report(rows: list[BenchRow], fmt: str = "csv") -> str:
             payload.append(d)
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def parse_report(text: str) -> list[BenchRow]:
-    """Inverse of the CSV emitter, for round-trip checks."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_HEADER.split(","):
-        raise ValueError("unexpected report header")
-    rows = []
-    for rec in reader:
-        def counts(vals):
-            if any(v == "" for v in vals):
-                return None
-            t, e, s, nc = (int(v) for v in vals)
-            return GateCounts(t, e, s, nc)
-
-        rows.append(BenchRow(
-            system=rec[0], n_qubits=int(rec[1]), mapping=rec[2], ordering=rec[3],
-            seed=None if rec[4] == "" else int(rec[4]), mode=rec[5],
-            raw=counts(rec[6:10]), optimized=counts(rec[10:14]),
-            savings=None if rec[14] == "" else float(rec[14]),
-            trotter_error=None if rec[15] == "" else float(rec[15]),
-        ))
-    return rows

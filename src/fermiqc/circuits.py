@@ -45,11 +45,6 @@ class Gate:
         if (self.kind == "RZ") != (self.angle is not None):
             raise ValueError("angle given exactly for RZ")
 
-    def inverse_partner(self) -> "Gate | None":
-        """The gate that cancels this one exactly, if it is Clifford."""
-        kind = _INVERSE_KIND.get(self.kind)
-        return None if kind is None else _clifford(kind, self.qubits)
-
 
 @cache
 def _clifford(kind: str, qubits: tuple[int, ...]) -> Gate:
@@ -103,12 +98,6 @@ class Circuit:
     def width(self) -> int:
         return self.n_qubits + (1 if self.ancilla else 0)
 
-    @property
-    def ancilla_index(self) -> int:
-        if not self.ancilla:
-            raise ValueError("circuit has no ancilla")
-        return self.n_qubits
-
     def append(self, gate: Gate) -> None:
         if max(gate.qubits) >= self.width:
             raise ValueError(f"gate {gate} outside register of width {self.width}")
@@ -128,16 +117,6 @@ class GateCounts:
     entangling: int
     single_qubit: int
     non_clifford: int
-
-    def __add__(self, other: "GateCounts") -> "GateCounts":
-        return GateCounts(self.total + other.total,
-                          self.entangling + other.entangling,
-                          self.single_qubit + other.single_qubit,
-                          self.non_clifford + other.non_clifford)
-
-    def scale(self, k: int) -> "GateCounts":
-        return GateCounts(k * self.total, k * self.entangling,
-                          k * self.single_qubit, k * self.non_clifford)
 
 
 def count_gates(c: Circuit) -> GateCounts:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -28,17 +29,24 @@ def _write(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
+@contextlib.contextmanager
+def _one_line_errors(source: str):
+    """Report a bad input as one ``Error: <source>: <message>`` line, exit 1."""
+    try:
+        yield
+    except (OSError, ValueError, fermion.ResourceLimitError) as exc:
+        raise click.ClickException(f"{source}: {exc}") from None
+
+
 @main.command("map")
 @click.argument("integrals", type=click.Path(exists=True))
 @click.option("--mapping", type=click.Choice(["jw", "bk"]), default="jw", show_default=True)
 @click.option("-o", "--output", default=None, help="Pauli term file (default stdout).")
 def map_cmd(integrals, mapping, output):
     """Map an FCIDUMP integral file to a Pauli term file."""
-    ham = fermion.build_hamiltonian(bench_mod.BenchInput.parse(integrals).load())
-    try:
+    with _one_line_errors(integrals):
+        ham = fermion.build_hamiltonian(bench_mod.BenchInput.parse(integrals).load())
         qop = mappings.map_operator(ham, MappingScheme(mapping))
-    except fermion.ResourceLimitError as exc:
-        raise click.ClickException(f"{integrals}: {exc}") from None
     _write(pauli.format_terms(qop), output)
 
 
@@ -86,11 +94,9 @@ def _steps_list(ctx, param, value: str) -> list[int]:
 def compile_cmd(terms, ordering, magnitude_direction, steps, time_, mode, qubits, output):
     """Compile a Pauli term file into a Trotter-step circuit file."""
     [strategy] = _parse_orderings(ordering, None, magnitude_direction)
-    try:
+    with _one_line_errors(terms):
         qop = pauli.parse_terms(Path(terms).read_text(), n_qubits=qubits)
         plan = trotter.plan_for(qop, strategy, steps, time_)
-    except ValueError as exc:
-        raise click.ClickException(f"{terms}: {exc}") from None
     _write(format_circuit(synthesize_plan(plan, mode)), output)
 
 
@@ -104,10 +110,8 @@ def compile_cmd(terms, ordering, magnitude_direction, steps, time_, mode, qubits
 @click.option("-o", "--output", default=None)
 def optimize_cmd(circuit, level, cross_step, window, output):
     """Run peephole optimization on a circuit file."""
-    try:
+    with _one_line_errors(circuit):
         circ = parse_circuit(Path(circuit).read_text())
-    except ValueError as exc:
-        raise click.ClickException(f"{circuit}: {exc}") from None
     if level == "cancel":
         out = optimizer.cancel_adjacent(circ, cross_step)
     elif level == "full":
@@ -187,18 +191,20 @@ def trotter_error_cmd(inputs, mapping_names, ordering, magnitude_direction, orde
     reports = []
     for spec in inputs:
         inp = bench_mod.BenchInput.parse(spec)
-        ham = fermion.build_hamiltonian(inp.load())
-        for scheme in map(MappingScheme, mapping_names):
-            qop = mappings.map_operator(ham, scheme)
-            energy, ground = bench_mod.exact_ground(qop)
-            time_used = simulator.safe_evolution_time(qop, time_)
-            for strategy in strategies:
-                for n_steps in steps_list:
-                    plan = trotter.plan_for(qop, strategy, n_steps, time_used)
-                    rep = simulator.trotter_error(
-                        plan, energy, ground,
-                        ordering=str(strategy), mapping=scheme.value)
-                    reports.append({"system": inp.system, "n_qubits": qop.n, **asdict(rep)})
+        with _one_line_errors(spec):
+            ham = fermion.build_hamiltonian(inp.load())
+            for scheme in map(MappingScheme, mapping_names):
+                qop = mappings.map_operator(ham, scheme)
+                energy, ground = bench_mod.exact_ground(qop)
+                time_used = simulator.safe_evolution_time(qop, time_)
+                for strategy in strategies:
+                    for n_steps in steps_list:
+                        plan = trotter.plan_for(qop, strategy, n_steps, time_used)
+                        rep = simulator.trotter_error(
+                            plan, energy, ground,
+                            ordering=str(strategy), mapping=scheme.value)
+                        reports.append({"system": inp.system, "n_qubits": qop.n,
+                                        **asdict(rep)})
     _write(json.dumps(reports, indent=2) + "\n", output)
 
 

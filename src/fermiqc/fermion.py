@@ -1,4 +1,4 @@
-"""Second-quantized Hamiltonians: integral file I/O and the Fock-space oracle.
+"""Second-quantized Hamiltonians: FCIDUMP I/O and the spin-orbital operator.
 
 Conventions fixed here (they matter for every downstream comparison):
 - spin-orbital index = 2*spatial + spin, spin 0 = alpha, 1 = beta;
@@ -13,9 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-FOCK_QUBIT_LIMIT = 16
 SYMMETRY_TOL = 1e-10
 
 
@@ -48,10 +46,6 @@ class IntegralSet:
         for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
             if np.max(np.abs(g - g.transpose(perm))) > tol:
                 raise ValueError("two-body integrals lack 8-fold symmetry")
-
-    @property
-    def n_qubits(self) -> int:
-        return 2 * self.n_spatial
 
 
 @dataclass
@@ -243,47 +237,3 @@ def synthetic_integrals(n_spatial: int, seed: int, density: float = 1.0) -> Inte
 
 class ResourceLimitError(RuntimeError):
     """Dense or sparse construction requested beyond the qubit limit."""
-
-
-def _ladder_matrix(mode: int, dagger: bool, n_modes: int) -> sp.csr_matrix:
-    """Sparse matrix of a_i or a+_i with sign (-1)^(sum_{j<i} n_j)."""
-    dim = 1 << n_modes
-    states = np.arange(dim, dtype=np.int64)
-    bit = np.int64(1) << mode
-    if dagger:
-        src = states[(states & bit) == 0]
-    else:
-        src = states[(states & bit) != 0]
-    dst = src ^ bit
-    signs = np.ones(len(src))
-    parity = np.zeros(len(src), dtype=np.int64)
-    for j in range(mode):
-        parity ^= (src >> j) & 1
-    signs[parity == 1] = -1.0
-    return sp.csr_matrix((signs, (dst, src)), shape=(dim, dim))
-
-
-def fock_matrix(op: FermionOperator, n_modes: int | None = None,
-                limit: int = FOCK_QUBIT_LIMIT) -> sp.csr_matrix:
-    """Occupation-number-basis matrix of a FermionOperator.
-
-    Basis index bit j holds the occupation of mode j; creation operators
-    carry the Jordan-Wigner sign convention stated in the module docstring.
-    """
-    n = op.n_modes if n_modes is None else n_modes
-    if n > limit:
-        raise ResourceLimitError(f"{n} modes exceeds the {limit}-qubit Fock limit")
-    dim = 1 << n
-    cache: dict[tuple[int, bool], sp.csr_matrix] = {}
-    total = sp.csr_matrix((dim, dim), dtype=complex)
-    total += op.constant * sp.identity(dim, format="csr")
-    for coeff, factors in op.products:
-        m = sp.identity(dim, format="csr", dtype=complex)
-        # rightmost factor acts first
-        for mode, dag in reversed(factors):
-            key = (mode, dag)
-            if key not in cache:
-                cache[key] = _ladder_matrix(mode, dag, n)
-            m = cache[key] @ m
-        total = total + coeff * m
-    return total.tocsr()

@@ -4,7 +4,7 @@ The Bravyi-Kitaev encoding is the binary-tree (Fenwick) scheme: qubit i
 stores the mod-2 sum of a contiguous block of orbital occupations ending
 at orbital i, with block length lowbit(i+1).  Update/parity/flip sets are
 computed in closed form from that tree; the dense transformation matrix
-is kept for state translation and as a cross-check.
+gives the basis permutation and cross-checks the sets.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Sequence
 
 import numpy as np
 
@@ -31,16 +30,6 @@ class TransformMatrix:
     """Binary occupation->qubit matrix, lower triangular with unit diagonal."""
 
     bits: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.bits.shape[0]
-
-    def apply(self, occupations: Sequence[int]) -> np.ndarray:
-        occ = np.asarray(occupations, dtype=np.int8)
-        if occ.shape != (self.n,):
-            raise ValueError(f"expected occupation vector of length {self.n}")
-        return (self.bits @ occ) % 2
 
 
 @dataclass(frozen=True)
@@ -237,15 +226,6 @@ def _expand_chunk(imgs, coeffs, starts, modes, dagger, xmask, first_entry, prods
     first = (np.repeat(first_entry[prods] - loc[:-1], size) + np.arange(loc[-1]))[o[new]]
     keep = (np.abs(coeff) > tol) | (x == 0) & (z == 0)
     return x[keep], z[keep], coeff[keep], first[keep]
-
-
-def occupation_to_qubits(occ: Sequence[int], scheme: MappingScheme) -> np.ndarray:
-    """Encode an occupation vector as qubit states under the given scheme."""
-    scheme = MappingScheme(scheme)
-    occ = np.asarray(occ, dtype=np.int8)
-    if scheme is MappingScheme.JORDAN_WIGNER:
-        return occ.copy()
-    return bk_matrix(len(occ)).apply(occ)
 
 
 def basis_permutation(n: int, scheme: MappingScheme) -> np.ndarray:

@@ -115,27 +115,6 @@ def lex_key(s: PauliString) -> int:
     return key >> 2 * (-s.n % 8)  # drop the padding digits of the last byte
 
 
-def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Qubit-wise product a*b; returns (phase, string) with phase in {1,-1,i,-i}."""
-    if a.n != b.n:
-        raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
-    x = a.x ^ b.x
-    z = a.z ^ b.z
-    # Work in X^x Z^z normal form: each Y contributes a factor i, and
-    # commuting Z^za past X^xb gives (-1)^|za & xb|.
-    ipow = (a.x & a.z).bit_count() + (b.x & b.z).bit_count() - (x & z).bit_count()
-    ipow += 2 * (a.z & b.x).bit_count()
-    phase = (1, 1j, -1, -1j)[ipow % 4]
-    return phase, PauliString(a.n, x, z)
-
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    """True iff the strings commute (even number of anticommuting positions)."""
-    if a.n != b.n:
-        raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
-    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
-
-
 class QubitOperator:
     """Weighted sum of Pauli strings on a fixed register.
 
@@ -185,24 +164,8 @@ class QubitOperator:
         """Sum of |c_j| over non-identity terms (spectral-width bound)."""
         return sum(abs(c) for c in self._terms.values())
 
-    def copy(self) -> "QubitOperator":
-        out = QubitOperator(self.n, constant=self.constant)
-        out._terms = dict(self._terms)
-        return out
-
     def __repr__(self):
         return f"QubitOperator(n={self.n}, terms={len(self._terms)}, constant={self.constant})"
-
-
-def simplify(op: QubitOperator, tol: float = DEFAULT_TOL) -> QubitOperator:
-    """Merge duplicates (already maintained on insertion) and drop |c| <= tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
-    out = QubitOperator(op.n, constant=op.constant)
-    for s, c in op.items():
-        if abs(c) > tol:
-            out._terms[s] = c
-    return out
 
 
 def format_terms(op: QubitOperator) -> str:

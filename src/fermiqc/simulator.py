@@ -1,8 +1,8 @@
 """Desk-scale numerics: sparse operator matrices, ground states, symbolic
-Trotter evolution on state vectors, circuit unitaries and error reports.
+Trotter evolution on state vectors and error reports.
 
 Qubit 0 is the least significant bit of every basis-state index, matching
-the occupation-number convention of the Fock-space oracle.
+the occupation-number convention of :mod:`fermiqc.fermion`.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .circuits import Circuit, Gate
 from .fermion import ResourceLimitError
 from .pauli import PauliString, QubitOperator
 from .trotter import TrotterPlan
 
 OPERATOR_QUBIT_LIMIT = 16
-UNITARY_QUBIT_LIMIT = 10
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
 
@@ -39,14 +37,6 @@ def _parity(indices: np.ndarray, z: int) -> np.ndarray:
 def _y_phase(s: PauliString) -> complex:
     """i^ny, the phase of P = i^ny X^x Z^z (Y = iXZ)."""
     return _I_POWERS[(s.x & s.z).bit_count() % 4]
-
-
-def _pauli_action(s: PauliString, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns c map to rows c ^ x with the returned phases."""
-    idx = np.arange(dim, dtype=np.int64)
-    phases = np.where(_parity(idx, s.z), -1.0, 1.0).astype(complex)
-    phases *= _y_phase(s)
-    return idx ^ s.x, phases
 
 
 def operator_matrix(op: QubitOperator, limit: int = OPERATOR_QUBIT_LIMIT) -> sp.csr_matrix:
@@ -110,12 +100,6 @@ def ground_state(m: sp.spmatrix | np.ndarray, herm_tol: float = 1e-10,
     if residual > residual_tol:
         raise EigensolverError(f"eigenpair residual {residual:.2e} above tolerance")
     return float(energy), vec
-
-
-def apply_pauli(s: PauliString, state: np.ndarray) -> np.ndarray:
-    rows, phases = _pauli_action(s, len(state))
-    # xor-indexing is an involution: out[j] = phase[j^x] * state[j^x]
-    return (phases * state)[rows]
 
 
 def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
@@ -189,68 +173,3 @@ def safe_evolution_time(op: QubitOperator, requested: float = 1.0) -> float:
     if bound * requested < 0.9 * math.pi:
         return requested
     return 0.9 * math.pi / bound
-
-
-_SQ = 1.0 / math.sqrt(2.0)
-_GATE_1Q = {
-    "H": np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "YB": _SQ * np.array([[1, -1j], [-1j, 1]], dtype=complex),
-    "YBD": _SQ * np.array([[1, 1j], [1j, 1]], dtype=complex),
-}
-
-
-def _apply_gate(g: Gate, arr: np.ndarray) -> None:
-    """Apply one gate in place to arr of shape (dim, ...)."""
-    dim = arr.shape[0]
-    idx = np.arange(dim, dtype=np.int64)
-    if g.kind == "RZ":
-        q = g.qubits[0]
-        bit = (idx >> q) & 1
-        phase = np.where(bit == 1, cmath.exp(0.5j * g.angle), cmath.exp(-0.5j * g.angle))
-        arr *= phase.reshape((dim,) + (1,) * (arr.ndim - 1))
-        return
-    if g.kind == "CNOT":
-        c, t = g.qubits
-        sel = idx[(((idx >> c) & 1) == 1) & (((idx >> t) & 1) == 0)]
-        arr[[*sel, *(sel | (1 << t))]] = arr[[*(sel | (1 << t)), *sel]]
-        return
-    if g.kind == "CZ":
-        a, b = g.qubits
-        sel = (((idx >> a) & 1) == 1) & (((idx >> b) & 1) == 1)
-        arr[sel] *= -1.0
-        return
-    q = g.qubits[0]
-    m = _GATE_1Q[g.kind]
-    i0 = idx[((idx >> q) & 1) == 0]
-    i1 = i0 | (1 << q)
-    a0 = arr[i0].copy()
-    a1 = arr[i1]
-    arr[i0] = m[0, 0] * a0 + m[0, 1] * a1
-    arr[i1] = m[1, 0] * a0 + m[1, 1] * a1
-
-
-def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
-    out = state.astype(complex, copy=True)
-    for g in c.gates:
-        _apply_gate(g, out)
-    return out
-
-
-def circuit_unitary(c: Circuit, limit: int = UNITARY_QUBIT_LIMIT) -> np.ndarray:
-    """Dense unitary of the gate sequence (columns = input basis states)."""
-    if c.width > limit:
-        raise ResourceLimitError(f"{c.width} qubits exceeds the {limit}-qubit unitary limit")
-    u = np.eye(1 << c.width, dtype=complex)
-    for g in c.gates:
-        _apply_gate(g, u)
-    return u
-
-
-def pauli_exponential(s: PauliString, theta: float) -> np.ndarray:
-    """Dense exp(-i theta/2 P), the per-term synthesis oracle."""
-    dim = 1 << s.n
-    rows, phases = _pauli_action(s, dim)
-    p = np.zeros((dim, dim), dtype=complex)
-    p[rows, np.arange(dim)] = phases
-    return math.cos(theta / 2) * np.eye(dim) - 1j * math.sin(theta / 2) * p

@@ -18,16 +18,16 @@ from fermiqc.bench import BenchConfig, BenchInput, emit_report, run_bench
 from fermiqc.circuits import (SYNTHESIS_MODES, count_gates, synthesize_plan,
                               synthesize_term, synthesize_term_ancilla,
                               synthesize_term_basis_shift, term_gate_counts)
-from fermiqc.fermion import build_hamiltonian, fock_matrix, synthetic_integrals
+from fermiqc.fermion import build_hamiltonian, synthetic_integrals
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_path, fixture_text
 from fermiqc.mappings import (MappingScheme, basis_permutation, bk_index_sets,
                               bk_matrix, map_operator)
 from fermiqc.pauli import PauliString, QubitOperator
-from fermiqc.simulator import (circuit_unitary, ground_state, operator_matrix,
-                               pauli_exponential, trotter_error)
+from fermiqc.simulator import ground_state, operator_matrix, trotter_error
 from fermiqc.trotter import OrderingStrategy, plan_for
 
-from conftest import random_fermion_operator, random_pauli_string, strip_global_phase
+from oracles import (circuit_unitary, fock_matrix, pauli_exponential, random_fermion_operator,
+                     random_pauli_string, strip_global_phase)
 
 # Evolution time used for all error measurements: well inside the phase
 # branch |E t| < pi for every bundled fixture, with margin.

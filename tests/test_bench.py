@@ -1,5 +1,6 @@
 """Benchmark sweeps, report round-trips and the command-line front end."""
 
+import csv
 import json
 from collections import Counter
 
@@ -8,8 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 from fermiqc import mappings, simulator, trotter
-from fermiqc.bench import (CSV_HEADER, BenchConfig, BenchInput, emit_report,
-                           parse_report, run_bench)
+from fermiqc.bench import CSV_HEADER, BenchConfig, BenchInput, emit_report, run_bench
+from fermiqc.circuits import GateCounts
 from fermiqc.cli import main
 from fermiqc.fixtures import fixture_path
 from fermiqc.mappings import MappingScheme
@@ -129,14 +130,19 @@ class TestReports:
         assert text.splitlines()[0] == CSV_HEADER
 
     def test_csv_roundtrip(self):
+        def counts(rec, prefix):
+            return GateCounts(*(int(rec[f"{prefix}_{k}"])
+                                for k in ("total", "entangling", "single", "nonclifford")))
+
         rows = run_bench(tiny_config(with_error=True, time=0.1))
-        back = parse_report(emit_report(rows))
+        back = list(csv.DictReader(emit_report(rows).splitlines()))
         assert len(back) == len(rows)
         for a, b in zip(rows, back):
             assert (a.system, a.mapping, a.ordering, a.seed, a.mode) == \
-                (b.system, b.mapping, b.ordering, b.seed, b.mode)
-            assert a.raw == b.raw and a.optimized == b.optimized
-            assert a.savings == pytest.approx(b.savings)
+                (b["system"], b["mapping"], b["ordering"],
+                 None if b["seed"] == "" else int(b["seed"]), b["mode"])
+            assert a.raw == counts(b, "raw") and a.optimized == counts(b, "opt")
+            assert a.savings == pytest.approx(float(b["savings"]))
 
     def test_json_report(self):
         payload = json.loads(emit_report(run_bench(tiny_config()), "json"))
@@ -145,10 +151,6 @@ class TestReports:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report([], "xml")
-
-    def test_parse_rejects_foreign_header(self):
-        with pytest.raises(ValueError):
-            parse_report("a,b,c\n")
 
     def test_deterministic(self):
         a = emit_report(run_bench(tiny_config()))
@@ -294,6 +296,26 @@ class TestCli:
         assert isinstance(r.exception, SystemExit)
         assert r.output.splitlines()[-1].startswith(f"Error: Invalid value for '{option}': ")
         assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("command,spec,message", [
+        ("trotter-error", "missing.fcidump",
+         "[Errno 2] No such file or directory: 'missing.fcidump'"),
+        ("trotter-error", "bad.fcidump", "line 3: expected 'value i j k l', got ' 0.5 1 1'"),
+        ("trotter-error", "big.fcidump", "66 modes exceeds the 64-mode map limit"),
+        ("trotter-error", "synthetic:n=9", "18 qubits exceeds the 16-qubit matrix limit"),
+        ("map", "bad.fcidump", "line 3: expected 'value i j k l', got ' 0.5 1 1'"),
+    ], ids=["missing-file", "malformed", "above-map-limit", "above-matrix-limit",
+            "map-malformed"])
+    def test_bad_input_is_one_line(self, command, spec, message, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.fcidump").write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.5 1 1\n")
+        # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map limit.
+        (tmp_path / "big.fcidump").write_text("&FCI NORB=33,NELEC=2,MS2=0,\n&END\n"
+                                              " 0.5   1   1   0   0\n")
+        r = CliRunner().invoke(main, [command, spec])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: {spec}: {message}\n"
 
     def test_register_above_map_limit_is_one_line(self, tmp_path):
         # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map limit.

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from fermiqc import fermion
 from fermiqc.fermion import (FcidumpError, FermionOperator, IntegralSet,
-                             ResourceLimitError, build_hamiltonian, fock_matrix,
+                             ResourceLimitError, build_hamiltonian,
                              parse_fcidump, synthetic_integrals, write_fcidump)
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_text, reference_energy
 from fermiqc.simulator import ground_state
+
+from oracles import fock_matrix
 
 
 class TestParseFcidump:
@@ -89,9 +91,6 @@ class TestIntegralSet:
         ints.one_body[0, 1] += 1.0
         with pytest.raises(ValueError, match="one-body"):
             ints.validate()
-
-    def test_n_qubits(self):
-        assert synthetic_integrals(4, seed=0).n_qubits == 8
 
 
 class TestSyntheticIntegrals:

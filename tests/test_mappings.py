@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiqc import fermion, mappings
-from fermiqc.fermion import FermionOperator, ResourceLimitError, fock_matrix
+from fermiqc.fermion import FermionOperator, ResourceLimitError
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_text
-from fermiqc.mappings import (MappingScheme, basis_permutation, bk_index_sets,
-                              bk_matrix, map_operator, occupation_to_qubits)
+from fermiqc.mappings import (MappingScheme, basis_permutation, bk_index_sets, bk_matrix,
+                              map_operator)
 from fermiqc.pauli import PauliString
 from fermiqc.simulator import operator_matrix
 
-from conftest import random_fermion_operator, reference_map_operator
+from oracles import fock_matrix, random_fermion_operator, reference_map_operator
 
 
 class TestBkMatrix:
@@ -37,10 +37,6 @@ class TestBkMatrix:
         assert np.all(np.triu(m, 1) == 0)
         assert np.all(np.diag(m) == 1)
         # unit lower triangular over GF(2) is always invertible
-
-    def test_apply_checks_length(self):
-        with pytest.raises(ValueError):
-            bk_matrix(3).apply([1, 0])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -64,7 +60,7 @@ class TestBkIndexSets:
         tm = bk_matrix(n)
         for _ in range(20):
             occ = rng.integers(0, 2, size=n)
-            qubits = tm.apply(occ)
+            qubits = tm.bits @ occ % 2
             for i in range(n):
                 folded = int(sum(qubits[j] for j in bk_index_sets(i, n).flip) % 2)
                 assert qubits[i] == (occ[i] + folded) % 2, (i, n)
@@ -75,7 +71,7 @@ class TestBkIndexSets:
         tm = bk_matrix(n)
         for _ in range(20):
             occ = rng.integers(0, 2, size=n)
-            qubits = tm.apply(occ)
+            qubits = tm.bits @ occ % 2
             for i in range(n):
                 want = int(np.sum(occ[:i]) % 2)
                 got = int(sum(qubits[j] for j in bk_index_sets(i, n).parity) % 2)
@@ -166,12 +162,6 @@ class TestBravyiKitaev:
 
 
 class TestStateTranslation:
-    def test_occupation_to_qubits(self):
-        occ = [1, 0, 1, 1]
-        np.testing.assert_array_equal(occupation_to_qubits(occ, "jw"), occ)
-        np.testing.assert_array_equal(occupation_to_qubits(occ, "bk"),
-                                      bk_matrix(4).apply(occ))
-
     @pytest.mark.parametrize("scheme", list(MappingScheme))
     def test_basis_permutation_consistent_with_matrix(self, scheme, rng):
         n = 5
@@ -180,7 +170,7 @@ class TestStateTranslation:
         for _ in range(10):
             occ = rng.integers(0, 2, size=n)
             idx = int(sum(int(b) << j for j, b in enumerate(occ)))
-            enc = occupation_to_qubits(occ, scheme)
+            enc = occ if scheme is MappingScheme.JORDAN_WIGNER else bk_matrix(n).bits @ occ % 2
             want = int(sum(int(b) << j for j, b in enumerate(enc)))
             assert perm[idx] == want
 

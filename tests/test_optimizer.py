@@ -12,12 +12,10 @@ from fermiqc.circuits import (CNOT, CZ, RZ, YB, YBD, Circuit, Gate, H, X,
 from fermiqc.optimizer import (OptimizationReport, cancel_adjacent, commute,
                                commute_and_cancel, optimize)
 from fermiqc.pauli import QubitOperator
-from fermiqc.simulator import circuit_unitary
 from fermiqc.trotter import OrderingStrategy, plan_for
 
-from conftest import (random_pauli_string,
-                      reference_cancel_adjacent, reference_commute,
-                      reference_commute_and_cancel, reference_optimize)
+from oracles import (circuit_unitary, random_pauli_string, reference_cancel_adjacent,
+                     reference_commute, reference_commute_and_cancel, reference_optimize)
 
 
 def gate_unitary(g: Gate, n: int) -> np.ndarray:

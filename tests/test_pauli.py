@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiqc import pauli
-from fermiqc.pauli import (DEFAULT_TOL, DimensionError, PauliString, QubitOperator,
-                           commutes, lex_key, multiply, simplify)
+from fermiqc.pauli import DEFAULT_TOL, DimensionError, PauliString, QubitOperator, lex_key
 
-from conftest import (operator_dense, pauli_matrix, reference_format_terms,
-                      reference_lex_key)
+from oracles import operator_dense, reference_format_terms, reference_lex_key
 
 digit_lists = st.lists(st.integers(0, 3), min_size=1, max_size=5)
 
@@ -58,41 +56,6 @@ class TestPauliString:
     def test_identity(self):
         assert PauliString(3).is_identity()
         assert not PauliString.from_label("IXI").is_identity()
-
-
-class TestMultiply:
-    @given(digit_lists, digit_lists)
-    @settings(max_examples=200)
-    def test_against_matrix_oracle(self, da, db):
-        n = max(len(da), len(db))
-        a = PauliString.from_axes(da + [0] * (n - len(da)))
-        b = PauliString.from_axes(db + [0] * (n - len(db)))
-        phase, c = multiply(a, b)
-        assert phase in (1, -1, 1j, -1j)
-        np.testing.assert_allclose(phase * pauli_matrix(c),
-                                   pauli_matrix(a) @ pauli_matrix(b), atol=1e-12)
-
-    def test_single_qubit_table(self):
-        x, y, z = (PauliString.from_label(c) for c in "XYZ")
-        assert multiply(x, y) == (1j, z)
-        assert multiply(y, x) == (-1j, z)
-        assert multiply(z, z) == (1, PauliString(1))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            multiply(PauliString(2), PauliString(3))
-
-
-class TestCommutes:
-    @given(digit_lists, digit_lists)
-    @settings(max_examples=200)
-    def test_consistent_with_product(self, da, db):
-        n = max(len(da), len(db))
-        a = PauliString.from_axes(da + [0] * (n - len(da)))
-        b = PauliString.from_axes(db + [0] * (n - len(db)))
-        pab, _ = multiply(a, b)
-        pba, _ = multiply(b, a)
-        assert commutes(a, b) == (pab == pba)
 
 
 class TestLexKey:
@@ -185,20 +148,6 @@ class TestQubitOperator:
         op = QubitOperator(2, {PauliString.from_label("XI"): 3.0,
                                PauliString.from_label("IZ"): -4.0}, constant=7.0)
         assert op.coefficient_norm() == pytest.approx(7.0)
-
-    def test_copy_is_independent(self):
-        op = QubitOperator(1, {PauliString.from_label("X"): 1.0})
-        clone = op.copy()
-        clone.add_term(1.0, PauliString.from_label("Z"))
-        assert len(op) == 1 and len(clone) == 2
-
-    def test_simplify_drops_small(self):
-        op = QubitOperator(1, {PauliString.from_label("X"): 1e-15,
-                               PauliString.from_label("Z"): 0.5})
-        out = simplify(op)
-        assert [s.label for s in out.terms] == ["Z"]
-        with pytest.raises(ValueError):
-            simplify(op, tol=-1.0)
 
 
 class TestSerialization:

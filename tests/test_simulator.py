@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 from fermiqc import fermion, mappings, simulator
 from fermiqc.circuits import CNOT, CZ, RZ, YB, YBD, Circuit, H, X
 from fermiqc.pauli import PauliString, QubitOperator
-from fermiqc.simulator import (EigensolverError, ResourceLimitError, apply_circuit,
-                               apply_pauli, apply_trotterized, circuit_unitary,
-                               ground_state, operator_matrix, pauli_exponential,
-                               safe_evolution_time, trotter_error)
+from fermiqc.simulator import (EigensolverError, ResourceLimitError, apply_trotterized,
+                               ground_state, operator_matrix, safe_evolution_time,
+                               trotter_error)
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_text
 from fermiqc.trotter import OrderingStrategy, build_plan, plan_for
 
-from conftest import (operator_dense, pauli_matrix, random_pauli_string,
-                      assert_same_up_to_phase, reference_apply_trotterized,
-                      reference_operator_matrix)
+from oracles import (assert_same_up_to_phase, circuit_unitary, operator_dense,
+                     pauli_exponential, pauli_matrix, random_pauli_string,
+                     reference_apply_trotterized, reference_operator_matrix)
 
 
 def random_operator(rng, n, n_terms=5) -> QubitOperator:
@@ -97,16 +96,6 @@ class TestGroundState:
     def test_accepts_sparse_input(self):
         energy, _ = ground_state(sp.diags([1.0, -2.0]))
         assert energy == pytest.approx(-2.0)
-
-
-class TestApplyPauli:
-    def test_against_matrix(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(1, 6))
-            s = random_pauli_string(rng, n, min_weight=0)
-            state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            np.testing.assert_allclose(apply_pauli(s, state),
-                                       pauli_matrix(s) @ state, atol=1e-12)
 
 
 class TestApplyTrotterized:
@@ -239,13 +228,6 @@ class TestGateApplication:
         c.extend([YB(0), RZ(0, 0.8), YBD(0)])
         assert_same_up_to_phase(circuit_unitary(c),
                                 pauli_exponential(PauliString.from_label("Y"), 0.8))
-
-    def test_apply_circuit_matches_unitary(self, rng):
-        c = Circuit(3)
-        c.extend([H(0), CNOT(0, 1), YB(2), RZ(1, 0.3), CZ(0, 2), X(1), YBD(2)])
-        state = rng.normal(size=8) + 1j * rng.normal(size=8)
-        np.testing.assert_allclose(apply_circuit(c, state),
-                                   circuit_unitary(c) @ state, atol=1e-12)
 
     def test_unitary_limit(self):
         with pytest.raises(ResourceLimitError):
