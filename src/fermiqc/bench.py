@@ -26,7 +26,6 @@ CSV_HEADER = ("system,n_qubits,mapping,ordering,seed,mode,"
               "opt_total,opt_entangling,opt_single,opt_nonclifford,"
               "savings,trotter_error")
 
-OPTIMIZE_LEVELS = ("none", "cancel", "full")
 _SYNTHETIC_KEYS = {"n": int, "seed": int, "density": float}
 
 
@@ -83,8 +82,8 @@ class BenchConfig:
     def __post_init__(self):
         if not (self.inputs and self.mappings and self.orderings and self.modes):
             raise ValueError("need at least one input, mapping, ordering and mode")
-        if self.optimize_level not in OPTIMIZE_LEVELS:
-            raise ValueError(f"optimize level must be one of {OPTIMIZE_LEVELS}")
+        if self.optimize_level not in optimizer.LEVELS:
+            raise ValueError(f"optimize level must be one of {optimizer.LEVELS}")
 
 
 @dataclass
@@ -126,11 +125,7 @@ def _plan_and_count(cfg: BenchConfig, qop: QubitOperator, ordering: OrderingStra
             with _isolated([row]):
                 circ = synthesize_plan(plan, row.mode)
                 row.raw = count_gates(circ)
-                if cfg.optimize_level == "cancel":
-                    circ = optimizer.cancel_adjacent(circ)
-                elif cfg.optimize_level == "full":
-                    circ = optimizer.optimize(circ)
-                row.optimized = count_gates(circ)
+                row.optimized = count_gates(optimizer.run_level(circ, cfg.optimize_level))
                 row.savings = ((row.raw.total - row.optimized.total) / row.raw.total
                                if row.raw.total else 0.0)
         return plan
@@ -151,7 +146,7 @@ def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> lis
         time = simulator.safe_evolution_time(qop, cfg.time)
         plans = [_plan_and_count(cfg, qop, o, time, group)
                  for o, group in zip(cfg.orderings, by_ordering)]
-        if cfg.with_error and qop.n <= simulator.OPERATOR_QUBIT_LIMIT:
+        if cfg.with_error:
             energy, ground = exact_ground(qop)
             for o, group, plan in zip(cfg.orderings, by_ordering, plans):
                 if plan is None:  # its rows already hold the plan's failure
@@ -178,47 +173,37 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     return rows
 
 
-def _row_fields(row: BenchRow) -> list[str]:
-    def num(v):
-        return "" if v is None else repr(v)
-
-    fields = [row.system, str(row.n_qubits), row.mapping, row.ordering,
-              "" if row.seed is None else str(row.seed), row.mode]
-    for counts in (row.raw, row.optimized):
-        if counts is None:
-            fields += ["", "", "", ""]
-        else:
-            fields += [str(counts.total), str(counts.entangling),
-                       str(counts.single_qubit), str(counts.non_clifford)]
-    fields.append(num(row.savings))
-    fields.append(num(row.trotter_error))
-    return fields
+def _row_dict(row: BenchRow) -> dict:
+    """A report row as its JSON object; the CSV row is read from it."""
+    d = {
+        "system": row.system, "n_qubits": row.n_qubits,
+        "mapping": row.mapping, "ordering": row.ordering,
+        "seed": row.seed, "mode": row.mode,
+        "savings": row.savings, "trotter_error": row.trotter_error,
+    }
+    for label, counts in (("raw", row.raw), ("opt", row.optimized)):
+        d[label] = None if counts is None else {
+            "total": counts.total, "entangling": counts.entangling,
+            "single": counts.single_qubit, "nonclifford": counts.non_clifford,
+        }
+    if row.error is not None:
+        d["error"] = row.error
+    return d
 
 
 def emit_report(rows: list[BenchRow], fmt: str = "csv") -> str:
+    payload = [_row_dict(row) for row in rows]
     if fmt == "csv":
+        # CSV_HEADER picks the columns; d["raw"]["total"] is column raw_total,
+        # and None or a missing count is an empty field.
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for row in rows:
-            writer.writerow(_row_fields(row))
+        writer = csv.DictWriter(buf, CSV_HEADER.split(","), extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        for d in payload:
+            writer.writerow({**d, **{f"{label}_{key}": n for label in ("raw", "opt")
+                                     for key, n in (d[label] or {}).items()}})
         return buf.getvalue()
     if fmt == "json":
-        payload = []
-        for row in rows:
-            d = {
-                "system": row.system, "n_qubits": row.n_qubits,
-                "mapping": row.mapping, "ordering": row.ordering,
-                "seed": row.seed, "mode": row.mode,
-                "savings": row.savings, "trotter_error": row.trotter_error,
-            }
-            for label, counts in (("raw", row.raw), ("opt", row.optimized)):
-                d[label] = None if counts is None else {
-                    "total": counts.total, "entangling": counts.entangling,
-                    "single": counts.single_qubit, "nonclifford": counts.non_clifford,
-                }
-            if row.error is not None:
-                d["error"] = row.error
-            payload.append(d)
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

@@ -15,9 +15,9 @@ from functools import cache
 from .pauli import PauliString
 from .trotter import TrotterPlan
 
-SINGLE_QUBIT_KINDS = frozenset({"H", "YB", "YBD", "X", "RZ"})
-TWO_QUBIT_KINDS = frozenset({"CNOT", "CZ"})
-_INVERSE_KIND = {"H": "H", "X": "X", "CNOT": "CNOT", "CZ": "CZ", "YB": "YBD", "YBD": "YB"}
+# kind -> (qubit count, inverse kind); RZ has no inverse among the kinds.
+GATE_KINDS = {"H": (1, "H"), "X": (1, "X"), "YB": (1, "YBD"), "YBD": (1, "YB"),
+              "RZ": (1, None), "CNOT": (2, "CNOT"), "CZ": (2, "CZ")}
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,14 +32,13 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        if self.kind in TWO_QUBIT_KINDS:
+        if self.kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if GATE_KINDS[self.kind][0] == 2:
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError(f"{self.kind} needs two distinct qubits")
-        elif self.kind in SINGLE_QUBIT_KINDS:
-            if len(self.qubits) != 1:
-                raise ValueError(f"{self.kind} acts on one qubit")
-        else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+        elif len(self.qubits) != 1:
+            raise ValueError(f"{self.kind} acts on one qubit")
         if min(self.qubits) < 0:
             raise ValueError(f"{self.kind} on negative qubit {min(self.qubits)}")
         if (self.kind == "RZ") != (self.angle is not None):
@@ -120,9 +119,10 @@ class GateCounts:
 
 
 def count_gates(c: Circuit) -> GateCounts:
+    two_qubit = {kind for kind, (n, _) in GATE_KINDS.items() if n == 2}
     ent = single = rz = 0
     for g in c.gates:
-        if g.kind in TWO_QUBIT_KINDS:
+        if g.kind in two_qubit:
             ent += 1
         elif g.kind == "RZ":
             rz += 1
@@ -297,9 +297,6 @@ def format_circuit(c: Circuit) -> str:
     return "\n".join([f"QUBITS {c.n_qubits} ANCILLA {1 if c.ancilla else 0}", *body]) + "\n"
 
 
-_FIELDS = {**dict.fromkeys(SINGLE_QUBIT_KINDS, 2), **dict.fromkeys(TWO_QUBIT_KINDS, 3), "RZ": 3}
-
-
 def _qubit(text: str, width: int) -> int:
     q = int(text)
     if not 0 <= q < width:
@@ -309,11 +306,11 @@ def _qubit(text: str, width: int) -> int:
 
 def _parse_gate(fields: list[str], width: int) -> Gate:
     kind = fields[0]
-    if len(fields) != _FIELDS.get(kind):
-        if kind not in _FIELDS:
-            raise ValueError(f"unknown gate kind {kind!r}")
-        raise ValueError(f"{kind} takes {_FIELDS[kind] - 1} operands, "
-                         f"got {len(fields) - 1}")
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    operands = GATE_KINDS[kind][0] + (kind == "RZ")  # an RZ also takes its angle
+    if len(fields) - 1 != operands:
+        raise ValueError(f"{kind} takes {operands} operands, got {len(fields) - 1}")
     if kind == "RZ":
         return RZ(_qubit(fields[1], width), float(fields[2]))
     return _clifford(kind, tuple(_qubit(f, width) for f in fields[1:]))

@@ -38,16 +38,11 @@ def _one_line_errors(source: str):
         raise click.ClickException(f"{source}: {exc}") from None
 
 
-@main.command("map")
-@click.argument("integrals", type=click.Path(exists=True))
-@click.option("--mapping", type=click.Choice(["jw", "bk"]), default="jw", show_default=True)
-@click.option("-o", "--output", default=None, help="Pauli term file (default stdout).")
-def map_cmd(integrals, mapping, output):
-    """Map an FCIDUMP integral file to a Pauli term file."""
-    with _one_line_errors(integrals):
-        ham = fermion.build_hamiltonian(bench_mod.BenchInput.parse(integrals).load())
-        qop = mappings.map_operator(ham, MappingScheme(mapping))
-    _write(pauli.format_terms(qop), output)
+def _mapping_option(multiple: bool):
+    """``--mapping``: one scheme, or a repeatable flag defaulting to all of them."""
+    names = [scheme.value for scheme in MappingScheme]
+    return click.option("--mapping", type=click.Choice(names), multiple=multiple,
+                        default=names if multiple else "jw", show_default=True)
 
 
 def _ordering_option(fn):
@@ -57,6 +52,15 @@ def _ordering_option(fn):
                       default="desc", show_default=True,
                       help="Direction of the magnitude ordering.")(fn)
     return fn
+
+
+_orderings_option = click.option("--orderings", default=None,
+                                 help="Comma-separated list overriding --ordering.")
+_time_option = click.option("--time", "time_", type=click.FloatRange(0, min_open=True),
+                            default=1.0, show_default=True)
+_optimize_option = click.option("--optimize", "level", type=click.Choice(optimizer.LEVELS),
+                                default="full", show_default=True)
+_output_option = click.option("-o", "--output", default=None, help="Output file (default stdout).")
 
 
 def _parse_orderings(ordering: str, orderings: str | None,
@@ -82,15 +86,27 @@ def _steps_list(ctx, param, value: str) -> list[int]:
     return steps
 
 
+@main.command("map")
+@click.argument("integrals")
+@_mapping_option(multiple=False)
+@_output_option
+def map_cmd(integrals, mapping, output):
+    """Map an FCIDUMP file or synthetic spec to a Pauli term file."""
+    with _one_line_errors(integrals):
+        ham = fermion.build_hamiltonian(bench_mod.BenchInput.parse(integrals).load())
+        qop = mappings.map_operator(ham, MappingScheme(mapping))
+    _write(pauli.format_terms(qop), output)
+
+
 @main.command("compile")
-@click.argument("terms", type=click.Path(exists=True))
+@click.argument("terms")
 @_ordering_option
 @click.option("--steps", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--time", "time_", type=float, default=1.0, show_default=True)
+@_time_option
 @click.option("--mode", type=click.Choice(SYNTHESIS_MODES), default="canonical",
               show_default=True)
 @click.option("--qubits", type=int, default=None, help="Register size override.")
-@click.option("-o", "--output", default=None)
+@_output_option
 def compile_cmd(terms, ordering, magnitude_direction, steps, time_, mode, qubits, output):
     """Compile a Pauli term file into a Trotter-step circuit file."""
     [strategy] = _parse_orderings(ordering, None, magnitude_direction)
@@ -101,50 +117,41 @@ def compile_cmd(terms, ordering, magnitude_direction, steps, time_, mode, qubits
 
 
 @main.command("optimize")
-@click.argument("circuit", type=click.Path(exists=True))
-@click.option("--optimize", "level", type=click.Choice(bench_mod.OPTIMIZE_LEVELS),
-              default="full", show_default=True)
+@click.argument("circuit")
+@_optimize_option
 @click.option("--cross-step", is_flag=True, help="Cancel across Trotter-step seams.")
 @click.option("--window", type=click.IntRange(min=0), default=None,
               help="Bound on the forward commutation scan.")
-@click.option("-o", "--output", default=None)
+@_output_option
 def optimize_cmd(circuit, level, cross_step, window, output):
     """Run peephole optimization on a circuit file."""
     with _one_line_errors(circuit):
         circ = parse_circuit(Path(circuit).read_text())
-    if level == "cancel":
-        out = optimizer.cancel_adjacent(circ, cross_step)
-    elif level == "full":
-        report = optimizer.OptimizationReport()
-        out = optimizer.optimize(circ, cross_step, window, report)
-        click.echo(f"removed {report.removed} gates in {len(report.passes)} passes",
-                   err=True)
-    else:
-        out = circ
+    report = optimizer.OptimizationReport()
+    out = optimizer.run_level(circ, level, cross_step, window, report)
+    if level == "full":
+        click.echo(f"removed {report.removed} gates in {len(report.passes)} passes", err=True)
     _write(format_circuit(out), output)
 
 
 @main.command("bench")
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--mapping", "mapping_names", type=click.Choice(["jw", "bk"]), multiple=True,
-              default=("jw", "bk"), show_default=True)
+@_mapping_option(multiple=True)
 @_ordering_option
-@click.option("--orderings", default=None,
-              help="Comma-separated list overriding --ordering.")
+@_orderings_option
 @click.option("--mode", "modes", type=click.Choice(SYNTHESIS_MODES), multiple=True,
               default=("canonical",), show_default=True)
-@click.option("--optimize", "level", type=click.Choice(bench_mod.OPTIMIZE_LEVELS),
-              default="full", show_default=True)
+@_optimize_option
 @click.option("--steps", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--time", "time_", type=click.FloatRange(0, min_open=True), default=1.0,
-              show_default=True)
+@_time_option
 @click.option("--error/--no-error", "with_error", default=False,
-              help="Also measure Trotter error (small systems only).")
-@click.option("--workers", type=int, default=1, show_default=True)
+              help="Also measure Trotter error; a register above "
+                   f"{simulator.OPERATOR_QUBIT_LIMIT} qubits fails its cells.")
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.option("-o", "--output", default=None)
-def bench_cmd(inputs, mapping_names, ordering, magnitude_direction, orderings, modes,
+@_output_option
+def bench_cmd(inputs, mapping, ordering, magnitude_direction, orderings, modes,
               level, steps, time_, with_error, workers, fmt, output):
     """Sweep (input x mapping x ordering x mode) and emit a report.
 
@@ -153,7 +160,7 @@ def bench_cmd(inputs, mapping_names, ordering, magnitude_direction, orderings, m
     """
     cfg = bench_mod.BenchConfig(
         inputs=[bench_mod.BenchInput.parse(s) for s in inputs],
-        mappings=[MappingScheme(m) for m in mapping_names],
+        mappings=[MappingScheme(m) for m in mapping],
         orderings=_parse_orderings(ordering, orderings, magnitude_direction),
         modes=list(modes),
         optimize_level=level,
@@ -164,27 +171,24 @@ def bench_cmd(inputs, mapping_names, ordering, magnitude_direction, orderings, m
     )
     rows = bench_mod.run_bench(cfg)
     _write(bench_mod.emit_report(rows, fmt), output)
-    for row in rows:
-        if row.error is not None:
-            click.echo(f"cell failed: {row.system}/{row.mapping}/{row.ordering}/"
-                       f"{row.mode}: {row.error}", err=True)
-    if any(row.error is not None for row in rows):
+    failed = [row for row in rows if row.error is not None]
+    for row in failed:
+        click.echo(f"cell failed: {row.system}/{row.mapping}/{row.ordering}/"
+                   f"{row.mode}: {row.error}", err=True)
+    if failed:
         sys.exit(2)
 
 
 @main.command("trotter-error")
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--mapping", "mapping_names", type=click.Choice(["jw", "bk"]), multiple=True,
-              default=("jw", "bk"), show_default=True)
+@_mapping_option(multiple=True)
 @_ordering_option
-@click.option("--orderings", default=None,
-              help="Comma-separated list overriding --ordering.")
+@_orderings_option
 @click.option("--steps", "steps_list", default="1", show_default=True, callback=_steps_list,
               help="Comma-separated Trotter step counts.")
-@click.option("--time", "time_", type=click.FloatRange(0, min_open=True), default=1.0,
-              show_default=True)
-@click.option("-o", "--output", default=None)
-def trotter_error_cmd(inputs, mapping_names, ordering, magnitude_direction, orderings,
+@_time_option
+@_output_option
+def trotter_error_cmd(inputs, mapping, ordering, magnitude_direction, orderings,
                       steps_list, time_, output):
     """Measure Trotter error against exact ground energies (JSON report)."""
     strategies = _parse_orderings(ordering, orderings, magnitude_direction)
@@ -193,7 +197,7 @@ def trotter_error_cmd(inputs, mapping_names, ordering, magnitude_direction, orde
         inp = bench_mod.BenchInput.parse(spec)
         with _one_line_errors(spec):
             ham = fermion.build_hamiltonian(inp.load())
-            for scheme in map(MappingScheme, mapping_names):
+            for scheme in map(MappingScheme, mapping):
                 qop = mappings.map_operator(ham, scheme)
                 energy, ground = bench_mod.exact_ground(qop)
                 time_used = simulator.safe_evolution_time(qop, time_)

@@ -131,8 +131,7 @@ _CHUNK = 16384  # entries expanded at once, in whole X-mask groups
 _Y_PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])  # X^x Z^z = (-i)^{#Y} * Pauli string
 
 
-def map_operator(op: FermionOperator, scheme: MappingScheme,
-                 tol: float = DEFAULT_TOL) -> QubitOperator:
+def map_operator(op: FermionOperator, scheme: MappingScheme) -> QubitOperator:
     """Transform a FermionOperator into a simplified QubitOperator.
 
     Each ladder product expands left to right, every factor doubling its
@@ -175,7 +174,7 @@ def map_operator(op: FermionOperator, scheme: MappingScheme,
         h = max(h, g + 1)
         a, b = gstart[g], gstart[h]
         parts.append(_expand_chunk(imgs, coeffs, starts, modes, dagger, xmask, first_entry,
-                                   order[a:b], offset[a:b + 1] - offset[a], tol))
+                                   order[a:b], offset[a:b + 1] - offset[a]))
         g = h
     x, z, coeff, first = (np.concatenate(c) for c in zip(*parts))
     by_first = np.argsort(first)
@@ -191,7 +190,7 @@ def map_operator(op: FermionOperator, scheme: MappingScheme,
     return out
 
 
-def _expand_chunk(imgs, coeffs, starts, modes, dagger, xmask, first_entry, prods, loc, tol):
+def _expand_chunk(imgs, coeffs, starts, modes, dagger, xmask, first_entry, prods, loc):
     """(x, z, coefficient, first entry index) of one chunk's terms, the
     identity included, each term's coefficient the sum of its entries.
 
@@ -224,7 +223,7 @@ def _expand_chunk(imgs, coeffs, starts, modes, dagger, xmask, first_entry, prods
     x, z = xs[new], zs[new]
     coeff = sums * _Y_PHASES[np.bitwise_count(x & z) & 3]
     first = (np.repeat(first_entry[prods] - loc[:-1], size) + np.arange(loc[-1]))[o[new]]
-    keep = (np.abs(coeff) > tol) | (x == 0) & (z == 0)
+    keep = (np.abs(coeff) > DEFAULT_TOL) | (x == 0) & (z == 0)
     return x[keep], z[keep], coeff[keep], first[keep]
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circuits import _INVERSE_KIND, Circuit, Gate
+from .circuits import GATE_KINDS, Circuit, Gate
 
 _DIAGONAL = frozenset({"RZ", "CZ"})
 
@@ -135,7 +135,7 @@ def _encoded_segments(c: Circuit, cross_step: bool) -> list[list[tuple]]:
             enc = shared.get((g.kind, g.qubits))
             if enc is None:
                 key = keys.setdefault((g.kind, g.qubits), len(keys))
-                partner = keys.setdefault((_INVERSE_KIND[g.kind], g.qubits), len(keys))
+                partner = keys.setdefault((GATE_KINDS[g.kind][1], g.qubits), len(keys))
                 enc = shared[(g.kind, g.qubits)] = (*_rule(g), key, partner, g)
             out.append(enc)
         segs.append(out)
@@ -182,3 +182,16 @@ def optimize(c: Circuit, cross_step: bool = False, window: int | None = None,
             report.passes.append(removed)
         if removed == 0:
             return _rebuild(c, segs)
+
+
+LEVELS = ("none", "cancel", "full")
+
+
+def run_level(c: Circuit, level: str, cross_step: bool = False, window: int | None = None,
+              report: OptimizationReport | None = None) -> Circuit:
+    """``none`` keeps the circuit, ``cancel`` drops adjacent pairs, ``full`` optimizes."""
+    if level not in LEVELS:
+        raise ValueError(f"optimize level must be one of {LEVELS}")
+    if level == "cancel":
+        return cancel_adjacent(c, cross_step)
+    return optimize(c, cross_step, window, report) if level == "full" else c

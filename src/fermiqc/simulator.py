@@ -20,13 +20,13 @@ from .pauli import PauliString, QubitOperator
 from .trotter import TrotterPlan
 
 OPERATOR_QUBIT_LIMIT = 16
+_HERMITIAN_TOL = 1e-10  # max |m - m^H| that ground_state accepts
+_RESIDUAL_TOL = 1e-9  # max |m v - E v| of the returned eigenpair
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
 
 class EigensolverError(RuntimeError):
-    def __init__(self, message: str, iterations: int | None = None):
-        super().__init__(message)
-        self.iterations = iterations
+    pass
 
 
 def _parity(indices: np.ndarray, z: int) -> np.ndarray:
@@ -39,14 +39,15 @@ def _y_phase(s: PauliString) -> complex:
     return _I_POWERS[(s.x & s.z).bit_count() % 4]
 
 
-def operator_matrix(op: QubitOperator, limit: int = OPERATOR_QUBIT_LIMIT) -> sp.csr_matrix:
+def operator_matrix(op: QubitOperator) -> sp.csr_matrix:
     """Sparse matrix of the Pauli terms plus the identity constant.
 
     Terms with X mask x fill only the entries (c ^ x, c): each X mask is one
     vector over the columns, summed in term order (the constant first on
     x = 0), so every entry is the sum term-by-term assembly makes."""
-    if op.n > limit:
-        raise ResourceLimitError(f"{op.n} qubits exceeds the {limit}-qubit matrix limit")
+    if op.n > OPERATOR_QUBIT_LIMIT:
+        raise ResourceLimitError(f"{op.n} qubits exceeds the "
+                                 f"{OPERATOR_QUBIT_LIMIT}-qubit matrix limit")
     dim = 1 << op.n
     cols = np.arange(dim, dtype=np.int64)
     groups: dict[int, list[tuple[int, complex]]] = {0: []}  # x = 0 holds the constant
@@ -77,11 +78,10 @@ def _hermitian_defect(m: sp.csr_matrix) -> float:
     return np.abs(np.subtract(m.data, d, out=d)).max(initial=0.0)
 
 
-def ground_state(m: sp.spmatrix | np.ndarray, herm_tol: float = 1e-10,
-                 residual_tol: float = 1e-9) -> tuple[float, np.ndarray]:
+def ground_state(m: sp.spmatrix | np.ndarray) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a Hermitian matrix."""
     m = sp.csr_matrix(m)
-    if _hermitian_defect(m) > herm_tol:
+    if _hermitian_defect(m) > _HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian")
     dim = m.shape[0]
     if dim <= 64:
@@ -93,11 +93,10 @@ def ground_state(m: sp.spmatrix | np.ndarray, herm_tol: float = 1e-10,
             v0 = np.random.default_rng(0).standard_normal(dim).astype(m.dtype)
             vals, vecs = spla.eigsh(m, k=1, which="SA", v0=v0)
         except spla.ArpackNoConvergence as exc:
-            raise EigensolverError("lowest-eigenpair iteration did not converge",
-                                   iterations=getattr(exc, "maxiter", None)) from exc
+            raise EigensolverError("lowest-eigenpair iteration did not converge") from exc
         energy, vec = vals[0], vecs[:, 0]
     residual = np.linalg.norm(m @ vec - energy * vec)
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise EigensolverError(f"eigenpair residual {residual:.2e} above tolerance")
     return float(energy), vec
 

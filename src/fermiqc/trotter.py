@@ -40,9 +40,8 @@ class OrderingStrategy:
 
 def _magnitude_sorted(terms: list[tuple[PauliString, complex]],
                       descending: bool) -> list[tuple[PauliString, complex]]:
-    # Ties in |c| broken by ascending lexicographic key, for determinism.
-    return sorted(terms, key=lambda t: (-abs(t[1]) if descending else abs(t[1]),
-                                        lex_key(t[0])))
+    # ``terms`` come in lex order and sorted() is stable, so ties keep lex order.
+    return sorted(terms, key=lambda t: -abs(t[1]) if descending else abs(t[1]))
 
 
 def order_terms(op: QubitOperator, strategy: OrderingStrategy) -> list[tuple[PauliString, complex]]:

@@ -8,7 +8,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from fermiqc import mappings, simulator, trotter
+from fermiqc import mappings, simulator, trotter, write_fcidump
 from fermiqc.bench import CSV_HEADER, BenchConfig, BenchInput, emit_report, run_bench
 from fermiqc.circuits import GateCounts
 from fermiqc.cli import main
@@ -188,7 +188,8 @@ class TestCli:
         assert r.exit_code == 2
 
     @pytest.mark.parametrize("option,value", [("--mode", "canonical,ancilla"),
-                                              ("--mapping", "jw,bk")])
+                                              ("--mapping", "jw,bk"),
+                                              ("--workers", "0")])
     def test_bench_rejects_unknown_choice(self, option, value):
         r = CliRunner().invoke(main, ["bench", "synthetic:n=2,seed=1", option, value])
         assert r.exit_code == 2
@@ -222,6 +223,7 @@ class TestCli:
         ["trotter-error", "synthetic:n=2,seed=1", "--time", "0"],
         ["bench", "synthetic:n=2,seed=1", "--error", "--time", "0"],
         ["bench", "synthetic:n=2,seed=1", "--time", "-1"],
+        ["compile", "t.terms", "--time", "0"],
     ])
     def test_time_must_be_positive(self, args):
         r = CliRunner().invoke(main, args)
@@ -304,8 +306,12 @@ class TestCli:
         ("trotter-error", "big.fcidump", "66 modes exceeds the 64-mode map limit"),
         ("trotter-error", "synthetic:n=9", "18 qubits exceeds the 16-qubit matrix limit"),
         ("map", "bad.fcidump", "line 3: expected 'value i j k l', got ' 0.5 1 1'"),
+        ("map", "missing.fcidump", "[Errno 2] No such file or directory: 'missing.fcidump'"),
+        ("compile", "missing.terms", "[Errno 2] No such file or directory: 'missing.terms'"),
+        ("optimize", "missing.circ", "[Errno 2] No such file or directory: 'missing.circ'"),
     ], ids=["missing-file", "malformed", "above-map-limit", "above-matrix-limit",
-            "map-malformed"])
+            "map-malformed", "map-missing-file", "compile-missing-file",
+            "optimize-missing-file"])
     def test_bad_input_is_one_line(self, command, spec, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.fcidump").write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.5 1 1\n")
@@ -331,3 +337,22 @@ class TestCli:
         assert isinstance(r.exception, SystemExit)
         assert r.stderr == ("cell failed: big/bk/magnitude/canonical: ResourceLimitError: "
                             "66 modes exceeds the 64-mode map limit\n")
+
+    def test_map_accepts_synthetic_spec(self, tmp_path):
+        fcidump = tmp_path / "s.fcidump"
+        fcidump.write_text(write_fcidump(BenchInput.parse("synthetic:n=2,seed=1").load()))
+        r = self.run("map", "synthetic:n=2,seed=1")
+        assert r.exit_code == 0
+        assert r.output == self.run("map", str(fcidump)).output
+
+    def test_bench_error_above_matrix_limit_fails_cells(self, monkeypatch):
+        monkeypatch.setattr(simulator, "OPERATOR_QUBIT_LIMIT", 2)
+        r = CliRunner().invoke(main, ["bench", "synthetic:n=2,seed=1", "--error",
+                                      "--format", "json"])
+        assert r.exit_code == 2
+        payload = json.loads(r.stdout)
+        assert len(payload) == 2
+        for row in payload:
+            assert row["error"] == "ResourceLimitError: 4 qubits exceeds the 2-qubit matrix limit"
+            assert row["raw"]["total"] > 0 and row["opt"]["total"] > 0
+            assert row["trotter_error"] is None

@@ -58,6 +58,16 @@ class TestOrderTerms:
         mags = [abs(c) for _, c in order_terms(make_operator(), strat)]
         assert mags == sorted(mags)
 
+    @pytest.mark.parametrize("strategy,labels", [
+        (OrderingStrategy("magnitude"), ["IYI", "ZZZ", "IIZ", "IXX", "XII", "XYI"]),
+        (OrderingStrategy("magnitude", descending_magnitude=False),
+         ["XYI", "XII", "IIZ", "IXX", "ZZZ", "IYI"]),
+        (OrderingStrategy("lexomag"), ["IIZ", "IYI", "IXX", "ZZZ", "XII", "XYI"]),
+    ], ids=["magnitude-desc", "magnitude-asc", "lexomag"])
+    def test_magnitude_ties_keep_lex_order(self, strategy, labels):
+        # IIZ (1.0) and IXX (-1.0) tie in magnitude; IIZ comes first in lex order.
+        assert [s.label for s, _ in order_terms(make_operator(), strategy)] == labels
+
     def test_random_seeded_and_distinct(self):
         op = make_operator()
         a = order_terms(op, OrderingStrategy("random", 1))
