@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import fermion, mappings, optimizer, simulator, trotter
 from .circuits import GateCounts, count_gates, synthesize_plan
@@ -55,6 +54,8 @@ class BenchInput:
                                              f"got {value!r}") from None
             if "n" not in kv:
                 raise click.BadParameter(f"{spec!r}: missing key 'n'")
+            if kv["n"] < 1:
+                raise click.BadParameter(f"{spec!r}: n must be at least 1, got {kv['n']}")
             n, seed, density = kv["n"], kv["seed"], kv["density"]
             return cls(f"synthetic-n{n}-s{seed}-d{density:g}", synthetic=(n, seed, density))
         return cls(Path(spec).stem, path=spec)
@@ -101,11 +102,6 @@ class BenchRow:
     error: str | None = None
 
 
-def exact_ground(qop: QubitOperator) -> tuple[float, np.ndarray]:
-    """Ground energy and state; the operator matrix is dropped once solved."""
-    return simulator.ground_state(simulator.operator_matrix(qop))
-
-
 @contextlib.contextmanager
 def _isolated(rows: list[BenchRow]):
     """Record a stage failure in each row that has none yet; sweeps never abort."""
@@ -147,13 +143,12 @@ def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> lis
         plans = [_plan_and_count(cfg, qop, o, time, group)
                  for o, group in zip(cfg.orderings, by_ordering)]
         if cfg.with_error:
-            energy, ground = exact_ground(qop)
-            for o, group, plan in zip(cfg.orderings, by_ordering, plans):
+            energy, ground = simulator.ground_state(simulator.operator_matrix(qop))
+            for group, plan in zip(by_ordering, plans):
                 if plan is None:  # its rows already hold the plan's failure
                     continue
                 with _isolated(group):
-                    error = simulator.trotter_error(plan, energy, ground, ordering=str(o),
-                                                    mapping=scheme.value).error
+                    error = simulator.trotter_error(plan, energy, ground).error
                     for row in group:
                         if row.error is None:
                             row.trotter_error = error

@@ -131,9 +131,6 @@ def count_gates(c: Circuit) -> GateCounts:
     return GateCounts(ent + single + rz, ent, single, rz)
 
 
-SYNTHESIS_MODES = ("canonical", "basis_shift", "ancilla")
-
-
 def _support(string: PauliString) -> tuple[int, ...]:
     support = string.support
     if not support:
@@ -229,6 +226,7 @@ _TERM_GATES = {
     "basis_shift": _basis_shift_gates,
     "ancilla": _ancilla_gates,
 }
+SYNTHESIS_MODES = tuple(_TERM_GATES)
 
 
 def synthesize_plan(plan: TrotterPlan, mode: str = "canonical") -> Circuit:
@@ -257,21 +255,15 @@ def term_gate_counts(string: PauliString, mode: str = "canonical") -> GateCounts
     Validated against the synthesizers in the test suite; used for
     counting-only resource sweeps on large registers.
     """
+    if mode not in _TERM_GATES:
+        raise ValueError(f"unknown synthesis mode {mode!r}")
     w = string.weight
     if w == 0:
         return GateCounts(0, 0, 0, 0)
-    nx = (string.x & ~string.z).bit_count()
-    ny = (string.x & string.z).bit_count()
-    if mode in ("canonical", "basis_shift"):
-        # basis_shift has the canonical multiset: basis pairs move inward, each
-        # group contributes (|group|-1) chain CNOTs plus one coupling per side.
-        single = 2 * (nx + ny)
-        ent = 2 * (w - 1)
-    elif mode == "ancilla":
-        single = 2 * (nx + ny)
-        ent = 2 * w
-    else:
-        raise ValueError(f"unknown synthesis mode {mode!r}")
+    single = 2 * string.x.bit_count()  # a basis change on each side of every X or Y
+    # basis_shift has the canonical multiset: basis pairs move inward, each
+    # group contributes (|group|-1) chain CNOTs plus one coupling per side.
+    ent = 2 * w if mode == "ancilla" else 2 * (w - 1)
     return GateCounts(single + ent + 1, ent, single, 1)
 
 

@@ -38,11 +38,17 @@ def _one_line_errors(source: str):
         raise click.ClickException(f"{source}: {exc}") from None
 
 
+def _unique(ctx, param, values):
+    """A repeatable option's values, each once, in first-occurrence order."""
+    return list(dict.fromkeys(values))
+
+
 def _mapping_option(multiple: bool):
     """``--mapping``: one scheme, or a repeatable flag defaulting to all of them."""
     names = [scheme.value for scheme in MappingScheme]
     return click.option("--mapping", type=click.Choice(names), multiple=multiple,
-                        default=names if multiple else "jw", show_default=True)
+                        default=names if multiple else "jw", show_default=True,
+                        callback=_unique if multiple else None)
 
 
 def _ordering_option(fn):
@@ -65,25 +71,33 @@ _output_option = click.option("-o", "--output", default=None, help="Output file 
 
 def _parse_orderings(ordering: str, orderings: str | None,
                      magnitude_direction: str) -> list[OrderingStrategy]:
-    """``--orderings`` (comma-separated) if given, else ``--ordering``."""
+    """``--orderings`` (comma-separated) if given, else ``--ordering``; each ordering once."""
     option = "--orderings" if orderings else "--ordering"
     names = orderings.split(",") if orderings else [ordering]
     try:
-        return [OrderingStrategy.parse(n, descending_magnitude=magnitude_direction == "desc")
-                for n in names]
+        return list(dict.fromkeys(OrderingStrategy.parse(
+            n, descending_magnitude=magnitude_direction == "desc") for n in names))
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint=f"'{option}'") from None
 
 
 def _steps_list(ctx, param, value: str) -> list[int]:
-    """Comma-separated Trotter step counts, each at least 1."""
+    """Comma-separated Trotter step counts, each at least 1, each kept once."""
     try:
         steps = [int(s) for s in value.split(",")]
     except ValueError:
         raise click.BadParameter(f"{value!r} is not a comma-separated list of integers") from None
     if min(steps) < 1:
         raise click.BadParameter(f"{value!r}: every step count must be >= 1")
-    return steps
+    return list(dict.fromkeys(steps))
+
+
+def _parse_inputs(specs) -> dict[bench_mod.BenchInput, str]:
+    """Each distinct input once, in first-occurrence order, with its first spelling."""
+    parsed = {}
+    for spec in specs:
+        parsed.setdefault(bench_mod.BenchInput.parse(spec), spec)
+    return parsed
 
 
 @main.command("map")
@@ -105,7 +119,7 @@ def map_cmd(integrals, mapping, output):
 @_time_option
 @click.option("--mode", type=click.Choice(SYNTHESIS_MODES), default="canonical",
               show_default=True)
-@click.option("--qubits", type=int, default=None, help="Register size override.")
+@click.option("--qubits", type=click.IntRange(min=1), help="Register size override.")
 @_output_option
 def compile_cmd(terms, ordering, magnitude_direction, steps, time_, mode, qubits, output):
     """Compile a Pauli term file into a Trotter-step circuit file."""
@@ -140,7 +154,7 @@ def optimize_cmd(circuit, level, cross_step, window, output):
 @_ordering_option
 @_orderings_option
 @click.option("--mode", "modes", type=click.Choice(SYNTHESIS_MODES), multiple=True,
-              default=("canonical",), show_default=True)
+              default=("canonical",), show_default=True, callback=_unique)
 @_optimize_option
 @click.option("--steps", type=click.IntRange(min=1), default=1, show_default=True)
 @_time_option
@@ -159,10 +173,10 @@ def bench_cmd(inputs, mapping, ordering, magnitude_direction, orderings, modes,
     ``synthetic:n=8,seed=1,density=1.0``.
     """
     cfg = bench_mod.BenchConfig(
-        inputs=[bench_mod.BenchInput.parse(s) for s in inputs],
+        inputs=list(_parse_inputs(inputs)),
         mappings=[MappingScheme(m) for m in mapping],
         orderings=_parse_orderings(ordering, orderings, magnitude_direction),
-        modes=list(modes),
+        modes=modes,
         optimize_level=level,
         n_steps=steps,
         time=time_,
@@ -193,21 +207,19 @@ def trotter_error_cmd(inputs, mapping, ordering, magnitude_direction, orderings,
     """Measure Trotter error against exact ground energies (JSON report)."""
     strategies = _parse_orderings(ordering, orderings, magnitude_direction)
     reports = []
-    for spec in inputs:
-        inp = bench_mod.BenchInput.parse(spec)
+    for inp, spec in _parse_inputs(inputs).items():
         with _one_line_errors(spec):
             ham = fermion.build_hamiltonian(inp.load())
             for scheme in map(MappingScheme, mapping):
                 qop = mappings.map_operator(ham, scheme)
-                energy, ground = bench_mod.exact_ground(qop)
+                energy, ground = simulator.ground_state(simulator.operator_matrix(qop))
                 time_used = simulator.safe_evolution_time(qop, time_)
                 for strategy in strategies:
                     for n_steps in steps_list:
                         plan = trotter.plan_for(qop, strategy, n_steps, time_used)
-                        rep = simulator.trotter_error(
-                            plan, energy, ground,
-                            ordering=str(strategy), mapping=scheme.value)
+                        rep = simulator.trotter_error(plan, energy, ground)
                         reports.append({"system": inp.system, "n_qubits": qop.n,
+                                        "mapping": scheme.value, "ordering": str(strategy),
                                         **asdict(rep)})
     _write(json.dumps(reports, indent=2) + "\n", output)
 

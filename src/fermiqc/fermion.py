@@ -17,16 +17,6 @@ import numpy as np
 SYMMETRY_TOL = 1e-10
 
 
-class FcidumpError(ValueError):
-    """Malformed FCIDUMP input; carries the offending line number."""
-
-    def __init__(self, message: str, lineno: int | None = None):
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
-        self.lineno = lineno
-
-
 @dataclass
 class IntegralSet:
     """One- and two-electron integrals over spatial orbitals, in Hartree."""
@@ -37,7 +27,6 @@ class IntegralSet:
     two_body: np.ndarray          # (n, n, n, n) chemists' (pq|rs), 8-fold symmetric
     core_energy: float = 0.0
     ms2: int = 0
-    core_energy_missing: bool = False
 
     def validate(self, tol: float = SYMMETRY_TOL) -> None:
         h, g = self.one_body, self.two_body
@@ -67,19 +56,27 @@ _HEADER_RE = re.compile(r"&FCI(.*)", re.IGNORECASE | re.DOTALL)
 _KEY_RE = re.compile(r"(\w+)\s*=\s*([-\d,\s]+?)(?=(?:\w+\s*=)|$)")
 
 
-def parse_fcidump(source) -> IntegralSet:
-    """Read an FCIDUMP stream or string into an :class:`IntegralSet`.
+def _unique_quartets(n: int):
+    """One (p, q, r, s) per 8-fold symmetry class of (pq|rs), in FCIDUMP order."""
+    for p in range(n):
+        for q in range(p + 1):
+            for r in range(p + 1):
+                for s in range((q if r == p else r) + 1):
+                    yield p, q, r, s
+
+
+def _fill_8fold(g: np.ndarray, p: int, q: int, r: int, s: int, v: float) -> None:
+    """Set the eight symmetric images of (pq|rs) to v."""
+    for a, b in ((p, q), (q, p)):
+        for c, d in ((r, s), (s, r)):
+            g[a, b, c, d] = g[c, d, a, b] = v
+
+
+def parse_fcidump(text: str) -> IntegralSet:
+    """Read FCIDUMP text into an :class:`IntegralSet`; errors name the line.
 
     Stored unique elements are expanded to the full symmetric arrays.
     """
-    if isinstance(source, bytes):
-        text = source.decode()
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode() if isinstance(data, bytes) else data
-
     lines = text.splitlines()
     header_buf = []
     body_start = None
@@ -91,12 +88,12 @@ def parse_fcidump(source) -> IntegralSet:
             body_start = i + 1
             break
     if body_start is None:
-        raise FcidumpError("missing &END terminator in header", 1)
+        raise ValueError("line 1: missing &END terminator in header")
 
     header = " ".join(header_buf)
     m = _HEADER_RE.search(header)
     if m is None:
-        raise FcidumpError("missing &FCI header", 1)
+        raise ValueError("line 1: missing &FCI header")
     content = re.split(r"&END|(?<=\s)/", m.group(1), flags=re.IGNORECASE)[0]
     keys = {}
     for key, val in _KEY_RE.findall(content):
@@ -105,45 +102,42 @@ def parse_fcidump(source) -> IntegralSet:
         norb = int(keys["NORB"].split(",")[0])
         nelec = int(keys["NELEC"].split(",")[0])
     except KeyError as exc:
-        raise FcidumpError(f"header missing {exc.args[0]}", 1) from None
+        raise ValueError(f"line 1: header missing {exc.args[0]}") from None
+    if norb < 1:
+        raise ValueError(f"line 1: NORB must be at least 1, got {norb}")
     ms2 = int(keys.get("MS2", "0").split(",")[0])
 
     h = np.zeros((norb, norb))
     g = np.zeros((norb, norb, norb, norb))
     core = 0.0
-    saw_core = False
 
     for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
         fields = line.split()
         if not fields or line.lstrip().startswith("#"):
             continue
         if len(fields) != 5:
-            raise FcidumpError(f"expected 'value i j k l', got {line!r}", lineno)
+            raise ValueError(f"line {lineno}: expected 'value i j k l', got {line!r}")
         try:
             val = float(fields[0])
             i, j, k, l = (int(f) for f in fields[1:])
         except ValueError:
-            raise FcidumpError(f"unparsable row {line!r}", lineno) from None
+            raise ValueError(f"line {lineno}: unparsable row {line!r}") from None
         if i == j == k == l == 0:
             core = val
-            saw_core = True
             continue
         for idx in (i, j, k, l):
             if idx < 0 or idx > norb:
-                raise FcidumpError(f"orbital index {idx} out of range 1..{norb}", lineno)
+                raise ValueError(f"line {lineno}: orbital index {idx} out of range 1..{norb}")
         if k == 0 and l == 0:
             if i == 0 or j == 0:
-                raise FcidumpError(f"bad one-body indices in {line!r}", lineno)
+                raise ValueError(f"line {lineno}: bad one-body indices in {line!r}")
             h[i - 1, j - 1] = h[j - 1, i - 1] = val
         else:
             if 0 in (i, j, k, l):
-                raise FcidumpError(f"bad two-body indices in {line!r}", lineno)
-            p, q, r, s = i - 1, j - 1, k - 1, l - 1
-            for a, b in ((p, q), (q, p)):
-                for c, d in ((r, s), (s, r)):
-                    g[a, b, c, d] = g[c, d, a, b] = val
+                raise ValueError(f"line {lineno}: bad two-body indices in {line!r}")
+            _fill_8fold(g, i - 1, j - 1, k - 1, l - 1, val)
 
-    return IntegralSet(norb, nelec, h, g, core, ms2, core_energy_missing=not saw_core)
+    return IntegralSet(norb, nelec, h, g, core, ms2)
 
 
 def write_fcidump(ints: IntegralSet, comments: list[str] | None = None) -> str:
@@ -158,14 +152,10 @@ def write_fcidump(ints: IntegralSet, comments: list[str] | None = None) -> str:
     buf.append(" ORBSYM=" + "1," * n)
     buf.append(" ISYM=1,")
     buf.append("&END")
-    for p in range(n):
-        for q in range(p + 1):
-            for r in range(p + 1):
-                smax = q if r == p else r
-                for s in range(smax + 1):
-                    v = ints.two_body[p, q, r, s]
-                    if v != 0.0:
-                        buf.append(f"{v: .16e} {p+1:3d} {q+1:3d} {r+1:3d} {s+1:3d}")
+    for p, q, r, s in _unique_quartets(n):
+        v = ints.two_body[p, q, r, s]
+        if v != 0.0:
+            buf.append(f"{v: .16e} {p+1:3d} {q+1:3d} {r+1:3d} {s+1:3d}")
     for p in range(n):
         for q in range(p + 1):
             v = ints.one_body[p, q]
@@ -222,16 +212,9 @@ def synthetic_integrals(n_spatial: int, seed: int, density: float = 1.0) -> Inte
             if rng.random() < density:
                 h[p, q] = h[q, p] = rng.uniform(-1.0, 1.0)
     g = np.zeros((n, n, n, n))
-    for p in range(n):
-        for q in range(p + 1):
-            for r in range(p + 1):
-                smax = q if r == p else r
-                for s in range(smax + 1):
-                    if rng.random() < density:
-                        v = rng.uniform(-1.0, 1.0)
-                        for a, b in ((p, q), (q, p)):
-                            for c, d in ((r, s), (s, r)):
-                                g[a, b, c, d] = g[c, d, a, b] = v
+    for p, q, r, s in _unique_quartets(n):
+        if rng.random() < density:
+            _fill_8fold(g, p, q, r, s, rng.uniform(-1.0, 1.0))
     return IntegralSet(n, n, h, g, core_energy=rng.uniform(-1.0, 1.0))
 
 

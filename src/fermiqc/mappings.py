@@ -26,13 +26,6 @@ class MappingScheme(str, Enum):
 
 
 @dataclass(frozen=True)
-class TransformMatrix:
-    """Binary occupation->qubit matrix, lower triangular with unit diagonal."""
-
-    bits: np.ndarray
-
-
-@dataclass(frozen=True)
 class BKIndexSets:
     """Update/parity/flip/remainder qubit sets for one orbital index."""
 
@@ -45,8 +38,8 @@ class BKIndexSets:
         return self.parity - self.flip
 
 
-def bk_matrix(n: int) -> TransformMatrix:
-    """Occupation-to-qubit-state matrix, built by block doubling.
+def bk_matrix(n: int) -> np.ndarray:
+    """Occupation-to-qubit-state int8 matrix, built by block doubling.
 
     Non-power-of-two sizes take the top-left n x n block of the
     next-power-of-two matrix.
@@ -62,7 +55,7 @@ def bk_matrix(n: int) -> TransformMatrix:
         big[-1, :size] = 1
         m = big
         size *= 2
-    return TransformMatrix(m[:n, :n].copy())
+    return m[:n, :n].copy()
 
 
 def _lowbit(m: int) -> int:
@@ -238,7 +231,7 @@ def basis_permutation(n: int, scheme: MappingScheme) -> np.ndarray:
     dim = 1 << n
     if scheme is MappingScheme.JORDAN_WIGNER:
         return np.arange(dim, dtype=np.int64)
-    mat = bk_matrix(n).bits
+    mat = bk_matrix(n)
     # Image of each single-orbital basis vector, combined by XOR linearity.
     col_images = []
     for j in range(n):

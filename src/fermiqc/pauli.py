@@ -23,10 +23,6 @@ _XZ_TO_DIGIT = {v: k for k, v in _DIGIT_TO_XZ.items()}
 DEFAULT_TOL = 1e-12
 
 
-class DimensionError(ValueError):
-    """Raised when operands act on registers of different sizes."""
-
-
 @dataclass(frozen=True, slots=True)
 class PauliString:
     """An n-qubit tensor product of I/X/Y/Z, without coefficient."""
@@ -60,13 +56,12 @@ class PauliString:
         return cls.from_axes(AXIS_CHARS.index(c) for c in label)
 
     @classmethod
-    def from_ops(cls, n: int, ops: Mapping[int, str] | Iterable[tuple[int, str]]) -> "PauliString":
+    def from_ops(cls, n: int, ops: Iterable[tuple[int, str]]) -> "PauliString":
         """Build from (qubit, axis-letter) pairs on an n-qubit register."""
-        items = ops.items() if isinstance(ops, Mapping) else ops
         x = z = 0
-        for q, c in items:
+        for q, c in ops:
             if not 0 <= q < n:
-                raise DimensionError(f"qubit {q} outside register of size {n}")
+                raise ValueError(f"qubit {q} outside register of size {n}")
             xb, zb = _DIGIT_TO_XZ[AXIS_CHARS.index(c)]
             x |= xb << q
             z |= zb << q
@@ -133,7 +128,7 @@ class QubitOperator:
 
     def add_term(self, coeff: complex, string: PauliString) -> None:
         if string.n != self.n:
-            raise DimensionError(f"string on {string.n} qubits, register is {self.n}")
+            raise ValueError(f"string on {string.n} qubits, register is {self.n}")
         if string.is_identity():
             self.constant += coeff
             return

@@ -130,8 +130,6 @@ def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrotterErrorReport:
-    mapping: str
-    ordering: str
     n_steps: int
     time: float
     exact_energy: float
@@ -141,8 +139,7 @@ class TrotterErrorReport:
     unreliable: bool
 
 
-def trotter_error(plan: TrotterPlan, exact_energy: float, ground: np.ndarray,
-                  ordering: str = "", mapping: str = "") -> TrotterErrorReport:
+def trotter_error(plan: TrotterPlan, exact_energy: float, ground: np.ndarray) -> TrotterErrorReport:
     """Phase-based energy estimate from one Trotterized evolution.
 
     The overlap <g|U|g> carries phase -E t for the exact propagator; the
@@ -156,8 +153,6 @@ def trotter_error(plan: TrotterPlan, exact_energy: float, ground: np.ndarray,
         exact_energy=exact_energy,
         estimated_energy=estimated,
         error=abs(estimated - exact_energy),
-        ordering=ordering,
-        mapping=mapping,
         n_steps=plan.n_steps,
         time=plan.time,
         overlap_magnitude=mag,

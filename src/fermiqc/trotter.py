@@ -94,20 +94,8 @@ class TrotterPlan:
         return [2.0 * coeff.real * dt for _, coeff in self.ordered_terms]
 
 
-def build_plan(ordered: list[tuple[PauliString, complex]], n_steps: int,
-               time: float, offset: float = 0.0,
-               n_qubits: int | None = None) -> TrotterPlan:
-    if n_steps < 1:
-        raise ValueError("need at least one Trotter step")
-    if n_qubits is None:
-        if not ordered:
-            raise ValueError("cannot infer register size from an empty plan")
-        n_qubits = ordered[0][0].n
-    return TrotterPlan(n_qubits, list(ordered), n_steps, time, offset)
-
-
 def plan_for(op: QubitOperator, strategy: OrderingStrategy, n_steps: int,
-             time: float, extra_offset: float = 0.0) -> TrotterPlan:
+             time: float) -> TrotterPlan:
     """Order an operator's terms and wrap them in a plan.
 
     A plan's angles and offset are real, so a non-Hermitian operator (an
@@ -117,5 +105,6 @@ def plan_for(op: QubitOperator, strategy: OrderingStrategy, n_steps: int,
         if abs(c.imag) > DEFAULT_TOL:
             raise ValueError(f"operator is not Hermitian: term {s.label} has "
                              f"coefficient {c!r}")
-    return build_plan(order_terms(op, strategy), n_steps, time,
-                      offset=op.constant.real + extra_offset, n_qubits=op.n)
+    if n_steps < 1:
+        raise ValueError("need at least one Trotter step")
+    return TrotterPlan(op.n, order_terms(op, strategy), n_steps, time, op.constant.real)

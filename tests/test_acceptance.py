@@ -87,7 +87,7 @@ def test_criterion_2_bk_structure():
             [0, 0, 0, 0, 0, 0, 1, 0],
             [1, 1, 1, 1, 1, 1, 1, 1],
         ], dtype=np.int8)
-        assert np.array_equal(bk_matrix(8).bits, expected_8)
+        assert np.array_equal(bk_matrix(8), expected_8)
         assert bk_index_sets(0, 8).update == {1, 3, 7}
         assert bk_index_sets(3, 8).flip == {1, 2}
         for n in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
@@ -208,7 +208,7 @@ def test_criterion_7_trotter_error():
                     for n_steps in (1, 100):
                         plan = plan_for(qop, OrderingStrategy(kind), n_steps,
                                         ERROR_ANALYSIS_TIME)
-                        rep = trotter_error(plan, energy, ground, kind, scheme.value)
+                        rep = trotter_error(plan, energy, ground)
                         assert not rep.unreliable
                         errors[n_steps] = rep.error
                     assert errors[1] < 1e-3, (name, scheme, kind, errors[1])

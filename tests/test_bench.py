@@ -17,6 +17,9 @@ from fermiqc.mappings import MappingScheme
 from fermiqc.trotter import OrderingStrategy
 
 
+SPEC = "synthetic:n=2,seed=1"
+
+
 def tiny_config(**overrides):
     cfg = dict(
         inputs=[BenchInput.parse("synthetic:n=2,seed=3")],
@@ -50,6 +53,8 @@ class TestBenchInput:
         ("synthetic:n=2,density=dense", "density must be float, got 'dense'"),
         ("synthetic:seed=1", "missing key 'n'"),
         ("synthetic:n", "n must be int, got ''"),
+        ("synthetic:n=0", "n must be at least 1, got 0"),
+        ("synthetic:n=-1,seed=2", "n must be at least 1, got -1"),
     ])
     def test_parse_synthetic_rejects_bad_spec(self, spec, fragment):
         with pytest.raises(click.BadParameter) as err:
@@ -211,6 +216,9 @@ class TestCli:
         by_steps = {p["n_steps"]: p for p in payload}
         assert by_steps[10]["error"] < by_steps[1]["error"]
         assert abs(by_steps[1]["exact_energy"] - (-1.137270175)) < 1e-6
+        for p in payload:
+            assert list(p)[:5] == ["system", "n_qubits", "mapping", "ordering", "n_steps"]
+            assert p["ordering"] == "magnitude" and p["mapping"] == "jw"
 
     def test_magnitude_direction_flag(self):
         base = ["bench", "synthetic:n=2,seed=1", "--mapping", "jw",
@@ -231,6 +239,34 @@ class TestCli:
         assert "Invalid value for '--time'" in r.output
         assert r.exception is None or isinstance(r.exception, SystemExit)
 
+    @pytest.mark.parametrize("qubits", ["0", "-2"])
+    def test_compile_rejects_bad_register_size(self, qubits, tmp_path):
+        terms = tmp_path / "t.terms"
+        terms.write_text("(1.0,0.0) X0\n")
+        r = CliRunner().invoke(main, ["compile", str(terms), "--qubits", qubits])
+        assert r.exit_code == 2
+        assert "Invalid value for '--qubits'" in r.output
+
+    @pytest.mark.parametrize("repeated,once", [
+        (["bench", SPEC, "synthetic:seed=1,n=2"], ["bench", SPEC]),
+        (["bench", SPEC, "--mapping", "jw", "--mapping", "bk", "--mapping", "jw"],
+         ["bench", SPEC, "--mapping", "jw", "--mapping", "bk"]),
+        (["bench", SPEC, "--mode", "ancilla", "--mode", "ancilla"],
+         ["bench", SPEC, "--mode", "ancilla"]),
+        (["bench", SPEC, "--orderings", "random:1,lex,random:01"],
+         ["bench", SPEC, "--orderings", "random:1,lex"]),
+        (["trotter-error", SPEC, SPEC], ["trotter-error", SPEC]),
+        (["trotter-error", SPEC, "--mapping", "bk", "--mapping", "bk"],
+         ["trotter-error", SPEC, "--mapping", "bk"]),
+        (["trotter-error", SPEC, "--orderings", "lex,lex"],
+         ["trotter-error", SPEC, "--orderings", "lex"]),
+        (["trotter-error", SPEC, "--steps", "1,1"], ["trotter-error", SPEC, "--steps", "1"]),
+    ], ids=["bench-inputs", "bench-mapping", "bench-mode", "bench-orderings",
+            "trotter-error-inputs", "trotter-error-mapping", "trotter-error-orderings",
+            "trotter-error-steps"])
+    def test_repeated_value_runs_once(self, repeated, once):
+        assert self.run(*repeated).output == self.run(*once).output
+
     def test_optimize_rejects_negative_window(self, tmp_path):
         circ = tmp_path / "c.txt"
         circ.write_text("QUBITS 1 ANCILLA 0\nH 0\nH 0\n")
@@ -238,7 +274,8 @@ class TestCli:
         assert r.exit_code == 2
         assert "Invalid value for '--window'" in r.output
 
-    @pytest.mark.parametrize("spec", ["synthetic:n=2,sed=1", "synthetic:n=x"])
+    @pytest.mark.parametrize("spec", ["synthetic:n=2,sed=1", "synthetic:n=x", "synthetic:n=0",
+                                      "synthetic:n=-1"])
     def test_bad_synthetic_spec_is_one_line(self, spec):
         r = CliRunner().invoke(main, ["bench", spec])
         assert r.exit_code == 2
@@ -309,12 +346,14 @@ class TestCli:
         ("map", "missing.fcidump", "[Errno 2] No such file or directory: 'missing.fcidump'"),
         ("compile", "missing.terms", "[Errno 2] No such file or directory: 'missing.terms'"),
         ("optimize", "missing.circ", "[Errno 2] No such file or directory: 'missing.circ'"),
+        ("map", "neg.fcidump", "line 1: NORB must be at least 1, got -1"),
     ], ids=["missing-file", "malformed", "above-map-limit", "above-matrix-limit",
             "map-malformed", "map-missing-file", "compile-missing-file",
-            "optimize-missing-file"])
+            "optimize-missing-file", "map-negative-norb"])
     def test_bad_input_is_one_line(self, command, spec, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.fcidump").write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.5 1 1\n")
+        (tmp_path / "neg.fcidump").write_text("&FCI NORB=-1,NELEC=2,\n&END\n")
         # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map limit.
         (tmp_path / "big.fcidump").write_text("&FCI NORB=33,NELEC=2,MS2=0,\n&END\n"
                                               " 0.5   1   1   0   0\n")

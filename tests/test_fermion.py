@@ -1,15 +1,12 @@
 """Integral I/O, Hamiltonian construction and the occupation-basis oracle."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fermiqc import fermion
-from fermiqc.fermion import (FcidumpError, FermionOperator, IntegralSet,
-                             ResourceLimitError, build_hamiltonian,
+from fermiqc.fermion import (FermionOperator, IntegralSet, ResourceLimitError, build_hamiltonian,
                              parse_fcidump, synthetic_integrals, write_fcidump)
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_text, reference_energy
 from fermiqc.simulator import ground_state
@@ -25,7 +22,6 @@ class TestParseFcidump:
         np.testing.assert_allclose(back.one_body, ints.one_body, atol=1e-14)
         np.testing.assert_allclose(back.two_body, ints.two_body, atol=1e-14)
         assert back.core_energy == pytest.approx(ints.core_energy)
-        assert not back.core_energy_missing
 
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1),
            st.floats(0.0, 1.0, exclude_min=True))
@@ -36,12 +32,6 @@ class TestParseFcidump:
         assert back.two_body.tobytes() == ints.two_body.tobytes()
         assert back.core_energy == ints.core_energy
         assert (back.n_spatial, back.n_electrons, back.ms2) == (n, ints.n_electrons, ints.ms2)
-
-    def test_accepts_stream_and_bytes(self):
-        text = write_fcidump(synthetic_integrals(2, seed=0))
-        a = parse_fcidump(io.StringIO(text))
-        b = parse_fcidump(text.encode())
-        np.testing.assert_allclose(a.two_body, b.two_body)
 
     def test_comment_lines_skipped(self):
         text = write_fcidump(synthetic_integrals(2, seed=1), comments=["note"])
@@ -63,26 +53,22 @@ class TestParseFcidump:
         ints.validate()
 
     def test_missing_header(self):
-        with pytest.raises(FcidumpError, match="&FCI"):
+        with pytest.raises(ValueError, match="&FCI"):
             parse_fcidump("NORB=2\n&END\n")
 
     def test_missing_terminator(self):
-        with pytest.raises(FcidumpError, match="&END"):
+        with pytest.raises(ValueError, match="&END"):
             parse_fcidump("&FCI NORB=2,NELEC=2,\n")
 
     def test_bad_row_reports_line(self):
         text = "&FCI NORB=2,NELEC=2,\n&END\n0.5 1 1\n"
-        with pytest.raises(FcidumpError, match="line 3"):
+        with pytest.raises(ValueError, match="line 3"):
             parse_fcidump(text)
 
     def test_index_out_of_range(self):
         text = "&FCI NORB=2,NELEC=2,\n&END\n0.5 3 1 0 0\n"
-        with pytest.raises(FcidumpError, match="out of range"):
+        with pytest.raises(ValueError, match="out of range"):
             parse_fcidump(text)
-
-    def test_core_energy_missing_flag(self):
-        text = "&FCI NORB=1,NELEC=1,\n&END\n0.5 1 1 0 0\n"
-        assert parse_fcidump(text).core_energy_missing
 
 
 class TestIntegralSet:

@@ -20,20 +20,20 @@ from oracles import fock_matrix, random_fermion_operator, reference_map_operator
 
 class TestBkMatrix:
     def test_small_sizes(self):
-        np.testing.assert_array_equal(bk_matrix(1).bits, [[1]])
-        np.testing.assert_array_equal(bk_matrix(2).bits, [[1, 0], [1, 1]])
+        np.testing.assert_array_equal(bk_matrix(1), [[1]])
+        np.testing.assert_array_equal(bk_matrix(2), [[1, 0], [1, 1]])
         np.testing.assert_array_equal(
-            bk_matrix(4).bits,
+            bk_matrix(4),
             [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1]])
 
     def test_truncation_is_top_left_block(self):
-        full = bk_matrix(16).bits
+        full = bk_matrix(16)
         for n in (3, 5, 9, 12):
-            np.testing.assert_array_equal(bk_matrix(n).bits, full[:n, :n])
+            np.testing.assert_array_equal(bk_matrix(n), full[:n, :n])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 13, 32])
     def test_unit_lower_triangular_and_invertible(self, n):
-        m = bk_matrix(n).bits
+        m = bk_matrix(n)
         assert np.all(np.triu(m, 1) == 0)
         assert np.all(np.diag(m) == 1)
         # unit lower triangular over GF(2) is always invertible
@@ -48,7 +48,7 @@ class TestBkIndexSets:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 8, 12, 16])
     def test_update_set_matches_matrix_column(self, n):
-        m = bk_matrix(n).bits
+        m = bk_matrix(n)
         for i in range(n):
             expected = frozenset(j for j in range(n) if j > i and m[j, i])
             assert bk_index_sets(i, n).update == expected, (i, n)
@@ -60,7 +60,7 @@ class TestBkIndexSets:
         tm = bk_matrix(n)
         for _ in range(20):
             occ = rng.integers(0, 2, size=n)
-            qubits = tm.bits @ occ % 2
+            qubits = tm @ occ % 2
             for i in range(n):
                 folded = int(sum(qubits[j] for j in bk_index_sets(i, n).flip) % 2)
                 assert qubits[i] == (occ[i] + folded) % 2, (i, n)
@@ -71,7 +71,7 @@ class TestBkIndexSets:
         tm = bk_matrix(n)
         for _ in range(20):
             occ = rng.integers(0, 2, size=n)
-            qubits = tm.bits @ occ % 2
+            qubits = tm @ occ % 2
             for i in range(n):
                 want = int(np.sum(occ[:i]) % 2)
                 got = int(sum(qubits[j] for j in bk_index_sets(i, n).parity) % 2)
@@ -170,7 +170,7 @@ class TestStateTranslation:
         for _ in range(10):
             occ = rng.integers(0, 2, size=n)
             idx = int(sum(int(b) << j for j, b in enumerate(occ)))
-            enc = occ if scheme is MappingScheme.JORDAN_WIGNER else bk_matrix(n).bits @ occ % 2
+            enc = occ if scheme is MappingScheme.JORDAN_WIGNER else bk_matrix(n) @ occ % 2
             want = int(sum(int(b) << j for j, b in enumerate(enc)))
             assert perm[idx] == want
 

@@ -13,7 +13,7 @@ from fermiqc.simulator import (EigensolverError, ResourceLimitError, apply_trott
                                ground_state, operator_matrix, safe_evolution_time,
                                trotter_error)
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_text
-from fermiqc.trotter import OrderingStrategy, build_plan, plan_for
+from fermiqc.trotter import OrderingStrategy, TrotterPlan, plan_for
 
 from oracles import (assert_same_up_to_phase, circuit_unitary, operator_dense,
                      pauli_exponential, pauli_matrix, random_pauli_string,
@@ -154,9 +154,7 @@ class TestTrotterError:
         estimates = []
         for t in (0.1, 0.05):
             plan = plan_for(qop, OrderingStrategy("magnitude"), 2000, t)
-            rep = trotter_error(plan, energy, ground, "magnitude", "jw")
-            estimates.append(rep.estimated_energy)
-            assert rep.ordering == "magnitude" and rep.mapping == "jw"
+            estimates.append(trotter_error(plan, energy, ground).estimated_energy)
         assert estimates[0] == pytest.approx(estimates[1], abs=1e-8)
 
     def test_exact_plan_has_negligible_error(self, rng):
@@ -298,7 +296,7 @@ class TestAgainstReference:
         assert_same_csr(operator_matrix(op), reference_operator_matrix(op))
         ordered = list(op.items())
         random.shuffle(ordered)
-        plan = build_plan(ordered, n_steps, time, n_qubits=op.n)
+        plan = TrotterPlan(op.n, ordered, n_steps, time)
         rng = np.random.default_rng(random.getrandbits(32))
         state = rng.normal(size=1 << op.n) + 1j * rng.normal(size=1 << op.n)
         assert np.array_equal(apply_trotterized(plan, state),

@@ -3,8 +3,7 @@
 import pytest
 
 from fermiqc.pauli import PauliString, QubitOperator
-from fermiqc.trotter import (OrderingStrategy, TrotterPlan, build_plan, order_terms,
-                             plan_for)
+from fermiqc.trotter import OrderingStrategy, order_terms, plan_for
 
 
 def make_operator():
@@ -96,15 +95,12 @@ class TestTrotterPlan:
             assert theta == pytest.approx(2.0 * coeff.real * 2.0 / 4)
 
     def test_offset_includes_constant(self):
-        plan = plan_for(make_operator(), OrderingStrategy("lex"), 1, 1.0,
-                        extra_offset=0.25)
-        assert plan.scalar_offset == pytest.approx(1.0)
+        plan = plan_for(make_operator(), OrderingStrategy("lex"), 1, 1.0)
+        assert plan.scalar_offset == pytest.approx(0.75)
 
-    def test_build_plan_validation(self):
-        with pytest.raises(ValueError):
-            build_plan([], 1, 1.0)
-        with pytest.raises(ValueError):
-            build_plan([(PauliString.from_label("X"), 1.0)], 0, 1.0)
+    def test_plan_for_rejects_zero_steps(self):
+        with pytest.raises(ValueError, match="need at least one Trotter step"):
+            plan_for(make_operator(), OrderingStrategy("lex"), 0, 1.0)
 
     @pytest.mark.parametrize("constant,coeff,bad", [(0.0, 1.0 + 2.0j, "XY"),
                                                     (0.5 - 1e-3j, 1.0, "II")])
@@ -116,8 +112,3 @@ class TestTrotterPlan:
     def test_plan_for_keeps_imaginary_parts_within_tolerance(self):
         op = QubitOperator(1, {PauliString.from_label("X"): 1.0 + 1e-13j}, constant=1e-13j)
         assert plan_for(op, OrderingStrategy("lex"), 1, 1.0).angles() == [2.0]
-
-    def test_register_size_inferred(self):
-        plan = build_plan([(PauliString.from_label("XZ"), 1.0)], 2, 0.5)
-        assert isinstance(plan, TrotterPlan)
-        assert plan.n_qubits == 2

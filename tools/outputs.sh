@@ -1,0 +1,80 @@
+#!/usr/bin/env bash
+# Write the outputs of all five commands on a fixed input set into OUTDIR.
+#
+# Usage: tools/outputs.sh OUTDIR
+#
+# Each command's stdout goes to <name>.out, its stderr to <name>.err and its
+# exit status to <name>.code.  The package is imported from the src/ next to
+# this script, so running the script in two checkouts and comparing with
+# `diff -r` shows every byte a change moves:
+#
+#   tools/outputs.sh /tmp/after
+#   (cd ../other-checkout && /path/to/tools/outputs.sh /tmp/before)
+#   diff -r /tmp/before /tmp/after
+#
+# A copy of the script placed in the other checkout's tools/ runs that
+# checkout's code.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUTDIR" >&2
+    exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+out=$(cd "$1" && pwd)
+fixtures="$root/src/fermiqc/fixtures"
+export PYTHONPATH="$root/src"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+# run NAME ARGS...: one fermiqc invocation from the scratch directory, so
+# the relative paths in error messages are the same in every checkout.
+run() {
+    local name=$1
+    shift
+    local code=0
+    (cd "$work" && python3 -m fermiqc.cli "$@") >"$out/$name.out" 2>"$out/$name.err" || code=$?
+    echo "$code" >"$out/$name.code"
+}
+
+for fixture in h2_sto3g h2_631g lih_sto3g; do
+    for mapping in jw bk; do
+        run "map-$fixture-$mapping" map "$fixtures/$fixture.fcidump" --mapping "$mapping"
+    done
+done
+for mapping in jw bk; do
+    run "map-synthetic-$mapping" map synthetic:n=6,seed=3 --mapping "$mapping"
+done
+
+cp "$out/map-lih_sto3g-jw.out" "$work/lih.terms"
+for ordering in magnitude lex lexomag random:7; do
+    for mode in canonical basis_shift ancilla; do
+        run "compile-${ordering/:/-}-$mode" compile lih.terms --steps 2 \
+            --ordering "$ordering" --mode "$mode"
+    done
+done
+
+cp "$out/compile-magnitude-canonical.out" "$work/lih.circ"
+for level in full cancel none; do
+    run "optimize-$level" optimize lih.circ --optimize "$level"
+done
+
+run bench-fixtures bench "$fixtures/h2_sto3g.fcidump" "$fixtures/h2_631g.fcidump" \
+    "$fixtures/lih_sto3g.fcidump" --orderings magnitude,lex,lexomag,random:7 \
+    --mode canonical --mode basis_shift --mode ancilla
+run bench-lih-error bench "$fixtures/lih_sto3g.fcidump" --error --format json --steps 2
+run trotter-error trotter-error "$fixtures/lih_sto3g.fcidump" "$fixtures/h2_631g.fcidump" \
+    --orderings magnitude,lex --steps 1,20 --time 0.1
+
+# The bad inputs of tests/test_bench.py::TestCli::test_bad_input_is_one_line.
+printf '&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.5 1 1\n' >"$work/bad.fcidump"
+printf '&FCI NORB=33,NELEC=2,MS2=0,\n&END\n 0.5   1   1   0   0\n' >"$work/big.fcidump"
+run bad-trotter-error-missing trotter-error missing.fcidump
+run bad-trotter-error-malformed trotter-error bad.fcidump
+run bad-trotter-error-map-limit trotter-error big.fcidump
+run bad-trotter-error-matrix-limit trotter-error synthetic:n=9
+run bad-map-malformed map bad.fcidump
+run bad-map-missing map missing.fcidump
+run bad-compile-missing compile missing.terms
+run bad-optimize-missing optimize missing.circ
