@@ -10,7 +10,8 @@ Conventions fixed here (they matter for every downstream comparison):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -37,19 +38,44 @@ class IntegralSet:
                 raise ValueError("two-body integrals lack 8-fold symmetry")
 
 
-@dataclass
 class FermionOperator:
-    """Sum of ladder-operator products: (coeff, ((mode, dagger), ...))."""
+    """Sum of ladder-operator products: (coeff, ((mode, dagger), ...)).
 
-    n_modes: int
-    products: list[tuple[complex, tuple[tuple[int, bool], ...]]] = field(default_factory=list)
-    constant: float = 0.0
+    The products are held as the ``products`` list, as ``arrays()`` or both;
+    each form is made from the other on first use.  ``add`` edits the list.
+    """
+
+    def __init__(self, n_modes: int, constant: float = 0.0, arrays: tuple | None = None):
+        self.n_modes, self.constant, self._arrays = n_modes, constant, arrays
+        self._products: list | None = None if arrays is not None else []
+
+    @property
+    def products(self) -> list[tuple[complex, tuple[tuple[int, bool], ...]]]:
+        if self._products is None:
+            coeffs, lengths, modes, dagger = self._arrays
+            shared = [(m, d) for m in range(self.n_modes) for d in (False, True)]
+            factors = map(shared.__getitem__, (2 * modes + dagger).tolist())
+            self._products = [(c, tuple(islice(factors, k)))
+                              for c, k in zip(coeffs.tolist(), lengths.tolist())]
+        return self._products
 
     def add(self, coeff: complex, factors: tuple[tuple[int, bool], ...]) -> None:
         for mode, _ in factors:
             if not 0 <= mode < self.n_modes:
                 raise ValueError(f"mode {mode} outside register of size {self.n_modes}")
         self.products.append((coeff, factors))
+        self._arrays = None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(coefficients, factor counts, modes, dagger flags): one entry per
+        product, then one per factor of all products in order."""
+        if self._arrays is None:
+            factors = [f for _, f in self._products]
+            flat = np.fromiter(chain.from_iterable(chain.from_iterable(factors)), np.int64)
+            self._arrays = (np.array([c for c, _ in self._products], dtype=complex),
+                            np.fromiter(map(len, factors), np.int64, len(factors)),
+                            flat[0::2], flat[1::2].astype(bool))
+        return self._arrays
 
 
 _HEADER_RE = re.compile(r"&FCI(.*)", re.IGNORECASE | re.DOTALL)
@@ -70,6 +96,16 @@ def _fill_8fold(g: np.ndarray, p: int, q: int, r: int, s: int, v: float) -> None
     for a, b in ((p, q), (q, p)):
         for c, d in ((r, s), (s, r)):
             g[a, b, c, d] = g[c, d, a, b] = v
+
+
+def _header_int(keys: dict[str, str], key: str) -> int:
+    if key not in keys:
+        raise ValueError(f"line 1: header missing {key}")
+    value = keys[key].split(",")[0]
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"line 1: {key} must be an integer, got {value!r}") from None
 
 
 def parse_fcidump(text: str) -> IntegralSet:
@@ -95,17 +131,12 @@ def parse_fcidump(text: str) -> IntegralSet:
     if m is None:
         raise ValueError("line 1: missing &FCI header")
     content = re.split(r"&END|(?<=\s)/", m.group(1), flags=re.IGNORECASE)[0]
-    keys = {}
+    keys = {"MS2": "0"}
     for key, val in _KEY_RE.findall(content):
         keys[key.upper()] = val
-    try:
-        norb = int(keys["NORB"].split(",")[0])
-        nelec = int(keys["NELEC"].split(",")[0])
-    except KeyError as exc:
-        raise ValueError(f"line 1: header missing {exc.args[0]}") from None
+    norb, nelec, ms2 = (_header_int(keys, key) for key in ("NORB", "NELEC", "MS2"))
     if norb < 1:
         raise ValueError(f"line 1: NORB must be at least 1, got {norb}")
-    ms2 = int(keys.get("MS2", "0").split(",")[0])
 
     h = np.zeros((norb, norb))
     g = np.zeros((norb, norb, norb, norb))
@@ -166,34 +197,27 @@ def write_fcidump(ints: IntegralSet, comments: list[str] | None = None) -> str:
 
 
 def build_hamiltonian(ints: IntegralSet) -> FermionOperator:
-    """Spin-orbital Hamiltonian over 2*n_spatial modes.
+    """Spin-orbital Hamiltonian over 2*n_spatial modes, built as arrays.
 
     One-body: sum_pq h_pq a+_{p,s} a_{q,s}.  Two-body, from chemists'
     (pq|rs): 1/2 sum (pq|rs) a+_{p,s} a+_{r,t} a_{s_orb:=s,t} a_{q,s}.
+    The products come per nonzero integral in row-major order, then per
+    spin (s before t); two-body products that repeat a mode are left out.
     """
-    n = ints.n_spatial
-    op = FermionOperator(2 * n, constant=ints.core_energy)
-    # Shared factor tuples; nonzero() walks the arrays in row-major order,
-    # the order of the nested index loops, and every mode is in range.
-    cre = [(m, True) for m in range(2 * n)]
-    ann = [(m, False) for m in range(2 * n)]
-    products = op.products
-    h = ints.one_body
-    for p, q in zip(*(a.tolist() for a in np.nonzero(h))):
-        v = h[p, q]
-        for spin in (0, 1):
-            products.append((v, (cre[2 * p + spin], ann[2 * q + spin])))
-    g = ints.two_body
-    nz = np.nonzero(g)
-    for p, q, r, s, v in zip(*(a.tolist() for a in nz), g[nz]):
-        half = 0.5 * v
-        for s1 in (0, 1):
-            i, l = 2 * p + s1, 2 * q + s1
-            for s2 in (0, 1):
-                j, k = 2 * r + s2, 2 * s + s2
-                if i != j and k != l:
-                    products.append((half, (cre[i], cre[j], ann[k], ann[l])))
-    return op
+    h, g = ints.one_body, ints.two_body
+    spin, nz, nz2 = np.arange(2), np.nonzero(h), np.nonzero(g)
+    one = np.stack([2 * a[:, None] + spin for a in nz], -1).reshape(-1, 2)  # (a+_i, a_l)
+    p, q, r, s = (2 * a[:, None, None] for a in nz2)
+    i, j, k, l = np.broadcast_arrays(p + spin[:, None], r + spin, s + spin, q + spin[:, None])
+    keep = (i != j) & (k != l)
+    two = np.stack((i[keep], j[keep], k[keep], l[keep]), -1)  # (a+_i, a+_j, a_k, a_l)
+    half = np.broadcast_to(0.5 * g[nz2][:, None, None], keep.shape)[keep]
+    return FermionOperator(2 * ints.n_spatial, ints.core_energy, (
+        np.concatenate((np.repeat(h[nz], 2), half)),
+        np.repeat([2, 4], (len(one), len(two))),
+        np.concatenate((one.ravel(), two.ravel())),
+        np.concatenate((np.tile([True, False], len(one)),
+                        np.tile([True, True, False, False], len(two))))))
 
 
 def synthetic_integrals(n_spatial: int, seed: int, density: float = 1.0) -> IntegralSet:

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, repeat
 
 import numpy as np
 
 from .fermion import FermionOperator, ResourceLimitError
-from .pauli import DEFAULT_TOL, PauliString, QubitOperator
+from .pauli import DEFAULT_TOL, QubitOperator
 
 
 class MappingScheme(str, Enum):
@@ -138,19 +137,14 @@ def map_operator(op: FermionOperator, scheme: MappingScheme) -> QubitOperator:
     n = op.n_modes
     if n > MAP_MODE_LIMIT:
         raise ResourceLimitError(f"{n} modes exceeds the {MAP_MODE_LIMIT}-mode map limit")
-    out = QubitOperator(n, constant=op.constant)
-    if not op.products:
-        return out
+    coeffs, lengths, modes, dagger = op.arrays()
+    if not len(coeffs):
+        return QubitOperator(n, constant=op.constant)
     imgs = np.array(_ladder_images(n, scheme), dtype=np.uint64).reshape(n, 3)
-    coeffs, factors = zip(*op.products)
-    coeffs = np.array(coeffs, dtype=complex)
-    lengths = np.fromiter(map(len, factors), dtype=np.int64, count=len(factors))
-    modes, dagger = np.fromiter(chain.from_iterable(chain.from_iterable(factors)),
-                                dtype=np.int64).reshape(-1, 2).T
     bad = modes[(modes < 0) | (modes >= n)]
     if len(bad):
         raise ValueError(f"mode {bad[0]} outside register of size {n}")
-    modes, dagger = modes.astype(np.uint8), dagger.astype(bool)
+    modes = modes.astype(np.uint8)
     starts = np.cumsum(lengths) - lengths
     prefix = np.concatenate(([np.uint64(0)], np.bitwise_xor.accumulate(imgs[modes, 0])))
     xmask = prefix[starts + lengths] ^ prefix[starts]
@@ -173,14 +167,12 @@ def map_operator(op: FermionOperator, scheme: MappingScheme) -> QubitOperator:
     by_first = np.argsort(first)
     x, z, coeff = x[by_first], z[by_first], coeff[by_first]
     ident = (x == 0) & (z == 0)
+    constant = complex(op.constant)
     if ident.any():
-        out.constant += complex(coeff[ident][0])
+        constant += complex(coeff[ident][0])
     keep = ~ident
-    # The keys are distinct and not the identity, so the terms are stored
-    # directly, with the `+ 0.0` of add_term (it turns -0.0 parts into +0.0).
-    out._terms = dict(zip(map(PauliString, repeat(n), x[keep].tolist(), z[keep].tolist()),
-                          (coeff[keep] + 0.0).tolist()))
-    return out
+    # The keys are distinct; `+ 0.0`, as in add_term, turns -0.0 parts into +0.0.
+    return QubitOperator.from_arrays(n, x[keep], z[keep], coeff[keep] + 0.0, constant)
 
 
 def _expand_chunk(imgs, coeffs, starts, modes, dagger, xmask, first_entry, prods, loc):

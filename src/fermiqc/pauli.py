@@ -3,16 +3,20 @@
 Strings are stored symplectically as a pair of bitmasks (x, z):
 I=(0,0), X=(1,0), Y=(1,1), Z=(0,1) on each qubit.  The equivalent
 base-4 digit encoding used for lexicographic ordering is
-I=0, X=1, Y=2, Z=3, with qubit 0 the most significant digit; ``lex_key``
-reads those digits as one integer (digit = 2z + (x xor z)), built a byte
-of qubits at a time.
+I=0, X=1, Y=2, Z=3, with qubit 0 the most significant digit; ``lex_order``
+sorts arrays of strings by those digits (digit = 2z + (x xor z)), built a
+byte of qubits at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 AXIS_CHARS = "IXYZ"
 
@@ -97,34 +101,60 @@ class PauliString:
 
 
 # Byte of 8 qubit bits -> those bits two apart, qubit 0 highest (bit i -> bit 14 - 2i).
-_SPREAD = tuple(sum(1 << (14 - 2 * i) for i in range(8) if b >> i & 1) for b in range(256))
+_SPREAD = np.uint16([sum(1 << (14 - 2 * i) for i in range(8) if b >> i & 1) for b in range(256)])
 
 
-def lex_key(s: PauliString) -> int:
-    """Base-4 digits (I=0, X=1, Y=2, Z=3) read as one integer, qubit 0 most
-    significant; on one register it orders strings like their labels."""
-    d = s.x ^ s.z  # digit = 2z + (x ^ z)
-    key = 0
-    for shift in range(0, s.n, 8):
-        key = key << 16 | _SPREAD[s.z >> shift & 255] << 1 | _SPREAD[d >> shift & 255]
-    return key >> 2 * (-s.n % 8)  # drop the padding digits of the last byte
+def lex_order(n: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Indices that sort the strings (x[i], z[i]) on n qubits like their labels, by
+    one 16-bit key of base-4 digits per byte of qubits (masks above 64 qubits are ints)."""
+    d = x ^ z  # digit = 2z + (x ^ z)
+    keys = [_SPREAD[(z >> q & 255).astype(np.intp)] << 1 | _SPREAD[(d >> q & 255).astype(np.intp)]
+            for q in range(0, max(n, 1), 8)]
+    return np.lexsort(keys[::-1])
 
 
 class QubitOperator:
     """Weighted sum of Pauli strings on a fixed register.
 
     The identity component is held apart as ``constant`` and never enters
-    the term dictionary; duplicate strings are merged on insertion.
+    the terms; duplicate strings are merged on insertion.  The terms are a
+    dictionary, ``arrays()`` or both; each form is made from the other on
+    first use.  ``add_term`` edits the dictionary.
     """
 
     def __init__(self, n: int, terms: Mapping[PauliString, complex] | None = None,
                  constant: complex = 0.0):
         self.n = n
         self.constant = complex(constant)
-        self._terms: dict[PauliString, complex] = {}
+        self._terms: dict[PauliString, complex] | None = {}
+        self._arrays: tuple | None = None
         if terms:
             for s, c in terms.items():
                 self.add_term(c, s)
+
+    @classmethod
+    def from_arrays(cls, n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
+                    constant: complex = 0.0) -> "QubitOperator":
+        """Terms from distinct non-identity masks, laid out as :meth:`arrays`."""
+        op = cls(n, constant=constant)
+        op._terms, op._arrays = None, (x, z, coeffs)
+        return op
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X masks, Z masks, coefficients) in term order; masks above 64 qubits are ints."""
+        if self._arrays is None:
+            mask = np.uint64 if self.n <= 64 else object
+            self._arrays = (np.array([s.x for s in self._terms], dtype=mask),
+                            np.array([s.z for s in self._terms], dtype=mask),
+                            np.array(list(self._terms.values()), dtype=complex))
+        return self._arrays
+
+    def _dict(self) -> dict[PauliString, complex]:
+        if self._terms is None:
+            x, z, coeffs = self._arrays
+            self._terms = dict(zip(map(PauliString, repeat(self.n), x.tolist(), z.tolist()),
+                                   coeffs.tolist()))
+        return self._terms
 
     def add_term(self, coeff: complex, string: PauliString) -> None:
         if string.n != self.n:
@@ -132,57 +162,60 @@ class QubitOperator:
         if string.is_identity():
             self.constant += coeff
             return
-        new = self._terms.get(string, 0.0) + coeff
+        terms, self._arrays = self._dict(), None
+        new = terms.get(string, 0.0) + coeff
         if new == 0:
-            self._terms.pop(string, None)
+            terms.pop(string, None)
         else:
-            self._terms[string] = new
+            terms[string] = new
 
     @property
     def terms(self) -> Mapping[PauliString, complex]:
         """Read-only view of the non-identity terms (not a copy)."""
-        return MappingProxyType(self._terms)
+        return MappingProxyType(self._dict())
 
     def items(self) -> Iterator[tuple[PauliString, complex]]:
-        return iter(self._terms.items())
+        return iter(self._dict().items())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._terms if self._terms is not None else self._arrays[2])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QubitOperator):
             return NotImplemented
         return (self.n == other.n and self.constant == other.constant
-                and self._terms == other._terms)
+                and self._dict() == other._dict())
 
     def coefficient_norm(self) -> float:
         """Sum of |c_j| over non-identity terms (spectral-width bound)."""
-        return sum(abs(c) for c in self._terms.values())
+        return sum(abs(c) for c in self._dict().values())
 
     def __repr__(self):
-        return f"QubitOperator(n={self.n}, terms={len(self._terms)}, constant={self.constant})"
+        return f"QubitOperator(n={self.n}, terms={len(self)}, constant={self.constant})"
+
+
+@lru_cache(maxsize=None)
+def _op_fields(q: int) -> tuple[str, ...]:
+    """The fields (" X<q> Z<q+2>", ...) of qubits q..q+3, by nibbles x + 16 z."""
+    return tuple("".join(f" {'IXZY'[(i >> k & 1) | (i >> k + 4 & 1) << 1]}{q + k}"
+                         for k in range(4) if (i | i >> 4) >> k & 1) for i in range(256))
 
 
 def format_terms(op: QubitOperator) -> str:
     """Serialize one term per line: ``(re,im) X0 Z1 ...``; identity has no ops."""
-    names = [("", f"X{q}", f"Z{q}", f"Y{q}") for q in range(op.n)]  # by x bit + 2 * z bit
-    lines = []
-    if op.constant != 0:
-        lines.append(_format_term(op.constant, PauliString(op.n), names))
-    for s in sorted(op._terms, key=lex_key):
-        lines.append(_format_term(op._terms[s], s, names))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _format_term(coeff: complex, s: PauliString, names: list[tuple[str, ...]]) -> str:
-    fields = [f"({coeff.real!r},{coeff.imag!r})"]
-    x, z = s.x, s.z
-    m = x | z
-    while m:  # the set bits, lowest qubit first
-        q = (m & -m).bit_length() - 1
-        fields.append(names[q][(x >> q & 1) | (z >> q & 1) << 1])
-        m &= m - 1
-    return " ".join(fields)
+    x, z, coeffs = op.arrays()
+    order = lex_order(op.n, x, z)
+    x, z, c = x[order], z[order], coeffs[order]
+    # repr is most of the cost, so each distinct float (by its bits) is written once.
+    bits, at = np.unique(np.concatenate((c.real, c.imag)).view(np.int64), return_inverse=True)
+    parts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[at].tolist()
+    # One table field per 4 qubits, lowest first.
+    fields = [map(_op_fields(q).__getitem__, (x >> q & 15 | (z >> q & 15) << 4).tolist())
+              for q in range(0, op.n, 4)]
+    lines = map("".join, zip(repeat("("), parts[:len(c)], repeat(","), parts[len(c):],
+                             repeat(")"), *fields, repeat("\n")))
+    head = [f"({op.constant.real!r},{op.constant.imag!r})\n"] if op.constant != 0 else []
+    return "".join(chain(head, lines))
 
 
 def parse_terms(text: str, n_qubits: int | None = None) -> QubitOperator:

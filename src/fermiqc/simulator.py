@@ -120,7 +120,7 @@ def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
     for _ in range(plan.n_steps):
         for perm, flip, cos, scale in table:
             # mode="wrap" spares the copy of `out` that "raise" makes; perm is in range.
-            np.take(psi, perm, out=moved, mode="wrap")
+            psi.take(perm, out=moved, mode="wrap")
             np.negative(moved, out=moved, where=flip)
             moved *= scale
             psi *= cos

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .pauli import DEFAULT_TOL, PauliString, QubitOperator, lex_key
+from .pauli import DEFAULT_TOL, PauliString, QubitOperator, lex_order
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ def _magnitude_sorted(terms: list[tuple[PauliString, complex]],
 
 def order_terms(op: QubitOperator, strategy: OrderingStrategy) -> list[tuple[PauliString, complex]]:
     """Permute the operator's non-identity terms per the chosen strategy."""
-    terms = sorted(op.items(), key=lambda t: lex_key(t[0]))
+    items, (x, z, _) = list(op.items()), op.arrays()
+    terms = [items[i] for i in lex_order(op.n, x, z).tolist()]
     if strategy.kind == "lex":
         return terms
     if strategy.kind == "magnitude":

@@ -4,9 +4,10 @@ Everything here is built from first principles (explicit Kronecker
 products, dense linear algebra, a ladder-operator Fock-space matrix, a
 gate-by-gate circuit unitary, a plain list-based peephole optimizer,
 gate-by-gate circuit-file loops, term-by-term simulator loops, a
-dictionary-based fermion-to-qubit expansion) so the package code under
-test is never used to check itself.  The package supplies its data types
-and, to the mapping reference, its per-mode ladder images.
+nested-loop Hamiltonian construction, a dictionary-based fermion-to-qubit
+expansion) so the package code under test is never used to check itself.
+The package supplies its data types and, to the mapping reference, its
+per-mode ladder images.
 """
 
 import cmath
@@ -396,6 +397,27 @@ def reference_apply_trotterized(plan, state: np.ndarray) -> np.ndarray:
             rows, phases = _reference_pauli_action(string, len(psi))
             psi = math.cos(phi) * psi - 1j * math.sin(phi) * (phases * psi)[rows]
     return psi
+
+
+# ---- reference Hamiltonian construction -------------------------------------
+# The nested index loops build_hamiltonian must reproduce product by product.
+
+def reference_build_hamiltonian(ints) -> FermionOperator:
+    n = ints.n_spatial
+    op = FermionOperator(2 * n, constant=ints.core_energy)
+    h, g = ints.one_body, ints.two_body
+    for p, q in zip(*np.nonzero(h)):
+        for spin in (0, 1):
+            op.add(h[p, q], ((2 * p + spin, True), (2 * q + spin, False)))
+    for p, q, r, s in zip(*np.nonzero(g)):
+        half = 0.5 * g[p, q, r, s]
+        for s1 in (0, 1):
+            i, l = 2 * p + s1, 2 * q + s1
+            for s2 in (0, 1):
+                j, k = 2 * r + s2, 2 * s + s2
+                if i != j and k != l:
+                    op.add(half, ((i, True), (j, True), (k, False), (l, False)))
+    return op
 
 
 # ---- reference mapping and term-file writer ---------------------------------

@@ -347,13 +347,20 @@ class TestCli:
         ("compile", "missing.terms", "[Errno 2] No such file or directory: 'missing.terms'"),
         ("optimize", "missing.circ", "[Errno 2] No such file or directory: 'missing.circ'"),
         ("map", "neg.fcidump", "line 1: NORB must be at least 1, got -1"),
+        ("map", "empty-norb.fcidump", "line 1: NORB must be an integer, got ''"),
+        ("map", "empty-nelec.fcidump", "line 1: NELEC must be an integer, got ''"),
+        ("map", "empty-ms2.fcidump", "line 1: MS2 must be an integer, got ''"),
     ], ids=["missing-file", "malformed", "above-map-limit", "above-matrix-limit",
             "map-malformed", "map-missing-file", "compile-missing-file",
-            "optimize-missing-file", "map-negative-norb"])
+            "optimize-missing-file", "map-negative-norb", "map-empty-norb",
+            "map-empty-nelec", "map-empty-ms2"])
     def test_bad_input_is_one_line(self, command, spec, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.fcidump").write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.5 1 1\n")
         (tmp_path / "neg.fcidump").write_text("&FCI NORB=-1,NELEC=2,\n&END\n")
+        (tmp_path / "empty-norb.fcidump").write_text("&FCI NORB=,NELEC=2,\n&END\n")
+        (tmp_path / "empty-nelec.fcidump").write_text("&FCI NORB=2,NELEC=,\n&END\n")
+        (tmp_path / "empty-ms2.fcidump").write_text("&FCI NORB=2,NELEC=2,MS2=,\n&END\n")
         # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map limit.
         (tmp_path / "big.fcidump").write_text("&FCI NORB=33,NELEC=2,MS2=0,\n&END\n"
                                               " 0.5   1   1   0   0\n")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiqc import fermion
@@ -11,7 +11,7 @@ from fermiqc.fermion import (FermionOperator, IntegralSet, ResourceLimitError, b
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_text, reference_energy
 from fermiqc.simulator import ground_state
 
-from oracles import fock_matrix
+from oracles import fock_matrix, reference_build_hamiltonian
 
 
 class TestParseFcidump:
@@ -139,6 +139,14 @@ class TestBuildHamiltonian:
         ints = synthetic_integrals(2, seed=7)
         ham = build_hamiltonian(ints)
         assert ham.constant == pytest.approx(ints.core_energy)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.floats(0.3, 1.0))
+    def test_products_match_reference_loops(self, n, seed, density):
+        ints = synthetic_integrals(n, seed=seed, density=density)
+        ham, want = build_hamiltonian(ints), reference_build_hamiltonian(ints)
+        assert ham.n_modes == want.n_modes and ham.constant == want.constant
+        assert ham.products == want.products
 
     def test_mode_bounds_checked(self):
         op = FermionOperator(2)

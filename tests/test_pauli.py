@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiqc import pauli
-from fermiqc.pauli import DEFAULT_TOL, PauliString, QubitOperator, lex_key
+from fermiqc.pauli import DEFAULT_TOL, PauliString, QubitOperator, lex_order
 
 from oracles import operator_dense, reference_format_terms, reference_lex_key
 
@@ -58,28 +58,49 @@ class TestPauliString:
         assert not PauliString.from_label("IXI").is_identity()
 
 
-class TestLexKey:
+def masks(strings, n):
+    """X and Z masks of ``strings``: uint64 arrays, Python-int objects above 64 qubits."""
+    dtype = np.uint64 if n <= 64 else object
+    return (np.array([s.x for s in strings], dtype=dtype),
+            np.array([s.z for s in strings], dtype=dtype))
+
+
+def lex_sorted(strings, n):
+    return [strings[i] for i in lex_order(n, *masks(strings, n))]
+
+
+class TestLexOrder:
     def test_qubit_zero_most_significant(self):
         strings = [PauliString.from_label(l) for l in ("ZI", "IX", "XI", "YY")]
-        assert [s.label for s in sorted(strings, key=lex_key)] == \
-            ["IX", "XI", "YY", "ZI"]
+        assert [s.label for s in lex_sorted(strings, 2)] == ["IX", "XI", "YY", "ZI"]
 
     @given(st.lists(digit_lists.map(lambda d: d + [0] * (5 - len(d))), min_size=2, max_size=8))
     def test_matches_label_order(self, digit_rows):
         strings = [PauliString.from_axes(d) for d in digit_rows]
-        by_key = sorted(strings, key=lex_key)
+        by_key = lex_sorted(strings, 5)
         by_label = sorted(strings, key=lambda s: s.label)
         assert [s.label for s in by_key] == [s.label for s in by_label]
 
-
-    @given(st.integers(0, 70).flatmap(lambda n: st.lists(
-        st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=2, max_size=6)))
-    def test_integer_key_orders_like_digit_tuples(self, rows):
+    @given(st.integers(0, 70).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=2, max_size=6))))
+    def test_orders_like_digit_tuples(self, case):
+        n, rows = case
         strings = [PauliString.from_axes(d) for d in rows]
-        assert ([lex_key(s) for s in strings] == [
-            sum(d << 2 * (s.n - 1 - q) for q, d in enumerate(reference_lex_key(s)))
-            for s in strings])
-        assert sorted(strings, key=lex_key) == sorted(strings, key=reference_lex_key)
+        # Equal strings keep their input order, as in a stable sort.
+        assert lex_sorted(strings, n) == sorted(strings, key=reference_lex_key)
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 31, 32, 33, 63, 64, 65, 70])
+    def test_key_boundaries(self, n, rng):
+        # Strings that differ only past a byte or key boundary, and random ones.
+        strings = [PauliString.from_axes(d) for d in rng.integers(0, 4, size=(40, n))]
+        for q in {n - 1, n // 2, min(n - 1, 32), min(n - 1, 64)}:
+            for d in range(4):
+                strings.append(PauliString(n, (d & 1) << q, (d >> 1) << q))
+        assert lex_sorted(strings, n) == sorted(strings, key=reference_lex_key)
+
+    def test_empty(self):
+        assert lex_order(0, *masks([], 0)).tolist() == []
+        assert lex_order(3, *masks([], 3)).tolist() == []
 
 
 _TERM_COEFFS = st.sampled_from([1.0, -1.0, 0.5j, -0.0, 0.25 - 0.5j, 1e-300, 1 / 3]) | \
@@ -110,6 +131,60 @@ class TestTermFiles:
         back = pauli.parse_terms(text, n_qubits=op.n)
         assert back == op
         assert pauli.format_terms(back) == text
+
+
+def from_arrays_of(op):
+    """The operator ``op`` built through from_arrays, from its items."""
+    strings = [s for s, _ in op.items()]
+    return QubitOperator.from_arrays(op.n, *masks(strings, op.n),
+                                     np.array([c for _, c in op.items()], dtype=complex),
+                                     op.constant)
+
+
+def norm(op):
+    try:
+        return op.coefficient_norm()
+    except OverflowError as exc:  # |c| of a drawn coefficient can exceed the float range
+        return str(exc)
+
+
+def forms_agree(a, b):
+    assert a == b and b == a
+    assert len(a) == len(b)
+    assert [s for s, _ in a.items()] == [s for s, _ in b.items()]
+    assert [c for _, c in a.items()] == [c for _, c in b.items()]
+    assert norm(a) == norm(b)
+    assert pauli.format_terms(a) == pauli.format_terms(b)
+    for op in (a, b):  # the arrays hold the dictionary's terms, in its order
+        x, z, coeffs = op.arrays()
+        assert (list(zip(x.tolist(), z.tolist(), coeffs.tolist()))
+                == [(s.x, s.z, c) for s, c in op.items()])
+
+
+class TestArrayForm:
+    @settings(max_examples=200)
+    @given(qubit_operators(), st.data())
+    def test_from_arrays_matches_add_term(self, op, data):
+        built = from_arrays_of(op)
+        forms_agree(built, op)
+        # add_term after arrays() is seen by both forms.
+        view = built.terms
+        digits = st.lists(st.integers(0, 3), min_size=op.n, max_size=op.n)
+        for _ in range(data.draw(st.integers(1, 3))):
+            string, coeff = PauliString.from_axes(data.draw(digits)), data.draw(_TERM_COEFFS)
+            for o in (op, built):
+                o.arrays()
+                o.add_term(coeff, string)
+            forms_agree(built, op)
+        assert view == built.terms
+
+    def test_add_term_can_cancel_an_array_term(self):
+        s = PauliString.from_label("XZ")
+        op = QubitOperator.from_arrays(2, np.array([s.x], dtype=np.uint64),
+                                       np.array([s.z], dtype=np.uint64), np.array([0.5 + 0j]))
+        op.add_term(-0.5, s)
+        assert len(op) == 0 and op.arrays()[0].tolist() == []
+        assert pauli.format_terms(op) == ""
 
 
 class TestQubitOperator:

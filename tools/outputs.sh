@@ -45,6 +45,8 @@ for fixture in h2_sto3g h2_631g lih_sto3g; do
 done
 for mapping in jw bk; do
     run "map-synthetic-$mapping" map synthetic:n=6,seed=3 --mapping "$mapping"
+    # 24 spin-orbitals, the scale of perfbench's synthetic-map workload.
+    run "map-synthetic24-$mapping" map synthetic:n=12,seed=1 --mapping "$mapping"
 done
 
 cp "$out/map-lih_sto3g-jw.out" "$work/lih.terms"
@@ -70,6 +72,10 @@ run trotter-error trotter-error "$fixtures/lih_sto3g.fcidump" "$fixtures/h2_631g
 # The bad inputs of tests/test_bench.py::TestCli::test_bad_input_is_one_line.
 printf '&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.5 1 1\n' >"$work/bad.fcidump"
 printf '&FCI NORB=33,NELEC=2,MS2=0,\n&END\n 0.5   1   1   0   0\n' >"$work/big.fcidump"
+printf '&FCI NORB=-1,NELEC=2,\n&END\n' >"$work/neg.fcidump"
+printf '&FCI NORB=,NELEC=2,\n&END\n' >"$work/empty-norb.fcidump"
+printf '&FCI NORB=2,NELEC=,\n&END\n' >"$work/empty-nelec.fcidump"
+printf '&FCI NORB=2,NELEC=2,MS2=,\n&END\n' >"$work/empty-ms2.fcidump"
 run bad-trotter-error-missing trotter-error missing.fcidump
 run bad-trotter-error-malformed trotter-error bad.fcidump
 run bad-trotter-error-map-limit trotter-error big.fcidump
@@ -78,3 +84,7 @@ run bad-map-malformed map bad.fcidump
 run bad-map-missing map missing.fcidump
 run bad-compile-missing compile missing.terms
 run bad-optimize-missing optimize missing.circ
+run bad-map-negative-norb map neg.fcidump
+for key in norb nelec ms2; do
+    run "bad-map-empty-$key" map "empty-$key.fcidump"
+done
