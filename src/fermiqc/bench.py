@@ -113,13 +113,14 @@ def _isolated(rows: list[BenchRow]):
 
 
 def _plan_and_count(cfg: BenchConfig, qop: QubitOperator, ordering: OrderingStrategy,
-                    time: float, rows: list[BenchRow]) -> trotter.TrotterPlan | None:
+                    time: float, rows: list[BenchRow],
+                    templates: dict) -> trotter.TrotterPlan | None:
     """Stage (ordering): one plan, then per row (mode) its synthesis and counts."""
     with _isolated(rows):
         plan = trotter.plan_for(qop, ordering, cfg.n_steps, time)
         for row in rows:
             with _isolated([row]):
-                circ = synthesize_plan(plan, row.mode)
+                circ = synthesize_plan(plan, row.mode, templates)
                 row.raw = count_gates(circ)
                 row.optimized = count_gates(optimizer.run_level(circ, cfg.optimize_level))
                 row.savings = ((row.raw.total - row.optimized.total) / row.raw.total
@@ -130,7 +131,8 @@ def _plan_and_count(cfg: BenchConfig, qop: QubitOperator, ordering: OrderingStra
 def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> list[BenchRow]:
     """Every cell of one (input, mapping) pair, each stage run once per key:
     (input, mapping) → ordering → mode, then the ground state and one Trotter
-    error per ordering.  A ground-state failure leaves the counts in place."""
+    error per ordering.  A ground-state failure leaves the counts in place.
+    One table of synthesis templates serves the pair's orderings and modes."""
     by_ordering = [[BenchRow(inp.system, 0, scheme.value, o.kind, o.seed, mode)
                     for mode in cfg.modes] for o in cfg.orderings]
     rows = [row for group in by_ordering for row in group]
@@ -140,7 +142,8 @@ def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> lis
             row.n_qubits = ham.n_modes
         qop = mappings.map_operator(ham, scheme)
         time = simulator.safe_evolution_time(qop, cfg.time)
-        plans = [_plan_and_count(cfg, qop, o, time, group)
+        templates: dict = {}
+        plans = [_plan_and_count(cfg, qop, o, time, group, templates)
                  for o, group in zip(cfg.orderings, by_ordering)]
         if cfg.with_error:
             energy, ground = simulator.ground_state(simulator.operator_matrix(qop))

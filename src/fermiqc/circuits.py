@@ -9,8 +9,9 @@ Gate conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 
 from .pauli import PauliString
 from .trotter import TrotterPlan
@@ -23,9 +24,9 @@ GATE_KINDS = {"H": (1, "H"), "X": (1, "X"), "YB": (1, "YBD"), "YBD": (1, "YB"),
 @dataclass(frozen=True, slots=True)
 class Gate:
     """One gate.  The Clifford constructors below share one instance per
-    (kind, qubits), validated once.  RZ() builds a new instance per call;
-    parse_circuit shares one per distinct line, so never key a cache on
-    an RZ's identity."""
+    (kind, qubits), validated once.  RZ() builds a new instance per call,
+    and Circuit.gates one per RZ of a step, so never key a cache on an
+    RZ's identity."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -45,53 +46,111 @@ class Gate:
             raise ValueError("angle given exactly for RZ")
 
 
+# Fields of an encoded entry.  The Z mask holds the qubits on which the gate
+# is diagonal (RZ, CZ, CNOT control), the X mask a CNOT's target.
+_MASK, _Z, _X, _KEY, _PARTNER, _GATE = range(6)
+_KEYS: dict[tuple[str, tuple[int, ...]], int] = {}  # (kind, qubits) -> key
+
+
 @cache
-def _clifford(kind: str, qubits: tuple[int, ...]) -> Gate:
-    """The shared Gate of a Clifford (kind, qubits)."""
-    return Gate(kind, qubits)
+def _clifford(kind: str, qubits: tuple[int, ...]) -> tuple:
+    """The shared entry (qubit mask, Z mask, X mask, key, partner key, Gate)
+    of a Clifford (kind, qubits); its Gate is built and validated once."""
+    g = Gate(kind, qubits)
+    mask = sum(1 << q for q in qubits)
+    z, x = ((1 << qubits[0], 1 << qubits[1]) if kind == "CNOT"
+            else (mask if kind == "CZ" else 0, 0))
+    key = _KEYS.setdefault((kind, qubits), len(_KEYS))
+    partner = _KEYS.setdefault((GATE_KINDS[kind][1], qubits), len(_KEYS))
+    return mask, z, x, key, partner, g
+
+
+@cache
+def _rz(q: int) -> tuple:
+    """The entry of every RZ on qubit q: key -1, no partner, no angle."""
+    return 1 << q, 1 << q, 0, -1, None, None
+
+
+def _entry(g: Gate) -> tuple:
+    return _clifford(g.kind, g.qubits) if g.angle is None else _rz(g.qubits[0])
 
 
 def H(q: int) -> Gate:
-    return _clifford("H", (q,))
+    return _clifford("H", (q,))[_GATE]
 
 
 def X(q: int) -> Gate:
-    return _clifford("X", (q,))
+    return _clifford("X", (q,))[_GATE]
 
 
 def YB(q: int) -> Gate:
-    return _clifford("YB", (q,))
+    return _clifford("YB", (q,))[_GATE]
 
 
 def YBD(q: int) -> Gate:
-    return _clifford("YBD", (q,))
+    return _clifford("YBD", (q,))[_GATE]
 
 
 def CNOT(control: int, target: int) -> Gate:
-    return _clifford("CNOT", (control, target))
+    return _clifford("CNOT", (control, target))[_GATE]
 
 
 def CZ(a: int, b: int) -> Gate:
     # Symmetric gate; store qubits sorted so equal CZs compare equal.
-    return _clifford("CZ", (min(a, b), max(a, b)))
+    return _clifford("CZ", (min(a, b), max(a, b)))[_GATE]
 
 
 def RZ(q: int, angle: float) -> Gate:
     return Gate("RZ", (q,), angle)
 
 
-@dataclass
 class Circuit:
-    """Ordered gate list over n_qubits (+1 trailing ancilla when flagged).
+    """Ordered gates over n_qubits (+1 trailing ancilla when flagged).
 
     ``barriers`` marks Trotter-step seams (gate indices); the optimizer
     does not move cancellations across them unless asked to.
+
+    The gates are a ``Gate`` list, an encoded form or both; each is made
+    from the other on first use.  The encoded form is one step's entries
+    (see ``_clifford``), the step's RZ angles in order and the step count.
+    ``append``/``extend`` edit the list and drop the encoded form.
     """
 
-    n_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-    ancilla: bool = False
-    barriers: list[int] = field(default_factory=list)
+    def __init__(self, n_qubits: int, gates: list[Gate] | None = None,
+                 ancilla: bool = False, barriers: list[int] | None = None):
+        self.n_qubits = n_qubits
+        self.ancilla = ancilla
+        self.barriers = [] if barriers is None else barriers
+        self._gates = [] if gates is None else gates
+        self._encoded: tuple[list[tuple], list[float], int] | None = None
+
+    @classmethod
+    def from_encoded(cls, n_qubits: int, entries: list[tuple], angles: list[float],
+                     n_steps: int = 1, ancilla: bool = False,
+                     barriers: list[int] | None = None) -> "Circuit":
+        """``barriers`` defaults to the step seams (none for an empty step)."""
+        if barriers is None:
+            barriers = list(range(len(entries), len(entries) * n_steps, len(entries) or 1))
+        c = cls(n_qubits, ancilla=ancilla, barriers=barriers)
+        c._gates, c._encoded = None, (entries, angles, n_steps)
+        return c
+
+    @property
+    def gates(self) -> list[Gate]:
+        """The gate list; the steps share one step's Gate objects."""
+        if self._gates is None:
+            entries, angles, n_steps = self._encoded
+            rz = iter(angles)
+            step = [e[_GATE] or RZ(e[_MASK].bit_length() - 1, next(rz)) for e in entries]
+            self._gates = step * n_steps
+        return self._gates
+
+    def encoded(self) -> tuple[list[tuple], list[float], int]:
+        """(one step's entries, its RZ angles, step count); do not edit them."""
+        if self._encoded is None:
+            self._encoded = ([_entry(g) for g in self._gates],
+                             [g.angle for g in self._gates if g.angle is not None], 1)
+        return self._encoded
 
     @property
     def width(self) -> int:
@@ -101,13 +160,21 @@ class Circuit:
         if max(gate.qubits) >= self.width:
             raise ValueError(f"gate {gate} outside register of width {self.width}")
         self.gates.append(gate)
+        self._encoded = None
 
     def extend(self, gates) -> None:
         for g in gates:
             self.append(g)
 
     def __len__(self):
-        return len(self.gates)
+        if self._gates is None:
+            return len(self._encoded[0]) * self._encoded[2]
+        return len(self._gates)
+
+    def __eq__(self, other):
+        return isinstance(other, Circuit) and (
+            (self.n_qubits, self.ancilla, self.barriers, self.gates)
+            == (other.n_qubits, other.ancilla, other.barriers, other.gates))
 
 
 @dataclass(frozen=True)
@@ -119,16 +186,12 @@ class GateCounts:
 
 
 def count_gates(c: Circuit) -> GateCounts:
-    two_qubit = {kind for kind, (n, _) in GATE_KINDS.items() if n == 2}
-    ent = single = rz = 0
-    for g in c.gates:
-        if g.kind in two_qubit:
-            ent += 1
-        elif g.kind == "RZ":
-            rz += 1
-        else:
-            single += 1
-    return GateCounts(ent + single + rz, ent, single, rz)
+    """Tally of the encoded form: a two-qubit gate's mask has two bits, and
+    each RZ has one angle."""
+    entries, angles, n_steps = c.encoded()
+    ent, rz = list(map(int.bit_count, map(itemgetter(_MASK), entries))).count(2), len(angles)
+    return GateCounts(n_steps * len(entries), n_steps * ent,
+                      n_steps * (len(entries) - ent - rz), n_steps * rz)
 
 
 def _support(string: PauliString) -> tuple[int, ...]:
@@ -138,62 +201,32 @@ def _support(string: PauliString) -> tuple[int, ...]:
     return support
 
 
-def _basis_gates(string: PauliString, qubits) -> tuple[list[Gate], list[Gate]]:
+def _basis(string: PauliString, qubits) -> tuple[list[tuple], list[tuple]]:
     pre, post = [], []
     for q in qubits:
         a = string.axis(q)
         if a == 1:
-            pre.append(H(q))
-            post.append(H(q))
+            pre.append(_clifford("H", (q,)))
+            post.append(pre[-1])
         elif a == 2:
-            pre.append(YB(q))
-            post.append(YBD(q))
+            pre.append(_clifford("YB", (q,)))
+            post.append(_clifford("YBD", (q,)))
     return pre, post
 
 
-def _canonical_gates(string: PauliString, theta: float) -> list[Gate]:
+def _ladder(qubits) -> list[tuple]:
+    return [_clifford("CNOT", pair) for pair in zip(qubits, qubits[1:])]
+
+
+def _canonical(string: PauliString) -> list[tuple]:
+    """Basis changes outside a linear CNOT ladder."""
     support = _support(string)
-    pre, post = _basis_gates(string, support)
-    ladder = [CNOT(a, b) for a, b in zip(support, support[1:])]
-    return [*pre, *ladder, RZ(support[-1], theta), *reversed(ladder), *reversed(post)]
+    pre, post = _basis(string, support)
+    ladder = _ladder(support)
+    return [*pre, *ladder, _rz(support[-1]), *reversed(ladder), *reversed(post)]
 
 
-def synthesize_term(string: PauliString, theta: float) -> Circuit:
-    """Canonical construction: basis changes outside a linear CNOT ladder."""
-    return Circuit(string.n, _canonical_gates(string, theta))
-
-
-def _central_sequence(axis: int, qubit: int, theta: float) -> list[Gate]:
-    if axis == 3:
-        return [RZ(qubit, theta)]
-    if axis == 1:
-        return [H(qubit), RZ(qubit, theta), H(qubit)]
-    return [YB(qubit), RZ(qubit, theta), YBD(qubit)]
-
-
-def _basis_shift_gates(string: PauliString, theta: float) -> list[Gate]:
-    support = _support(string)
-    central = support[-1]
-    rest = support[:-1]
-    cut = (len(rest) + 1) // 2
-    groups = [g for g in (rest[:cut], rest[cut:]) if g]
-    central_axis = string.axis(central)
-    couple = CZ if central_axis == 1 else CNOT
-
-    halves: list[tuple[list[Gate], list[Gate]]] = []
-    for group in groups:
-        pre, post = _basis_gates(string, group)
-        chain = [CNOT(a, b) for a, b in zip(group, group[1:])]
-        k = couple(group[-1], central)
-        halves.append(([*pre, *chain, k], [k, *reversed(chain), *reversed(post)]))
-    gates = [g for first, _ in halves for g in first]
-    gates += _central_sequence(central_axis, central, theta)
-    for _, second in reversed(halves):
-        gates += second
-    return gates
-
-
-def synthesize_term_basis_shift(string: PauliString, theta: float) -> Circuit:
+def _basis_shift(string: PauliString) -> list[tuple]:
     """Basis changes pulled inside the parity strings.
 
     The parity chain is split into an exterior and an interior string,
@@ -201,52 +234,83 @@ def synthesize_term_basis_shift(string: PauliString, theta: float) -> Circuit:
     the central axis is X, CNOT when it is Y or Z.  The central basis
     change then sits directly against the rotation.
     """
-    return Circuit(string.n, _basis_shift_gates(string, theta))
-
-
-def _ancilla_gates(string: PauliString, theta: float) -> list[Gate]:
     support = _support(string)
-    anc = string.n
-    pre, post = _basis_gates(string, support)
-    return [*pre, *(CNOT(q, anc) for q in support), RZ(anc, theta),
-            *(CNOT(q, anc) for q in reversed(support)), *reversed(post)]
+    central = support[-1]
+    rest = support[:-1]
+    cut = (len(rest) + 1) // 2
+    groups = [g for g in (rest[:cut], rest[cut:]) if g]
+    couple = "CZ" if string.axis(central) == 1 else "CNOT"
+
+    halves: list[tuple[list[tuple], list[tuple]]] = []
+    for group in groups:
+        pre, post = _basis(string, group)
+        chain = _ladder(group)
+        k = _clifford(couple, (group[-1], central))  # group[-1] < central: CZ sorted
+        halves.append(([*pre, *chain, k], [k, *reversed(chain), *reversed(post)]))
+    out = [e for first, _ in halves for e in first]
+    pre, post = _basis(string, (central,))
+    out += [*pre, _rz(central), *post]
+    for _, second in reversed(halves):
+        out += second
+    return out
 
 
-def synthesize_term_ancilla(string: PauliString, theta: float) -> Circuit:
+def _ancilla(string: PauliString) -> list[tuple]:
     """Parity of all involved qubits accumulated onto one ancilla.
 
     Acting on |psi>|0> the circuit applies exp(-i theta/2 P) to the data
     register and returns the ancilla to |0>.
     """
-    return Circuit(string.n, _ancilla_gates(string, theta), ancilla=True)
+    support = _support(string)
+    anc = string.n
+    pre, post = _basis(string, support)
+    return [*pre, *(_clifford("CNOT", (q, anc)) for q in support), _rz(anc),
+            *(_clifford("CNOT", (q, anc)) for q in reversed(support)), *reversed(post)]
 
 
-_TERM_GATES = {
-    "canonical": _canonical_gates,
-    "basis_shift": _basis_shift_gates,
-    "ancilla": _ancilla_gates,
+_TEMPLATES = {
+    "canonical": _canonical,
+    "basis_shift": _basis_shift,
+    "ancilla": _ancilla,
 }
-SYNTHESIS_MODES = tuple(_TERM_GATES)
+SYNTHESIS_MODES = tuple(_TEMPLATES)
 
 
-def synthesize_plan(plan: TrotterPlan, mode: str = "canonical") -> Circuit:
-    """Concatenate per-term gates in plan order, n_steps times.
-
-    One step's gate list is built once; the steps share its Gate objects,
-    with a barrier at each seam.
-    """
-    if mode not in _TERM_GATES:
+def _template(mode: str):
+    if mode not in _TEMPLATES:
         raise ValueError(f"unknown synthesis mode {mode!r}; pick from {SYNTHESIS_MODES}")
-    term_gates = _TERM_GATES[mode]
-    step: list[Gate] = []
-    for (string, _), theta in zip(plan.ordered_terms, plan.angles()):
+    return _TEMPLATES[mode]
+
+
+def synthesize_term(string: PauliString, theta: float, mode: str = "canonical") -> Circuit:
+    """The circuit of exp(-i theta/2 P) for one term."""
+    return Circuit.from_encoded(string.n, _template(mode)(string), [theta],
+                                ancilla=(mode == "ancilla"))
+
+
+def synthesize_plan(plan: TrotterPlan, mode: str = "canonical",
+                    templates: dict | None = None) -> Circuit:
+    """One Trotter step assembled from per-term templates, repeated n_steps
+    times with a barrier at each seam; the angles are kept apart, in plan order.
+
+    A template is a term's encoded entries, keyed by (mode, x mask, z mask);
+    its one RZ entry holds no angle, so one ``templates`` table can serve
+    every plan on the same register.
+    """
+    build = _template(mode)
+    table = {} if templates is None else templates
+    step: list[tuple] = []
+    for string, _ in plan.ordered_terms:
         if string.n != plan.n_qubits:
             raise ValueError(f"term {string.label} acts on {string.n} qubits, "
                              f"the plan on {plan.n_qubits}")
-        step += term_gates(string, theta)
-    barriers = list(range(len(step), len(step) * plan.n_steps, len(step))) if step else []
-    return Circuit(plan.n_qubits, step * plan.n_steps, ancilla=(mode == "ancilla"),
-                   barriers=barriers)
+        key = (mode, string.x, string.z)
+        template = table.get(key)
+        if template is None:
+            template = table[key] = build(string)
+        step += template
+    return Circuit.from_encoded(plan.n_qubits, step, plan.angles(), plan.n_steps,
+                                ancilla=(mode == "ancilla"))
 
 
 def term_gate_counts(string: PauliString, mode: str = "canonical") -> GateCounts:
@@ -255,8 +319,7 @@ def term_gate_counts(string: PauliString, mode: str = "canonical") -> GateCounts
     Validated against the synthesizers in the test suite; used for
     counting-only resource sweeps on large registers.
     """
-    if mode not in _TERM_GATES:
-        raise ValueError(f"unknown synthesis mode {mode!r}")
+    _template(mode)
     w = string.weight
     if w == 0:
         return GateCounts(0, 0, 0, 0)
@@ -268,25 +331,29 @@ def term_gate_counts(string: PauliString, mode: str = "canonical") -> GateCounts
 
 
 def format_circuit(c: Circuit) -> str:
-    """One gate per line under a ``QUBITS <n> ANCILLA <0|1>`` header.
+    """One gate per line under a ``QUBITS <n> ANCILLA <0|1>`` header,
+    written from the encoded form: one step's lines, repeated.
 
     Barriers are not written, so a circuit read back has none.
     """
-    # A Clifford gate is one shared object, so its line is built once and
-    # kept under its id; c.gates keeps every key alive.  RZ lines are not
-    # kept: RZ(q, 0.0) == RZ(q, -0.0), so any cache keyed on the gate's
-    # value would write one for the other.
+    # A Clifford entry is shared, so its line is built once and kept under
+    # its id; the interned entries stay alive.
     clifford: dict[int, str] = {}
-    body = []
-    for g in c.gates:
-        line = clifford.get(id(g))
-        if line is None:
-            if g.kind == "RZ":
-                line = f"RZ {g.qubits[0]} {g.angle!r}"
-            else:
-                line = clifford[id(g)] = f"{g.kind} {' '.join(map(str, g.qubits))}"
-        body.append(line)
-    return "\n".join([f"QUBITS {c.n_qubits} ANCILLA {1 if c.ancilla else 0}", *body]) + "\n"
+    entries, angles, n_steps = c.encoded()
+    rz = iter(angles)
+    lines = [f"QUBITS {c.n_qubits} ANCILLA {1 if c.ancilla else 0}"]
+    for e in entries:
+        g = e[_GATE]
+        if g is None:
+            line = f"RZ {e[_MASK].bit_length() - 1} {next(rz)!r}"
+        else:
+            line = clifford.get(id(e))
+            if line is None:
+                line = clifford[id(e)] = f"{g.kind} {' '.join(map(str, g.qubits))}"
+        lines.append(line)
+    lines += lines[1:] * (n_steps - 1)
+    lines.append("")  # the final newline, without a copy of the joined text
+    return "\n".join(lines)
 
 
 def _qubit(text: str, width: int) -> int:
@@ -305,14 +372,14 @@ def _parse_gate(fields: list[str], width: int) -> Gate:
         raise ValueError(f"{kind} takes {operands} operands, got {len(fields) - 1}")
     if kind == "RZ":
         return RZ(_qubit(fields[1], width), float(fields[2]))
-    return _clifford(kind, tuple(_qubit(f, width) for f in fields[1:]))
+    return _clifford(kind, tuple(_qubit(f, width) for f in fields[1:]))[_GATE]
 
 
 def parse_circuit(text: str) -> Circuit:
     """Inverse of :func:`format_circuit`; errors name the offending line.
 
     Each distinct gate line is parsed and validated once; its repeats
-    share the resulting Gate.
+    share the resulting entry.  The circuit comes back in encoded form.
     """
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
@@ -325,21 +392,24 @@ def parse_circuit(text: str) -> Circuit:
     try:
         if len(fields) != 4 or fields[0] != "QUBITS" or fields[2] != "ANCILLA":
             raise ValueError
-        circ = Circuit(int(fields[1]), ancilla=bool(int(fields[3])))
+        n_qubits, ancilla = int(fields[1]), bool(int(fields[3]))
     except ValueError:
         raise ValueError(f"line {lineno}: bad circuit header {head!r}") from None
-    width = circ.width
-    gates = circ.gates
-    seen: dict[str, Gate] = {}
+    entries: list[tuple] = []
+    angles: list[float] = []
+    seen: dict[str, tuple] = {}  # line -> (entry, angle or None)
     try:
         for lineno, raw in lines:
             ln = raw.strip()
-            g = seen.get(ln)
-            if g is None:
+            hit = seen.get(ln)
+            if hit is None:
                 if not ln or raw[0] == "#":
                     continue
-                g = seen[ln] = _parse_gate(ln.split(), width)
-            gates.append(g)
+                g = _parse_gate(ln.split(), n_qubits + ancilla)
+                hit = seen[ln] = (_entry(g), g.angle)
+            entries.append(hit[0])
+            if hit[1] is not None:
+                angles.append(hit[1])
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
-    return circ
+    return Circuit.from_encoded(n_qubits, entries, angles, ancilla=ancilla)

@@ -12,44 +12,29 @@ greedy one: scan left to right, cancel each Clifford gate with the first
 inverse partner reachable through commuting gates, and step back one gate
 after every cancellation.
 
-Each gate is encoded once per call as a tuple (qubit mask, Z mask, X mask,
-key, partner key, gate), shared by all gates with the same (kind, qubits).
-The Z mask holds the qubits on which the gate is diagonal (RZ, CZ, CNOT
-control), the X mask a CNOT's target; two gates commute when every qubit
-they share is Z for both or X for both.  The commute pass runs on two
-stacks, the gates already passed and the rest in reverse, so neither
-stepping back nor deleting a partner near the scan position shifts the
-whole list.
+The passes read a circuit's encoded form (``Circuit.encoded``): one shared
+entry (qubit mask, Z mask, X mask, key, partner key, gate) per Clifford
+(kind, qubits) and one per RZ qubit.  Two gates commute when every qubit
+they share is Z for both or X for both.  Without ``cross_step`` the steps
+of a repeated-step circuit are equal segments, so one step is optimized and
+the result repeated.  The commute pass runs on two stacks, the gates
+already passed and the rest in reverse, so neither stepping back nor
+deleting a partner near the scan position shifts the whole list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from operator import length_hint
 
-from .circuits import GATE_KINDS, Circuit, Gate
-
-_DIAGONAL = frozenset({"RZ", "CZ"})
-
-# Fields of an encoded gate.
-_MASK, _Z, _X, _KEY, _PARTNER, _GATE = range(6)
-
-
-def _rule(g: Gate) -> tuple[int, int, int]:
-    """(qubit mask, Z mask, X mask) of a gate for the commutation rule."""
-    mask = 0
-    for q in g.qubits:
-        mask |= 1 << q
-    if g.kind == "CNOT":
-        return mask, 1 << g.qubits[0], 1 << g.qubits[1]
-    if g.kind in _DIAGONAL:
-        return mask, mask, 0
-    return mask, 0, 0
+from .circuits import _KEY, _MASK, _PARTNER, _X, _Z, Circuit, Gate, _entry
 
 
 def commute(a: Gate, b: Gate) -> bool:
     """Rule-based commutation test for an ordered gate pair."""
-    mask_a, z_a, x_a = _rule(a)
-    mask_b, z_b, x_b = _rule(b)
+    mask_a, z_a, x_a = _entry(a)[:3]
+    mask_b, z_b, x_b = _entry(b)[:3]
     shared = mask_a & mask_b
     return shared == (z_a & z_b) | (x_a & x_b)
 
@@ -82,12 +67,11 @@ def _commute_pass(seg: list[tuple], window: int | None) -> list[tuple]:
         hit = -1
         if partner is not None:
             mask, z, x = g[_MASK], g[_Z], g[_X]
-            top = len(rest) - 1
-            stop = -1 if window is None else max(top - 1 - window, -1)
-            for k in range(top - 1, stop, -1):
-                h = rest[k]
+            it = reversed(rest)
+            next(it)
+            for h in islice(it, window):
                 if h[_KEY] == partner:
-                    hit = k
+                    hit = length_hint(it)  # the index of h in rest
                     break
                 # The test of commute(), inlined: this is the hot loop.
                 shared = mask & h[_MASK]
@@ -112,65 +96,49 @@ class OptimizationReport:
         return sum(self.passes)
 
 
-def _encoded_segments(c: Circuit, cross_step: bool) -> list[list[tuple]]:
-    """Segments of encoded gates; one shared encoding per Clifford (kind, qubits).
-
-    Keys number the (kind, qubits) pairs seen, partners included.  RZ gates
-    get key -1 and no partner, so they neither cancel nor are cancelled.
-    """
+def _segments(c: Circuit, cross_step: bool) -> tuple[list[list[tuple]], int]:
+    """Fresh entry lists to optimize, and how often their result repeats."""
+    entries, _, n_steps = c.encoded()
+    if n_steps > 1 and not cross_step:
+        return [list(entries)], n_steps
+    entries = entries * n_steps
     if cross_step or not c.barriers:
-        parts = [c.gates]
-    else:
-        bounds = [0, *c.barriers, len(c.gates)]
-        parts = [c.gates[a:b] for a, b in zip(bounds, bounds[1:])]
-    keys: dict[tuple, int] = {}
-    shared: dict[tuple, tuple] = {}
-    segs = []
-    for part in parts:
-        out = []
-        for g in part:
-            if g.kind == "RZ":
-                out.append((*_rule(g), -1, None, g))
-                continue
-            enc = shared.get((g.kind, g.qubits))
-            if enc is None:
-                key = keys.setdefault((g.kind, g.qubits), len(keys))
-                partner = keys.setdefault((GATE_KINDS[g.kind][1], g.qubits), len(keys))
-                enc = shared[(g.kind, g.qubits)] = (*_rule(g), key, partner, g)
-            out.append(enc)
-        segs.append(out)
-    return segs
+        return [entries], 1
+    bounds = [0, *c.barriers, len(entries)]
+    return [entries[a:b] for a, b in zip(bounds, bounds[1:])], 1
 
 
-def _rebuild(c: Circuit, segments: list[list[tuple]]) -> Circuit:
-    gates: list[Gate] = []
-    barriers: list[int] = []
-    for k, seg in enumerate(segments):
-        if k:
-            barriers.append(len(gates))
-        gates.extend(e[_GATE] for e in seg)
-    return Circuit(c.n_qubits, gates, ancilla=c.ancilla, barriers=barriers)
+def _joined(c: Circuit, segs: list[list[tuple]], repeat: int) -> Circuit:
+    """The optimized circuit.  RZs are never removed or reordered, so the
+    angles pair up unchanged; a repeated step keeps its RZs, so it never
+    empties and gets a barrier at each of its new seams."""
+    _, angles, n_steps = c.encoded()
+    if repeat > 1:
+        return Circuit.from_encoded(c.n_qubits, segs[0], angles, repeat, c.ancilla)
+    barriers = list(accumulate(len(seg) for seg in segs[:-1]))
+    entries = segs[0] if len(segs) == 1 else [e for seg in segs for e in seg]
+    return Circuit.from_encoded(c.n_qubits, entries, angles * n_steps, 1, c.ancilla, barriers)
 
 
 def cancel_adjacent(c: Circuit, cross_step: bool = False) -> Circuit:
     """Remove adjacent self-inverse pairs; one stack pass leaves none."""
-    segs = _encoded_segments(c, cross_step)
+    segs, repeat = _segments(c, cross_step)
     for seg in segs:
         _cancel_adjacent_pass(seg)
-    return _rebuild(c, segs)
+    return _joined(c, segs, repeat)
 
 
 def commute_and_cancel(c: Circuit, cross_step: bool = False,
                        window: int | None = None) -> Circuit:
     """Cancel self-inverse pairs reachable through commuting gates."""
-    segs = [_commute_pass(seg, window) for seg in _encoded_segments(c, cross_step)]
-    return _rebuild(c, segs)
+    segs, repeat = _segments(c, cross_step)
+    return _joined(c, [_commute_pass(seg, window) for seg in segs], repeat)
 
 
 def optimize(c: Circuit, cross_step: bool = False, window: int | None = None,
              report: OptimizationReport | None = None) -> Circuit:
     """Alternate both cancellation passes until a full sweep changes nothing."""
-    segs = _encoded_segments(c, cross_step)
+    segs, repeat = _segments(c, cross_step)
     while True:
         removed = 0
         for k, seg in enumerate(segs):
@@ -179,9 +147,9 @@ def optimize(c: Circuit, cross_step: bool = False, window: int | None = None,
             segs[k] = _commute_pass(seg, window)
             removed += before - len(segs[k])
         if report is not None and removed:
-            report.passes.append(removed)
+            report.passes.append(removed * repeat)
         if removed == 0:
-            return _rebuild(c, segs)
+            return _joined(c, segs, repeat)
 
 
 LEVELS = ("none", "cancel", "full")

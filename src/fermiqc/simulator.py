@@ -106,22 +106,41 @@ def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
     exp(-i phi P)|psi> = cos(phi)|psi> - i sin(phi) P|psi> (P^2 = I).
 
     (P|psi>)[j] = i^ny (-1)^parity(z & (j ^ x)) psi[j ^ x]: the permutations
-    (one per X mask), sign flips and scalars are built once per plan."""
+    (one per X mask), sign patterns and scalars are built once per plan.  The
+    sign is the product of the parities over the high and the low index
+    bits, so it flips the IEEE sign bits of a (2^hi, 2 * 2^lo) uint64 view
+    by a row and a column pattern (None for a half without Z bits)."""
     dim = 1 << plan.n_qubits
     if len(state) != dim:
         raise ValueError(f"state has dimension {len(state)}, plan needs {dim}")
     idx = np.arange(dim, dtype=np.int64)
     perms = {x: idx ^ x for x in {s.x for s, _ in plan.ordered_terms}}
-    table = [(perms[s.x], _parity(perms[s.x], s.z).astype(bool), math.cos(0.5 * theta),
-              -1j * math.sin(0.5 * theta) * _y_phase(s))
+    lo = plan.n_qubits // 2
+    low = (1 << lo) - 1
+    rows, cols = idx[:dim >> lo, None], idx[:2 << lo] >> 1  # cols: real, imaginary part
+    shared: dict[tuple, np.ndarray] = {}
+
+    def signs(j: np.ndarray, z: int, x: int) -> np.ndarray | None:
+        """Sign bits of parity(z & (j ^ x)) = parity(z & j) ^ parity(z & x)."""
+        key = (j.ndim, z, (z & x).bit_count() & 1)
+        if z and key not in shared:
+            shared[key] = (_parity(j, z) ^ key[2]).astype(np.uint64) << np.uint64(63)
+        return shared.get(key)
+
+    table = [(perms[s.x], signs(rows, s.z >> lo, s.x >> lo), signs(cols, s.z & low, s.x & low),
+              math.cos(0.5 * theta), -1j * math.sin(0.5 * theta) * _y_phase(s))
              for (s, _), theta in zip(plan.ordered_terms, plan.angles())]
     psi = state.astype(complex, copy=True)
     moved = np.empty_like(psi)
+    bits = moved.view(np.uint64).reshape(dim >> lo, 2 << lo)
     for _ in range(plan.n_steps):
-        for perm, flip, cos, scale in table:
+        for perm, row, col, cos, scale in table:
             # mode="wrap" spares the copy of `out` that "raise" makes; perm is in range.
             psi.take(perm, out=moved, mode="wrap")
-            np.negative(moved, out=moved, where=flip)
+            if row is not None:
+                bits ^= row
+            if col is not None:
+                bits ^= col
             moved *= scale
             psi *= cos
             psi += moved

@@ -2,7 +2,8 @@
 
 Everything here is built from first principles (explicit Kronecker
 products, dense linear algebra, a ladder-operator Fock-space matrix, a
-gate-by-gate circuit unitary, a plain list-based peephole optimizer,
+gate-by-gate circuit unitary, per-term Gate lists for Trotter circuits, a
+plain list-based peephole optimizer,
 gate-by-gate circuit-file loops, term-by-term simulator loops, a
 nested-loop Hamiltonian construction, a dictionary-based fermion-to-qubit
 expansion) so the package code under test is never used to check itself.
@@ -16,10 +17,11 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from fermiqc.circuits import Circuit, Gate
+from fermiqc.circuits import Circuit, Gate, GateCounts
 from fermiqc.fermion import FermionOperator, ResourceLimitError
 from fermiqc.mappings import MappingScheme, _ladder_images
 from fermiqc.pauli import DEFAULT_TOL, PauliString, QubitOperator
+from fermiqc.trotter import OrderingStrategy, TrotterPlan, plan_for
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -187,6 +189,91 @@ def circuit_unitary(c: Circuit, limit: int = UNITARY_QUBIT_LIMIT) -> np.ndarray:
     for g in c.gates:
         _apply_gate(g, u)
     return u
+
+
+# ---- reference circuit synthesis -------------------------------------------
+# Every term's gates built afresh as validated Gates, concatenated in plan
+# order with the term's own angle, and the step repeated per Trotter step.
+
+def _reference_basis(s: PauliString, qubits) -> tuple[list[Gate], list[Gate]]:
+    pre, post = [], []
+    for q in qubits:
+        if s.axis(q) == 1:
+            pre.append(Gate("H", (q,)))
+            post.append(Gate("H", (q,)))
+        elif s.axis(q) == 2:
+            pre.append(Gate("YB", (q,)))
+            post.append(Gate("YBD", (q,)))
+    return pre, post
+
+
+def _reference_ladder(qubits) -> list[Gate]:
+    return [Gate("CNOT", (a, b)) for a, b in zip(qubits, qubits[1:])]
+
+
+def _reference_canonical(s: PauliString, theta: float) -> list[Gate]:
+    support = s.support
+    pre, post = _reference_basis(s, support)
+    ladder = _reference_ladder(support)
+    return [*pre, *ladder, Gate("RZ", (support[-1],), theta), *reversed(ladder),
+            *reversed(post)]
+
+
+def _reference_basis_shift(s: PauliString, theta: float) -> list[Gate]:
+    support = s.support
+    central, rest = support[-1], support[:-1]
+    cut = (len(rest) + 1) // 2
+    couple = "CZ" if s.axis(central) == 1 else "CNOT"
+    halves = []
+    for group in (g for g in (rest[:cut], rest[cut:]) if g):
+        pre, post = _reference_basis(s, group)
+        chain = _reference_ladder(group)
+        k = Gate(couple, (group[-1], central))
+        halves.append(([*pre, *chain, k], [k, *reversed(chain), *reversed(post)]))
+    pre, post = _reference_basis(s, (central,))
+    gates = [g for first, _ in halves for g in first]
+    gates += [*pre, Gate("RZ", (central,), theta), *post]
+    for _, second in reversed(halves):
+        gates += second
+    return gates
+
+
+def _reference_ancilla(s: PauliString, theta: float) -> list[Gate]:
+    support = s.support
+    pre, post = _reference_basis(s, support)
+    return [*pre, *(Gate("CNOT", (q, s.n)) for q in support), Gate("RZ", (s.n,), theta),
+            *(Gate("CNOT", (q, s.n)) for q in reversed(support)), *reversed(post)]
+
+
+_REFERENCE_TERM_GATES = {"canonical": _reference_canonical,
+                         "basis_shift": _reference_basis_shift,
+                         "ancilla": _reference_ancilla}
+
+
+def reference_synthesize_plan(plan: TrotterPlan, mode: str) -> Circuit:
+    step: list[Gate] = []
+    for (s, _), theta in zip(plan.ordered_terms, plan.angles()):
+        step += _REFERENCE_TERM_GATES[mode](s, theta)
+    barriers = [k * len(step) for k in range(1, plan.n_steps)] if step else []
+    return Circuit(plan.n_qubits, step * plan.n_steps, ancilla=mode == "ancilla",
+                   barriers=barriers)
+
+
+def reference_gate_counts(gates: list[Gate]) -> GateCounts:
+    entangling = sum(len(g.qubits) == 2 for g in gates)
+    rz = sum(g.kind == "RZ" for g in gates)
+    return GateCounts(len(gates), entangling, len(gates) - entangling - rz, rz)
+
+
+def random_plan(rng: np.random.Generator, max_qubits: int = 8) -> TrotterPlan:
+    """A plan of a few random terms, under a random ordering, time and step count."""
+    n = int(rng.integers(1, max_qubits + 1))
+    op = QubitOperator(n, constant=float(rng.normal()))
+    for _ in range(int(rng.integers(1, 9))):
+        op.add_term(float(rng.normal()), random_pauli_string(rng, n))
+    kind = str(rng.choice(OrderingStrategy.KINDS))
+    strategy = OrderingStrategy(kind, int(rng.integers(100)) if kind == "random" else None)
+    return plan_for(op, strategy, int(rng.integers(1, 4)), float(rng.uniform(0.1, 2.0)))
 
 
 # ---- reference peephole optimizer ------------------------------------------

@@ -16,8 +16,7 @@ import numpy as np
 from fermiqc import fermion, optimizer
 from fermiqc.bench import BenchConfig, BenchInput, emit_report, run_bench
 from fermiqc.circuits import (SYNTHESIS_MODES, count_gates, synthesize_plan,
-                              synthesize_term, synthesize_term_ancilla,
-                              synthesize_term_basis_shift, term_gate_counts)
+                              synthesize_term, term_gate_counts)
 from fermiqc.fermion import build_hamiltonian, synthetic_integrals
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_path, fixture_text
 from fermiqc.mappings import (MappingScheme, basis_permutation, bk_index_sets,
@@ -32,13 +31,6 @@ from oracles import (circuit_unitary, fock_matrix, pauli_exponential, random_fer
 # Evolution time used for all error measurements: well inside the phase
 # branch |E t| < pi for every bundled fixture, with margin.
 ERROR_ANALYSIS_TIME = 0.1
-
-_SYNTH = {
-    "canonical": synthesize_term,
-    "basis_shift": synthesize_term_basis_shift,
-    "ancilla": synthesize_term_ancilla,
-}
-
 
 @contextlib.contextmanager
 def criterion(number: int, title: str):
@@ -136,8 +128,8 @@ def test_criterion_4_circuit_fidelity():
                           float(rng.uniform(-np.pi, np.pi))))
         for s, theta in cases:
             want = pauli_exponential(s, theta)
-            for mode, synth in _SYNTH.items():
-                u = circuit_unitary(synth(s, theta))
+            for mode in SYNTHESIS_MODES:
+                u = circuit_unitary(synthesize_term(s, theta, mode))
                 if mode == "ancilla":
                     dim = 1 << s.n
                     np.testing.assert_allclose(u[dim:, :dim], 0.0, atol=1e-10)

@@ -8,13 +8,15 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from fermiqc import mappings, simulator, trotter, write_fcidump
+from fermiqc import fermion, mappings, simulator, trotter, write_fcidump
 from fermiqc.bench import CSV_HEADER, BenchConfig, BenchInput, emit_report, run_bench
-from fermiqc.circuits import GateCounts
+from fermiqc.circuits import SYNTHESIS_MODES, GateCounts
 from fermiqc.cli import main
 from fermiqc.fixtures import fixture_path
 from fermiqc.mappings import MappingScheme
 from fermiqc.trotter import OrderingStrategy
+
+from oracles import reference_gate_counts, reference_optimize, reference_synthesize_plan
 
 
 SPEC = "synthetic:n=2,seed=1"
@@ -73,6 +75,19 @@ class TestRunBench:
             assert 0.0 <= row.savings < 1.0
             # every term keeps exactly one rotation through optimization
             assert row.optimized.non_clifford == row.raw.non_clifford
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_rows_count_the_reference_gates(self, steps):
+        inp = BenchInput.parse(str(fixture_path("h2_sto3g")))
+        cfg = tiny_config(inputs=[inp], n_steps=steps, modes=list(SYNTHESIS_MODES))
+        ham = fermion.build_hamiltonian(inp.load())
+        for row in run_bench(cfg):
+            qop = mappings.map_operator(ham, MappingScheme(row.mapping))
+            plan = trotter.plan_for(qop, OrderingStrategy(row.ordering, row.seed), steps,
+                                    simulator.safe_evolution_time(qop, cfg.time))
+            circ = reference_synthesize_plan(plan, row.mode)
+            assert row.raw == reference_gate_counts(circ.gates)
+            assert row.optimized == reference_gate_counts(reference_optimize(circ).gates)
 
     def test_with_error_column(self):
         cfg = tiny_config(with_error=True, time=0.1,

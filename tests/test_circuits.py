@@ -1,30 +1,24 @@
 """Circuit synthesis against the dense Pauli-exponential oracle."""
 
+import dataclasses
 import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiqc.circuits import (CNOT, CZ, RZ, YB, YBD, Circuit, Gate, GateCounts, H, X,
                               SYNTHESIS_MODES, count_gates, format_circuit,
                               parse_circuit, synthesize_plan, synthesize_term,
-                              synthesize_term_ancilla, synthesize_term_basis_shift,
                               term_gate_counts)
 from fermiqc.pauli import PauliString, QubitOperator
 from fermiqc.trotter import OrderingStrategy, plan_for
 
 from oracles import (assert_same_up_to_phase, circuit_unitary, pauli_exponential,
-                     random_pauli_string, reference_format_circuit, reference_parse_circuit)
-
-_SYNTH = {
-    "canonical": synthesize_term,
-    "basis_shift": synthesize_term_basis_shift,
-    "ancilla": synthesize_term_ancilla,
-}
-
+                     random_pauli_string, random_plan, reference_format_circuit,
+                     reference_gate_counts, reference_parse_circuit, reference_synthesize_plan)
 
 def realized_unitary(circ: Circuit) -> np.ndarray:
     """Data-register unitary; for ancilla circuits the |0> input block."""
@@ -95,7 +89,7 @@ class TestSynthesis:
     def test_single_qubit_terms(self, mode):
         for label, theta in [("Z", 0.7), ("X", -1.2), ("Y", 2.3)]:
             s = PauliString.from_label(label)
-            circ = _SYNTH[mode](s, theta)
+            circ = synthesize_term(s, theta, mode)
             assert_same_up_to_phase(realized_unitary(circ), pauli_exponential(s, theta))
 
     @pytest.mark.parametrize("mode", SYNTHESIS_MODES)
@@ -104,13 +98,13 @@ class TestSynthesis:
             n = int(rng.integers(1, 6))
             s = random_pauli_string(rng, n)
             theta = float(rng.uniform(-np.pi, np.pi))
-            circ = _SYNTH[mode](s, theta)
+            circ = synthesize_term(s, theta, mode)
             assert_same_up_to_phase(realized_unitary(circ), pauli_exponential(s, theta))
 
     @pytest.mark.parametrize("mode", SYNTHESIS_MODES)
     def test_identity_rejected(self, mode):
         with pytest.raises(ValueError):
-            _SYNTH[mode](PauliString(3), 0.5)
+            synthesize_term(PauliString(3), 0.5, mode)
 
     def test_canonical_structure(self):
         s = PauliString.from_label("YZIZX")
@@ -123,14 +117,14 @@ class TestSynthesis:
 
     def test_ancilla_returns_to_zero(self):
         s = PauliString.from_label("XYZ")
-        u = circuit_unitary(synthesize_term_ancilla(s, 0.9))
+        u = circuit_unitary(synthesize_term(s, 0.9, "ancilla"))
         dim = 1 << 3
         # no amplitude may leak from the |0>-ancilla block
         np.testing.assert_allclose(u[dim:, :dim], 0.0, atol=1e-12)
 
     def test_basis_shift_rotation_adjacent_to_basis_change(self):
         s = PauliString.from_label("ZZZZX")
-        gates = synthesize_term_basis_shift(s, 0.3).gates
+        gates = synthesize_term(s, 0.3, "basis_shift").gates
         i = next(k for k, g in enumerate(gates) if g.kind == "RZ")
         assert gates[i - 1] == H(4) and gates[i + 1] == H(4)
 
@@ -141,7 +135,7 @@ class TestTermGateCounts:
         for _ in range(40):
             n = int(rng.integers(1, 9))
             s = random_pauli_string(rng, n)
-            assert term_gate_counts(s, mode) == count_gates(_SYNTH[mode](s, 0.1)), s
+            assert term_gate_counts(s, mode) == count_gates(synthesize_term(s, 0.1, mode)), s
 
     def test_identity_is_free(self):
         assert term_gate_counts(PauliString(4)) == GateCounts(0, 0, 0, 0)
@@ -195,6 +189,38 @@ class TestSynthesizePlan:
         plan.ordered_terms.append((PauliString.from_label("XY"), 0.5))
         with pytest.raises(ValueError, match="acts on 2 qubits, the plan on 3"):
             synthesize_plan(plan, mode)
+
+
+class TestTemplates:
+    """Plans assembled from per-term templates equal the per-term Gate lists."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_reference_synthesis(self, seed):
+        plan = random_plan(np.random.default_rng(seed))
+        for n_steps in (1, 2, 3):
+            plan = dataclasses.replace(plan, n_steps=n_steps)
+            for mode in SYNTHESIS_MODES:
+                got, want = synthesize_plan(plan, mode), reference_synthesize_plan(plan, mode)
+                assert got == want
+                assert count_gates(got) == reference_gate_counts(want.gates)
+                assert len(got) == len(want.gates)
+
+    def test_shared_table_gives_each_plan_its_angles(self, rng):
+        op = QubitOperator(5)
+        for _ in range(12):
+            op.add_term(float(rng.normal()), random_pauli_string(rng, 5))
+        first = plan_for(op, OrderingStrategy("lex"), 1, 0.5)
+        second = plan_for(op, OrderingStrategy("magnitude"), 3, 1.7)
+        table: dict = {}
+        for mode in SYNTHESIS_MODES:
+            assert synthesize_plan(first, mode, table) == reference_synthesize_plan(first, mode)
+        size = len(table)
+        for mode in SYNTHESIS_MODES:
+            circ = synthesize_plan(second, mode, table)
+            assert circ == reference_synthesize_plan(second, mode)
+            assert [g.angle for g in circ.gates if g.kind == "RZ"] == second.angles() * 3
+        assert len(table) == size  # the second plan reused every template
 
 
 class TestSerialization:

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermiqc.circuits import (CNOT, CZ, RZ, YB, YBD, Circuit, Gate, H, X,
+from fermiqc.circuits import (CNOT, CZ, RZ, SYNTHESIS_MODES, YB, YBD, Circuit, Gate, H, X,
                               count_gates, synthesize_plan)
-from fermiqc.optimizer import (OptimizationReport, cancel_adjacent, commute,
-                               commute_and_cancel, optimize)
+from fermiqc.optimizer import (LEVELS, OptimizationReport, cancel_adjacent, commute,
+                               commute_and_cancel, optimize, run_level)
 from fermiqc.pauli import QubitOperator
 from fermiqc.trotter import OrderingStrategy, plan_for
 
-from oracles import (circuit_unitary, random_pauli_string, reference_cancel_adjacent,
-                     reference_commute, reference_commute_and_cancel, reference_optimize)
+from oracles import (circuit_unitary, random_pauli_string, random_plan,
+                     reference_cancel_adjacent, reference_commute,
+                     reference_commute_and_cancel, reference_gate_counts, reference_optimize,
+                     reference_synthesize_plan)
 
 
 def gate_unitary(g: Gate, n: int) -> np.ndarray:
@@ -238,6 +240,31 @@ class TestAgainstReference:
         got = cancel_adjacent(circ, cross_step)
         want = reference_cancel_adjacent(circ, cross_step)
         assert (got.gates, got.barriers) == (want.gates, want.barriers)
+
+
+class TestEncodedPlans:
+    """Synthesized circuits, optimized in their encoded form, one step at a
+    time without ``cross_step``, match the reference on the Gate lists."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([None, 0, 3, 50]))
+    def test_levels_match_reference(self, seed, cross_step, window):
+        plan = random_plan(np.random.default_rng(seed))
+        for mode in SYNTHESIS_MODES:
+            circ, ref = synthesize_plan(plan, mode), reference_synthesize_plan(plan, mode)
+            for level in LEVELS:
+                report, passes = OptimizationReport(), []
+                got = run_level(circ, level, cross_step, window, report)
+                if level == "full":
+                    want = reference_optimize(ref, cross_step, window, passes)
+                else:
+                    want = ref if level == "none" else reference_cancel_adjacent(ref, cross_step)
+                assert (got.gates, got.barriers, report.passes) == (
+                    want.gates, want.barriers, passes)
+                assert count_gates(got) == reference_gate_counts(want.gates)
+            got = commute_and_cancel(circ, cross_step, window)
+            want = reference_commute_and_cancel(ref, cross_step, window)
+            assert (got.gates, got.barriers) == (want.gates, want.barriers)
 
 
 class TestSafety:

@@ -66,6 +66,12 @@ run bench-fixtures bench "$fixtures/h2_sto3g.fcidump" "$fixtures/h2_631g.fcidump
     "$fixtures/lih_sto3g.fcidump" --orderings magnitude,lex,lexomag,random:7 \
     --mode canonical --mode basis_shift --mode ancilla
 run bench-lih-error bench "$fixtures/lih_sto3g.fcidump" --error --format json --steps 2
+# The optimize levels below full, on three steps (each step optimized once).
+for level in cancel none; do
+    run "bench-lih-steps3-$level" bench "$fixtures/lih_sto3g.fcidump" --steps 3 \
+        --orderings magnitude,lex --mode canonical --mode basis_shift --mode ancilla \
+        --optimize "$level"
+done
 run trotter-error trotter-error "$fixtures/lih_sto3g.fcidump" "$fixtures/h2_631g.fcidump" \
     --orderings magnitude,lex --steps 1,20 --time 0.1
 
