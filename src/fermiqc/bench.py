@@ -57,6 +57,8 @@ class BenchInput:
             if kv["n"] < 1:
                 raise click.BadParameter(f"{spec!r}: n must be at least 1, got {kv['n']}")
             n, seed, density = kv["n"], kv["seed"], kv["density"]
+            if not 0 < density <= 1:
+                raise click.BadParameter(f"{spec!r}: density must be in (0, 1], got {density}")
             return cls(f"synthetic-n{n}-s{seed}-d{density:g}", synthetic=(n, seed, density))
         return cls(Path(spec).stem, path=spec)
 

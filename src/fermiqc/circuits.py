@@ -26,7 +26,7 @@ class Gate:
     """One gate.  The Clifford constructors below share one instance per
     (kind, qubits), validated once.  RZ() builds a new instance per call,
     and Circuit.gates one per RZ of a step, so never key a cache on an
-    RZ's identity."""
+    RZ's identity.  CZ is symmetric, so its qubits are stored sorted."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -44,6 +44,8 @@ class Gate:
             raise ValueError(f"{self.kind} on negative qubit {min(self.qubits)}")
         if (self.kind == "RZ") != (self.angle is not None):
             raise ValueError("angle given exactly for RZ")
+        if self.kind == "CZ" and self.qubits[0] > self.qubits[1]:
+            object.__setattr__(self, "qubits", self.qubits[::-1])
 
 
 # Fields of an encoded entry.  The Z mask holds the qubits on which the gate
@@ -96,8 +98,7 @@ def CNOT(control: int, target: int) -> Gate:
 
 
 def CZ(a: int, b: int) -> Gate:
-    # Symmetric gate; store qubits sorted so equal CZs compare equal.
-    return _clifford("CZ", (min(a, b), max(a, b)))[_GATE]
+    return _clifford("CZ", (min(a, b), max(a, b)))[_GATE]  # one shared gate per pair
 
 
 def RZ(q: int, angle: float) -> Gate:
@@ -194,21 +195,21 @@ def count_gates(c: Circuit) -> GateCounts:
                       n_steps * (len(entries) - ent - rz), n_steps * rz)
 
 
-def _support(string: PauliString) -> tuple[int, ...]:
-    support = string.support
+def _support(x: int, z: int) -> tuple[int, ...]:
+    support = tuple(q for q in range((x | z).bit_length()) if (x | z) >> q & 1)
     if not support:
         raise ValueError("identity term has no circuit; handle it as an offset")
     return support
 
 
-def _basis(string: PauliString, qubits) -> tuple[list[tuple], list[tuple]]:
+def _basis(x: int, z: int, qubits) -> tuple[list[tuple], list[tuple]]:
     pre, post = [], []
     for q in qubits:
-        a = string.axis(q)
-        if a == 1:
+        axis = (x >> q & 1, z >> q & 1)
+        if axis == (1, 0):  # X
             pre.append(_clifford("H", (q,)))
             post.append(pre[-1])
-        elif a == 2:
+        elif axis == (1, 1):  # Y
             pre.append(_clifford("YB", (q,)))
             post.append(_clifford("YBD", (q,)))
     return pre, post
@@ -218,15 +219,15 @@ def _ladder(qubits) -> list[tuple]:
     return [_clifford("CNOT", pair) for pair in zip(qubits, qubits[1:])]
 
 
-def _canonical(string: PauliString) -> list[tuple]:
+def _canonical(n: int, x: int, z: int) -> list[tuple]:
     """Basis changes outside a linear CNOT ladder."""
-    support = _support(string)
-    pre, post = _basis(string, support)
+    support = _support(x, z)
+    pre, post = _basis(x, z, support)
     ladder = _ladder(support)
     return [*pre, *ladder, _rz(support[-1]), *reversed(ladder), *reversed(post)]
 
 
-def _basis_shift(string: PauliString) -> list[tuple]:
+def _basis_shift(n: int, x: int, z: int) -> list[tuple]:
     """Basis changes pulled inside the parity strings.
 
     The parity chain is split into an exterior and an interior string,
@@ -234,38 +235,37 @@ def _basis_shift(string: PauliString) -> list[tuple]:
     the central axis is X, CNOT when it is Y or Z.  The central basis
     change then sits directly against the rotation.
     """
-    support = _support(string)
+    support = _support(x, z)
     central = support[-1]
     rest = support[:-1]
     cut = (len(rest) + 1) // 2
     groups = [g for g in (rest[:cut], rest[cut:]) if g]
-    couple = "CZ" if string.axis(central) == 1 else "CNOT"
+    couple = "CZ" if (x >> central & 1, z >> central & 1) == (1, 0) else "CNOT"
 
     halves: list[tuple[list[tuple], list[tuple]]] = []
     for group in groups:
-        pre, post = _basis(string, group)
+        pre, post = _basis(x, z, group)
         chain = _ladder(group)
         k = _clifford(couple, (group[-1], central))  # group[-1] < central: CZ sorted
         halves.append(([*pre, *chain, k], [k, *reversed(chain), *reversed(post)]))
     out = [e for first, _ in halves for e in first]
-    pre, post = _basis(string, (central,))
+    pre, post = _basis(x, z, (central,))
     out += [*pre, _rz(central), *post]
     for _, second in reversed(halves):
         out += second
     return out
 
 
-def _ancilla(string: PauliString) -> list[tuple]:
-    """Parity of all involved qubits accumulated onto one ancilla.
+def _ancilla(n: int, x: int, z: int) -> list[tuple]:
+    """Parity of all involved qubits accumulated onto one ancilla (qubit n).
 
     Acting on |psi>|0> the circuit applies exp(-i theta/2 P) to the data
     register and returns the ancilla to |0>.
     """
-    support = _support(string)
-    anc = string.n
-    pre, post = _basis(string, support)
-    return [*pre, *(_clifford("CNOT", (q, anc)) for q in support), _rz(anc),
-            *(_clifford("CNOT", (q, anc)) for q in reversed(support)), *reversed(post)]
+    support = _support(x, z)
+    pre, post = _basis(x, z, support)
+    return [*pre, *(_clifford("CNOT", (q, n)) for q in support), _rz(n),
+            *(_clifford("CNOT", (q, n)) for q in reversed(support)), *reversed(post)]
 
 
 _TEMPLATES = {
@@ -284,8 +284,8 @@ def _template(mode: str):
 
 def synthesize_term(string: PauliString, theta: float, mode: str = "canonical") -> Circuit:
     """The circuit of exp(-i theta/2 P) for one term."""
-    return Circuit.from_encoded(string.n, _template(mode)(string), [theta],
-                                ancilla=(mode == "ancilla"))
+    return Circuit.from_encoded(string.n, _template(mode)(string.n, string.x, string.z),
+                                [theta], ancilla=(mode == "ancilla"))
 
 
 def synthesize_plan(plan: TrotterPlan, mode: str = "canonical",
@@ -300,14 +300,11 @@ def synthesize_plan(plan: TrotterPlan, mode: str = "canonical",
     build = _template(mode)
     table = {} if templates is None else templates
     step: list[tuple] = []
-    for string, _ in plan.ordered_terms:
-        if string.n != plan.n_qubits:
-            raise ValueError(f"term {string.label} acts on {string.n} qubits, "
-                             f"the plan on {plan.n_qubits}")
-        key = (mode, string.x, string.z)
+    for x, z in zip(plan.x.tolist(), plan.z.tolist()):
+        key = (mode, x, z)
         template = table.get(key)
         if template is None:
-            template = table[key] = build(string)
+            template = table[key] = build(plan.n_qubits, x, z)
         step += template
     return Circuit.from_encoded(plan.n_qubits, step, plan.angles(), plan.n_steps,
                                 ancilla=(mode == "ancilla"))
@@ -372,7 +369,8 @@ def _parse_gate(fields: list[str], width: int) -> Gate:
         raise ValueError(f"{kind} takes {operands} operands, got {len(fields) - 1}")
     if kind == "RZ":
         return RZ(_qubit(fields[1], width), float(fields[2]))
-    return _clifford(kind, tuple(_qubit(f, width) for f in fields[1:]))[_GATE]
+    qubits = tuple(_qubit(f, width) for f in fields[1:])
+    return CZ(*qubits) if kind == "CZ" else _clifford(kind, qubits)[_GATE]
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -390,9 +388,10 @@ def parse_circuit(text: str) -> Circuit:
         raise ValueError("empty circuit file")
     fields = head.split()
     try:
-        if len(fields) != 4 or fields[0] != "QUBITS" or fields[2] != "ANCILLA":
+        if (len(fields) != 4 or fields[0] != "QUBITS" or fields[2] != "ANCILLA"
+                or int(fields[1]) < 0 or fields[3] not in ("0", "1")):
             raise ValueError
-        n_qubits, ancilla = int(fields[1]), bool(int(fields[3]))
+        n_qubits, ancilla = int(fields[1]), fields[3] == "1"
     except ValueError:
         raise ValueError(f"line {lineno}: bad circuit header {head!r}") from None
     entries: list[tuple] = []

@@ -172,7 +172,7 @@ def map_operator(op: FermionOperator, scheme: MappingScheme) -> QubitOperator:
         constant += complex(coeff[ident][0])
     keep = ~ident
     # The keys are distinct; `+ 0.0`, as in add_term, turns -0.0 parts into +0.0.
-    return QubitOperator.from_arrays(n, x[keep], z[keep], coeff[keep] + 0.0, constant)
+    return QubitOperator(n, constant=constant, arrays=(x[keep], z[keep], coeff[keep] + 0.0))
 
 
 def _expand_chunk(imgs, coeffs, starts, modes, dagger, xmask, first_entry, prods, loc):

@@ -113,40 +113,33 @@ def lex_order(n: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.lexsort(keys[::-1])
 
 
+def _term_arrays(n: int, xs: list[int], zs: list[int], coeffs: list[complex]) -> tuple:
+    """The layout of ``QubitOperator.arrays``; masks above 64 qubits are ints."""
+    mask = np.uint64 if n <= 64 else object
+    return np.array(xs, dtype=mask), np.array(zs, dtype=mask), np.array(coeffs, dtype=complex)
+
+
 class QubitOperator:
     """Weighted sum of Pauli strings on a fixed register.
 
     The identity component is held apart as ``constant`` and never enters
-    the terms; duplicate strings are merged on insertion.  The terms are a
-    dictionary, ``arrays()`` or both; each form is made from the other on
-    first use.  ``add_term`` edits the dictionary.
+    the terms; duplicate strings are merged on insertion.  The terms are
+    ``arrays()`` (given distinct and non-identity), a ``PauliString``
+    dictionary or both; each form is made from the other on first use.
+    ``add_term`` edits the dictionary; the package reads only the arrays.
     """
 
-    def __init__(self, n: int, terms: Mapping[PauliString, complex] | None = None,
-                 constant: complex = 0.0):
+    def __init__(self, n: int, constant: complex = 0.0, arrays: tuple | None = None):
         self.n = n
         self.constant = complex(constant)
-        self._terms: dict[PauliString, complex] | None = {}
-        self._arrays: tuple | None = None
-        if terms:
-            for s, c in terms.items():
-                self.add_term(c, s)
-
-    @classmethod
-    def from_arrays(cls, n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
-                    constant: complex = 0.0) -> "QubitOperator":
-        """Terms from distinct non-identity masks, laid out as :meth:`arrays`."""
-        op = cls(n, constant=constant)
-        op._terms, op._arrays = None, (x, z, coeffs)
-        return op
+        self._terms: dict[PauliString, complex] | None = {} if arrays is None else None
+        self._arrays: tuple | None = arrays
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X masks, Z masks, coefficients) in term order; masks above 64 qubits are ints."""
+        """(X masks, Z masks, coefficients) in term order."""
         if self._arrays is None:
-            mask = np.uint64 if self.n <= 64 else object
-            self._arrays = (np.array([s.x for s in self._terms], dtype=mask),
-                            np.array([s.z for s in self._terms], dtype=mask),
-                            np.array(list(self._terms.values()), dtype=complex))
+            self._arrays = _term_arrays(self.n, [s.x for s in self._terms],
+                                        [s.z for s in self._terms], list(self._terms.values()))
         return self._arrays
 
     def _dict(self) -> dict[PauliString, complex]:
@@ -188,7 +181,7 @@ class QubitOperator:
 
     def coefficient_norm(self) -> float:
         """Sum of |c_j| over non-identity terms (spectral-width bound)."""
-        return sum(abs(c) for c in self._dict().values())
+        return sum(np.abs(self.arrays()[2]).tolist())
 
     def __repr__(self):
         return f"QubitOperator(n={self.n}, terms={len(self)}, constant={self.constant})"
@@ -223,8 +216,8 @@ def parse_terms(text: str, n_qubits: int | None = None) -> QubitOperator:
 
     Register size is inferred from the largest qubit index unless given.
     """
-    entries: list[tuple[complex, list[tuple[int, str]]]] = []
-    known: dict[str, tuple[int, str]] = {}  # each distinct field is checked once
+    terms: dict[tuple[int, int], complex] = {}  # (x, z) -> coefficient; (0, 0) the constant
+    known: dict[str, tuple[int, int]] = {}  # each distinct field is checked once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -239,24 +232,30 @@ def parse_terms(text: str, n_qubits: int | None = None) -> QubitOperator:
             coeff = complex(float(parts[0]), float(parts[1]))
         except ValueError:
             raise ValueError(f"line {lineno}: malformed coefficient {head!r}") from None
-        ops = []
+        x = z = 0
         for f in fields[1:]:
             if f not in known:
                 known[f] = _parse_op(f, n_qubits, lineno)
-            ops.append(known[f])
-        if len({q for q, _ in ops}) != len(ops):
+            fx, fz = known[f]
+            x, z = x | fx, z | fz
+        if (x | z).bit_count() != len(fields) - 1:
             raise ValueError(f"line {lineno}: a qubit appears twice")
-        entries.append((coeff, ops))
-    max_q = max((q for q, _ in known.values()), default=-1)
-    n = n_qubits if n_qubits is not None else max_q + 1
-    op = QubitOperator(max(n, 0))
-    for coeff, ops in entries:
-        op.add_term(coeff, PauliString.from_ops(op.n, ops))
-    return op
+        new = terms.get((x, z), 0.0) + coeff
+        if new == 0:
+            terms.pop((x, z), None)
+        else:
+            terms[x, z] = new
+    # The constant sums like a term: restarting a dropped zero sum at 0.0 is exact.
+    constant = terms.pop((0, 0), 0j)
+    if n_qubits is None:
+        n_qubits = max(((fx | fz).bit_length() for fx, fz in known.values()), default=0)
+    n = max(n_qubits, 0)
+    arrays = _term_arrays(n, [x for x, _ in terms], [z for _, z in terms], list(terms.values()))
+    return QubitOperator(n, constant=constant, arrays=arrays)
 
 
-def _parse_op(field: str, n_qubits: int | None, lineno: int) -> tuple[int, str]:
-    """``X3`` -> (3, "X")."""
+def _parse_op(field: str, n_qubits: int | None, lineno: int) -> tuple[int, int]:
+    """``X3`` -> its (X mask, Z mask) (8, 0)."""
     axis, q = field[0], field[1:]
     if axis not in "XYZ":
         raise ValueError(f"line {lineno}: bad axis {field!r}")
@@ -264,4 +263,4 @@ def _parse_op(field: str, n_qubits: int | None, lineno: int) -> tuple[int, str]:
         raise ValueError(f"line {lineno}: bad qubit index {field!r}")
     if n_qubits is not None and int(q) >= n_qubits:
         raise ValueError(f"line {lineno}: qubit {q} outside register of size {n_qubits}")
-    return int(q), axis
+    return (axis != "Z") << int(q), (axis != "X") << int(q)

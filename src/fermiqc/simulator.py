@@ -16,13 +16,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fermion import ResourceLimitError
-from .pauli import PauliString, QubitOperator
+from .pauli import QubitOperator
 from .trotter import TrotterPlan
 
 OPERATOR_QUBIT_LIMIT = 16
 _HERMITIAN_TOL = 1e-10  # max |m - m^H| that ground_state accepts
 _RESIDUAL_TOL = 1e-9  # max |m v - E v| of the returned eigenpair
-_I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
+_I_POWERS = (1.0, 1.0j, -1.0, -1.0j)  # i^ny, the phase of P = i^ny X^x Z^z (Y = iXZ)
 
 
 class EigensolverError(RuntimeError):
@@ -32,11 +32,6 @@ class EigensolverError(RuntimeError):
 def _parity(indices: np.ndarray, z: int) -> np.ndarray:
     """Parity (0 or 1) of the bits of each index under the Z mask."""
     return np.bitwise_count(indices & z) & 1
-
-
-def _y_phase(s: PauliString) -> complex:
-    """i^ny, the phase of P = i^ny X^x Z^z (Y = iXZ)."""
-    return _I_POWERS[(s.x & s.z).bit_count() % 4]
 
 
 def operator_matrix(op: QubitOperator) -> sp.csr_matrix:
@@ -51,8 +46,8 @@ def operator_matrix(op: QubitOperator) -> sp.csr_matrix:
     dim = 1 << op.n
     cols = np.arange(dim, dtype=np.int64)
     groups: dict[int, list[tuple[int, complex]]] = {0: []}  # x = 0 holds the constant
-    for s, c in op.items():
-        groups.setdefault(s.x, []).append((s.z, c * _y_phase(s)))
+    for x, z, c in zip(*(a.tolist() for a in op.arrays())):
+        groups.setdefault(x, []).append((z, c * _I_POWERS[(x & z).bit_count() % 4]))
     rows, nz_cols, data = [], [], []
     for x, terms in groups.items():
         diag = np.full(dim, op.constant if x == 0 else 0j)
@@ -114,7 +109,8 @@ def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
     if len(state) != dim:
         raise ValueError(f"state has dimension {len(state)}, plan needs {dim}")
     idx = np.arange(dim, dtype=np.int64)
-    perms = {x: idx ^ x for x in {s.x for s, _ in plan.ordered_terms}}
+    xs, zs = plan.x.tolist(), plan.z.tolist()
+    perms = {x: idx ^ x for x in set(xs)}
     lo = plan.n_qubits // 2
     low = (1 << lo) - 1
     rows, cols = idx[:dim >> lo, None], idx[:2 << lo] >> 1  # cols: real, imaginary part
@@ -127,9 +123,10 @@ def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
             shared[key] = (_parity(j, z) ^ key[2]).astype(np.uint64) << np.uint64(63)
         return shared.get(key)
 
-    table = [(perms[s.x], signs(rows, s.z >> lo, s.x >> lo), signs(cols, s.z & low, s.x & low),
-              math.cos(0.5 * theta), -1j * math.sin(0.5 * theta) * _y_phase(s))
-             for (s, _), theta in zip(plan.ordered_terms, plan.angles())]
+    table = [(perms[x], signs(rows, z >> lo, x >> lo), signs(cols, z & low, x & low),
+              math.cos(0.5 * theta),
+              -1j * math.sin(0.5 * theta) * _I_POWERS[(x & z).bit_count() % 4])
+             for x, z, theta in zip(xs, zs, plan.angles())]
     psi = state.astype(complex, copy=True)
     moved = np.empty_like(psi)
     bits = moved.view(np.uint64).reshape(dim >> lo, 2 << lo)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .pauli import DEFAULT_TOL, PauliString, QubitOperator, lex_order
 
 
@@ -38,40 +40,29 @@ class OrderingStrategy:
         return f"random:{self.seed}" if self.kind == "random" else self.kind
 
 
-def _magnitude_sorted(terms: list[tuple[PauliString, complex]],
-                      descending: bool) -> list[tuple[PauliString, complex]]:
-    # ``terms`` come in lex order and sorted() is stable, so ties keep lex order.
-    return sorted(terms, key=lambda t: -abs(t[1]) if descending else abs(t[1]))
-
-
-def order_terms(op: QubitOperator, strategy: OrderingStrategy) -> list[tuple[PauliString, complex]]:
-    """Permute the operator's non-identity terms per the chosen strategy."""
-    items, (x, z, _) = list(op.items()), op.arrays()
-    terms = [items[i] for i in lex_order(op.n, x, z).tolist()]
+def order_terms(op: QubitOperator, strategy: OrderingStrategy) -> np.ndarray:
+    """Indices into the operator's ``arrays()``, in the strategy's term order."""
+    x, z, coeffs = op.arrays()
+    lex = lex_order(op.n, x, z)
     if strategy.kind == "lex":
-        return terms
-    if strategy.kind == "magnitude":
-        return _magnitude_sorted(terms, strategy.descending_magnitude)
+        return lex
     if strategy.kind == "random":
-        rng = random.Random(strategy.seed)
-        shuffled = list(terms)
-        rng.shuffle(shuffled)
-        return shuffled
-    # lexomag: alternate the lex and magnitude streams, lex first,
-    # skipping terms already emitted.
-    mag = _magnitude_sorted(terms, strategy.descending_magnitude)
-    streams = [iter(terms), iter(mag)]
-    emitted: set[PauliString] = set()
-    out: list[tuple[PauliString, complex]] = []
-    turn = 0
-    while len(out) < len(terms):
-        for cand in streams[turn]:
-            if cand[0] not in emitted:
-                emitted.add(cand[0])
-                out.append(cand)
-                break
-        turn ^= 1
-    return out
+        shuffled = lex.tolist()
+        random.Random(strategy.seed).shuffle(shuffled)
+        return np.array(shuffled, dtype=np.intp)
+    # A stable sort of the lex permutation, so ties keep lex order.
+    mags = np.abs(coeffs[lex])
+    mag = lex[np.argsort(-mags if strategy.descending_magnitude else mags, kind="stable")]
+    if strategy.kind == "magnitude":
+        return mag
+    # lexomag: the lex and magnitude streams in turn, lex first, skipping taken terms.
+    streams, out = [iter(lex.tolist()), iter(mag.tolist())], []
+    taken = np.zeros(len(lex), dtype=bool)
+    while len(out) < len(lex):
+        j = next(j for j in streams[len(out) % 2] if not taken[j])
+        taken[j] = True
+        out.append(j)
+    return np.array(out, dtype=np.intp)
 
 
 @dataclass
@@ -79,20 +70,27 @@ class TrotterPlan:
     """A first-order product-formula schedule for exp(-i H t).
 
     The realized unitary is (prod_j exp(-i c_j (t/n) P_j))^n over the
-    ordered non-identity terms; the identity component rides along as a
-    classical scalar offset.
+    non-identity terms, held as ``QubitOperator.arrays`` in plan order; the
+    identity component rides along as a classical scalar offset.
     """
 
     n_qubits: int
-    ordered_terms: list[tuple[PauliString, complex]]
+    x: np.ndarray
+    z: np.ndarray
+    coeffs: np.ndarray
     n_steps: int
     time: float
     scalar_offset: float = 0.0
 
+    @property
+    def ordered_terms(self) -> list[tuple[PauliString, complex]]:
+        """The (string, coefficient) pairs in plan order, built on each call."""
+        return [(PauliString(self.n_qubits, x, z), c)
+                for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeffs.tolist())]
+
     def angles(self) -> list[float]:
         """Rotation angle per term: theta_j = 2 c_j t / n."""
-        dt = self.time / self.n_steps
-        return [2.0 * coeff.real * dt for _, coeff in self.ordered_terms]
+        return (2.0 * self.coeffs.real * (self.time / self.n_steps)).tolist()
 
 
 def plan_for(op: QubitOperator, strategy: OrderingStrategy, n_steps: int,
@@ -102,10 +100,14 @@ def plan_for(op: QubitOperator, strategy: OrderingStrategy, n_steps: int,
     A plan's angles and offset are real, so a non-Hermitian operator (an
     imaginary part above DEFAULT_TOL) raises ValueError.
     """
-    for s, c in ((PauliString(op.n), op.constant), *op.items()):
-        if abs(c.imag) > DEFAULT_TOL:
-            raise ValueError(f"operator is not Hermitian: term {s.label} has "
-                             f"coefficient {c!r}")
+    x, z, coeffs = op.arrays()
+    c = np.concatenate(([op.constant], coeffs))
+    i = int(np.argmax(np.abs(c.imag) > DEFAULT_TOL))  # the first offender, or 0
+    if abs(c[i].imag) > DEFAULT_TOL:
+        s = PauliString(op.n, int(x[i - 1]), int(z[i - 1])) if i else PauliString(op.n)
+        raise ValueError(f"operator is not Hermitian: term {s.label} has "
+                         f"coefficient {c[i].item()!r}")
     if n_steps < 1:
         raise ValueError("need at least one Trotter step")
-    return TrotterPlan(op.n, order_terms(op, strategy), n_steps, time, op.constant.real)
+    order = order_terms(op, strategy)
+    return TrotterPlan(op.n, x[order], z[order], coeffs[order], n_steps, time, op.constant.real)

@@ -2,17 +2,19 @@
 
 Everything here is built from first principles (explicit Kronecker
 products, dense linear algebra, a ladder-operator Fock-space matrix, a
-gate-by-gate circuit unitary, per-term Gate lists for Trotter circuits, a
-plain list-based peephole optimizer,
-gate-by-gate circuit-file loops, term-by-term simulator loops, a
-nested-loop Hamiltonian construction, a dictionary-based fermion-to-qubit
-expansion) so the package code under test is never used to check itself.
+gate-by-gate circuit unitary, a term ordering over (string, coefficient)
+pairs, per-term Gate lists for Trotter circuits, a plain list-based
+peephole optimizer, gate-by-gate circuit-file loops, term-by-term
+simulator loops, a nested-loop Hamiltonian construction, a
+dictionary-based fermion-to-qubit expansion) so the package code under
+test is never used to check itself.
 The package supplies its data types and, to the mapping reference, its
 per-mode ladder images.
 """
 
 import cmath
 import math
+import random
 
 import numpy as np
 import scipy.sparse as sp
@@ -274,6 +276,44 @@ def random_plan(rng: np.random.Generator, max_qubits: int = 8) -> TrotterPlan:
     kind = str(rng.choice(OrderingStrategy.KINDS))
     strategy = OrderingStrategy(kind, int(rng.integers(100)) if kind == "random" else None)
     return plan_for(op, strategy, int(rng.integers(1, 4)), float(rng.uniform(0.1, 2.0)))
+
+
+def _reference_magnitude_sorted(terms: list[tuple[PauliString, complex]],
+                                descending: bool) -> list[tuple[PauliString, complex]]:
+    # ``terms`` come in lex order and sorted() is stable, so ties keep lex order.
+    return sorted(terms, key=lambda t: -abs(t[1]) if descending else abs(t[1]))
+
+
+def reference_order_terms(op: QubitOperator,
+                          strategy: OrderingStrategy) -> list[tuple[PauliString, complex]]:
+    """The operator's (string, coefficient) pairs in the strategy's order,
+    ordered as objects: a lex sort by digit tuples, sorted() by magnitude,
+    a shuffle of the pairs and a set of the strings already taken."""
+    terms = sorted(op.items(), key=lambda t: reference_lex_key(t[0]))
+    if strategy.kind == "lex":
+        return terms
+    if strategy.kind == "magnitude":
+        return _reference_magnitude_sorted(terms, strategy.descending_magnitude)
+    if strategy.kind == "random":
+        rng = random.Random(strategy.seed)
+        shuffled = list(terms)
+        rng.shuffle(shuffled)
+        return shuffled
+    # lexomag: alternate the lex and magnitude streams, lex first,
+    # skipping terms already emitted.
+    mag = _reference_magnitude_sorted(terms, strategy.descending_magnitude)
+    streams = [iter(terms), iter(mag)]
+    emitted: set[PauliString] = set()
+    out: list[tuple[PauliString, complex]] = []
+    turn = 0
+    while len(out) < len(terms):
+        for cand in streams[turn]:
+            if cand[0] not in emitted:
+                emitted.add(cand[0])
+                out.append(cand)
+                break
+        turn ^= 1
+    return out
 
 
 # ---- reference peephole optimizer ------------------------------------------

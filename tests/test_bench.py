@@ -14,6 +14,7 @@ from fermiqc.circuits import SYNTHESIS_MODES, GateCounts
 from fermiqc.cli import main
 from fermiqc.fixtures import fixture_path
 from fermiqc.mappings import MappingScheme
+from fermiqc.pauli import PauliString
 from fermiqc.trotter import OrderingStrategy
 
 from oracles import reference_gate_counts, reference_optimize, reference_synthesize_plan
@@ -57,6 +58,9 @@ class TestBenchInput:
         ("synthetic:n", "n must be int, got ''"),
         ("synthetic:n=0", "n must be at least 1, got 0"),
         ("synthetic:n=-1,seed=2", "n must be at least 1, got -1"),
+        ("synthetic:n=2,density=2", "density must be in (0, 1], got 2.0"),
+        ("synthetic:n=2,density=0", "density must be in (0, 1], got 0.0"),
+        ("synthetic:n=2,density=nan", "density must be in (0, 1], got nan"),
     ])
     def test_parse_synthetic_rejects_bad_spec(self, spec, fragment):
         with pytest.raises(click.BadParameter) as err:
@@ -197,6 +201,25 @@ class TestCli:
         assert r.exit_code == 0
         assert opt.read_text().count("\n") <= circ.read_text().count("\n")
 
+    def test_commands_build_no_pauli_string(self, tmp_path, monkeypatch):
+        # The pipeline reads the operator's masks; PauliString is only a view.
+        built = []
+        post_init = PauliString.__post_init__
+        monkeypatch.setattr(PauliString, "__post_init__",
+                            lambda s: (built.append(s), post_init(s))[1])
+        lih = str(fixture_path("lih_sto3g"))
+        terms, circ = tmp_path / "lih.terms", tmp_path / "lih.circ"
+        for args in (["map", lih, "-o", str(terms)],
+                     ["compile", str(terms), "--ordering", "lexomag", "-o", str(circ)],
+                     ["optimize", str(circ), "-o", str(tmp_path / "opt.circ")],
+                     ["bench", lih, "--orderings", "magnitude,lex,lexomag,random:7",
+                      "--mode", "basis_shift", "--mode", "ancilla", "--error"],
+                     ["trotter-error", lih, "--orderings", "magnitude,lex", "--steps", "1,2"]):
+            assert self.run(*args).exit_code == 0, args
+        assert built == []
+        PauliString(1, 1, 0)
+        assert len(built) == 1  # the wrapper counts
+
     def test_bench_csv_to_stdout(self):
         r = self.run("bench", "synthetic:n=2,seed=1", "--mode", "canonical",
                      "--ordering", "lex")
@@ -290,7 +313,7 @@ class TestCli:
         assert "Invalid value for '--window'" in r.output
 
     @pytest.mark.parametrize("spec", ["synthetic:n=2,sed=1", "synthetic:n=x", "synthetic:n=0",
-                                      "synthetic:n=-1"])
+                                      "synthetic:n=-1", "synthetic:n=2,density=2"])
     def test_bad_synthetic_spec_is_one_line(self, spec):
         r = CliRunner().invoke(main, ["bench", spec])
         assert r.exit_code == 2

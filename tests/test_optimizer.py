@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiqc.circuits import (CNOT, CZ, RZ, SYNTHESIS_MODES, YB, YBD, Circuit, Gate, H, X,
-                              count_gates, synthesize_plan)
+                              count_gates, parse_circuit, synthesize_plan)
 from fermiqc.optimizer import (LEVELS, OptimizationReport, cancel_adjacent, commute,
                                commute_and_cancel, optimize, run_level)
 from fermiqc.pauli import QubitOperator
@@ -93,6 +93,13 @@ class TestCancelAdjacent:
         c = Circuit(1)
         c.extend([YBD(0), YB(0)])
         assert cancel_adjacent(c).gates == []
+
+    def test_cz_operands_in_either_order(self):
+        # A symmetric CZ read as "CZ 2 1" is the same gate as "CZ 1 2".
+        c = parse_circuit("QUBITS 3 ANCILLA 0\nCZ 2 1\nCZ 1 2\nH 0\nH 0\n")
+        report = OptimizationReport()
+        assert optimize(c, report=report).gates == []
+        assert report.removed == 4
 
 
 class TestCommuteAndCancel:

@@ -132,13 +132,29 @@ class TestTermFiles:
         assert back == op
         assert pauli.format_terms(back) == text
 
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.5, -0.5, -0.0, complex(-0.0, -0.0), complex(-0.0, 1e-3), 1.0]),
+        st.sampled_from(["III", "XII", "IYZ", "ZZZ"])), max_size=12))
+    def test_repeated_lines_sum_as_add_term(self, lines):
+        # Repeats, cancellations that come back, identity lines and -0.0 parts.
+        text = "".join(f"({complex(c).real!r},{complex(c).imag!r}) "
+                       + " ".join(f"{a}{q}" for q, a in enumerate(label) if a != "I") + "\n"
+                       for c, label in lines)
+        want = QubitOperator(3)
+        for c, label in lines:
+            want.add_term(complex(c), PauliString.from_label(label))
+        back = pauli.parse_terms(text, n_qubits=3)
+        forms_agree(back, want)
+        assert repr(back.constant) == repr(want.constant)
+        assert repr(back.arrays()[2].tolist()) == repr(want.arrays()[2].tolist())
+
 
 def from_arrays_of(op):
-    """The operator ``op`` built through from_arrays, from its items."""
+    """The operator ``op`` built from arrays of its items."""
     strings = [s for s, _ in op.items()]
-    return QubitOperator.from_arrays(op.n, *masks(strings, op.n),
-                                     np.array([c for _, c in op.items()], dtype=complex),
-                                     op.constant)
+    coeffs = np.array([c for _, c in op.items()], dtype=complex)
+    return QubitOperator(op.n, constant=op.constant, arrays=(*masks(strings, op.n), coeffs))
 
 
 def norm(op):
@@ -180,8 +196,8 @@ class TestArrayForm:
 
     def test_add_term_can_cancel_an_array_term(self):
         s = PauliString.from_label("XZ")
-        op = QubitOperator.from_arrays(2, np.array([s.x], dtype=np.uint64),
-                                       np.array([s.z], dtype=np.uint64), np.array([0.5 + 0j]))
+        op = QubitOperator(2, arrays=(np.array([s.x], dtype=np.uint64),
+                                      np.array([s.z], dtype=np.uint64), np.array([0.5 + 0j])))
         op.add_term(-0.5, s)
         assert len(op) == 0 and op.arrays()[0].tolist() == []
         assert pauli.format_terms(op) == ""
@@ -220,8 +236,9 @@ class TestQubitOperator:
             op.add_term(1.0, PauliString(3))
 
     def test_coefficient_norm(self):
-        op = QubitOperator(2, {PauliString.from_label("XI"): 3.0,
-                               PauliString.from_label("IZ"): -4.0}, constant=7.0)
+        op = QubitOperator(2, constant=7.0)
+        op.add_term(3.0, PauliString.from_label("XI"))
+        op.add_term(-4.0, PauliString.from_label("IZ"))
         assert op.coefficient_norm() == pytest.approx(7.0)
 
 

@@ -160,7 +160,8 @@ class TestTrotterError:
     def test_exact_plan_has_negligible_error(self, rng):
         # single-term Hamiltonians Trotterize exactly
         s = PauliString.from_label("XZY")
-        op = QubitOperator(3, {s: 0.8}, constant=0.5)
+        op = QubitOperator(3, constant=0.5)
+        op.add_term(0.8, s)
         energy, ground = ground_state(operator_matrix(op))
         plan = plan_for(op, OrderingStrategy("lex"), 1, 0.9)
         rep = trotter_error(plan, energy, ground)
@@ -171,11 +172,13 @@ class TestTrotterError:
 
 class TestSafeEvolutionTime:
     def test_passthrough_when_in_branch(self):
-        op = QubitOperator(1, {PauliString.from_label("Z"): 0.5})
+        op = QubitOperator(1)
+        op.add_term(0.5, PauliString.from_label("Z"))
         assert safe_evolution_time(op, 1.0) == 1.0
 
     def test_shrinks_when_out_of_branch(self):
-        op = QubitOperator(1, {PauliString.from_label("Z"): 100.0})
+        op = QubitOperator(1)
+        op.add_term(100.0, PauliString.from_label("Z"))
         t = safe_evolution_time(op, 1.0)
         assert t == pytest.approx(0.9 * np.pi / 100.0)
         assert op.coefficient_norm() * t < np.pi
@@ -294,9 +297,10 @@ class TestAgainstReference:
     @given(operators(), st.integers(1, 3), st.floats(0.01, 3.0), st.randoms())
     def test_matches_reference_loops(self, op, n_steps, time, random):
         assert_same_csr(operator_matrix(op), reference_operator_matrix(op))
-        ordered = list(op.items())
-        random.shuffle(ordered)
-        plan = TrotterPlan(op.n, ordered, n_steps, time)
+        order = list(range(len(op)))
+        random.shuffle(order)
+        x, z, coeffs = op.arrays()
+        plan = TrotterPlan(op.n, x[order], z[order], coeffs[order], n_steps, time)
         rng = np.random.default_rng(random.getrandbits(32))
         state = rng.normal(size=1 << op.n) + 1j * rng.normal(size=1 << op.n)
         assert np.array_equal(apply_trotterized(plan, state),

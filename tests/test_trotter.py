@@ -1,9 +1,13 @@
 """Ordering strategies and Trotter plan bookkeeping."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermiqc.pauli import PauliString, QubitOperator
 from fermiqc.trotter import OrderingStrategy, order_terms, plan_for
+
+from oracles import reference_order_terms
 
 
 def make_operator():
@@ -33,28 +37,32 @@ class TestOrderingStrategy:
             OrderingStrategy("random")
 
 
+def ordered(op, strategy):
+    return plan_for(op, strategy, 1, 1.0).ordered_terms
+
+
 class TestOrderTerms:
     def test_is_permutation(self):
         op = make_operator()
         base = dict(op.items())
         for strat in (OrderingStrategy("magnitude"), OrderingStrategy("lex"),
                       OrderingStrategy("lexomag"), OrderingStrategy("random", 7)):
-            ordered = order_terms(op, strat)
-            assert dict(ordered) == base
-            assert len(ordered) == len(base)
+            assert sorted(order_terms(op, strat).tolist()) == list(range(len(op)))
+            terms = ordered(op, strat)
+            assert dict(terms) == base
+            assert len(terms) == len(base)
 
     def test_lex_order(self):
-        labels = [s.label for s, _ in order_terms(make_operator(), OrderingStrategy("lex"))]
+        labels = [s.label for s, _ in ordered(make_operator(), OrderingStrategy("lex"))]
         assert labels == sorted(labels)
 
     def test_magnitude_descending_default(self):
-        mags = [abs(c) for _, c in order_terms(make_operator(),
-                                               OrderingStrategy("magnitude"))]
+        mags = [abs(c) for _, c in ordered(make_operator(), OrderingStrategy("magnitude"))]
         assert mags == sorted(mags, reverse=True)
 
     def test_magnitude_ascending(self):
         strat = OrderingStrategy("magnitude", descending_magnitude=False)
-        mags = [abs(c) for _, c in order_terms(make_operator(), strat)]
+        mags = [abs(c) for _, c in ordered(make_operator(), strat)]
         assert mags == sorted(mags)
 
     @pytest.mark.parametrize("strategy,labels", [
@@ -65,26 +73,42 @@ class TestOrderTerms:
     ], ids=["magnitude-desc", "magnitude-asc", "lexomag"])
     def test_magnitude_ties_keep_lex_order(self, strategy, labels):
         # IIZ (1.0) and IXX (-1.0) tie in magnitude; IIZ comes first in lex order.
-        assert [s.label for s, _ in order_terms(make_operator(), strategy)] == labels
+        assert [s.label for s, _ in ordered(make_operator(), strategy)] == labels
 
     def test_random_seeded_and_distinct(self):
         op = make_operator()
-        a = order_terms(op, OrderingStrategy("random", 1))
-        b = order_terms(op, OrderingStrategy("random", 1))
-        c = order_terms(op, OrderingStrategy("random", 2))
+        a = ordered(op, OrderingStrategy("random", 1))
+        b = ordered(op, OrderingStrategy("random", 1))
+        c = ordered(op, OrderingStrategy("random", 2))
         assert a == b
         assert a != c  # overwhelmingly likely for 6 terms
 
     def test_lexomag_interleaves(self):
         op = make_operator()
-        out = order_terms(op, OrderingStrategy("lexomag"))
-        lex = order_terms(op, OrderingStrategy("lex"))
-        mag = order_terms(op, OrderingStrategy("magnitude"))
+        out = ordered(op, OrderingStrategy("lexomag"))
+        lex = ordered(op, OrderingStrategy("lex"))
+        mag = ordered(op, OrderingStrategy("magnitude"))
         assert out[0] == lex[0]
         # second slot: best magnitude term not already emitted
         expected = next(t for t in mag if t != out[0])
         assert out[1] == expected
         assert dict(out) == dict(lex)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_order(self, data):
+        # Few magnitudes, so ties are common; 70 qubits takes the int-mask path.
+        n = data.draw(st.sampled_from([1, 2, 3, 5, 8, 70]))
+        op = QubitOperator(n, constant=data.draw(st.sampled_from([0.0, -0.5])))
+        for _ in range(data.draw(st.integers(0, 40))):
+            coeff = data.draw(st.sampled_from([0.5, -0.5, 1.0, -1.0, 0.25, 1e-3])
+                              | st.floats(-2.0, 2.0, allow_nan=False))
+            op.add_term(coeff, PauliString(n, data.draw(st.integers(0, (1 << n) - 1)),
+                                           data.draw(st.integers(0, (1 << n) - 1))))
+        kind = data.draw(st.sampled_from(OrderingStrategy.KINDS))
+        strategy = OrderingStrategy(kind, data.draw(st.integers(0, 99)) if kind == "random"
+                                    else None, descending_magnitude=data.draw(st.booleans()))
+        assert ordered(op, strategy) == reference_order_terms(op, strategy)
 
 
 class TestTrotterPlan:
@@ -105,10 +129,12 @@ class TestTrotterPlan:
     @pytest.mark.parametrize("constant,coeff,bad", [(0.0, 1.0 + 2.0j, "XY"),
                                                     (0.5 - 1e-3j, 1.0, "II")])
     def test_plan_for_rejects_non_hermitian(self, constant, coeff, bad):
-        op = QubitOperator(2, {PauliString.from_label("XY"): coeff}, constant=constant)
+        op = QubitOperator(2, constant=constant)
+        op.add_term(coeff, PauliString.from_label("XY"))
         with pytest.raises(ValueError, match=f"not Hermitian: term {bad} "):
             plan_for(op, OrderingStrategy("lex"), 1, 1.0)
 
     def test_plan_for_keeps_imaginary_parts_within_tolerance(self):
-        op = QubitOperator(1, {PauliString.from_label("X"): 1.0 + 1e-13j}, constant=1e-13j)
+        op = QubitOperator(1, constant=1e-13j)
+        op.add_term(1.0 + 1e-13j, PauliString.from_label("X"))
         assert plan_for(op, OrderingStrategy("lex"), 1, 1.0).angles() == [2.0]

@@ -57,6 +57,33 @@ for ordering in magnitude lex lexomag random:7; do
     done
 done
 
+for ordering in magnitude lexomag; do
+    run "compile-$ordering-asc" compile lih.terms --steps 2 --ordering "$ordering" \
+        --magnitude-direction asc
+done
+
+# A hand-written term file: a repeated line, a pair that cancels and comes
+# back, identity lines and -0.0 parts (0.0 + c turns a -0.0 part into +0.0).
+cat >"$work/merge.terms" <<'TERMS'
+(0.5,0.0) Z1
+(0.25,-0.0) X0 Y2
+(0.5,0.0) Z1
+(-0.75,0.0) Y0
+(0.75,0.0) Y0
+(-0.0,1e-13) Z0 Z2
+(0.125,0.0)
+(-0.0,-0.0)
+(-0.375,0.0) Y0
+(-0.0,0.0) X1
+TERMS
+for ordering in lex magnitude random:7; do
+    run "compile-merge-${ordering/:/-}" compile merge.terms --ordering "$ordering" \
+        --mode basis_shift
+done
+# A term with an imaginary part above the tolerance has no real rotation angle.
+printf '(0.5,0.0) X0\n(0.25,0.5) Y0 Z1\n' >"$work/imaginary.terms"
+run bad-compile-imaginary compile imaginary.terms
+
 cp "$out/compile-magnitude-canonical.out" "$work/lih.circ"
 for level in full cancel none; do
     run "optimize-$level" optimize lih.circ --optimize "$level"
@@ -94,3 +121,17 @@ run bad-map-negative-norb map neg.fcidump
 for key in norb nelec ms2; do
     run "bad-map-empty-$key" map "empty-$key.fcidump"
 done
+run bad-map-density map synthetic:n=2,density=2
+run bad-bench-density bench synthetic:n=2,density=nan
+
+# Circuit files: CZ operands in either order, and bad headers.
+printf 'QUBITS 3 ANCILLA 0\nCZ 2 1\nCZ 1 2\nH 0\nH 0\n' >"$work/cz.circ"
+run optimize-cz optimize cz.circ
+printf 'QUBITS -2 ANCILLA 0\nH 0\n' >"$work/neg.circ"
+printf 'QUBITS 1 ANCILLA 5\nH 0\n' >"$work/anc.circ"
+# An identity-only term file compiles to a circuit on no qubits.
+printf '(0.5,0.0)\n' >"$work/identity.terms"
+run compile-identity compile identity.terms -o identity.circ
+run optimize-identity optimize identity.circ
+run bad-optimize-negative-qubits optimize neg.circ
+run bad-optimize-ancilla optimize anc.circ
