@@ -382,7 +382,7 @@ def parse_circuit(text: str) -> Circuit:
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
         head = raw.strip()
-        if head and raw[0] != "#":
+        if head and head[0] != "#":
             break
     else:
         raise ValueError("empty circuit file")
@@ -402,7 +402,7 @@ def parse_circuit(text: str) -> Circuit:
             ln = raw.strip()
             hit = seen.get(ln)
             if hit is None:
-                if not ln or raw[0] == "#":
+                if not ln or ln[0] == "#":
                     continue
                 g = _parse_gate(ln.split(), n_qubits + ancilla)
                 hit = seen[ln] = (_entry(g), g.angle)

@@ -199,21 +199,24 @@ def write_fcidump(ints: IntegralSet, comments: list[str] | None = None) -> str:
 def build_hamiltonian(ints: IntegralSet) -> FermionOperator:
     """Spin-orbital Hamiltonian over 2*n_spatial modes, built as arrays.
 
-    One-body: sum_pq h_pq a+_{p,s} a_{q,s}.  Two-body, from chemists'
-    (pq|rs): 1/2 sum (pq|rs) a+_{p,s} a+_{r,t} a_{s_orb:=s,t} a_{q,s}.
-    The products come per nonzero integral in row-major order, then per
-    spin (s before t); two-body products that repeat a mode are left out.
+    One-body: sum_pq h_pq a+_{p,s} a_{q,s}, per nonzero h_pq in row-major
+    order, then per spin.  Two-body: each normal-ordered excitation
+    a+_i a+_j a_k a_l (i > j, k > l, pairs in ``np.tril_indices`` order) once,
+    with coefficient (il|jk)[s_i=s_l][s_j=s_k] - (ik|jl)[s_i=s_k][s_j=s_l]
+    from chemists' integrals at the spatial indices; zeros are left out.
     """
     h, g = ints.one_body, ints.two_body
-    spin, nz, nz2 = np.arange(2), np.nonzero(h), np.nonzero(g)
+    spin, nz = np.arange(2), np.nonzero(h)
     one = np.stack([2 * a[:, None] + spin for a in nz], -1).reshape(-1, 2)  # (a+_i, a_l)
-    p, q, r, s = (2 * a[:, None, None] for a in nz2)
-    i, j, k, l = np.broadcast_arrays(p + spin[:, None], r + spin, s + spin, q + spin[:, None])
-    keep = (i != j) & (k != l)
-    two = np.stack((i[keep], j[keep], k[keep], l[keep]), -1)  # (a+_i, a+_j, a_k, a_l)
-    half = np.broadcast_to(0.5 * g[nz2][:, None, None], keep.shape)[keep]
+    pairs = np.stack(np.tril_indices(2 * ints.n_spatial, -1))  # (i, j), i > j
+    (i, j), (si, sj) = np.divmod(pairs[:, :, None], 2)  # spatial index, spin down the rows
+    (k, l), (sk, sl) = np.divmod(pairs, 2)  # and along the columns
+    coeff = (np.where((si == sl) & (sj == sk), g[i, l, j, k], 0.0)
+             - np.where((si == sk) & (sj == sl), g[i, k, j, l], 0.0))
+    row, col = np.nonzero(coeff)
+    two = np.concatenate((pairs[:, row], pairs[:, col])).T  # (a+_i, a+_j, a_k, a_l)
     return FermionOperator(2 * ints.n_spatial, ints.core_energy, (
-        np.concatenate((np.repeat(h[nz], 2), half)),
+        np.concatenate((np.repeat(h[nz], 2), coeff[row, col])),
         np.repeat([2, 4], (len(one), len(two))),
         np.concatenate((one.ravel(), two.ravel())),
         np.concatenate((np.tile([True, False], len(one)),

@@ -50,8 +50,9 @@ def order_terms(op: QubitOperator, strategy: OrderingStrategy) -> np.ndarray:
         shuffled = lex.tolist()
         random.Random(strategy.seed).shuffle(shuffled)
         return np.array(shuffled, dtype=np.intp)
-    # A stable sort of the lex permutation, so ties keep lex order.
-    mags = np.abs(coeffs[lex])
+    # A stable sort of the lex permutation, so ties keep lex order; magnitudes
+    # are ranked in steps of 2^-40, so float noise in the last bits ties too.
+    mags = np.rint(np.abs(coeffs[lex]) * 2.0**40)
     mag = lex[np.argsort(-mags if strategy.descending_magnitude else mags, kind="stable")]
     if strategy.kind == "magnitude":
         return mag

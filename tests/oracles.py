@@ -5,9 +5,9 @@ products, dense linear algebra, a ladder-operator Fock-space matrix, a
 gate-by-gate circuit unitary, a term ordering over (string, coefficient)
 pairs, per-term Gate lists for Trotter circuits, a plain list-based
 peephole optimizer, gate-by-gate circuit-file loops, term-by-term
-simulator loops, a nested-loop Hamiltonian construction, a
-dictionary-based fermion-to-qubit expansion) so the package code under
-test is never used to check itself.
+simulator loops, a nested-loop Hamiltonian construction and its
+normal-ordered merge, a dictionary-based fermion-to-qubit expansion) so
+the package code under test is never used to check itself.
 The package supplies its data types and, to the mapping reference, its
 per-mode ladder images.
 """
@@ -280,8 +280,10 @@ def random_plan(rng: np.random.Generator, max_qubits: int = 8) -> TrotterPlan:
 
 def _reference_magnitude_sorted(terms: list[tuple[PauliString, complex]],
                                 descending: bool) -> list[tuple[PauliString, complex]]:
-    # ``terms`` come in lex order and sorted() is stable, so ties keep lex order.
-    return sorted(terms, key=lambda t: -abs(t[1]) if descending else abs(t[1]))
+    # ``terms`` come in lex order and sorted() is stable, so ties keep lex order;
+    # magnitudes rank in whole steps of 2^-40, rounded half to even.
+    sign = -1 if descending else 1
+    return sorted(terms, key=lambda t: sign * round(abs(t[1]) * 2**40))
 
 
 def reference_order_terms(op: QubitOperator,
@@ -443,7 +445,7 @@ def reference_parse_circuit(text: str) -> Circuit:
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
         head = raw.strip()
-        if head and raw[0] != "#":
+        if head and head[0] != "#":
             break
     else:
         raise ValueError("empty circuit file")
@@ -464,7 +466,7 @@ def reference_parse_circuit(text: str) -> Circuit:
     try:
         for lineno, raw in lines:
             ln = raw.strip()
-            if not ln or raw[0] == "#":
+            if not ln or ln[0] == "#":
                 continue
             fields = ln.split()
             kind = fields[0]
@@ -527,7 +529,8 @@ def reference_apply_trotterized(plan, state: np.ndarray) -> np.ndarray:
 
 
 # ---- reference Hamiltonian construction -------------------------------------
-# The nested index loops build_hamiltonian must reproduce product by product.
+# Nested index loops over the integrals, one product per integral and spin
+# pair; build_hamiltonian must give their normal-ordered, merged sum.
 
 def reference_build_hamiltonian(ints) -> FermionOperator:
     n = ints.n_spatial
@@ -545,6 +548,23 @@ def reference_build_hamiltonian(ints) -> FermionOperator:
                 if i != j and k != l:
                     op.add(half, ((i, True), (j, True), (k, False), (l, False)))
     return op
+
+
+def reference_excitations(ints) -> dict[tuple, float]:
+    """``reference_build_hamiltonian``'s products normal-ordered and merged:
+    {factors: coefficient}, creators and annihilators each by descending
+    mode, one sign flip per swap, sums in product order, zeros dropped."""
+    merged: dict[tuple, float] = {}
+    for coeff, factors in reference_build_hamiltonian(ints).products:
+        if len(factors) == 4:
+            (i, _), (j, _), (k, _), (l, _) = factors
+            if i < j:
+                i, j, coeff = j, i, -coeff
+            if k < l:
+                k, l, coeff = l, k, -coeff
+            factors = ((i, True), (j, True), (k, False), (l, False))
+        merged[factors] = merged.get(factors, 0.0) + coeff
+    return {f: c for f, c in merged.items() if c != 0.0}
 
 
 # ---- reference mapping and term-file writer ---------------------------------

@@ -244,7 +244,7 @@ class TestSerialization:
         ("CNOT 1 1\n", 2, "CNOT needs two distinct qubits"),
         ("H 7\n", 2, "qubit 7 outside register of width 2"),
         ("CZ 0 -1\n", 2, "qubit -1 outside register of width 2"),
-        ("H 0\n  # indented\n", 3, "unknown gate kind '#'"),
+        ("H 0\n  # indented\nFOO 1\n", 4, "unknown gate kind 'FOO'"),
         ("H 0\nH 5\nH 0\nH 5\n", 3, "qubit 5 outside register of width 2"),
     ])
     def test_gate_errors_name_the_line(self, body, line, message):
@@ -257,6 +257,13 @@ class TestSerialization:
                        "QUBITS 1 ANCILLA -1"):
             with pytest.raises(ValueError, match=r"^line 2: bad circuit header"):
                 parse_circuit(f"\n{header}\nH 0\n")
+
+    def test_indented_comments_are_comments(self):
+        # As in term files and FCIDUMPs, a line whose stripped form starts
+        # with '#' is a comment, before the header and between gates.
+        text = "  # note\nQUBITS 2 ANCILLA 0\n\t# note\nH 0\n   #\nCNOT 0 1\n"
+        want = Circuit(2, [H(0), CNOT(0, 1)])
+        assert parse_circuit(text) == reference_parse_circuit(text) == want
 
     def test_empty_register_header(self):
         # An identity-only term file compiles to a circuit on no qubits.
@@ -314,7 +321,7 @@ class TestCircuitFileProperties:
         assert back == circ
         assert format_circuit(back) == text
 
-    @given(circuits(), st.lists(st.sampled_from(["", "# note", "  "])),
+    @given(circuits(), st.lists(st.sampled_from(["", "# note", "  # note", "  "])),
            st.randoms(use_true_random=False))
     def test_matches_reference_loops(self, circ, extra, random):
         text = format_circuit(circ)

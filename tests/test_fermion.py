@@ -11,7 +11,7 @@ from fermiqc.fermion import (FermionOperator, IntegralSet, ResourceLimitError, b
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_text, reference_energy
 from fermiqc.simulator import ground_state
 
-from oracles import fock_matrix, reference_build_hamiltonian
+from oracles import fock_matrix, reference_build_hamiltonian, reference_excitations
 
 
 class TestParseFcidump:
@@ -140,13 +140,31 @@ class TestBuildHamiltonian:
         ham = build_hamiltonian(ints)
         assert ham.constant == pytest.approx(ints.core_energy)
 
+    @staticmethod
+    def assert_matches_reference(ints):
+        ham, want = build_hamiltonian(ints), reference_excitations(ints)
+        got = {factors: c for c, factors in ham.products}
+        assert len(got) == len(ham.products)  # each excitation once
+        assert ham.n_modes == 2 * ints.n_spatial and ham.constant == ints.core_energy
+        assert set(got) == set(want)
+        for factors, c in got.items():
+            assert abs(c - want[factors]) <= 1e-14, factors
+
     @settings(deadline=None)
     @given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.floats(0.3, 1.0))
-    def test_products_match_reference_loops(self, n, seed, density):
+    def test_excitations_match_reference(self, n, seed, density):
+        self.assert_matches_reference(synthetic_integrals(n, seed=seed, density=density))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_excitations_match_reference(self, name):
+        self.assert_matches_reference(parse_fcidump(fixture_text(name)))
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(0.3, 1.0))
+    def test_fock_matrix_matches_reference(self, n, seed, density):
         ints = synthetic_integrals(n, seed=seed, density=density)
-        ham, want = build_hamiltonian(ints), reference_build_hamiltonian(ints)
-        assert ham.n_modes == want.n_modes and ham.constant == want.constant
-        assert ham.products == want.products
+        want = fock_matrix(reference_build_hamiltonian(ints))
+        assert abs(fock_matrix(build_hamiltonian(ints)) - want).max() <= 1e-12
 
     def test_mode_bounds_checked(self):
         op = FermionOperator(2)

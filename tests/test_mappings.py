@@ -14,8 +14,10 @@ from fermiqc.mappings import (MappingScheme, basis_permutation, bk_index_sets, b
                               map_operator)
 from fermiqc.pauli import PauliString
 from fermiqc.simulator import operator_matrix
+from fermiqc.trotter import OrderingStrategy, plan_for
 
-from oracles import fock_matrix, random_fermion_operator, reference_map_operator
+from oracles import (fock_matrix, random_fermion_operator, reference_build_hamiltonian,
+                     reference_map_operator)
 
 
 class TestBkMatrix:
@@ -260,3 +262,24 @@ class TestAgainstReference:
                 else fermion.parse_fcidump(fixture_text(name)))
         ham = fermion.build_hamiltonian(ints)
         assert_same_operator(map_operator(ham, scheme), reference_map_operator(ham, scheme))
+
+
+# ---- the excitation-built map against the product-by-product route ---------
+
+@pytest.mark.parametrize("scheme", list(MappingScheme))
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, *(f"synthetic-n{n}" for n in range(1, 7))])
+def test_excitations_map_like_reference_products(name, scheme):
+    n = name.removeprefix("synthetic-n")
+    ints = (fermion.parse_fcidump(fixture_text(name)) if n == name
+            else fermion.synthetic_integrals(int(n), seed=7))
+    got = map_operator(fermion.build_hamiltonian(ints), scheme)
+    want = reference_map_operator(reference_build_hamiltonian(ints), scheme)
+    terms = dict(want.items())
+    assert set(dict(got.items())) == set(terms)
+    assert all(abs(c - terms[s]) <= 1e-12 for s, c in got.items())
+    assert abs(got.constant - want.constant) <= 1e-12
+    for kind in ("magnitude", "lex", "lexomag", "random:7"):
+        for descending in (True, False):
+            strategy = OrderingStrategy.parse(kind, descending)
+            a, b = plan_for(got, strategy, 1, 1.0), plan_for(want, strategy, 1, 1.0)
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z), (kind, descending)

@@ -1,9 +1,13 @@
 """Ordering strategies and Trotter plan bookkeeping."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermiqc.fermion import build_hamiltonian, parse_fcidump
+from fermiqc.fixtures import FIXTURE_NAMES, fixture_text
+from fermiqc.mappings import map_operator
 from fermiqc.pauli import PauliString, QubitOperator
 from fermiqc.trotter import OrderingStrategy, order_terms, plan_for
 
@@ -93,6 +97,23 @@ class TestOrderTerms:
         expected = next(t for t in mag if t != out[0])
         assert out[1] == expected
         assert dict(out) == dict(lex)
+
+    @pytest.mark.parametrize("scheme", ["jw", "bk"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_float_noise_does_not_break_magnitude_ties(self, name, scheme):
+        # Magnitudes within 2^-40 tie, so nudging every coefficient by 2 ulp,
+        # up, down or either way at random, leaves every plan as it was.
+        op = map_operator(build_hamiltonian(parse_fcidump(fixture_text(name))), scheme)
+        x, z, c = op.arrays()
+        rng = np.random.default_rng(0)
+        for toward in (np.inf, -np.inf, rng.choice([np.inf, -np.inf], len(c))):
+            real = np.nextafter(np.nextafter(c.real, toward), toward)
+            nudged = QubitOperator(op.n, op.constant, arrays=(x, z, real + 1j * c.imag))
+            for kind in ("magnitude", "lex", "lexomag", "random:7"):
+                for descending in (True, False):
+                    strategy = OrderingStrategy.parse(kind, descending)
+                    want, got = plan_for(op, strategy, 1, 1.0), plan_for(nudged, strategy, 1, 1.0)
+                    assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -13,7 +13,9 @@
 #   diff -r /tmp/before /tmp/after
 #
 # A copy of the script placed in the other checkout's tools/ runs that
-# checkout's code.
+# checkout's code.  `python3 tools/compare_outputs.py /tmp/before /tmp/after`
+# sorts the differing files into those that moved only in number digits and
+# all others.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -133,5 +135,8 @@ printf 'QUBITS 1 ANCILLA 5\nH 0\n' >"$work/anc.circ"
 printf '(0.5,0.0)\n' >"$work/identity.terms"
 run compile-identity compile identity.terms -o identity.circ
 run optimize-identity optimize identity.circ
+# Indented comment lines, before the header and between gates.
+printf '  # note\nQUBITS 2 ANCILLA 0\n\t# note\nH 0\n   #\nH 0\nCNOT 0 1\n' >"$work/comments.circ"
+run optimize-comments optimize comments.circ
 run bad-optimize-negative-qubits optimize neg.circ
 run bad-optimize-ancilla optimize anc.circ
