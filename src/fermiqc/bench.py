@@ -26,6 +26,8 @@ CSV_HEADER = ("system,n_qubits,mapping,ordering,seed,mode,"
               "savings,trotter_error")
 
 _SYNTHETIC_KEYS = {"n": int, "seed": int, "density": float}
+# With --error, each JSON row also says what its trotter_error rests on.
+_CAVEATS = ("time", "unreliable", "overlap_magnitude", "nelec", "ms2", "sector_dim")
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,7 @@ class BenchRow:
     optimized: GateCounts | None = None
     savings: float | None = None
     trotter_error: float | None = None
+    caveats: dict | None = None  # _CAVEATS, with --error
     error: str | None = None
 
 
@@ -132,14 +135,17 @@ def _plan_and_count(cfg: BenchConfig, qop: QubitOperator, ordering: OrderingStra
 
 def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> list[BenchRow]:
     """Every cell of one (input, mapping) pair, each stage run once per key:
-    (input, mapping) → ordering → mode, then the ground state and one Trotter
-    error per ordering.  A ground-state failure leaves the counts in place.
-    One table of synthesis templates serves the pair's orderings and modes."""
-    by_ordering = [[BenchRow(inp.system, 0, scheme.value, o.kind, o.seed, mode)
+    (input, mapping) → ordering → mode, then the sector ground state and one
+    Trotter error per ordering.  A ground-state failure leaves the counts in
+    place.  One table of synthesis templates serves the pair's orderings and
+    modes."""
+    by_ordering = [[BenchRow(inp.system, 0, scheme.value, o.kind, o.seed, mode,
+                             caveats=dict.fromkeys(_CAVEATS) if cfg.with_error else None)
                     for mode in cfg.modes] for o in cfg.orderings]
     rows = [row for group in by_ordering for row in group]
     with _isolated(rows):
-        ham = fermion.build_hamiltonian(inp.load())
+        ints = inp.load()
+        ham = fermion.build_hamiltonian(ints)
         for row in rows:
             row.n_qubits = ham.n_modes
         qop = mappings.map_operator(ham, scheme)
@@ -148,15 +154,18 @@ def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> lis
         plans = [_plan_and_count(cfg, qop, o, time, group, templates)
                  for o, group in zip(cfg.orderings, by_ordering)]
         if cfg.with_error:
-            energy, ground = simulator.ground_state(simulator.operator_matrix(qop))
+            energy, ground, sector = simulator.sector_ground_state(qop, ints, scheme)
             for group, plan in zip(by_ordering, plans):
                 if plan is None:  # its rows already hold the plan's failure
                     continue
                 with _isolated(group):
-                    error = simulator.trotter_error(plan, energy, ground).error
+                    rep = simulator.trotter_error(plan, energy, ground)
                     for row in group:
                         if row.error is None:
-                            row.trotter_error = error
+                            row.trotter_error = rep.error
+                            row.caveats.update(time=rep.time, unreliable=rep.unreliable,
+                                               overlap_magnitude=rep.overlap_magnitude,
+                                               **sector)
     return rows
 
 
@@ -180,6 +189,7 @@ def _row_dict(row: BenchRow) -> dict:
         "mapping": row.mapping, "ordering": row.ordering,
         "seed": row.seed, "mode": row.mode,
         "savings": row.savings, "trotter_error": row.trotter_error,
+        **(row.caveats or {}),
     }
     for label, counts in (("raw", row.raw), ("opt", row.optimized)):
         d[label] = None if counts is None else {

@@ -209,10 +209,11 @@ def trotter_error_cmd(inputs, mapping, ordering, magnitude_direction, orderings,
     reports = []
     for inp, spec in _parse_inputs(inputs).items():
         with _one_line_errors(spec):
-            ham = fermion.build_hamiltonian(inp.load())
+            ints = inp.load()
+            ham = fermion.build_hamiltonian(ints)
             for scheme in map(MappingScheme, mapping):
                 qop = mappings.map_operator(ham, scheme)
-                energy, ground = simulator.ground_state(simulator.operator_matrix(qop))
+                energy, ground, sector = simulator.sector_ground_state(qop, ints, scheme)
                 time_used = simulator.safe_evolution_time(qop, time_)
                 for strategy in strategies:
                     for n_steps in steps_list:
@@ -220,7 +221,7 @@ def trotter_error_cmd(inputs, mapping, ordering, magnitude_direction, orderings,
                         rep = simulator.trotter_error(plan, energy, ground)
                         reports.append({"system": inp.system, "n_qubits": qop.n,
                                         "mapping": scheme.value, "ordering": str(strategy),
-                                        **asdict(rep)})
+                                        **asdict(rep), **sector})
     _write(json.dumps(reports, indent=2) + "\n", output)
 
 

@@ -227,7 +227,9 @@ def synthetic_integrals(n_spatial: int, seed: int, density: float = 1.0) -> Inte
     """Random symmetric integrals, deterministic in (n_spatial, seed, density).
 
     Unique elements are drawn uniformly from [-1, 1]; a fraction
-    ``density`` of them is kept nonzero.
+    ``density`` of them is kept nonzero.  The header is half filling:
+    NELEC = n_spatial, with MS2 = n_spatial % 2 so that an odd count names a
+    sector.
     """
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
@@ -242,7 +244,7 @@ def synthetic_integrals(n_spatial: int, seed: int, density: float = 1.0) -> Inte
     for p, q, r, s in _unique_quartets(n):
         if rng.random() < density:
             _fill_8fold(g, p, q, r, s, rng.uniform(-1.0, 1.0))
-    return IntegralSet(n, n, h, g, core_energy=rng.uniform(-1.0, 1.0))
+    return IntegralSet(n, n, h, g, core_energy=rng.uniform(-1.0, 1.0), ms2=n % 2)
 
 
 class ResourceLimitError(RuntimeError):

@@ -2,7 +2,9 @@
 Trotter evolution on state vectors and error reports.
 
 Qubit 0 is the least significant bit of every basis-state index, matching
-the occupation-number convention of :mod:`fermiqc.fermion`.
+the occupation-number convention of :mod:`fermiqc.fermion`.  scipy is
+imported by the functions that use it, so commands that never build a
+matrix do not load it.
 """
 
 from __future__ import annotations
@@ -10,14 +12,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .fermion import ResourceLimitError
+from .fermion import IntegralSet, ResourceLimitError
+from .mappings import MappingScheme, basis_permutation
 from .pauli import QubitOperator
 from .trotter import TrotterPlan
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 OPERATOR_QUBIT_LIMIT = 16
 _HERMITIAN_TOL = 1e-10  # max |m - m^H| that ground_state accepts
@@ -34,17 +39,47 @@ def _parity(indices: np.ndarray, z: int) -> np.ndarray:
     return np.bitwise_count(indices & z) & 1
 
 
-def operator_matrix(op: QubitOperator) -> sp.csr_matrix:
-    """Sparse matrix of the Pauli terms plus the identity constant.
+def _check_register(n: int) -> None:
+    if n > OPERATOR_QUBIT_LIMIT:
+        raise ResourceLimitError(f"{n} qubits exceeds the "
+                                 f"{OPERATOR_QUBIT_LIMIT}-qubit matrix limit")
+
+
+def sector_basis(n_spatial: int, nelec: int, ms2: int,
+                 scheme: MappingScheme | str) -> np.ndarray:
+    """Sorted qubit-basis indices of the states with (NELEC + MS2)/2
+    electrons on the even (alpha) modes and (NELEC - MS2)/2 on the odd (beta)
+    modes: the Jordan-Wigner occupation states, or for Bravyi-Kitaev their
+    images under :func:`fermiqc.mappings.basis_permutation`."""
+    n_up, odd = divmod(nelec + ms2, 2)
+    n_down = nelec - n_up
+    if odd or not (0 <= n_up <= n_spatial and 0 <= n_down <= n_spatial):
+        raise ValueError(f"no sector has NELEC={nelec}, MS2={ms2} in NORB={n_spatial} "
+                         f"orbitals: (NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole "
+                         f"numbers in 0..{n_spatial}")
+    occ = np.arange(1 << n_spatial, dtype=np.int64)
+    spread = np.zeros_like(occ)  # spatial orbital p -> spin-orbital 2p
+    for p in range(n_spatial):
+        spread |= ((occ >> p) & 1) << (2 * p)
+    weight = np.bitwise_count(occ)
+    states = (spread[weight == n_up] | spread[weight == n_down, None] << 1).ravel()
+    return np.sort(basis_permutation(2 * n_spatial, scheme)[states])
+
+
+def operator_matrix(op: QubitOperator, basis: np.ndarray | None = None) -> sp.csr_matrix:
+    """Sparse matrix of the Pauli terms plus the identity constant over the
+    sorted basis-state indices ``basis`` (default: all 2^n of them).
 
     Terms with X mask x fill only the entries (c ^ x, c): each X mask is one
     vector over the columns, summed in term order (the constant first on
-    x = 0), so every entry is the sum term-by-term assembly makes."""
-    if op.n > OPERATOR_QUBIT_LIMIT:
-        raise ResourceLimitError(f"{op.n} qubits exceeds the "
-                                 f"{OPERATOR_QUBIT_LIMIT}-qubit matrix limit")
-    dim = 1 << op.n
-    cols = np.arange(dim, dtype=np.int64)
+    x = 0), so every entry is the sum term-by-term assembly makes.  An entry
+    whose row c ^ x is not in ``basis`` is dropped, so the result is exactly
+    the full matrix's block at (basis, basis)."""
+    import scipy.sparse as sp
+
+    _check_register(op.n)
+    cols = np.arange(1 << op.n, dtype=np.int64) if basis is None else basis
+    dim = len(cols)
     groups: dict[int, list[tuple[int, complex]]] = {0: []}  # x = 0 holds the constant
     for x, z, c in zip(*(a.tolist() for a in op.arrays())):
         groups.setdefault(x, []).append((z, c * _I_POWERS[(x & z).bit_count() % 4]))
@@ -53,9 +88,13 @@ def operator_matrix(op: QubitOperator) -> sp.csr_matrix:
         diag = np.full(dim, op.constant if x == 0 else 0j)
         for z, w in terms:
             diag += np.where(_parity(cols, z), -w, w)
-        nz = np.flatnonzero(diag).astype(np.int32)
-        rows.append(nz ^ np.int32(x))
-        nz_cols.append(nz)
+        nz = np.flatnonzero(diag)
+        image = cols[nz] ^ x
+        row = np.searchsorted(cols, image).clip(max=dim - 1)
+        inside = cols[row] == image
+        nz = nz[inside]
+        rows.append(row[inside].astype(np.int32))
+        nz_cols.append(nz.astype(np.int32))
         data.append(diag[nz])
     coo = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(nz_cols))),
                         shape=(dim, dim))
@@ -75,6 +114,9 @@ def _hermitian_defect(m: sp.csr_matrix) -> float:
 
 def ground_state(m: sp.spmatrix | np.ndarray) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a Hermitian matrix."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     m = sp.csr_matrix(m)
     if _hermitian_defect(m) > _HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian")
@@ -94,6 +136,24 @@ def ground_state(m: sp.spmatrix | np.ndarray) -> tuple[float, np.ndarray]:
     if residual > _RESIDUAL_TOL:
         raise EigensolverError(f"eigenpair residual {residual:.2e} above tolerance")
     return float(energy), vec
+
+
+def sector_ground_state(qop: QubitOperator, ints: IntegralSet,
+                        scheme: MappingScheme | str) -> tuple[float, np.ndarray, dict]:
+    """The exact energy: the lowest eigenpair of the qubit operator's block
+    over the input's NELEC/MS2 sector, with the eigenvector embedded in the
+    2^n basis (evolution runs in the full space, which a single Pauli
+    rotation leaves), and the sector as report fields.
+
+    H conserves the alpha and the beta electron counts, so the block holds
+    every nonzero entry of its columns up to rounding."""
+    _check_register(qop.n)
+    basis = sector_basis(ints.n_spatial, ints.n_electrons, ints.ms2, scheme)
+    energy, vec = ground_state(operator_matrix(qop, basis))
+    state = np.zeros(1 << qop.n, dtype=vec.dtype)
+    state[basis] = vec
+    return energy, state, {"nelec": ints.n_electrons, "ms2": ints.ms2,
+                           "sector_dim": len(basis)}
 
 
 def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:

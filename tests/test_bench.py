@@ -2,12 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
+import fermiqc
 from fermiqc import fermion, mappings, simulator, trotter, write_fcidump
 from fermiqc.bench import CSV_HEADER, BenchConfig, BenchInput, emit_report, run_bench
 from fermiqc.circuits import SYNTHESIS_MODES, GateCounts
@@ -21,6 +26,13 @@ from oracles import reference_gate_counts, reference_optimize, reference_synthes
 
 
 SPEC = "synthetic:n=2,seed=1"
+
+
+def write_impossible_sectors(directory):
+    """FCIDUMP headers of two orbitals whose NELEC and MS2 name no sector."""
+    for name, nelec, ms2 in (("parity", 3, 0), ("spin", 1, 3), ("full", 6, 0)):
+        (directory / f"{name}.fcidump").write_text(
+            f"&FCI NORB=2,NELEC={nelec},MS2={ms2},\n&END\n 0.5   1   1   0   0\n")
 
 
 def tiny_config(**overrides):
@@ -388,12 +400,20 @@ class TestCli:
         ("map", "empty-norb.fcidump", "line 1: NORB must be an integer, got ''"),
         ("map", "empty-nelec.fcidump", "line 1: NELEC must be an integer, got ''"),
         ("map", "empty-ms2.fcidump", "line 1: MS2 must be an integer, got ''"),
+        ("trotter-error", "parity.fcidump", "no sector has NELEC=3, MS2=0 in NORB=2 orbitals: "
+         "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
+        ("trotter-error", "spin.fcidump", "no sector has NELEC=1, MS2=3 in NORB=2 orbitals: "
+         "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
+        ("trotter-error", "full.fcidump", "no sector has NELEC=6, MS2=0 in NORB=2 orbitals: "
+         "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
     ], ids=["missing-file", "malformed", "above-map-limit", "above-matrix-limit",
             "map-malformed", "map-missing-file", "compile-missing-file",
             "optimize-missing-file", "map-negative-norb", "map-empty-norb",
-            "map-empty-nelec", "map-empty-ms2"])
+            "map-empty-nelec", "map-empty-ms2", "sector-parity", "sector-ms2-above-nelec",
+            "sector-above-norb"])
     def test_bad_input_is_one_line(self, command, spec, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        write_impossible_sectors(tmp_path)
         (tmp_path / "bad.fcidump").write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.5 1 1\n")
         (tmp_path / "neg.fcidump").write_text("&FCI NORB=-1,NELEC=2,\n&END\n")
         (tmp_path / "empty-norb.fcidump").write_text("&FCI NORB=,NELEC=2,\n&END\n")
@@ -406,6 +426,52 @@ class TestCli:
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)
         assert r.output == f"Error: {spec}: {message}\n"
+
+    def test_impossible_sector_fails_only_where_the_sector_is_built(self, tmp_path):
+        write_impossible_sectors(tmp_path)
+        parity = str(tmp_path / "parity.fcidump")
+        assert self.run("map", parity).exit_code == 0
+        assert self.run("bench", parity).exit_code == 0
+        r = CliRunner().invoke(main, ["bench", parity, "--error", "--format", "json"])
+        assert r.exit_code == 2
+        message = ("ValueError: no sector has NELEC=3, MS2=0 in NORB=2 orbitals: "
+                   "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2")
+        assert r.stderr == "".join(f"cell failed: parity/{m}/magnitude/canonical: {message}\n"
+                                   for m in ("bk", "jw"))
+        for row in json.loads(r.stdout):
+            assert row["error"] == message and row["opt"] is not None
+            assert row["trotter_error"] is None and row["sector_dim"] is None
+
+    def test_bench_error_json_carries_caveats(self):
+        h2 = str(fixture_path("h2_sto3g"))
+        args = ["bench", h2, "--error", "--time", "100", "--orderings", "magnitude,lex"]
+        r = self.run(*args, "--format", "json")
+        assert r.exit_code == 0
+        ham = fermion.build_hamiltonian(fermion.parse_fcidump(fixture_path("h2_sto3g").read_text()))
+        for row in json.loads(r.output):
+            clamped = simulator.safe_evolution_time(
+                mappings.map_operator(ham, MappingScheme(row["mapping"])), 100)
+            assert clamped < 100 and row["time"] == clamped
+            assert row["unreliable"] is (row["overlap_magnitude"] < 0.5)
+            assert (row["nelec"], row["ms2"], row["sector_dim"]) == (2, 0, 4)
+        # The CSV has no such columns.
+        assert self.run(*args).output.splitlines()[0] == CSV_HEADER
+
+    def test_trotter_error_reports_the_sector_energy(self):
+        r = self.run("trotter-error", "synthetic:n=3,seed=5,density=0.8", "--mapping", "bk")
+        [report] = json.loads(r.output)
+        assert round(report["exact_energy"], 4) == -3.1746  # not the 4-electron -3.7597
+        assert (report["nelec"], report["ms2"], report["sector_dim"]) == (3, 1, 9)
+
+    def test_map_does_not_import_scipy(self, tmp_path):
+        script = ("import sys; from fermiqc.cli import main; "
+                  "main(sys.argv[1:], standalone_mode=False); "
+                  "print('scipy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(fermiqc.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script, "map", str(fixture_path("lih_sto3g")),
+                              "-o", str(tmp_path / "lih.terms")],
+                             capture_output=True, text=True, env=env, check=True).stdout
+        assert out == "False\n"
 
     def test_register_above_map_limit_is_one_line(self, tmp_path):
         # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map limit.

@@ -1,5 +1,8 @@
 """Numerics: operator matrices, eigenpairs, symbolic evolution, gate application."""
 
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,11 +14,11 @@ from fermiqc.circuits import CNOT, CZ, RZ, YB, YBD, Circuit, H, X
 from fermiqc.pauli import PauliString, QubitOperator
 from fermiqc.simulator import (EigensolverError, ResourceLimitError, apply_trotterized,
                                ground_state, operator_matrix, safe_evolution_time,
-                               trotter_error)
-from fermiqc.fixtures import FIXTURE_NAMES, fixture_text
+                               sector_basis, sector_ground_state, trotter_error)
+from fermiqc.fixtures import FIXTURE_NAMES, fixture_text, reference_energy
 from fermiqc.trotter import OrderingStrategy, TrotterPlan, plan_for
 
-from oracles import (assert_same_up_to_phase, circuit_unitary, operator_dense,
+from oracles import (assert_same_up_to_phase, circuit_unitary, fock_matrix, operator_dense,
                      pauli_exponential, pauli_matrix, random_pauli_string,
                      reference_apply_trotterized, reference_operator_matrix)
 
@@ -96,6 +99,65 @@ class TestGroundState:
     def test_accepts_sparse_input(self):
         energy, _ = ground_state(sp.diags([1.0, -2.0]))
         assert energy == pytest.approx(-2.0)
+
+
+class TestSector:
+    EVEN = int("01" * 8, 2)  # alpha (spin 0) modes of 8 spatial orbitals
+
+    @pytest.mark.parametrize("n_spatial", [1, 2, 3, 4])
+    def test_basis(self, n_spatial):
+        perm = mappings.basis_permutation(2 * n_spatial, "bk")
+        for up, down in itertools.product(range(n_spatial + 1), repeat=2):
+            nelec, ms2 = up + down, up - down
+            jw = sector_basis(n_spatial, nelec, ms2, "jw")
+            assert len(jw) == comb(n_spatial, up) * comb(n_spatial, down)
+            assert np.all(np.diff(jw) > 0)
+            for s in jw.tolist():
+                assert ((s & self.EVEN).bit_count(), (s & self.EVEN << 1).bit_count()) == \
+                    (up, down)
+            assert np.array_equal(sector_basis(n_spatial, nelec, ms2, "bk"), np.sort(perm[jw]))
+
+    @pytest.mark.parametrize("n_spatial,nelec,ms2", [(2, 3, 0), (2, 2, 1), (3, 1, 3),
+                                                     (3, 2, -4), (2, 6, 0), (2, 4, 2),
+                                                     (2, -2, 0)],
+                             ids=["parity", "parity-ms2", "ms2-above-nelec",
+                                  "negative-ms2-above-nelec", "above-norb",
+                                  "alpha-above-norb", "negative-nelec"])
+    def test_impossible_sector(self, n_spatial, nelec, ms2):
+        with pytest.raises(ValueError, match=f"^no sector has NELEC={nelec}, MS2={ms2} "
+                                             f"in NORB={n_spatial} orbitals: "):
+            sector_basis(n_spatial, nelec, ms2, "jw")
+
+    @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "synthetic-1", "synthetic-2",
+                                      "synthetic-3", "synthetic-4"])
+    def test_energy_matches_fock_oracle(self, name):
+        if name.startswith("synthetic"):
+            ints = fermion.synthetic_integrals(int(name[-1]), seed=5, density=0.8)
+        else:
+            ints = fermion.parse_fcidump(fixture_text(name))
+        ham = fermion.build_hamiltonian(ints)
+        fock = fock_matrix(ham).toarray()
+        up, down = (ints.n_electrons + ints.ms2) // 2, (ints.n_electrons - ints.ms2) // 2
+        sector = [s for s in range(len(fock))
+                  if ((s & self.EVEN).bit_count(), (s & self.EVEN << 1).bit_count()) == (up, down)]
+        want = np.linalg.eigvalsh(fock[np.ix_(sector, sector)])[0]
+        for scheme in ("jw", "bk"):
+            qop = mappings.map_operator(ham, scheme)
+            energy, state, fields = sector_ground_state(qop, ints, scheme)
+            assert energy == pytest.approx(want, abs=1e-10), scheme
+            assert fields == {"nelec": ints.n_electrons, "ms2": ints.ms2,
+                              "sector_dim": len(sector)}
+            # The embedded vector is an eigenvector of the whole operator.
+            assert np.linalg.norm(state) == pytest.approx(1.0)
+            np.testing.assert_allclose(operator_matrix(qop) @ state, energy * state, atol=1e-9)
+            if not name.startswith("synthetic"):
+                assert energy == pytest.approx(reference_energy(name), abs=1e-10)
+
+    def test_limit_checked_before_the_sector(self):
+        ints = fermion.synthetic_integrals(9, seed=0)
+        ints.n_electrons = 99  # no such sector; the register size is reported first
+        with pytest.raises(ResourceLimitError, match="18 qubits exceeds the 16-qubit"):
+            sector_ground_state(QubitOperator(18), ints, "jw")
 
 
 class TestApplyTrotterized:
@@ -296,7 +358,11 @@ class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(operators(), st.integers(1, 3), st.floats(0.01, 3.0), st.randoms())
     def test_matches_reference_loops(self, op, n_steps, time, random):
-        assert_same_csr(operator_matrix(op), reference_operator_matrix(op))
+        full = operator_matrix(op)
+        assert_same_csr(full, reference_operator_matrix(op))
+        basis = np.array(sorted(random.sample(range(1 << op.n), random.randint(1, 1 << op.n))))
+        assert np.array_equal(operator_matrix(op, basis).toarray(),
+                              full.toarray()[np.ix_(basis, basis)])
         order = list(range(len(op)))
         random.shuffle(order)
         x, z, coeffs = op.arrays()

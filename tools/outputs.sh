@@ -103,6 +103,10 @@ for level in cancel none; do
 done
 run trotter-error trotter-error "$fixtures/lih_sto3g.fcidump" "$fixtures/h2_631g.fcidump" \
     --orderings magnitude,lex --steps 1,20 --time 0.1
+# An open-shell header (NELEC=3, MS2=1), below the Fock-space minimum's electron count.
+run trotter-error-open-shell trotter-error synthetic:n=3,seed=5,density=0.8
+# --time 100 is clamped; the JSON rows carry the time used.
+run bench-lih-error-clamped bench "$fixtures/lih_sto3g.fcidump" --error --format json --time 100
 
 # The bad inputs of tests/test_bench.py::TestCli::test_bad_input_is_one_line.
 printf '&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.5 1 1\n' >"$work/bad.fcidump"
@@ -124,6 +128,15 @@ for key in norb nelec ms2; do
     run "bad-map-empty-$key" map "empty-$key.fcidump"
 done
 run bad-map-density map synthetic:n=2,density=2
+# Headers whose NELEC and MS2 name no sector: only the exact energy rejects them.
+for sector in "parity 3 0" "spin 1 3" "full 6 0"; do
+    read -r name nelec ms2 <<<"$sector"
+    printf '&FCI NORB=2,NELEC=%s,MS2=%s,\n&END\n 0.5   1   1   0   0\n' "$nelec" "$ms2" \
+        >"$work/$name.fcidump"
+    run "bad-trotter-error-sector-$name" trotter-error "$name.fcidump"
+done
+run map-sector-parity map parity.fcidump
+run bad-bench-error-sector bench parity.fcidump --error --format json
 run bad-bench-density bench synthetic:n=2,density=nan
 
 # Circuit files: CZ operands in either order, and bad headers.
