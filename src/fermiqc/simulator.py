@@ -142,8 +142,8 @@ def sector_ground_state(qop: QubitOperator, ints: IntegralSet,
                         scheme: MappingScheme | str) -> tuple[float, np.ndarray, dict]:
     """The exact energy: the lowest eigenpair of the qubit operator's block
     over the input's NELEC/MS2 sector, with the eigenvector embedded in the
-    2^n basis (evolution runs in the full space, which a single Pauli
-    rotation leaves), and the sector as report fields.
+    2^n basis (a single Pauli rotation leaves the sector, so evolution runs
+    over the X-mask cosets of its support), and the sector as report fields.
 
     H conserves the alpha and the beta electron counts, so the block holds
     every nonzero entry of its columns up to rounding."""
@@ -156,40 +156,78 @@ def sector_ground_state(qop: QubitOperator, ints: IntegralSet,
                            "sector_dim": len(basis)}
 
 
+def _x_span(xs: set[int]) -> list[int]:
+    """Reduced row-echelon basis of the GF(2) span of the X masks, by
+    ascending pivot: each vector's top bit, which no other vector has."""
+    basis: dict[int, int] = {}  # pivot -> vector
+    for x in xs:
+        for p, b in basis.items():
+            if x >> p & 1:
+                x ^= b
+        if x:
+            top = x.bit_length() - 1
+            for p, b in basis.items():
+                if b >> top & 1:
+                    basis[p] = b ^ x
+            basis[top] = x
+    return [basis[p] for p in sorted(basis)]
+
+
 def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
     """Apply (prod_j exp(-i theta_j/2 P_j))^n using the closed form
     exp(-i phi P)|psi> = cos(phi)|psi> - i sin(phi) P|psi> (P^2 = I).
 
-    (P|psi>)[j] = i^ny (-1)^parity(z & (j ^ x)) psi[j ^ x]: the permutations
-    (one per X mask), sign patterns and scalars are built once per plan.  The
-    sign is the product of the parities over the high and the low index
-    bits, so it flips the IEEE sign bits of a (2^hi, 2 * 2^lo) uint64 view
-    by a row and a column pattern (None for a half without Z bits)."""
+    (P|psi>)[j] = i^ny (-1)^parity(z & (j ^ x)) psi[j ^ x], and j ^ x stays
+    in the coset j ^ span(X masks), so only the cosets of the state's
+    nonzero entries are evolved; every other amplitude stays 0.  With span[k]
+    the XOR of the basis vectors picked by the bits of k, amplitude
+    rep ^ span[k] sits at position (coset, k), and X mask x moves it to
+    (coset, k ^ k_x), k_x its pivot bits.  The permutations, sign patterns
+    and scalars are built once per plan.  The sign factorises over
+    rep ^ span[k_hi << lo] and span[k_lo], so it flips the IEEE sign bits
+    of a (cosets * 2^hi, 2 * 2^lo) uint64 view by a row and a column pattern
+    (None when all zero)."""
     dim = 1 << plan.n_qubits
     if len(state) != dim:
         raise ValueError(f"state has dimension {len(state)}, plan needs {dim}")
-    idx = np.arange(dim, dtype=np.int64)
     xs, zs = plan.x.tolist(), plan.z.tolist()
-    perms = {x: idx ^ x for x in set(xs)}
-    lo = plan.n_qubits // 2
-    low = (1 << lo) - 1
-    rows, cols = idx[:dim >> lo, None], idx[:2 << lo] >> 1  # cols: real, imaginary part
-    shared: dict[tuple, np.ndarray] = {}
+    basis = _x_span(set(xs))
+    rank, lo = len(basis), len(basis) // 2
+    span = np.zeros(1, dtype=np.int64)
+    for b in basis:
+        span = np.concatenate([span, span ^ b])
 
-    def signs(j: np.ndarray, z: int, x: int) -> np.ndarray | None:
-        """Sign bits of parity(z & (j ^ x)) = parity(z & j) ^ parity(z & x)."""
-        key = (j.ndim, z, (z & x).bit_count() & 1)
-        if z and key not in shared:
-            shared[key] = (_parity(j, z) ^ key[2]).astype(np.uint64) << np.uint64(63)
-        return shared.get(key)
+    def coords(j):
+        """Pivot coordinates: bit i of k is the bit of j at basis[i]'s pivot."""
+        k = j & 0
+        for i, b in enumerate(basis):
+            k |= (j >> (b.bit_length() - 1) & 1) << i
+        return k
 
-    table = [(perms[x], signs(rows, z >> lo, x >> lo), signs(cols, z & low, x & low),
+    nonzero = np.flatnonzero(state)
+    reps = np.unique(nonzero ^ span[coords(nonzero)])
+    rows = (reps[:, None] ^ span[::1 << lo]).reshape(-1, 1)
+    cols = np.repeat(span[:1 << lo], 2)  # real, imaginary part
+    pos = np.arange(len(reps) << rank, dtype=np.int64)
+    perms = {x: pos ^ coords(x) for x in set(xs)}
+    shared: dict[tuple, np.ndarray | None] = {}
+
+    def signs(vals: np.ndarray, z: int, flip: int) -> np.ndarray | None:
+        """Sign bits of parity(z & vals) ^ flip."""
+        key = (vals.ndim, z, flip)
+        if key not in shared:
+            bits = _parity(vals, z) ^ flip
+            shared[key] = bits.astype(np.uint64) << np.uint64(63) if bits.any() else None
+        return shared[key]
+
+    table = [(perms[x], signs(rows, z, (z & x).bit_count() & 1), signs(cols, z, 0),
               math.cos(0.5 * theta),
               -1j * math.sin(0.5 * theta) * _I_POWERS[(x & z).bit_count() % 4])
              for x, z, theta in zip(xs, zs, plan.angles())]
-    psi = state.astype(complex, copy=True)
+    reached = (reps[:, None] ^ span).ravel()
+    psi = state[reached].astype(complex, copy=False)
     moved = np.empty_like(psi)
-    bits = moved.view(np.uint64).reshape(dim >> lo, 2 << lo)
+    bits = moved.view(np.uint64).reshape(len(rows), len(cols))
     for _ in range(plan.n_steps):
         for perm, row, col, cos, scale in table:
             # mode="wrap" spares the copy of `out` that "raise" makes; perm is in range.
@@ -201,7 +239,9 @@ def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
             moved *= scale
             psi *= cos
             psi += moved
-    return psi
+    out = np.zeros(dim, dtype=complex)
+    out[reached] = psi
+    return out
 
 
 @dataclass

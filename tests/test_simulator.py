@@ -382,3 +382,87 @@ class TestAgainstReference:
         state = rng.normal(size=1 << qop.n) + 1j * rng.normal(size=1 << qop.n)
         assert np.array_equal(apply_trotterized(plan, state),
                               reference_apply_trotterized(plan, state))
+
+
+def x_closure(j: int, xs) -> set[int]:
+    """j ^ span(xs), by closing {j} under XOR with each mask."""
+    reach, frontier = {j}, [j]
+    while frontier:
+        new = {s ^ x for s in frontier for x in xs} - reach
+        reach |= new
+        frontier = list(new)
+    return reach
+
+
+class TestReachedStates:
+    """The evolution runs only over the cosets j ^ span(X masks) of the
+    state's nonzero entries, with the reference loops' bits everywhere."""
+
+    @pytest.mark.parametrize("scheme", ["jw", "bk"])
+    @pytest.mark.parametrize("name", ["lih_sto3g", "h2_631g"])
+    def test_sector_ground_states(self, name, scheme):
+        ints = fermion.parse_fcidump(fixture_text(name))
+        qop = mappings.map_operator(fermion.build_hamiltonian(ints), scheme)
+        state = sector_ground_state(qop, ints, scheme)[1]
+        for ordering in ("magnitude", "lex"):
+            for n_steps in (1, 3):
+                plan = plan_for(qop, OrderingStrategy(ordering), n_steps, time=0.1)
+                assert np.array_equal(apply_trotterized(plan, state),
+                                      reference_apply_trotterized(plan, state)), (ordering, n_steps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(operators(), st.integers(1, 3), st.floats(0.01, 3.0), st.randoms())
+    def test_sparse_states(self, op, n_steps, time, random):
+        x, z, coeffs = op.arrays()
+        plan = TrotterPlan(op.n, x, z, coeffs, n_steps, time)
+        support = random.sample(range(1 << op.n), random.randint(1, 1 << op.n))
+        rng = np.random.default_rng(random.getrandbits(32))
+        state = np.zeros(1 << op.n, dtype=complex)
+        state[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+        assert np.array_equal(apply_trotterized(plan, state),
+                              reference_apply_trotterized(plan, state))
+
+    def test_zero_state(self, rng):
+        plan = plan_for(random_operator(rng, 4, n_terms=8), OrderingStrategy("lex"), 2, 0.7)
+        out = apply_trotterized(plan, np.zeros(16))
+        assert np.array_equal(out, np.zeros(16)) and out.dtype == complex
+
+    def test_plan_without_terms(self, rng):
+        empty = np.zeros(0, dtype=np.int64)
+        plan = TrotterPlan(3, empty, empty, np.zeros(0), 2, 0.5)
+        state = rng.normal(size=8) + 1j * rng.normal(size=8)
+        state[[1, 6]] = 0
+        assert np.array_equal(apply_trotterized(plan, state),
+                              reference_apply_trotterized(plan, state))
+
+    @pytest.mark.parametrize("name, reached", [("h2_sto3g", 2), ("lih_sto3g", None)])
+    def test_output_stays_in_the_coset(self, name, reached):
+        ham = fermion.build_hamiltonian(fermion.parse_fcidump(fixture_text(name)))
+        qop = mappings.map_operator(ham, "jw")
+        plan = plan_for(qop, OrderingStrategy("magnitude"), 2, time=0.3)
+        j = 0b0011  # two electrons in the lowest spatial orbital
+        state = np.zeros(1 << qop.n)
+        state[j] = 1.0
+        coset = x_closure(j, set(plan.x.tolist()))
+        rank = len(coset).bit_length() - 1
+        assert len(coset) == 1 << rank
+        support = set(np.flatnonzero(apply_trotterized(plan, state)).tolist())
+        assert j in support and support <= coset and len(support) <= 1 << rank
+        if reached is not None:
+            assert len(support) == reached
+
+    def test_no_table_of_full_register_arrays(self):
+        # One int64 array of 2^n entries per distinct X mask is the table the
+        # coset layout replaces; LiH's sector ground state reaches 4 of 16 cosets.
+        import tracemalloc
+        ints = fermion.parse_fcidump(fixture_text("lih_sto3g"))
+        qop = mappings.map_operator(fermion.build_hamiltonian(ints), "jw")
+        state = sector_ground_state(qop, ints, "jw")[1]
+        plan = plan_for(qop, OrderingStrategy("magnitude"), 1, time=0.1)
+        tracemalloc.start()
+        try:
+            apply_trotterized(plan, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(set(plan.x.tolist())) * len(state) * 8
