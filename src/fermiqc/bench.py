@@ -133,6 +133,19 @@ def _plan_and_count(cfg: BenchConfig, qop: QubitOperator, ordering: OrderingStra
         return plan
 
 
+def pair_stages(inp: BenchInput, scheme: MappingScheme, time: float):
+    """The stages of one (input, mapping) pair, each run when the caller
+    takes its value: the Hamiltonian's register size, then the qubit
+    operator with ``time`` clamped into the phase branch, then the sector
+    ground state (energy, state, sector fields)."""
+    ints = inp.load()
+    ham = fermion.build_hamiltonian(ints)
+    yield ham.n_modes
+    qop = mappings.map_operator(ham, scheme)
+    yield qop, simulator.safe_evolution_time(qop, time)
+    yield simulator.sector_ground_state(qop, ints, scheme)
+
+
 def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> list[BenchRow]:
     """Every cell of one (input, mapping) pair, each stage run once per key:
     (input, mapping) → ordering → mode, then the sector ground state and one
@@ -143,18 +156,17 @@ def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> lis
                              caveats=dict.fromkeys(_CAVEATS) if cfg.with_error else None)
                     for mode in cfg.modes] for o in cfg.orderings]
     rows = [row for group in by_ordering for row in group]
+    stages = pair_stages(inp, scheme, cfg.time)
     with _isolated(rows):
-        ints = inp.load()
-        ham = fermion.build_hamiltonian(ints)
+        n_qubits = next(stages)
         for row in rows:
-            row.n_qubits = ham.n_modes
-        qop = mappings.map_operator(ham, scheme)
-        time = simulator.safe_evolution_time(qop, cfg.time)
+            row.n_qubits = n_qubits
+        qop, time = next(stages)
         templates: dict = {}
         plans = [_plan_and_count(cfg, qop, o, time, group, templates)
                  for o, group in zip(cfg.orderings, by_ordering)]
         if cfg.with_error:
-            energy, ground, sector = simulator.sector_ground_state(qop, ints, scheme)
+            energy, ground, sector = next(stages)
             for group, plan in zip(by_ordering, plans):
                 if plan is None:  # its rows already hold the plan's failure
                     continue

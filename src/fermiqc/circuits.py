@@ -25,8 +25,9 @@ GATE_KINDS = {"H": (1, "H"), "X": (1, "X"), "YB": (1, "YBD"), "YBD": (1, "YB"),
 class Gate:
     """One gate.  The Clifford constructors below share one instance per
     (kind, qubits), validated once.  RZ() builds a new instance per call,
-    and Circuit.gates one per RZ of a step, so never key a cache on an
-    RZ's identity.  CZ is symmetric, so its qubits are stored sorted."""
+    and each read of Circuit.gates one per RZ of a step, so never key a
+    cache on an RZ's identity.  CZ is symmetric, so its qubits are stored
+    sorted."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -106,71 +107,40 @@ def RZ(q: int, angle: float) -> Gate:
 
 
 class Circuit:
-    """Ordered gates over n_qubits (+1 trailing ancilla when flagged).
+    """Ordered gates over n_qubits (+1 trailing ancilla when flagged), held
+    in encoded form: one step's entries (see ``_clifford``), the step's RZ
+    angles in order and the step count.  Nothing edits a circuit after
+    construction; :meth:`from_gates` builds one from a Gate list.
 
     ``barriers`` marks Trotter-step seams (gate indices); the optimizer
-    does not move cancellations across them unless asked to.
-
-    The gates are a ``Gate`` list, an encoded form or both; each is made
-    from the other on first use.  The encoded form is one step's entries
-    (see ``_clifford``), the step's RZ angles in order and the step count.
-    ``append``/``extend`` edit the list and drop the encoded form.
+    does not move cancellations across them unless asked to.  They default
+    to the step seams (none for an empty step).
     """
 
-    def __init__(self, n_qubits: int, gates: list[Gate] | None = None,
-                 ancilla: bool = False, barriers: list[int] | None = None):
-        self.n_qubits = n_qubits
-        self.ancilla = ancilla
-        self.barriers = [] if barriers is None else barriers
-        self._gates = [] if gates is None else gates
-        self._encoded: tuple[list[tuple], list[float], int] | None = None
-
-    @classmethod
-    def from_encoded(cls, n_qubits: int, entries: list[tuple], angles: list[float],
-                     n_steps: int = 1, ancilla: bool = False,
-                     barriers: list[int] | None = None) -> "Circuit":
-        """``barriers`` defaults to the step seams (none for an empty step)."""
+    def __init__(self, n_qubits: int, entries: list[tuple], angles: list[float],
+                 n_steps: int = 1, ancilla: bool = False, barriers: list[int] | None = None):
         if barriers is None:
             barriers = list(range(len(entries), len(entries) * n_steps, len(entries) or 1))
-        c = cls(n_qubits, ancilla=ancilla, barriers=barriers)
-        c._gates, c._encoded = None, (entries, angles, n_steps)
-        return c
+        self.n_qubits, self.ancilla, self.barriers = n_qubits, ancilla, barriers
+        self.entries, self.angles, self.n_steps = entries, angles, n_steps
 
-    @property
-    def gates(self) -> list[Gate]:
-        """The gate list; the steps share one step's Gate objects."""
-        if self._gates is None:
-            entries, angles, n_steps = self._encoded
-            rz = iter(angles)
-            step = [e[_GATE] or RZ(e[_MASK].bit_length() - 1, next(rz)) for e in entries]
-            self._gates = step * n_steps
-        return self._gates
-
-    def encoded(self) -> tuple[list[tuple], list[float], int]:
-        """(one step's entries, its RZ angles, step count); do not edit them."""
-        if self._encoded is None:
-            self._encoded = ([_entry(g) for g in self._gates],
-                             [g.angle for g in self._gates if g.angle is not None], 1)
-        return self._encoded
-
-    @property
-    def width(self) -> int:
-        return self.n_qubits + (1 if self.ancilla else 0)
-
-    def append(self, gate: Gate) -> None:
-        if max(gate.qubits) >= self.width:
-            raise ValueError(f"gate {gate} outside register of width {self.width}")
-        self.gates.append(gate)
-        self._encoded = None
-
-    def extend(self, gates) -> None:
+    @classmethod
+    def from_gates(cls, n_qubits: int, gates: list[Gate], ancilla: bool = False,
+                   barriers: list[int] | None = None) -> "Circuit":
+        """A one-step circuit of ``gates``, each inside the register."""
+        width = n_qubits + ancilla
         for g in gates:
-            self.append(g)
+            if max(g.qubits) >= width:
+                raise ValueError(f"gate {g} outside register of width {width}")
+        return cls(n_qubits, [_entry(g) for g in gates],
+                   [g.angle for g in gates if g.angle is not None], 1, ancilla, barriers)
 
-    def __len__(self):
-        if self._gates is None:
-            return len(self._encoded[0]) * self._encoded[2]
-        return len(self._gates)
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates, built on each call; the steps share one step's Gate objects."""
+        rz = iter(self.angles)
+        step = tuple(e[_GATE] or RZ(e[_MASK].bit_length() - 1, next(rz)) for e in self.entries)
+        return step * self.n_steps
 
     def __eq__(self, other):
         return isinstance(other, Circuit) and (
@@ -189,10 +159,10 @@ class GateCounts:
 def count_gates(c: Circuit) -> GateCounts:
     """Tally of the encoded form: a two-qubit gate's mask has two bits, and
     each RZ has one angle."""
-    entries, angles, n_steps = c.encoded()
-    ent, rz = list(map(int.bit_count, map(itemgetter(_MASK), entries))).count(2), len(angles)
-    return GateCounts(n_steps * len(entries), n_steps * ent,
-                      n_steps * (len(entries) - ent - rz), n_steps * rz)
+    ent = list(map(int.bit_count, map(itemgetter(_MASK), c.entries))).count(2)
+    rz, n_steps = len(c.angles), c.n_steps
+    return GateCounts(n_steps * len(c.entries), n_steps * ent,
+                      n_steps * (len(c.entries) - ent - rz), n_steps * rz)
 
 
 def _support(x: int, z: int) -> tuple[int, ...]:
@@ -284,8 +254,8 @@ def _template(mode: str):
 
 def synthesize_term(string: PauliString, theta: float, mode: str = "canonical") -> Circuit:
     """The circuit of exp(-i theta/2 P) for one term."""
-    return Circuit.from_encoded(string.n, _template(mode)(string.n, string.x, string.z),
-                                [theta], ancilla=(mode == "ancilla"))
+    return Circuit(string.n, _template(mode)(string.n, string.x, string.z), [theta],
+                   ancilla=(mode == "ancilla"))
 
 
 def synthesize_plan(plan: TrotterPlan, mode: str = "canonical",
@@ -306,8 +276,8 @@ def synthesize_plan(plan: TrotterPlan, mode: str = "canonical",
         if template is None:
             template = table[key] = build(plan.n_qubits, x, z)
         step += template
-    return Circuit.from_encoded(plan.n_qubits, step, plan.angles(), plan.n_steps,
-                                ancilla=(mode == "ancilla"))
+    return Circuit(plan.n_qubits, step, plan.angles(), plan.n_steps,
+                   ancilla=(mode == "ancilla"))
 
 
 def term_gate_counts(string: PauliString, mode: str = "canonical") -> GateCounts:
@@ -336,10 +306,9 @@ def format_circuit(c: Circuit) -> str:
     # A Clifford entry is shared, so its line is built once and kept under
     # its id; the interned entries stay alive.
     clifford: dict[int, str] = {}
-    entries, angles, n_steps = c.encoded()
-    rz = iter(angles)
+    rz = iter(c.angles)
     lines = [f"QUBITS {c.n_qubits} ANCILLA {1 if c.ancilla else 0}"]
-    for e in entries:
+    for e in c.entries:
         g = e[_GATE]
         if g is None:
             line = f"RZ {e[_MASK].bit_length() - 1} {next(rz)!r}"
@@ -348,7 +317,7 @@ def format_circuit(c: Circuit) -> str:
             if line is None:
                 line = clifford[id(e)] = f"{g.kind} {' '.join(map(str, g.qubits))}"
         lines.append(line)
-    lines += lines[1:] * (n_steps - 1)
+    lines += lines[1:] * (c.n_steps - 1)
     lines.append("")  # the final newline, without a copy of the joined text
     return "\n".join(lines)
 
@@ -377,7 +346,7 @@ def parse_circuit(text: str) -> Circuit:
     """Inverse of :func:`format_circuit`; errors name the offending line.
 
     Each distinct gate line is parsed and validated once; its repeats
-    share the resulting entry.  The circuit comes back in encoded form.
+    share the resulting entry.
     """
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
@@ -411,4 +380,4 @@ def parse_circuit(text: str) -> Circuit:
                 angles.append(hit[1])
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
-    return Circuit.from_encoded(n_qubits, entries, angles, ancilla=ancilla)
+    return Circuit(n_qubits, entries, angles, ancilla=ancilla)

@@ -34,7 +34,8 @@ def _one_line_errors(source: str):
     """Report a bad input as one ``Error: <source>: <message>`` line, exit 1."""
     try:
         yield
-    except (OSError, ValueError, fermion.ResourceLimitError) as exc:
+    except (OSError, ValueError, fermion.ResourceLimitError,
+            simulator.EigensolverError) as exc:
         raise click.ClickException(f"{source}: {exc}") from None
 
 
@@ -208,18 +209,15 @@ def trotter_error_cmd(inputs, mapping, ordering, magnitude_direction, orderings,
     strategies = _parse_orderings(ordering, orderings, magnitude_direction)
     reports = []
     for inp, spec in _parse_inputs(inputs).items():
-        with _one_line_errors(spec):
-            ints = inp.load()
-            ham = fermion.build_hamiltonian(ints)
-            for scheme in map(MappingScheme, mapping):
-                qop = mappings.map_operator(ham, scheme)
-                energy, ground, sector = simulator.sector_ground_state(qop, ints, scheme)
-                time_used = simulator.safe_evolution_time(qop, time_)
+        for scheme in map(MappingScheme, mapping):
+            with _one_line_errors(spec):
+                n_qubits, (qop, time_used), (energy, ground, sector) = bench_mod.pair_stages(
+                    inp, scheme, time_)
                 for strategy in strategies:
                     for n_steps in steps_list:
                         plan = trotter.plan_for(qop, strategy, n_steps, time_used)
                         rep = simulator.trotter_error(plan, energy, ground)
-                        reports.append({"system": inp.system, "n_qubits": qop.n,
+                        reports.append({"system": inp.system, "n_qubits": n_qubits,
                                         "mapping": scheme.value, "ordering": str(strategy),
                                         **asdict(rep), **sector})
     _write(json.dumps(reports, indent=2) + "\n", output)

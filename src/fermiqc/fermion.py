@@ -39,42 +39,39 @@ class IntegralSet:
 
 
 class FermionOperator:
-    """Sum of ladder-operator products: (coeff, ((mode, dagger), ...)).
+    """Sum of ladder-operator products, held as arrays (see ``arrays``);
+    nothing edits them after construction.  A product's factors are
+    (mode, dagger) pairs, the rightmost acting first."""
 
-    The products are held as the ``products`` list, as ``arrays()`` or both;
-    each form is made from the other on first use.  ``add`` edits the list.
-    """
-
-    def __init__(self, n_modes: int, constant: float = 0.0, arrays: tuple | None = None):
+    def __init__(self, n_modes: int, constant: float, arrays: tuple):
+        modes = arrays[2]
+        bad = modes[(modes < 0) | (modes >= n_modes)]
+        if len(bad):
+            raise ValueError(f"mode {bad[0]} outside register of size {n_modes}")
         self.n_modes, self.constant, self._arrays = n_modes, constant, arrays
-        self._products: list | None = None if arrays is not None else []
+
+    @classmethod
+    def from_products(cls, n_modes: int, products: list[tuple],
+                      constant: float = 0.0) -> "FermionOperator":
+        """The operator of (coefficient, ((mode, dagger), ...)) pairs, in order."""
+        factors = [f for _, f in products]
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(factors)), np.int64)
+        return cls(n_modes, constant, (np.array([c for c, _ in products], dtype=complex),
+                                       np.fromiter(map(len, factors), np.int64, len(factors)),
+                                       flat[0::2], flat[1::2].astype(bool)))
 
     @property
-    def products(self) -> list[tuple[complex, tuple[tuple[int, bool], ...]]]:
-        if self._products is None:
-            coeffs, lengths, modes, dagger = self._arrays
-            shared = [(m, d) for m in range(self.n_modes) for d in (False, True)]
-            factors = map(shared.__getitem__, (2 * modes + dagger).tolist())
-            self._products = [(c, tuple(islice(factors, k)))
-                              for c, k in zip(coeffs.tolist(), lengths.tolist())]
-        return self._products
-
-    def add(self, coeff: complex, factors: tuple[tuple[int, bool], ...]) -> None:
-        for mode, _ in factors:
-            if not 0 <= mode < self.n_modes:
-                raise ValueError(f"mode {mode} outside register of size {self.n_modes}")
-        self.products.append((coeff, factors))
-        self._arrays = None
+    def products(self) -> tuple[tuple[complex, tuple[tuple[int, bool], ...]], ...]:
+        """The (coefficient, factors) pairs, built from the arrays on each call."""
+        coeffs, lengths, modes, dagger = self._arrays
+        shared = [(m, d) for m in range(self.n_modes) for d in (False, True)]
+        factors = map(shared.__getitem__, (2 * modes + dagger).tolist())
+        return tuple((c, tuple(islice(factors, k)))
+                     for c, k in zip(coeffs.tolist(), lengths.tolist()))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(coefficients, factor counts, modes, dagger flags): one entry per
         product, then one per factor of all products in order."""
-        if self._arrays is None:
-            factors = [f for _, f in self._products]
-            flat = np.fromiter(chain.from_iterable(chain.from_iterable(factors)), np.int64)
-            self._arrays = (np.array([c for c, _ in self._products], dtype=complex),
-                            np.fromiter(map(len, factors), np.int64, len(factors)),
-                            flat[0::2], flat[1::2].astype(bool))
         return self._arrays
 
 

@@ -141,9 +141,6 @@ def map_operator(op: FermionOperator, scheme: MappingScheme) -> QubitOperator:
     if not len(coeffs):
         return QubitOperator(n, constant=op.constant)
     imgs = np.array(_ladder_images(n, scheme), dtype=np.uint64).reshape(n, 3)
-    bad = modes[(modes < 0) | (modes >= n)]
-    if len(bad):
-        raise ValueError(f"mode {bad[0]} outside register of size {n}")
     modes = modes.astype(np.uint8)
     starts = np.cumsum(lengths) - lengths
     prefix = np.concatenate(([np.uint64(0)], np.bitwise_xor.accumulate(imgs[modes, 0])))

@@ -12,7 +12,7 @@ greedy one: scan left to right, cancel each Clifford gate with the first
 inverse partner reachable through commuting gates, and step back one gate
 after every cancellation.
 
-The passes read a circuit's encoded form (``Circuit.encoded``): one shared
+The passes read a circuit's encoded form (``Circuit.entries``): one shared
 entry (qubit mask, Z mask, X mask, key, partner key, gate) per Clifford
 (kind, qubits) and one per RZ qubit.  Two gates commute when every qubit
 they share is Z for both or X for both.  Without ``cross_step`` the steps
@@ -28,15 +28,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from operator import length_hint
 
-from .circuits import _KEY, _MASK, _PARTNER, _X, _Z, Circuit, Gate, _entry
-
-
-def commute(a: Gate, b: Gate) -> bool:
-    """Rule-based commutation test for an ordered gate pair."""
-    mask_a, z_a, x_a = _entry(a)[:3]
-    mask_b, z_b, x_b = _entry(b)[:3]
-    shared = mask_a & mask_b
-    return shared == (z_a & z_b) | (x_a & x_b)
+from .circuits import _KEY, _MASK, _PARTNER, _X, _Z, Circuit
 
 
 def _cancel_adjacent_pass(seg: list[tuple]) -> None:
@@ -73,7 +65,7 @@ def _commute_pass(seg: list[tuple], window: int | None) -> list[tuple]:
                 if h[_KEY] == partner:
                     hit = length_hint(it)  # the index of h in rest
                     break
-                # The test of commute(), inlined: this is the hot loop.
+                # h blocks the scan unless the two commute.
                 shared = mask & h[_MASK]
                 if shared and shared != (z & h[_Z]) | (x & h[_X]):
                     break
@@ -98,10 +90,9 @@ class OptimizationReport:
 
 def _segments(c: Circuit, cross_step: bool) -> tuple[list[list[tuple]], int]:
     """Fresh entry lists to optimize, and how often their result repeats."""
-    entries, _, n_steps = c.encoded()
-    if n_steps > 1 and not cross_step:
-        return [list(entries)], n_steps
-    entries = entries * n_steps
+    if c.n_steps > 1 and not cross_step:
+        return [list(c.entries)], c.n_steps
+    entries = c.entries * c.n_steps
     if cross_step or not c.barriers:
         return [entries], 1
     bounds = [0, *c.barriers, len(entries)]
@@ -112,12 +103,11 @@ def _joined(c: Circuit, segs: list[list[tuple]], repeat: int) -> Circuit:
     """The optimized circuit.  RZs are never removed or reordered, so the
     angles pair up unchanged; a repeated step keeps its RZs, so it never
     empties and gets a barrier at each of its new seams."""
-    _, angles, n_steps = c.encoded()
     if repeat > 1:
-        return Circuit.from_encoded(c.n_qubits, segs[0], angles, repeat, c.ancilla)
+        return Circuit(c.n_qubits, segs[0], c.angles, repeat, c.ancilla)
     barriers = list(accumulate(len(seg) for seg in segs[:-1]))
     entries = segs[0] if len(segs) == 1 else [e for seg in segs for e in seg]
-    return Circuit.from_encoded(c.n_qubits, entries, angles * n_steps, 1, c.ancilla, barriers)
+    return Circuit(c.n_qubits, entries, c.angles * c.n_steps, 1, c.ancilla, barriers)
 
 
 def cancel_adjacent(c: Circuit, cross_step: bool = False) -> Circuit:

@@ -18,12 +18,6 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-AXIS_CHARS = "IXYZ"
-
-# (x bit, z bit) per base-4 digit
-_DIGIT_TO_XZ = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)}
-_XZ_TO_DIGIT = {v: k for k, v in _DIGIT_TO_XZ.items()}
-
 DEFAULT_TOL = 1e-12
 
 
@@ -43,58 +37,25 @@ class PauliString:
             raise ValueError("axis bits outside the register")
 
     @classmethod
-    def from_axes(cls, digits: Iterable[int]) -> "PauliString":
-        """Build from base-4 digits, qubit 0 first."""
-        x = z = 0
-        n = 0
-        for q, d in enumerate(digits):
-            xb, zb = _DIGIT_TO_XZ[d]
-            x |= xb << q
-            z |= zb << q
-            n = q + 1
-        return cls(n, x, z)
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Build from a character string like 'XIZY' (qubit 0 first)."""
-        return cls.from_axes(AXIS_CHARS.index(c) for c in label)
-
-    @classmethod
     def from_ops(cls, n: int, ops: Iterable[tuple[int, str]]) -> "PauliString":
         """Build from (qubit, axis-letter) pairs on an n-qubit register."""
         x = z = 0
         for q, c in ops:
             if not 0 <= q < n:
                 raise ValueError(f"qubit {q} outside register of size {n}")
-            xb, zb = _DIGIT_TO_XZ[AXIS_CHARS.index(c)]
-            x |= xb << q
-            z |= zb << q
+            d = "IXYZ".index(c)
+            x |= (d in (1, 2)) << q
+            z |= (d > 1) << q
         return cls(n, x, z)
-
-    def axis(self, q: int) -> int:
-        """Base-4 digit on qubit q."""
-        return _XZ_TO_DIGIT[((self.x >> q) & 1, (self.z >> q) & 1)]
-
-    @property
-    def axes(self) -> tuple[int, ...]:
-        return tuple(self.axis(q) for q in range(self.n))
 
     @property
     def label(self) -> str:
-        return "".join(AXIS_CHARS[d] for d in self.axes)
+        """One letter per qubit, qubit 0 first, like 'XIZY'."""
+        return "".join("IXZY"[(self.x >> q & 1) | (self.z >> q & 1) << 1] for q in range(self.n))
 
     @property
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Indices of non-identity qubits, ascending."""
-        m = self.x | self.z
-        return tuple(q for q in range(self.n) if (m >> q) & 1)
-
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
 
     def __repr__(self):
         return f"PauliString({self.label!r})"
@@ -152,7 +113,7 @@ class QubitOperator:
     def add_term(self, coeff: complex, string: PauliString) -> None:
         if string.n != self.n:
             raise ValueError(f"string on {string.n} qubits, register is {self.n}")
-        if string.is_identity():
+        if not string.x | string.z:
             self.constant += coeff
             return
         terms, self._arrays = self._dict(), None

@@ -32,11 +32,22 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI_MATS = (I2, SX, SY, SZ)
 
 
+def pauli(label: str) -> PauliString:
+    """The string of a label like 'XIZY', qubit 0 first."""
+    masks = (sum(1 << q for q, c in enumerate(label) if c in axes) for axes in ("XY", "YZ"))
+    return PauliString(len(label), *masks)
+
+
+def _digit(s: PauliString, q: int) -> int:
+    """The axis of qubit q as a base-4 digit: I=0, X=1, Y=2, Z=3."""
+    return (0, 1, 3, 2)[(s.x >> q & 1) | (s.z >> q & 1) << 1]
+
+
 def pauli_matrix(s: PauliString) -> np.ndarray:
     """Dense matrix of a Pauli string with qubit 0 as the least significant bit."""
     out = np.eye(1, dtype=complex)
     for q in range(s.n):
-        out = np.kron(PAULI_MATS[s.axis(q)], out)
+        out = np.kron(PAULI_MATS[_digit(s, q)], out)
     return out
 
 
@@ -58,7 +69,7 @@ def pauli_exponential(s: PauliString, theta: float) -> np.ndarray:
 def random_pauli_string(rng: np.random.Generator, n: int,
                         min_weight: int = 1) -> PauliString:
     while True:
-        s = PauliString.from_axes(rng.integers(0, 4, size=n))
+        s = PauliString(n, *(int(m) for m in rng.integers(0, 1 << n, size=2)))
         if s.weight >= min_weight:
             return s
 
@@ -66,14 +77,13 @@ def random_pauli_string(rng: np.random.Generator, n: int,
 def random_fermion_operator(rng: np.random.Generator, n_modes: int,
                             n_products: int = 6) -> FermionOperator:
     """Random sum of ladder products with complex coefficients."""
-    op = FermionOperator(n_modes, constant=float(rng.normal()))
+    constant, products = float(rng.normal()), []
     for _ in range(n_products):
         length = int(rng.integers(1, 5))
         factors = tuple((int(rng.integers(0, n_modes)), bool(rng.integers(0, 2)))
                         for _ in range(length))
-        coeff = complex(rng.normal(), rng.normal())
-        op.add(coeff, factors)
-    return op
+        products.append((complex(rng.normal(), rng.normal()), factors))
+    return FermionOperator.from_products(n_modes, products, constant)
 
 
 def strip_global_phase(u: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -185,9 +195,10 @@ def _apply_gate(g: Gate, arr: np.ndarray) -> None:
 
 def circuit_unitary(c: Circuit, limit: int = UNITARY_QUBIT_LIMIT) -> np.ndarray:
     """Dense unitary of the gate sequence (columns = input basis states)."""
-    if c.width > limit:
-        raise ResourceLimitError(f"{c.width} qubits exceeds the {limit}-qubit unitary limit")
-    u = np.eye(1 << c.width, dtype=complex)
+    width = c.n_qubits + c.ancilla
+    if width > limit:
+        raise ResourceLimitError(f"{width} qubits exceeds the {limit}-qubit unitary limit")
+    u = np.eye(1 << width, dtype=complex)
     for g in c.gates:
         _apply_gate(g, u)
     return u
@@ -200,10 +211,10 @@ def circuit_unitary(c: Circuit, limit: int = UNITARY_QUBIT_LIMIT) -> np.ndarray:
 def _reference_basis(s: PauliString, qubits) -> tuple[list[Gate], list[Gate]]:
     pre, post = [], []
     for q in qubits:
-        if s.axis(q) == 1:
+        if _digit(s, q) == 1:
             pre.append(Gate("H", (q,)))
             post.append(Gate("H", (q,)))
-        elif s.axis(q) == 2:
+        elif _digit(s, q) == 2:
             pre.append(Gate("YB", (q,)))
             post.append(Gate("YBD", (q,)))
     return pre, post
@@ -214,7 +225,7 @@ def _reference_ladder(qubits) -> list[Gate]:
 
 
 def _reference_canonical(s: PauliString, theta: float) -> list[Gate]:
-    support = s.support
+    support = [q for q in range(s.n) if _digit(s, q)]
     pre, post = _reference_basis(s, support)
     ladder = _reference_ladder(support)
     return [*pre, *ladder, Gate("RZ", (support[-1],), theta), *reversed(ladder),
@@ -222,10 +233,10 @@ def _reference_canonical(s: PauliString, theta: float) -> list[Gate]:
 
 
 def _reference_basis_shift(s: PauliString, theta: float) -> list[Gate]:
-    support = s.support
+    support = [q for q in range(s.n) if _digit(s, q)]
     central, rest = support[-1], support[:-1]
     cut = (len(rest) + 1) // 2
-    couple = "CZ" if s.axis(central) == 1 else "CNOT"
+    couple = "CZ" if _digit(s, central) == 1 else "CNOT"
     halves = []
     for group in (g for g in (rest[:cut], rest[cut:]) if g):
         pre, post = _reference_basis(s, group)
@@ -241,7 +252,7 @@ def _reference_basis_shift(s: PauliString, theta: float) -> list[Gate]:
 
 
 def _reference_ancilla(s: PauliString, theta: float) -> list[Gate]:
-    support = s.support
+    support = [q for q in range(s.n) if _digit(s, q)]
     pre, post = _reference_basis(s, support)
     return [*pre, *(Gate("CNOT", (q, s.n)) for q in support), Gate("RZ", (s.n,), theta),
             *(Gate("CNOT", (q, s.n)) for q in reversed(support)), *reversed(post)]
@@ -257,8 +268,8 @@ def reference_synthesize_plan(plan: TrotterPlan, mode: str) -> Circuit:
     for (s, _), theta in zip(plan.ordered_terms, plan.angles()):
         step += _REFERENCE_TERM_GATES[mode](s, theta)
     barriers = [k * len(step) for k in range(1, plan.n_steps)] if step else []
-    return Circuit(plan.n_qubits, step * plan.n_steps, ancilla=mode == "ancilla",
-                   barriers=barriers)
+    return Circuit.from_gates(plan.n_qubits, step * plan.n_steps, ancilla=mode == "ancilla",
+                              barriers=barriers)
 
 
 def reference_gate_counts(gates: list[Gate]) -> GateCounts:
@@ -374,10 +385,11 @@ def _reference_commute_pass(gates: list[Gate], window: int | None) -> list[Gate]
 
 
 def _reference_segments(c: Circuit, cross_step: bool) -> list[list[Gate]]:
+    gates = list(c.gates)
     if cross_step or not c.barriers:
-        return [list(c.gates)]
-    bounds = [0, *c.barriers, len(c.gates)]
-    return [c.gates[a:b] for a, b in zip(bounds, bounds[1:])]
+        return [gates]
+    bounds = [0, *c.barriers, len(gates)]
+    return [gates[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _reference_rebuild(c: Circuit, segments: list[list[Gate]]) -> Circuit:
@@ -387,7 +399,7 @@ def _reference_rebuild(c: Circuit, segments: list[list[Gate]]) -> Circuit:
         if k:
             barriers.append(len(gates))
         gates.extend(seg)
-    return Circuit(c.n_qubits, gates, ancilla=c.ancilla, barriers=barriers)
+    return Circuit.from_gates(c.n_qubits, gates, ancilla=c.ancilla, barriers=barriers)
 
 
 def reference_cancel_adjacent(c: Circuit, cross_step: bool = False) -> Circuit:
@@ -453,16 +465,18 @@ def reference_parse_circuit(text: str) -> Circuit:
     try:
         if len(fields) != 4 or fields[0] != "QUBITS" or fields[2] != "ANCILLA":
             raise ValueError
-        circ = Circuit(int(fields[1]), ancilla=bool(int(fields[3])))
+        n_qubits, ancilla = int(fields[1]), bool(int(fields[3]))
     except ValueError:
         raise ValueError(f"line {lineno}: bad circuit header {head!r}") from None
+    width = n_qubits + ancilla
 
     def qubit(text: str) -> int:
         q = int(text)
-        if not 0 <= q < circ.width:
-            raise ValueError(f"qubit {q} outside register of width {circ.width}")
+        if not 0 <= q < width:
+            raise ValueError(f"qubit {q} outside register of width {width}")
         return q
 
+    gates: list[Gate] = []
     try:
         for lineno, raw in lines:
             ln = raw.strip()
@@ -476,12 +490,12 @@ def reference_parse_circuit(text: str) -> Circuit:
                 raise ValueError(f"{kind} takes {_REF_FIELDS[kind] - 1} operands, "
                                  f"got {len(fields) - 1}")
             if kind == "RZ":
-                circ.gates.append(Gate("RZ", (qubit(fields[1]),), float(fields[2])))
+                gates.append(Gate("RZ", (qubit(fields[1]),), float(fields[2])))
             else:
-                circ.gates.append(Gate(kind, tuple(qubit(f) for f in fields[1:])))
+                gates.append(Gate(kind, tuple(qubit(f) for f in fields[1:])))
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
-    return circ
+    return Circuit.from_gates(n_qubits, gates, ancilla=ancilla)
 
 
 # ---- reference simulator kernels -------------------------------------------
@@ -533,12 +547,11 @@ def reference_apply_trotterized(plan, state: np.ndarray) -> np.ndarray:
 # pair; build_hamiltonian must give their normal-ordered, merged sum.
 
 def reference_build_hamiltonian(ints) -> FermionOperator:
-    n = ints.n_spatial
-    op = FermionOperator(2 * n, constant=ints.core_energy)
+    products = []
     h, g = ints.one_body, ints.two_body
     for p, q in zip(*np.nonzero(h)):
         for spin in (0, 1):
-            op.add(h[p, q], ((2 * p + spin, True), (2 * q + spin, False)))
+            products.append((h[p, q], ((2 * p + spin, True), (2 * q + spin, False))))
     for p, q, r, s in zip(*np.nonzero(g)):
         half = 0.5 * g[p, q, r, s]
         for s1 in (0, 1):
@@ -546,8 +559,8 @@ def reference_build_hamiltonian(ints) -> FermionOperator:
             for s2 in (0, 1):
                 j, k = 2 * r + s2, 2 * s + s2
                 if i != j and k != l:
-                    op.add(half, ((i, True), (j, True), (k, False), (l, False)))
-    return op
+                    products.append((half, ((i, True), (j, True), (k, False), (l, False))))
+    return FermionOperator.from_products(2 * ints.n_spatial, products, ints.core_energy)
 
 
 def reference_excitations(ints) -> dict[tuple, float]:
@@ -602,12 +615,12 @@ def reference_map_operator(op: FermionOperator, scheme: MappingScheme,
 
 
 def reference_lex_key(s: PauliString) -> tuple[int, ...]:
-    return tuple(s.axis(q) for q in range(s.n))
+    return tuple(_digit(s, q) for q in range(s.n))
 
 
 def reference_format_terms(op: QubitOperator) -> str:
     def line(coeff, s):
-        ops = " ".join(f"{'IXYZ'[s.axis(q)]}{q}" for q in range(s.n) if s.axis(q))
+        ops = " ".join(f"{'IXYZ'[_digit(s, q)]}{q}" for q in range(s.n) if _digit(s, q))
         return f"({coeff.real!r},{coeff.imag!r}) {ops}".rstrip()
 
     lines = [line(op.constant, PauliString(op.n))] if op.constant != 0 else []

@@ -270,6 +270,31 @@ class TestCli:
             assert list(p)[:5] == ["system", "n_qubits", "mapping", "ordering", "n_steps"]
             assert p["ordering"] == "magnitude" and p["mapping"] == "jw"
 
+    def test_bench_and_trotter_error_agree_bit_for_bit(self):
+        # Both commands run one (input, mapping) stage, so the numbers they
+        # share are the same floats.
+        args = [str(fixture_path("lih_sto3g")), "--orderings", "magnitude,lex",
+                "--steps", "2", "--time", "0.1"]
+        rows = json.loads(self.run("bench", *args, "--error", "--format", "json").output)
+        reports = json.loads(self.run("trotter-error", *args).output)
+        assert len(rows) == len(reports) == 4
+        shared = ("time", "overlap_magnitude", "nelec", "ms2", "sector_dim")
+        got = {(r["mapping"], r["ordering"]): [r["trotter_error"], *map(r.get, shared)]
+               for r in rows}
+        want = {(r["mapping"], r["ordering"]): [r["error"], *map(r.get, shared)]
+                for r in reports}
+        assert repr(sorted(got.items())) == repr(sorted(want.items()))
+        assert got[("jw", "lex")][0] > 0 and got[("bk", "magnitude")][5] == 225
+
+    def test_trotter_error_eigensolver_failure_is_one_line(self, monkeypatch):
+        def fail(m):
+            raise simulator.EigensolverError("no convergence")
+        monkeypatch.setattr(simulator, "ground_state", fail)
+        r = CliRunner().invoke(main, ["trotter-error", SPEC])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: {SPEC}: no convergence\n"
+
     def test_magnitude_direction_flag(self):
         base = ["bench", "synthetic:n=2,seed=1", "--mapping", "jw",
                 "--mode", "canonical", "--ordering", "magnitude"]

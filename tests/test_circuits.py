@@ -16,7 +16,7 @@ from fermiqc.circuits import (CNOT, CZ, RZ, YB, YBD, Circuit, Gate, GateCounts, 
 from fermiqc.pauli import PauliString, QubitOperator
 from fermiqc.trotter import OrderingStrategy, plan_for
 
-from oracles import (assert_same_up_to_phase, circuit_unitary, pauli_exponential,
+from oracles import (assert_same_up_to_phase, circuit_unitary, pauli, pauli_exponential,
                      random_pauli_string, random_plan, reference_format_circuit,
                      reference_gate_counts, reference_parse_circuit, reference_synthesize_plan)
 
@@ -68,19 +68,21 @@ class TestGate:
 
 class TestCircuit:
     def test_width_and_ancilla(self):
-        c = Circuit(3, ancilla=True)
-        assert c.width == 4
+        # The ancilla is one more qubit, after the data register.
+        assert Circuit.from_gates(3, [CNOT(0, 3)], ancilla=True).ancilla
+        with pytest.raises(ValueError, match="outside register of width 3"):
+            Circuit.from_gates(3, [CNOT(0, 3)])
 
-    def test_append_bounds(self):
-        c = Circuit(2)
-        with pytest.raises(ValueError):
-            c.append(H(2))
+    def test_from_gates_bounds(self):
+        with pytest.raises(ValueError, match="outside register of width 2"):
+            Circuit.from_gates(2, [H(0), H(2)])
+        with pytest.raises(ValueError, match="outside register of width 4"):
+            Circuit.from_gates(3, [CNOT(4, 0)], ancilla=True)
 
 
 class TestGateCounts:
     def test_count_gates(self):
-        c = Circuit(3)
-        c.extend([H(0), CNOT(0, 1), RZ(1, 0.2), CZ(1, 2), YB(2)])
+        c = Circuit.from_gates(3, [H(0), CNOT(0, 1), RZ(1, 0.2), CZ(1, 2), YB(2)])
         assert count_gates(c) == GateCounts(5, 2, 2, 1)
 
 
@@ -88,7 +90,7 @@ class TestSynthesis:
     @pytest.mark.parametrize("mode", SYNTHESIS_MODES)
     def test_single_qubit_terms(self, mode):
         for label, theta in [("Z", 0.7), ("X", -1.2), ("Y", 2.3)]:
-            s = PauliString.from_label(label)
+            s = pauli(label)
             circ = synthesize_term(s, theta, mode)
             assert_same_up_to_phase(realized_unitary(circ), pauli_exponential(s, theta))
 
@@ -107,7 +109,7 @@ class TestSynthesis:
             synthesize_term(PauliString(3), 0.5, mode)
 
     def test_canonical_structure(self):
-        s = PauliString.from_label("YZIZX")
+        s = pauli("YZIZX")
         circ = synthesize_term(s, 0.4)
         kinds = [g.kind for g in circ.gates]
         # basis changes bracket a symmetric CNOT ladder around one rotation
@@ -116,14 +118,14 @@ class TestSynthesis:
         assert circ.gates[5] == RZ(4, 0.4)
 
     def test_ancilla_returns_to_zero(self):
-        s = PauliString.from_label("XYZ")
+        s = pauli("XYZ")
         u = circuit_unitary(synthesize_term(s, 0.9, "ancilla"))
         dim = 1 << 3
         # no amplitude may leak from the |0>-ancilla block
         np.testing.assert_allclose(u[dim:, :dim], 0.0, atol=1e-12)
 
     def test_basis_shift_rotation_adjacent_to_basis_change(self):
-        s = PauliString.from_label("ZZZZX")
+        s = pauli("ZZZZX")
         gates = synthesize_term(s, 0.3, "basis_shift").gates
         i = next(k for k, g in enumerate(gates) if g.kind == "RZ")
         assert gates[i - 1] == H(4) and gates[i + 1] == H(4)
@@ -142,14 +144,14 @@ class TestTermGateCounts:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            term_gate_counts(PauliString.from_label("X"), "magic")
+            term_gate_counts(pauli("X"), "magic")
 
 
 class TestSynthesizePlan:
     def make_plan(self, n_steps=1, time=1.0):
         op = QubitOperator(3)
-        op.add_term(0.5, PauliString.from_label("XZI"))
-        op.add_term(-0.25, PauliString.from_label("IYZ"))
+        op.add_term(0.5, pauli("XZI"))
+        op.add_term(-0.25, pauli("IYZ"))
         return plan_for(op, OrderingStrategy("lex"), n_steps, time)
 
     def test_matches_term_product(self):
@@ -168,7 +170,8 @@ class TestSynthesizePlan:
 
     def test_ancilla_mode_flags_circuit(self):
         circ = synthesize_plan(self.make_plan(), "ancilla")
-        assert circ.ancilla and circ.width == 4
+        assert circ.ancilla and circ.n_qubits == 3
+        assert max(q for g in circ.gates for q in g.qubits) == 3
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -178,9 +181,9 @@ class TestSynthesizePlan:
     def test_steps_repeat_one_step(self, mode):
         one = synthesize_plan(self.make_plan(time=1.0 / 3), mode)
         three = synthesize_plan(self.make_plan(n_steps=3), mode)
-        assert three.gates == one.gates * 3
-        step = three.gates[:len(one.gates)]
-        assert all(a is b for a, b in zip(three.gates, step * 3))
+        gates = three.gates
+        assert gates == one.gates * 3
+        assert all(a is b for a, b in zip(gates, gates[:len(one.gates)] * 3))
         assert three.barriers == [len(one.gates), 2 * len(one.gates)]
 
 
@@ -197,7 +200,6 @@ class TestTemplates:
                 got, want = synthesize_plan(plan, mode), reference_synthesize_plan(plan, mode)
                 assert got == want
                 assert count_gates(got) == reference_gate_counts(want.gates)
-                assert len(got) == len(want.gates)
 
     def test_shared_table_gives_each_plan_its_angles(self, rng):
         op = QubitOperator(5)
@@ -218,15 +220,14 @@ class TestTemplates:
 
 class TestSerialization:
     def test_roundtrip(self):
-        circ = Circuit(3, ancilla=True)
-        circ.extend([H(0), YB(1), CNOT(0, 3), CZ(1, 2), RZ(3, -0.125), X(2), YBD(1)])
+        circ = Circuit.from_gates(3, [H(0), YB(1), CNOT(0, 3), CZ(1, 2), RZ(3, -0.125), X(2),
+                                      YBD(1)], ancilla=True)
         back = parse_circuit(format_circuit(circ))
         assert back.n_qubits == 3 and back.ancilla
         assert back.gates == circ.gates
 
     def test_rz_angle_exact(self):
-        circ = Circuit(1)
-        circ.append(RZ(0, 0.1 + 1e-17))
+        circ = Circuit.from_gates(1, [RZ(0, 0.1 + 1e-17)])
         assert parse_circuit(format_circuit(circ)).gates[0].angle == circ.gates[0].angle
 
     def test_bad_header(self):
@@ -262,7 +263,7 @@ class TestSerialization:
         # As in term files and FCIDUMPs, a line whose stripped form starts
         # with '#' is a comment, before the header and between gates.
         text = "  # note\nQUBITS 2 ANCILLA 0\n\t# note\nH 0\n   #\nCNOT 0 1\n"
-        want = Circuit(2, [H(0), CNOT(0, 1)])
+        want = Circuit.from_gates(2, [H(0), CNOT(0, 1)])
         assert parse_circuit(text) == reference_parse_circuit(text) == want
 
     def test_empty_register_header(self):
@@ -280,7 +281,7 @@ class TestSerialization:
         assert back.gates == circ.gates and back.barriers == []
 
     def test_both_zero_signs_written(self):
-        text = format_circuit(Circuit(1, [RZ(0, 0.0), RZ(0, -0.0)]))
+        text = format_circuit(Circuit.from_gates(1, [RZ(0, 0.0), RZ(0, -0.0)]))
         assert text == "QUBITS 1 ANCILLA 0\nRZ 0 0.0\nRZ 0 -0.0\n"
         back = parse_circuit(text)
         assert [math.copysign(1.0, g.angle) for g in back.gates] == [1.0, -1.0]
@@ -310,7 +311,7 @@ def circuits(draw, max_qubits: int = 4, max_gates: int = 30) -> Circuit:
             gates.append(RZ(a, draw(_ANGLES)))
         else:
             gates.append(Gate(kind, (a,)))
-    return Circuit(n, gates, ancilla=ancilla)
+    return Circuit.from_gates(n, gates, ancilla=ancilla)
 
 
 class TestCircuitFileProperties:
@@ -355,6 +356,6 @@ def test_phase_oracle_ignores_magnitude_ties():
     # All four entries have magnitude 1/sqrt(2); rounding makes a different
     # entry the largest with and without the identity pair YB YBD in front.
     gates = [YB(0), RZ(0, 1.9452146449735768), RZ(0, -0.28489514565904095), YBD(0), YB(0)]
-    u = circuit_unitary(Circuit(1, gates))
-    assert_same_up_to_phase(circuit_unitary(Circuit(1, [YB(0), YBD(0), *gates])), u)
+    u = circuit_unitary(Circuit.from_gates(1, gates))
+    assert_same_up_to_phase(circuit_unitary(Circuit.from_gates(1, [YB(0), YBD(0), *gates])), u)
     assert_same_up_to_phase(1j * u, u)

@@ -98,8 +98,7 @@ class TestLadderAlgebra:
     """Canonical anticommutation relations of the sparse ladder matrices."""
 
     def test_number_operator(self):
-        op = FermionOperator(1)
-        op.add(1.0, ((0, True), (0, False)))
+        op = FermionOperator.from_products(1, [(1.0, ((0, True), (0, False)))])
         m = fock_matrix(op).toarray()
         np.testing.assert_allclose(m, np.diag([0.0, 1.0]), atol=1e-14)
 
@@ -109,9 +108,7 @@ class TestLadderAlgebra:
         dim = 1 << n
 
         def ladder(mode, dag):
-            op = FermionOperator(n)
-            op.add(1.0, ((mode, dag),))
-            return fock_matrix(op).toarray()
+            return fock_matrix(FermionOperator.from_products(n, [(1.0, ((mode, dag),))])).toarray()
 
         a_i, adj_j = ladder(i, False), ladder(j, True)
         acomm = a_i @ adj_j + adj_j @ a_i
@@ -122,9 +119,7 @@ class TestLadderAlgebra:
 
     def test_jordan_wigner_sign(self):
         # a+_1 acting on |100> (mode 0 occupied) must pick up a minus sign.
-        op = FermionOperator(2)
-        op.add(1.0, ((1, True),))
-        m = fock_matrix(op).toarray()
+        m = fock_matrix(FermionOperator.from_products(2, [(1.0, ((1, True),))])).toarray()
         assert m[0b11, 0b01] == -1.0
         assert m[0b10, 0b00] == 1.0
 
@@ -167,9 +162,10 @@ class TestBuildHamiltonian:
         assert abs(fock_matrix(build_hamiltonian(ints)) - want).max() <= 1e-12
 
     def test_mode_bounds_checked(self):
-        op = FermionOperator(2)
-        with pytest.raises(ValueError):
-            op.add(1.0, ((2, True),))
+        with pytest.raises(ValueError, match="^mode 2 outside register of size 2$"):
+            FermionOperator.from_products(2, [(1.0, ((0, True),)), (1.0, ((2, True),))])
+        with pytest.raises(ValueError, match="^mode -1 outside"):
+            FermionOperator.from_products(2, [(1.0, ((-1, False),))])
 
     def test_one_body_block_diagonal_in_spin(self):
         # A pure one-body Hamiltonian must never mix alpha and beta modes.
@@ -190,4 +186,4 @@ class TestBuildHamiltonian:
 
 def test_fock_matrix_limit():
     with pytest.raises(ResourceLimitError):
-        fock_matrix(FermionOperator(20))
+        fock_matrix(FermionOperator.from_products(20, []))

@@ -103,8 +103,7 @@ class TestBkIndexSets:
 
 class TestJordanWigner:
     def test_single_creation_operators(self):
-        op = FermionOperator(2)
-        op.add(1.0, ((1, True),))
+        op = FermionOperator.from_products(2, [(1.0, ((1, True),))])
         qop = map_operator(op, MappingScheme.JORDAN_WIGNER)
         # a+_1 -> (X1 - iY1)/2 * Z0
         terms = {s.label: c for s, c in qop.items()}
@@ -134,33 +133,31 @@ class TestBravyiKitaev:
         # n_i = a+_i a_i involves only qubit i and its flip set.
         n = 8
         for i in range(n):
-            op = FermionOperator(n)
-            op.add(1.0, ((i, True), (i, False)))
+            op = FermionOperator.from_products(n, [(1.0, ((i, True), (i, False)))])
             qop = map_operator(op, MappingScheme.BRAVYI_KITAEV)
             involved = set()
             for s, _ in qop.items():
-                involved |= set(s.support)
+                involved |= {q for q in range(n) if (s.x | s.z) >> q & 1}
             assert involved <= {i} | bk_index_sets(i, n).flip
 
     def test_operator_weight_logarithmic(self):
         # Every mapped ladder-operator image touches O(log N) qubits.
         n = 64
         for i in (0, 1, 31, 62, 63):
-            op = FermionOperator(n)
-            op.add(1.0, ((i, True),))
+            op = FermionOperator.from_products(n, [(1.0, ((i, True),))])
             qop = map_operator(op, MappingScheme.BRAVYI_KITAEV)
             assert max(s.weight for s, _ in qop.items()) <= 4 * int(np.log2(n)) + 2
 
     def test_accepts_string_scheme(self):
-        op = FermionOperator(2)
-        op.add(1.0, ((0, True), (0, False)))
+        op = FermionOperator.from_products(2, [(1.0, ((0, True), (0, False)))])
         assert map_operator(op, "bk") == map_operator(op, MappingScheme.BRAVYI_KITAEV)
 
     def test_mode_out_of_range(self):
-        op = FermionOperator(2)
-        op.products.append((1.0, ((5, True),)))
-        with pytest.raises(ValueError, match="mode 5"):
-            map_operator(op, "jw")
+        # No operator with a mode outside its register reaches the map.
+        arrays = (np.ones(1, dtype=complex), np.ones(1, dtype=np.int64),
+                  np.array([5]), np.ones(1, dtype=bool))
+        with pytest.raises(ValueError, match="^mode 5 outside register of size 2$"):
+            FermionOperator(2, 0.0, arrays)
 
 
 class TestStateTranslation:
@@ -184,17 +181,17 @@ def test_ladder_images_cached():
 
 
 def test_mapped_identity_goes_to_constant():
-    op = FermionOperator(2, constant=1.5)
-    op.add(1.0, ((0, True), (0, False)))
-    op.add(1.0, ((0, False), (0, True)))  # sums to n_0 + (1 - n_0) = 1
+    # n_0 + (1 - n_0) = 1
+    op = FermionOperator.from_products(2, [(1.0, ((0, True), (0, False))),
+                                           (1.0, ((0, False), (0, True)))], 1.5)
     qop = map_operator(op, "jw")
     assert len(qop) == 0
     assert qop.constant == pytest.approx(2.5)
 
 
 def test_rejects_registers_above_the_limit():
-    op = FermionOperator(mappings.MAP_MODE_LIMIT + 1)
-    op.add(1.0, ((0, True), (0, False)))
+    op = FermionOperator.from_products(mappings.MAP_MODE_LIMIT + 1,
+                                       [(1.0, ((0, True), (0, False)))])
     with pytest.raises(ResourceLimitError, match="^65 modes exceeds the 64-mode map limit$"):
         map_operator(op, "jw")
 
@@ -216,11 +213,11 @@ def fermion_operators(draw):
     """Products of 0-5 factors with repeated modes, real and complex
     coefficients, exact cancellations and an occasional shared X mask."""
     n = draw(st.integers(0, 64))
-    op = FermionOperator(n, constant=draw(st.sampled_from([0.0, -0.0, 1.5, -0.25])))
+    constant, products = draw(st.sampled_from([0.0, -0.0, 1.5, -0.25])), []
     if n == 0:
         for _ in range(draw(st.integers(0, 3))):
-            op.add(draw(_COEFFS), ())
-        return op
+            products.append((draw(_COEFFS), ()))
+        return FermionOperator.from_products(n, products, constant)
     modes = st.integers(0, n - 1)
     if draw(st.booleans()):  # few distinct modes: repeats and shared X masks
         modes = st.sampled_from(draw(st.lists(modes, min_size=1, max_size=3)))
@@ -228,10 +225,10 @@ def fermion_operators(draw):
         factors = tuple(draw(st.lists(st.tuples(modes, st.booleans()), max_size=5)))
         coeff = draw(_COEFFS | st.complex_numbers(max_magnitude=2.0)
                      | st.floats(-2.0, 2.0))
-        op.add(coeff, factors)
+        products.append((coeff, factors))
         if draw(st.integers(0, 3)) == 0:  # cancels exactly
-            op.add(-coeff, factors)
-    return op
+            products.append((-coeff, factors))
+    return FermionOperator.from_products(n, products, constant)
 
 
 class TestAgainstReference:
@@ -246,12 +243,12 @@ class TestAgainstReference:
     def test_x_group_larger_than_a_chunk(self):
         # Every a+_i a+_j a_j a_i has X mask 0, so the x = 0 group holds more
         # entries than one chunk; the hopping terms interleave other masks.
-        n = 10
-        op = FermionOperator(n, constant=0.5)
+        n, products = 10, []
         for k in range(mappings._CHUNK // 16 + 50):
             i, j = k % n, (3 * k + 1) % n
-            op.add(0.1 * (k % 7) - 0.3, ((i, True), (j, True), (j, False), (i, False)))
-            op.add(0.25j * (k % 3), ((i, True), (j, False)))
+            products.append((0.1 * (k % 7) - 0.3, ((i, True), (j, True), (j, False), (i, False))))
+            products.append((0.25j * (k % 3), ((i, True), (j, False))))
+        op = FermionOperator.from_products(n, products, 0.5)
         for scheme in MappingScheme:
             assert_same_operator(map_operator(op, scheme), reference_map_operator(op, scheme))
 

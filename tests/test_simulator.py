@@ -19,7 +19,7 @@ from fermiqc.fixtures import FIXTURE_NAMES, fixture_text, reference_energy
 from fermiqc.trotter import OrderingStrategy, TrotterPlan, plan_for
 
 from oracles import (assert_same_up_to_phase, circuit_unitary, fock_matrix, operator_dense,
-                     pauli_exponential, pauli_matrix, random_pauli_string,
+                     pauli, pauli_exponential, pauli_matrix, random_pauli_string,
                      reference_apply_trotterized, reference_operator_matrix)
 
 
@@ -221,7 +221,7 @@ class TestTrotterError:
 
     def test_exact_plan_has_negligible_error(self, rng):
         # single-term Hamiltonians Trotterize exactly
-        s = PauliString.from_label("XZY")
+        s = pauli("XZY")
         op = QubitOperator(3, constant=0.5)
         op.add_term(0.8, s)
         energy, ground = ground_state(operator_matrix(op))
@@ -235,12 +235,12 @@ class TestTrotterError:
 class TestSafeEvolutionTime:
     def test_passthrough_when_in_branch(self):
         op = QubitOperator(1)
-        op.add_term(0.5, PauliString.from_label("Z"))
+        op.add_term(0.5, pauli("Z"))
         assert safe_evolution_time(op, 1.0) == 1.0
 
     def test_shrinks_when_out_of_branch(self):
         op = QubitOperator(1)
-        op.add_term(100.0, PauliString.from_label("Z"))
+        op.add_term(100.0, pauli("Z"))
         t = safe_evolution_time(op, 1.0)
         assert t == pytest.approx(0.9 * np.pi / 100.0)
         assert op.coefficient_norm() * t < np.pi
@@ -281,20 +281,18 @@ class TestGateApplication:
     @pytest.mark.parametrize("gate", [H(1), X(0), YB(2), YBD(1), RZ(0, 0.37),
                                       CNOT(0, 2), CNOT(2, 0), CZ(1, 2)])
     def test_each_gate_kind(self, gate):
-        c = Circuit(3)
-        c.append(gate)
+        c = Circuit.from_gates(3, [gate])
         np.testing.assert_allclose(circuit_unitary(c), self.kron_unitary(gate, 3),
                                    atol=1e-12)
 
     def test_yb_conjugates_z_to_y(self):
-        c = Circuit(1)
-        c.extend([YB(0), RZ(0, 0.8), YBD(0)])
+        c = Circuit.from_gates(1, [YB(0), RZ(0, 0.8), YBD(0)])
         assert_same_up_to_phase(circuit_unitary(c),
-                                pauli_exponential(PauliString.from_label("Y"), 0.8))
+                                pauli_exponential(pauli("Y"), 0.8))
 
     def test_unitary_limit(self):
         with pytest.raises(ResourceLimitError):
-            circuit_unitary(Circuit(11))
+            circuit_unitary(Circuit.from_gates(11, []))
 
 
 class TestPauliExponential:

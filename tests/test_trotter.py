@@ -11,14 +11,14 @@ from fermiqc.mappings import map_operator
 from fermiqc.pauli import PauliString, QubitOperator
 from fermiqc.trotter import OrderingStrategy, order_terms, plan_for
 
-from oracles import reference_order_terms
+from oracles import pauli, reference_order_terms
 
 
 def make_operator():
     op = QubitOperator(3, constant=0.75)
     for label, coeff in [("XII", 0.5), ("IYI", -2.0), ("IIZ", 1.0),
                          ("XYI", -0.25), ("ZZZ", 1.5), ("IXX", -1.0)]:
-        op.add_term(coeff, PauliString.from_label(label))
+        op.add_term(coeff, pauli(label))
     return op
 
 
@@ -151,11 +151,11 @@ class TestTrotterPlan:
                                                     (0.5 - 1e-3j, 1.0, "II")])
     def test_plan_for_rejects_non_hermitian(self, constant, coeff, bad):
         op = QubitOperator(2, constant=constant)
-        op.add_term(coeff, PauliString.from_label("XY"))
+        op.add_term(coeff, pauli("XY"))
         with pytest.raises(ValueError, match=f"not Hermitian: term {bad} "):
             plan_for(op, OrderingStrategy("lex"), 1, 1.0)
 
     def test_plan_for_keeps_imaginary_parts_within_tolerance(self):
         op = QubitOperator(1, constant=1e-13j)
-        op.add_term(1.0 + 1e-13j, PauliString.from_label("X"))
+        op.add_term(1.0 + 1e-13j, pauli("X"))
         assert plan_for(op, OrderingStrategy("lex"), 1, 1.0).angles() == [2.0]
