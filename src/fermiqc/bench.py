@@ -42,12 +42,14 @@ class BenchInput:
     def parse(cls, spec: str) -> "BenchInput":
         """``path/to/file.fcidump`` or ``synthetic:n=8,seed=1,density=1.0``."""
         if spec.startswith("synthetic:"):
-            kv = {"seed": 0, "density": 1.0}
+            kv = {}
             for part in spec[len("synthetic:"):].split(","):
                 key, _, value = part.partition("=")
                 if key not in _SYNTHETIC_KEYS:
                     raise click.BadParameter(f"{spec!r}: unknown key {key!r}; "
                                              f"expected {', '.join(_SYNTHETIC_KEYS)}")
+                if key in kv:
+                    raise click.BadParameter(f"{spec!r}: key {key!r} given twice")
                 try:
                     kv[key] = _SYNTHETIC_KEYS[key](value)
                 except ValueError:
@@ -58,7 +60,7 @@ class BenchInput:
                 raise click.BadParameter(f"{spec!r}: missing key 'n'")
             if kv["n"] < 1:
                 raise click.BadParameter(f"{spec!r}: n must be at least 1, got {kv['n']}")
-            n, seed, density = kv["n"], kv["seed"], kv["density"]
+            n, seed, density = kv["n"], kv.get("seed", 0), kv.get("density", 1.0)
             if not 0 < density <= 1:
                 raise click.BadParameter(f"{spec!r}: density must be in (0, 1], got {density}")
             return cls(f"synthetic-n{n}-s{seed}-d{density:g}", synthetic=(n, seed, density))

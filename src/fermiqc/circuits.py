@@ -112,28 +112,25 @@ class Circuit:
     angles in order and the step count.  Nothing edits a circuit after
     construction; :meth:`from_gates` builds one from a Gate list.
 
-    ``barriers`` marks Trotter-step seams (gate indices); the optimizer
-    does not move cancellations across them unless asked to.  They default
-    to the step seams (none for an empty step).
+    The seams between the ``n_steps`` equal steps are the Trotter-step
+    seams; the optimizer does not move cancellations across them unless
+    asked to.
     """
 
     def __init__(self, n_qubits: int, entries: list[tuple], angles: list[float],
-                 n_steps: int = 1, ancilla: bool = False, barriers: list[int] | None = None):
-        if barriers is None:
-            barriers = list(range(len(entries), len(entries) * n_steps, len(entries) or 1))
-        self.n_qubits, self.ancilla, self.barriers = n_qubits, ancilla, barriers
+                 n_steps: int = 1, ancilla: bool = False):
+        self.n_qubits, self.ancilla = n_qubits, ancilla
         self.entries, self.angles, self.n_steps = entries, angles, n_steps
 
     @classmethod
-    def from_gates(cls, n_qubits: int, gates: list[Gate], ancilla: bool = False,
-                   barriers: list[int] | None = None) -> "Circuit":
+    def from_gates(cls, n_qubits: int, gates: list[Gate], ancilla: bool = False) -> "Circuit":
         """A one-step circuit of ``gates``, each inside the register."""
         width = n_qubits + ancilla
         for g in gates:
             if max(g.qubits) >= width:
                 raise ValueError(f"gate {g} outside register of width {width}")
         return cls(n_qubits, [_entry(g) for g in gates],
-                   [g.angle for g in gates if g.angle is not None], 1, ancilla, barriers)
+                   [g.angle for g in gates if g.angle is not None], 1, ancilla)
 
     @property
     def gates(self) -> tuple[Gate, ...]:
@@ -144,8 +141,8 @@ class Circuit:
 
     def __eq__(self, other):
         return isinstance(other, Circuit) and (
-            (self.n_qubits, self.ancilla, self.barriers, self.gates)
-            == (other.n_qubits, other.ancilla, other.barriers, other.gates))
+            (self.n_qubits, self.ancilla, self.n_steps, self.gates)
+            == (other.n_qubits, other.ancilla, other.n_steps, other.gates))
 
 
 @dataclass(frozen=True)
@@ -261,7 +258,7 @@ def synthesize_term(string: PauliString, theta: float, mode: str = "canonical") 
 def synthesize_plan(plan: TrotterPlan, mode: str = "canonical",
                     templates: dict | None = None) -> Circuit:
     """One Trotter step assembled from per-term templates, repeated n_steps
-    times with a barrier at each seam; the angles are kept apart, in plan order.
+    times; the angles are kept apart, in plan order.
 
     A template is a term's encoded entries, keyed by (mode, x mask, z mask);
     its one RZ entry holds no angle, so one ``templates`` table can serve
@@ -301,7 +298,7 @@ def format_circuit(c: Circuit) -> str:
     """One gate per line under a ``QUBITS <n> ANCILLA <0|1>`` header,
     written from the encoded form: one step's lines, repeated.
 
-    Barriers are not written, so a circuit read back has none.
+    Step seams are not written, so a circuit read back has one step.
     """
     # A Clifford entry is shared, so its line is built once and kept under
     # its id; the interned entries stay alive.

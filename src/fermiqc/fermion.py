@@ -150,6 +150,8 @@ def parse_fcidump(text: str) -> IntegralSet:
             i, j, k, l = (int(f) for f in fields[1:])
         except ValueError:
             raise ValueError(f"line {lineno}: unparsable row {line!r}") from None
+        if not abs(val) < np.inf:  # also false for nan
+            raise ValueError(f"line {lineno}: value {fields[0]!r} is not finite")
         if i == j == k == l == 0:
             core = val
             continue

@@ -3,8 +3,9 @@
 The Bravyi-Kitaev encoding is the binary-tree (Fenwick) scheme: qubit i
 stores the mod-2 sum of a contiguous block of orbital occupations ending
 at orbital i, with block length lowbit(i+1).  Update/parity/flip sets are
-computed in closed form from that tree; the dense transformation matrix
-gives the basis permutation and cross-checks the sets.
+computed in closed form from that tree, and the X masks of the ladder
+images give the basis permutation; the dense transformation matrix is an
+independent reference for both.
 """
 
 from __future__ import annotations
@@ -212,25 +213,12 @@ def _expand_chunk(imgs, coeffs, starts, modes, dagger, xmask, first_entry, prods
 def basis_permutation(n: int, scheme: MappingScheme) -> np.ndarray:
     """perm[s] = basis index of the image of occupation-basis state s.
 
-    Bit j of an index is mode/qubit j.  For Jordan-Wigner this is the
-    identity; for Bravyi-Kitaev it is the GF(2)-linear relabeling induced
-    by the transformation matrix.
+    Bit j of an index is mode/qubit j.  Occupying mode j flips the qubits
+    of its ladder images' X mask, so the relabeling is GF(2)-linear in
+    those masks: the identity for Jordan-Wigner, the Fenwick-tree update
+    sets for Bravyi-Kitaev.
     """
-    scheme = MappingScheme(scheme)
-    dim = 1 << n
-    if scheme is MappingScheme.JORDAN_WIGNER:
-        return np.arange(dim, dtype=np.int64)
-    mat = bk_matrix(n)
-    # Image of each single-orbital basis vector, combined by XOR linearity.
-    col_images = []
-    for j in range(n):
-        img = 0
-        for i in range(n):
-            if mat[i, j]:
-                img |= 1 << i
-        col_images.append(img)
-    perm = np.zeros(dim, dtype=np.int64)
-    for j in range(n):
-        half = 1 << j
-        perm[half:2 * half] = perm[:half] ^ col_images[j]
+    perm = np.zeros(1 << n, dtype=np.int64)
+    for j, (x, _, _) in enumerate(_ladder_images(n, MappingScheme(scheme))):
+        perm[1 << j:2 << j] = perm[:1 << j] ^ x
     return perm

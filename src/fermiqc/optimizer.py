@@ -15,9 +15,10 @@ after every cancellation.
 The passes read a circuit's encoded form (``Circuit.entries``): one shared
 entry (qubit mask, Z mask, X mask, key, partner key, gate) per Clifford
 (kind, qubits) and one per RZ qubit.  Two gates commute when every qubit
-they share is Z for both or X for both.  Without ``cross_step`` the steps
-of a repeated-step circuit are equal segments, so one step is optimized and
-the result repeated.  The commute pass runs on two stacks, the gates
+they share is Z for both or X for both.  Step seams come from
+``Circuit.n_steps`` alone: without ``cross_step`` the steps are equal, so
+one step is optimized and the result repeated; with it the steps are
+optimized as one list.  The commute pass runs on two stacks, the gates
 already passed and the rest in reverse, so neither stepping back nor
 deleting a partner near the scan position shifts the whole list.
 """
@@ -25,7 +26,7 @@ deleting a partner near the scan position shifts the whole list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import islice
 from operator import length_hint
 
 from .circuits import _KEY, _MASK, _PARTNER, _X, _Z, Circuit
@@ -88,58 +89,41 @@ class OptimizationReport:
         return sum(self.passes)
 
 
-def _segments(c: Circuit, cross_step: bool) -> tuple[list[list[tuple]], int]:
-    """Fresh entry lists to optimize, and how often their result repeats."""
-    if c.n_steps > 1 and not cross_step:
-        return [list(c.entries)], c.n_steps
-    entries = c.entries * c.n_steps
-    if cross_step or not c.barriers:
-        return [entries], 1
-    bounds = [0, *c.barriers, len(entries)]
-    return [entries[a:b] for a, b in zip(bounds, bounds[1:])], 1
-
-
-def _joined(c: Circuit, segs: list[list[tuple]], repeat: int) -> Circuit:
-    """The optimized circuit.  RZs are never removed or reordered, so the
-    angles pair up unchanged; a repeated step keeps its RZs, so it never
-    empties and gets a barrier at each of its new seams."""
-    if repeat > 1:
-        return Circuit(c.n_qubits, segs[0], c.angles, repeat, c.ancilla)
-    barriers = list(accumulate(len(seg) for seg in segs[:-1]))
-    entries = segs[0] if len(segs) == 1 else [e for seg in segs for e in seg]
-    return Circuit(c.n_qubits, entries, c.angles * c.n_steps, 1, c.ancilla, barriers)
+def _step(c: Circuit, cross_step: bool) -> tuple[list[tuple], list[float], int]:
+    """A fresh entry list to optimize, its RZ angles and how often its
+    result repeats: one step of the equal steps, or all of them at once
+    with ``cross_step``.  RZs are never removed or reordered, so the angles
+    pair up unchanged, and a repeated step never empties."""
+    k = c.n_steps if cross_step else 1
+    return c.entries * k, c.angles * k, c.n_steps // k
 
 
 def cancel_adjacent(c: Circuit, cross_step: bool = False) -> Circuit:
     """Remove adjacent self-inverse pairs; one stack pass leaves none."""
-    segs, repeat = _segments(c, cross_step)
-    for seg in segs:
-        _cancel_adjacent_pass(seg)
-    return _joined(c, segs, repeat)
+    seg, angles, repeat = _step(c, cross_step)
+    _cancel_adjacent_pass(seg)
+    return Circuit(c.n_qubits, seg, angles, repeat, c.ancilla)
 
 
 def commute_and_cancel(c: Circuit, cross_step: bool = False,
                        window: int | None = None) -> Circuit:
     """Cancel self-inverse pairs reachable through commuting gates."""
-    segs, repeat = _segments(c, cross_step)
-    return _joined(c, [_commute_pass(seg, window) for seg in segs], repeat)
+    seg, angles, repeat = _step(c, cross_step)
+    return Circuit(c.n_qubits, _commute_pass(seg, window), angles, repeat, c.ancilla)
 
 
 def optimize(c: Circuit, cross_step: bool = False, window: int | None = None,
              report: OptimizationReport | None = None) -> Circuit:
     """Alternate both cancellation passes until a full sweep changes nothing."""
-    segs, repeat = _segments(c, cross_step)
+    seg, angles, repeat = _step(c, cross_step)
     while True:
-        removed = 0
-        for k, seg in enumerate(segs):
-            before = len(seg)
-            _cancel_adjacent_pass(seg)
-            segs[k] = _commute_pass(seg, window)
-            removed += before - len(segs[k])
-        if report is not None and removed:
-            report.passes.append(removed * repeat)
-        if removed == 0:
-            return _joined(c, segs, repeat)
+        before = len(seg)
+        _cancel_adjacent_pass(seg)
+        seg = _commute_pass(seg, window)
+        if report is not None and len(seg) < before:
+            report.passes.append((before - len(seg)) * repeat)
+        if len(seg) == before:
+            return Circuit(c.n_qubits, seg, angles, repeat, c.ancilla)
 
 
 LEVELS = ("none", "cancel", "full")

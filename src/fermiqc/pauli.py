@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -84,61 +83,59 @@ class QubitOperator:
     """Weighted sum of Pauli strings on a fixed register.
 
     The identity component is held apart as ``constant`` and never enters
-    the terms; duplicate strings are merged on insertion.  The terms are
-    ``arrays()`` (given distinct and non-identity), a ``PauliString``
-    dictionary or both; each form is made from the other on first use.
-    ``add_term`` edits the dictionary; the package reads only the arrays.
+    the terms, which are ``arrays()``: distinct, non-identity strings with
+    their coefficients.  ``terms`` and ``items()`` build ``PauliString``
+    keys on each read.
     """
 
     def __init__(self, n: int, constant: complex = 0.0, arrays: tuple | None = None):
         self.n = n
         self.constant = complex(constant)
-        self._terms: dict[PauliString, complex] | None = {} if arrays is None else None
-        self._arrays: tuple | None = arrays
+        self._arrays = _term_arrays(n, [], [], []) if arrays is None else arrays
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(X masks, Z masks, coefficients) in term order."""
-        if self._arrays is None:
-            self._arrays = _term_arrays(self.n, [s.x for s in self._terms],
-                                        [s.z for s in self._terms], list(self._terms.values()))
         return self._arrays
 
-    def _dict(self) -> dict[PauliString, complex]:
-        if self._terms is None:
-            x, z, coeffs = self._arrays
-            self._terms = dict(zip(map(PauliString, repeat(self.n), x.tolist(), z.tolist()),
-                                   coeffs.tolist()))
-        return self._terms
-
     def add_term(self, coeff: complex, string: PauliString) -> None:
+        """Add ``coeff`` to the string's coefficient, which stays in place
+        unless it sums to zero and leaves; a new string goes last, unless
+        it comes with a zero.  ``0.0 + c`` turns -0.0 parts into +0.0."""
         if string.n != self.n:
             raise ValueError(f"string on {string.n} qubits, register is {self.n}")
         if not string.x | string.z:
             self.constant += coeff
             return
-        terms, self._arrays = self._dict(), None
-        new = terms.get(string, 0.0) + coeff
-        if new == 0:
-            terms.pop(string, None)
+        x, z, c = self._arrays
+        at = np.flatnonzero((x == string.x) & (z == string.z))  # at most one term
+        new = (c[at].item() if len(at) else 0.0) + coeff
+        if len(at) and new != 0:
+            c = c.copy()
+            c[at] = new
+            self._arrays = x, z, c
         else:
-            terms[string] = new
+            xs, zs, cs = (np.delete(a, at).tolist() for a in (x, z, c))
+            if new != 0:
+                xs, zs, cs = xs + [string.x], zs + [string.z], cs + [new]
+            self._arrays = _term_arrays(self.n, xs, zs, cs)
 
     @property
-    def terms(self) -> Mapping[PauliString, complex]:
-        """Read-only view of the non-identity terms (not a copy)."""
-        return MappingProxyType(self._dict())
+    def terms(self) -> dict[PauliString, complex]:
+        """The non-identity terms, built on each read."""
+        return dict(self.items())
 
     def items(self) -> Iterator[tuple[PauliString, complex]]:
-        return iter(self._dict().items())
+        x, z, c = self._arrays
+        return zip(map(PauliString, repeat(self.n), x.tolist(), z.tolist()), c.tolist())
 
     def __len__(self) -> int:
-        return len(self._terms if self._terms is not None else self._arrays[2])
+        return len(self._arrays[2])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QubitOperator):
             return NotImplemented
         return (self.n == other.n and self.constant == other.constant
-                and self._dict() == other._dict())
+                and self.terms == other.terms)
 
     def coefficient_norm(self) -> float:
         """Sum of |c_j| over non-identity terms (spectral-width bound)."""
@@ -202,6 +199,8 @@ def parse_terms(text: str, n_qubits: int | None = None) -> QubitOperator:
         if (x | z).bit_count() != len(fields) - 1:
             raise ValueError(f"line {lineno}: a qubit appears twice")
         new = terms.get((x, z), 0.0) + coeff
+        if not (abs(new.real) < np.inf and abs(new.imag) < np.inf):  # also false for nan
+            raise ValueError(f"line {lineno}: coefficient {head!r} makes a non-finite sum")
         if new == 0:
             terms.pop((x, z), None)
         else:

@@ -267,9 +267,13 @@ def reference_synthesize_plan(plan: TrotterPlan, mode: str) -> Circuit:
     step: list[Gate] = []
     for (s, _), theta in zip(plan.ordered_terms, plan.angles()):
         step += _REFERENCE_TERM_GATES[mode](s, theta)
-    barriers = [k * len(step) for k in range(1, plan.n_steps)] if step else []
-    return Circuit.from_gates(plan.n_qubits, step * plan.n_steps, ancilla=mode == "ancilla",
-                              barriers=barriers)
+    return stepped(plan.n_qubits, step, plan.n_steps, ancilla=mode == "ancilla")
+
+
+def stepped(n: int, step: list[Gate], n_steps: int, ancilla: bool = False) -> Circuit:
+    """The circuit of ``n_steps`` copies of ``step``, seams between them."""
+    one = Circuit.from_gates(n, step, ancilla)
+    return Circuit(n, one.entries, one.angles, n_steps, ancilla)
 
 
 def reference_gate_counts(gates: list[Gate]) -> GateCounts:
@@ -385,21 +389,16 @@ def _reference_commute_pass(gates: list[Gate], window: int | None) -> list[Gate]
 
 
 def _reference_segments(c: Circuit, cross_step: bool) -> list[list[Gate]]:
+    """The gates cut at the seams of the circuit's equal steps, or uncut."""
     gates = list(c.gates)
-    if cross_step or not c.barriers:
-        return [gates]
-    bounds = [0, *c.barriers, len(gates)]
-    return [gates[a:b] for a, b in zip(bounds, bounds[1:])]
+    k = 1 if cross_step else c.n_steps
+    size = len(gates) // k
+    return [gates[i * size:(i + 1) * size] for i in range(k)]
 
 
 def _reference_rebuild(c: Circuit, segments: list[list[Gate]]) -> Circuit:
-    gates: list[Gate] = []
-    barriers: list[int] = []
-    for k, seg in enumerate(segments):
-        if k:
-            barriers.append(len(gates))
-        gates.extend(seg)
-    return Circuit.from_gates(c.n_qubits, gates, ancilla=c.ancilla, barriers=barriers)
+    assert all(seg == segments[0] for seg in segments)  # equal steps stay equal
+    return stepped(c.n_qubits, segments[0], len(segments), c.ancilla)
 
 
 def reference_cancel_adjacent(c: Circuit, cross_step: bool = False) -> Circuit:

@@ -350,7 +350,8 @@ class TestCli:
         assert "Invalid value for '--window'" in r.output
 
     @pytest.mark.parametrize("spec", ["synthetic:n=2,sed=1", "synthetic:n=x", "synthetic:n=0",
-                                      "synthetic:n=-1", "synthetic:n=2,density=2"])
+                                      "synthetic:n=-1", "synthetic:n=2,density=2",
+                                      "synthetic:n=2,n=3"])
     def test_bad_synthetic_spec_is_one_line(self, spec):
         r = CliRunner().invoke(main, ["bench", spec])
         assert r.exit_code == 2
@@ -425,6 +426,8 @@ class TestCli:
         ("map", "empty-norb.fcidump", "line 1: NORB must be an integer, got ''"),
         ("map", "empty-nelec.fcidump", "line 1: NELEC must be an integer, got ''"),
         ("map", "empty-ms2.fcidump", "line 1: MS2 must be an integer, got ''"),
+        ("map", "nan.fcidump", "line 3: value 'nan' is not finite"),
+        ("compile", "nan.terms", "line 2: coefficient '(nan,0.0)' makes a non-finite sum"),
         ("trotter-error", "parity.fcidump", "no sector has NELEC=3, MS2=0 in NORB=2 orbitals: "
          "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
         ("trotter-error", "spin.fcidump", "no sector has NELEC=1, MS2=3 in NORB=2 orbitals: "
@@ -434,8 +437,8 @@ class TestCli:
     ], ids=["missing-file", "malformed", "above-map-limit", "above-matrix-limit",
             "map-malformed", "map-missing-file", "compile-missing-file",
             "optimize-missing-file", "map-negative-norb", "map-empty-norb",
-            "map-empty-nelec", "map-empty-ms2", "sector-parity", "sector-ms2-above-nelec",
-            "sector-above-norb"])
+            "map-empty-nelec", "map-empty-ms2", "map-nan", "compile-nan", "sector-parity",
+            "sector-ms2-above-nelec", "sector-above-norb"])
     def test_bad_input_is_one_line(self, command, spec, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write_impossible_sectors(tmp_path)
@@ -444,6 +447,8 @@ class TestCli:
         (tmp_path / "empty-norb.fcidump").write_text("&FCI NORB=,NELEC=2,\n&END\n")
         (tmp_path / "empty-nelec.fcidump").write_text("&FCI NORB=2,NELEC=,\n&END\n")
         (tmp_path / "empty-ms2.fcidump").write_text("&FCI NORB=2,NELEC=2,MS2=,\n&END\n")
+        (tmp_path / "nan.fcidump").write_text("&FCI NORB=2,NELEC=2,\n&END\n nan 1 1 0 0\n")
+        (tmp_path / "nan.terms").write_text("(0.5,0.0) X0\n(nan,0.0) Y0\n")
         # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map limit.
         (tmp_path / "big.fcidump").write_text("&FCI NORB=33,NELEC=2,MS2=0,\n&END\n"
                                               " 0.5   1   1   0   0\n")

@@ -165,8 +165,7 @@ class TestSynthesizePlan:
     def test_barriers_at_step_seams(self):
         plan = self.make_plan(n_steps=3)
         circ = synthesize_plan(plan, "canonical")
-        per_step = len(circ.gates) // 3
-        assert circ.barriers == [per_step, 2 * per_step]
+        assert circ.n_steps == 3 and len(circ.gates) == 3 * len(circ.entries) > 0
 
     def test_ancilla_mode_flags_circuit(self):
         circ = synthesize_plan(self.make_plan(), "ancilla")
@@ -184,7 +183,7 @@ class TestSynthesizePlan:
         gates = three.gates
         assert gates == one.gates * 3
         assert all(a is b for a, b in zip(gates, gates[:len(one.gates)] * 3))
-        assert three.barriers == [len(one.gates), 2 * len(one.gates)]
+        assert (three.n_steps, three.entries) == (3, one.entries)
 
 
 class TestTemplates:
@@ -272,13 +271,13 @@ class TestSerialization:
 
     def test_multi_step_file_has_no_barriers(self):
         # The file format has no barrier line: a multi-step circuit is
-        # written gate by gate and reads back with its gates only.
+        # written gate by gate and reads back as one step.
         plan = TestSynthesizePlan().make_plan(n_steps=3)
         circ = synthesize_plan(plan, "ancilla")
         text = format_circuit(circ)
         assert text == reference_format_circuit(circ)
         back = parse_circuit(text)
-        assert back.gates == circ.gates and back.barriers == []
+        assert back.gates == circ.gates and back.n_steps == 1
 
     def test_both_zero_signs_written(self):
         text = format_circuit(Circuit.from_gates(1, [RZ(0, 0.0), RZ(0, -0.0)]))

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermiqc import fermion
-from fermiqc.fermion import (FermionOperator, IntegralSet, ResourceLimitError, build_hamiltonian,
-                             parse_fcidump, synthetic_integrals, write_fcidump)
+from fermiqc.fermion import (FermionOperator, ResourceLimitError, build_hamiltonian, parse_fcidump,
+                             synthetic_integrals, write_fcidump)
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_text, reference_energy
 from fermiqc.simulator import ground_state
 
@@ -63,6 +62,12 @@ class TestParseFcidump:
     def test_bad_row_reports_line(self):
         text = "&FCI NORB=2,NELEC=2,\n&END\n0.5 1 1\n"
         with pytest.raises(ValueError, match="line 3"):
+            parse_fcidump(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line(self, value):
+        text = f"&FCI NORB=2,NELEC=2,\n&END\n0.5 1 1 0 0\n{value} 2 2 0 0\n"
+        with pytest.raises(ValueError, match=rf"^line 4: value '{value}' is not finite$"):
             parse_fcidump(text)
 
     def test_index_out_of_range(self):

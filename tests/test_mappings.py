@@ -12,7 +12,6 @@ from fermiqc.fermion import FermionOperator, ResourceLimitError
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_text
 from fermiqc.mappings import (MappingScheme, basis_permutation, bk_index_sets, bk_matrix,
                               map_operator)
-from fermiqc.pauli import PauliString
 from fermiqc.simulator import operator_matrix
 from fermiqc.trotter import OrderingStrategy, plan_for
 

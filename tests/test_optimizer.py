@@ -1,9 +1,8 @@
-"""Peephole optimizer: rule soundness, exactness and barrier discipline."""
+"""Peephole optimizer: rule soundness, exactness and step-seam discipline."""
 
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,10 +13,10 @@ from fermiqc.optimizer import (LEVELS, OptimizationReport, cancel_adjacent,
 from fermiqc.pauli import QubitOperator
 from fermiqc.trotter import OrderingStrategy, plan_for
 
-from oracles import (circuit_unitary, random_pauli_string, random_plan,
+from oracles import (circuit_unitary, pauli, random_pauli_string, random_plan,
                      reference_cancel_adjacent, reference_commute,
                      reference_commute_and_cancel, reference_gate_counts, reference_optimize,
-                     reference_partner, reference_synthesize_plan)
+                     reference_partner, reference_synthesize_plan, stepped)
 
 
 def gate_unitary(g: Gate, n: int) -> np.ndarray:
@@ -121,21 +120,26 @@ class TestCommuteAndCancel:
 
 
 class TestBarriers:
-    def pair_across_barrier(self):
-        return Circuit.from_gates(1, [H(0), H(0)], barriers=[1])
+    """Cancellation stops at the seams between Trotter steps unless asked
+    to cross them."""
+
+    def two_steps(self):
+        # Each step is H RZ H, so the two steps meet in an H H pair.
+        op = QubitOperator(1)
+        op.add_term(0.5, pauli("X"))
+        return synthesize_plan(plan_for(op, OrderingStrategy("lex"), 2, 1.0))
 
     def test_confined_by_default(self):
-        assert len(cancel_adjacent(self.pair_across_barrier()).gates) == 2
-        assert len(optimize(self.pair_across_barrier()).gates) == 2
+        c = self.two_steps()
+        assert len(c.gates) == 6
+        for out in (cancel_adjacent(c), commute_and_cancel(c), optimize(c)):
+            assert (out.gates, out.n_steps) == (c.gates, 2)
 
     def test_cross_step_opt_in(self):
-        assert cancel_adjacent(self.pair_across_barrier(), cross_step=True).gates == ()
-
-    def test_barrier_positions_updated(self):
-        c = Circuit.from_gates(1, [H(0), H(0), X(0), X(0), H(0)], barriers=[4])
-        out = optimize(c)
-        assert out.gates == (H(0),)
-        assert out.barriers == [0]
+        c = self.two_steps()
+        for out in (cancel_adjacent(c, True), commute_and_cancel(c, True), optimize(c, True)):
+            assert [g.kind for g in out.gates] == ["H", "RZ", "RZ", "H"]
+            assert out.n_steps == 1
 
 
 class TestOptimize:
@@ -180,7 +184,8 @@ def all_gates(n: int) -> list[Gate]:
 
 @st.composite
 def circuits(draw, max_qubits: int = 5, max_gates: int = 40) -> Circuit:
-    """Random circuits over a small alphabet, so inverse pairs are common."""
+    """Random circuits over a small alphabet, so inverse pairs are common:
+    one drawn step, repeated one to three times."""
     n = draw(st.integers(1, max_qubits))
     kinds = ["H", "X", "YB", "YBD", "RZ"] + (["CNOT", "CZ"] if n > 1 else [])
     gates = []
@@ -194,8 +199,7 @@ def circuits(draw, max_qubits: int = 5, max_gates: int = 40) -> Circuit:
             gates.append(RZ(a, draw(st.floats(-3.0, 3.0))))
         else:
             gates.append(Gate(kind, (a,)))
-    barriers = sorted(draw(st.lists(st.integers(0, len(gates)), max_size=3)))
-    return Circuit.from_gates(n, gates, barriers=barriers)
+    return stepped(n, gates, draw(st.integers(1, 3)))
 
 
 windows = st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6])
@@ -234,13 +238,13 @@ class TestAgainstReference:
         report, passes = OptimizationReport(), []
         got = optimize(circ, cross_step, window, report)
         want = reference_optimize(circ, cross_step, window, passes)
-        assert (got.gates, got.barriers, report.passes) == (want.gates, want.barriers, passes)
+        assert (got.gates, got.n_steps, report.passes) == (want.gates, want.n_steps, passes)
         got = commute_and_cancel(circ, cross_step, window)
         want = reference_commute_and_cancel(circ, cross_step, window)
-        assert (got.gates, got.barriers) == (want.gates, want.barriers)
+        assert (got.gates, got.n_steps) == (want.gates, want.n_steps)
         got = cancel_adjacent(circ, cross_step)
         want = reference_cancel_adjacent(circ, cross_step)
-        assert (got.gates, got.barriers) == (want.gates, want.barriers)
+        assert (got.gates, got.n_steps) == (want.gates, want.n_steps)
 
 
 class TestEncodedPlans:
@@ -260,12 +264,12 @@ class TestEncodedPlans:
                     want = reference_optimize(ref, cross_step, window, passes)
                 else:
                     want = ref if level == "none" else reference_cancel_adjacent(ref, cross_step)
-                assert (got.gates, got.barriers, report.passes) == (
-                    want.gates, want.barriers, passes)
+                assert (got.gates, got.n_steps, report.passes) == (
+                    want.gates, want.n_steps, passes)
                 assert count_gates(got) == reference_gate_counts(want.gates)
             got = commute_and_cancel(circ, cross_step, window)
             want = reference_commute_and_cancel(ref, cross_step, window)
-            assert (got.gates, got.barriers) == (want.gates, want.barriers)
+            assert (got.gates, got.n_steps) == (want.gates, want.n_steps)
 
 
 class TestSafety:

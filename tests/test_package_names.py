@@ -6,6 +6,9 @@ A use is a name (``f``) or an attribute (``obj.f``) anywhere in
 ``src/fermiqc``; a method also counts as used when any attribute shares its
 name, so the scan can miss a dead method but never flags a live one.
 Dunder methods are called implicitly and are not scanned.
+
+No module of the package, the tests or the tools imports a name it never
+reads.
 """
 
 import ast
@@ -22,7 +25,7 @@ ENTRY_POINTS = {
         "term_gate_counts": "criterion 6 counts large registers in closed form",
         "PauliString.from_ops": "criterion 4 builds its hand-picked strings",
         "QubitOperator.add_term": "criterion 5 builds random operators term by term",
-        "QubitOperator.terms": "criterion 6 reads the mapped terms",
+        "bk_matrix": "criterion 2 checks the dense BK matrix, an independent reference",
     },
     "perfbench/spans.py": {
         "commute_and_cancel": "the tracer patches it as an optimizer span",
@@ -89,3 +92,27 @@ def test_entry_points_are_current():
     for name, (source, _) in ALLOWED.items():
         bare = name.rsplit(".", 1)[-1]
         assert re.search(rf"\b{bare}\b", (REPO / source).read_text()), (name, source)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; ``__all__`` entries are read."""
+    tree = ast.parse(path.read_text())
+    imported: dict[str, int] = {}  # bound name -> line
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name).split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(REPO)}:{line}: {name}"
+            for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    paths = [p for d in (PACKAGE, REPO / "tests", REPO / "tools") for p in sorted(d.rglob("*.py"))]
+    assert [hit for p in paths for hit in unused_imports(p)] == []

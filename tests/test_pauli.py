@@ -128,6 +128,10 @@ class TestTermFiles:
     @given(qubit_operators())
     def test_roundtrip(self, op):
         text = pauli.format_terms(op)
+        if not np.isfinite([*op.arrays()[2], op.constant]).all():  # a drawn sum overflowed
+            with pytest.raises(ValueError, match=r"^line \d+: .* makes a non-finite sum$"):
+                pauli.parse_terms(text, n_qubits=op.n)
+            return
         back = pauli.parse_terms(text, n_qubits=op.n)
         assert back == op
         assert pauli.format_terms(back) == text
@@ -171,28 +175,42 @@ def forms_agree(a, b):
     assert [c for _, c in a.items()] == [c for _, c in b.items()]
     assert norm(a) == norm(b)
     assert pauli.format_terms(a) == pauli.format_terms(b)
-    for op in (a, b):  # the arrays hold the dictionary's terms, in its order
-        x, z, coeffs = op.arrays()
-        assert (list(zip(x.tolist(), z.tolist(), coeffs.tolist()))
-                == [(s.x, s.z, c) for s, c in op.items()])
+
+
+_EDGE_COEFFS = st.sampled_from([1.0, -1.0, 0.0, -0.0, complex(-0.0, -0.0), complex(1.0, -0.0),
+                                complex(-0.0, 0.5), 0.5j, -0.5j])
 
 
 class TestArrayForm:
     @settings(max_examples=200)
     @given(qubit_operators(), st.data())
     def test_from_arrays_matches_add_term(self, op, data):
+        # Both forms merge as a dictionary does: a sum stays in place, an
+        # exact-zero sum leaves, a zero never enters, a new string goes last,
+        # and `0.0 + c` turns -0.0 parts into +0.0.
         built = from_arrays_of(op)
         forms_agree(built, op)
-        # add_term after arrays() is seen by both forms.
-        view = built.terms
+        want, constant = {(s.x, s.z): c for s, c in op.items()}, op.constant
         digits = st.lists(st.integers(0, 3), min_size=op.n, max_size=op.n)
-        for _ in range(data.draw(st.integers(1, 3))):
-            string, coeff = from_digits(data.draw(digits)), data.draw(_TERM_COEFFS)
+        pool = [s for s, _ in op.items()] + [PauliString(op.n)]
+        pool += [from_digits(data.draw(digits)) for _ in range(2)]
+        for _ in range(data.draw(st.integers(1, 12))):
+            coeff, string = data.draw(_EDGE_COEFFS | _TERM_COEFFS), data.draw(st.sampled_from(pool))
             for o in (op, built):
-                o.arrays()
                 o.add_term(coeff, string)
             forms_agree(built, op)
-        assert view == built.terms
+            key = (string.x, string.z)
+            if key == (0, 0):
+                constant += coeff
+                continue
+            new = want.get(key, 0.0) + coeff
+            if new == 0:
+                want.pop(key, None)
+            else:
+                want[key] = new
+        assert ([(s.x, s.z, repr(c)) for s, c in op.items()]
+                == [(x, z, repr(complex(c))) for (x, z), c in want.items()])
+        assert repr(op.constant) == repr(constant)
 
     def test_add_term_can_cancel_an_array_term(self):
         s = pauli_string("XZ")
@@ -212,16 +230,6 @@ class TestQubitOperator:
         op.add_term(0.5, PauliString(2))
         assert op.terms == {s: 3.5}
         assert op.constant == 0.5
-
-    def test_terms_is_a_read_only_view(self):
-        op = QubitOperator(1)
-        s = pauli_string("Z")
-        op.add_term(1.0, s)
-        view = op.terms
-        with pytest.raises(TypeError):
-            view[s] = 2.0
-        op.add_term(1.0, pauli_string("X"))
-        assert len(view) == 2 and op.terms[s] == 1.0
 
     def test_exact_cancellation_drops_term(self):
         op = QubitOperator(1)
@@ -276,10 +284,16 @@ class TestSerialization:
         ("(1.0,0.0) X-1", "bad qubit index 'X-1'"),
         ("(1.0,0.0) X0 Z0", "a qubit appears twice"),
         ("(1.0,0.0) X4", "qubit 4 outside register of size 4"),
+        ("(nan,0.0) X0", "coefficient '(nan,0.0)' makes a non-finite sum"),
+        ("(1.0,-inf) X0", "coefficient '(1.0,-inf)' makes a non-finite sum"),
     ])
     def test_errors_name_the_line(self, line, message):
         with pytest.raises(ValueError, match=r"^line 3: " + re.escape(message)):
             pauli.parse_terms(f"# header\n(0.5,0.0) Z1\n{line}\n", n_qubits=4)
+
+    def test_overflowing_sum_names_the_line(self):
+        with pytest.raises(ValueError, match=r"^line 3: .* '\(0.0,-1e308\)' makes a non-finite"):
+            pauli.parse_terms("(0.0,-1e308) X0\n(1.0,0.0) X0\n(0.0,-1e308) X0\n")
 
     def test_dense_equivalence_after_roundtrip(self, rng):
         op = QubitOperator(3, constant=1.0)

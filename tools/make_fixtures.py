@@ -63,7 +63,6 @@ class BasisFunction:
 
 def _prim_norm(a: float, lmn) -> float:
     l, m, n = lmn
-    from math import factorial
 
     def dfact(k):
         return 1 if k <= 0 else math.prod(range(k, 0, -2))
