@@ -137,13 +137,14 @@ def _plan_and_count(cfg: BenchConfig, qop: QubitOperator, ordering: OrderingStra
 
 def pair_stages(inp: BenchInput, scheme: MappingScheme, time: float):
     """The stages of one (input, mapping) pair, each run when the caller
-    takes its value: the Hamiltonian's register size, then the qubit
-    operator with ``time`` clamped into the phase branch, then the sector
-    ground state (energy, state, sector fields)."""
+    takes its value: the register size, then the qubit operator (the map
+    limit checked before the Hamiltonian is built) with ``time`` clamped
+    into the phase branch, then the sector ground state (energy, state,
+    sector fields)."""
     ints = inp.load()
-    ham = fermion.build_hamiltonian(ints)
-    yield ham.n_modes
-    qop = mappings.map_operator(ham, scheme)
+    yield 2 * ints.n_spatial
+    mappings.check_map_limit(2 * ints.n_spatial)  # before the build, which grows as n^4
+    qop = mappings.map_operator(fermion.build_hamiltonian(ints), scheme)
     yield qop, simulator.safe_evolution_time(qop, time)
     yield simulator.sector_ground_state(qop, ints, scheme)
 

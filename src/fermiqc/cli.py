@@ -22,21 +22,23 @@ def main():
     """Fermionic-Hamiltonian-to-qubit-circuit compiler and benchmark suite."""
 
 
-def _write(text: str, output: str | None) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
-
-
 @contextlib.contextmanager
 def _one_line_errors(source: str):
-    """Report a bad input as one ``Error: <source>: <message>`` line, exit 1."""
+    """Report a bad input, or an output that cannot be written, as one
+    ``Error: <source>: <message>`` line, exit 1."""
     try:
         yield
     except (OSError, ValueError, fermion.ResourceLimitError,
             simulator.EigensolverError) as exc:
         raise click.ClickException(f"{source}: {exc}") from None
+
+
+def _write(text: str, output: str | None) -> None:
+    if output is None or output == "-":
+        sys.stdout.write(text)
+    else:
+        with _one_line_errors(output):
+            Path(output).write_text(text)
 
 
 def _unique(ctx, param, values):
@@ -108,8 +110,9 @@ def _parse_inputs(specs) -> dict[bench_mod.BenchInput, str]:
 def map_cmd(integrals, mapping, output):
     """Map an FCIDUMP file or synthetic spec to a Pauli term file."""
     with _one_line_errors(integrals):
-        ham = fermion.build_hamiltonian(bench_mod.BenchInput.parse(integrals).load())
-        qop = mappings.map_operator(ham, MappingScheme(mapping))
+        ints = bench_mod.BenchInput.parse(integrals).load()
+        mappings.check_map_limit(2 * ints.n_spatial)  # before the build, which grows as n^4
+        qop = mappings.map_operator(fermion.build_hamiltonian(ints), MappingScheme(mapping))
     _write(pauli.format_terms(qop), output)
 
 

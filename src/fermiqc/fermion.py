@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -41,7 +41,10 @@ class IntegralSet:
 class FermionOperator:
     """Sum of ladder-operator products, held as arrays (see ``arrays``);
     nothing edits them after construction.  A product's factors are
-    (mode, dagger) pairs, the rightmost acting first."""
+    (mode, dagger) pairs, the rightmost acting first.  A product flagged
+    "plus its adjoint" stands for itself plus its Hermitian conjugate; only
+    products a+...a+ a...a with as many creators as annihilators carry the
+    flag."""
 
     def __init__(self, n_modes: int, constant: float, arrays: tuple):
         modes = arrays[2]
@@ -53,25 +56,38 @@ class FermionOperator:
     @classmethod
     def from_products(cls, n_modes: int, products: list[tuple],
                       constant: float = 0.0) -> "FermionOperator":
-        """The operator of (coefficient, ((mode, dagger), ...)) pairs, in order."""
+        """The operator of (coefficient, ((mode, dagger), ...)) pairs, in
+        order, none flagged "plus its adjoint"."""
         factors = [f for _, f in products]
         flat = np.fromiter(chain.from_iterable(chain.from_iterable(factors)), np.int64)
         return cls(n_modes, constant, (np.array([c for c, _ in products], dtype=complex),
                                        np.fromiter(map(len, factors), np.int64, len(factors)),
-                                       flat[0::2], flat[1::2].astype(bool)))
+                                       flat[0::2], flat[1::2].astype(bool),
+                                       np.zeros(len(factors), dtype=bool)))
 
     @property
     def products(self) -> tuple[tuple[complex, tuple[tuple[int, bool], ...]], ...]:
-        """The (coefficient, factors) pairs, built from the arrays on each call."""
-        coeffs, lengths, modes, dagger = self._arrays
+        """The whole operator as (coefficient, factors) pairs, built from the
+        arrays on each call.  A flagged product is followed by its adjoint:
+        the conjugate coefficient and the two halves of its factors swapped,
+        daggers flipped (a+_k a+_l a_i a_j for a+_i a+_j a_k a_l)."""
+        coeffs, lengths, modes, dagger, adjoint = self._arrays
         shared = [(m, d) for m in range(self.n_modes) for d in (False, True)]
-        factors = map(shared.__getitem__, (2 * modes + dagger).tolist())
-        return tuple((c, tuple(islice(factors, k)))
-                     for c, k in zip(coeffs.tolist(), lengths.tolist()))
+        flipped = [(m, not d) for m, d in shared]
+        codes = (2 * modes + dagger).tolist()  # index into shared
+        out, start = [], 0
+        for c, k, adj in zip(coeffs.tolist(), lengths.tolist(), adjoint.tolist()):
+            f, start = codes[start:start + k], start + k
+            out.append((c, tuple(map(shared.__getitem__, f))))
+            if adj:
+                swapped = f[k // 2:] + f[:k // 2]
+                out.append((c.conjugate(), tuple(map(flipped.__getitem__, swapped))))
+        return tuple(out)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(coefficients, factor counts, modes, dagger flags): one entry per
-        product, then one per factor of all products in order."""
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(coefficients, factor counts, modes, dagger flags, "plus its
+        adjoint" flags): one coefficient, count and flag per stored product,
+        then one mode and dagger flag per factor of all products in order."""
         return self._arrays
 
 
@@ -198,28 +214,34 @@ def write_fcidump(ints: IntegralSet, comments: list[str] | None = None) -> str:
 def build_hamiltonian(ints: IntegralSet) -> FermionOperator:
     """Spin-orbital Hamiltonian over 2*n_spatial modes, built as arrays.
 
-    One-body: sum_pq h_pq a+_{p,s} a_{q,s}, per nonzero h_pq in row-major
-    order, then per spin.  Two-body: each normal-ordered excitation
-    a+_i a+_j a_k a_l (i > j, k > l, pairs in ``np.tril_indices`` order) once,
-    with coefficient (il|jk)[s_i=s_l][s_j=s_k] - (ik|jl)[s_i=s_k][s_j=s_l]
-    from chemists' integrals at the spatial indices; zeros are left out.
+    One-body: sum_pq h_pq a+_{p,s} a_{q,s}, per nonzero h_pq with p <= q in
+    row-major order, then per spin.  Two-body: each normal-ordered excitation
+    a+_i a+_j a_k a_l (i > j, k > l, pairs in ``np.tril_indices`` order,
+    (i, j) no later than (k, l)) once, with coefficient
+    (il|jk)[s_i=s_l][s_j=s_k] - (ik|jl)[s_i=s_k][s_j=s_l] from chemists'
+    integrals at the spatial indices; zeros are left out.  The integrals'
+    symmetry makes the operator Hermitian, so the product of p > q, or of
+    (i, j) later than (k, l), is the adjoint of one kept here: a product
+    with p != q or (i, j) != (k, l) is flagged "plus its adjoint" in its
+    place, and a self-adjoint one is not.
     """
     h, g = ints.one_body, ints.two_body
-    spin, nz = np.arange(2), np.nonzero(h)
+    spin, nz = np.arange(2), np.nonzero(np.triu(h))
     one = np.stack([2 * a[:, None] + spin for a in nz], -1).reshape(-1, 2)  # (a+_i, a_l)
     pairs = np.stack(np.tril_indices(2 * ints.n_spatial, -1))  # (i, j), i > j
     (i, j), (si, sj) = np.divmod(pairs[:, :, None], 2)  # spatial index, spin down the rows
     (k, l), (sk, sl) = np.divmod(pairs, 2)  # and along the columns
     coeff = (np.where((si == sl) & (sj == sk), g[i, l, j, k], 0.0)
              - np.where((si == sk) & (sj == sl), g[i, k, j, l], 0.0))
-    row, col = np.nonzero(coeff)
+    row, col = np.nonzero(np.triu(coeff))
     two = np.concatenate((pairs[:, row], pairs[:, col])).T  # (a+_i, a+_j, a_k, a_l)
     return FermionOperator(2 * ints.n_spatial, ints.core_energy, (
         np.concatenate((np.repeat(h[nz], 2), coeff[row, col])),
         np.repeat([2, 4], (len(one), len(two))),
         np.concatenate((one.ravel(), two.ravel())),
         np.concatenate((np.tile([True, False], len(one)),
-                        np.tile([True, True, False, False], len(two))))))
+                        np.tile([True, True, False, False], len(two)))),
+        np.concatenate((np.repeat(nz[0] != nz[1], 2), row != col))))
 
 
 def synthetic_integrals(n_spatial: int, seed: int, density: float = 1.0) -> IntegralSet:

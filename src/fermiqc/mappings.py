@@ -124,21 +124,29 @@ _CHUNK = 16384  # entries expanded at once, in whole X-mask groups
 _Y_PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])  # X^x Z^z = (-i)^{#Y} * Pauli string
 
 
+def check_map_limit(n_modes: int) -> None:
+    """Raise ResourceLimitError if ``n_modes`` exceeds MAP_MODE_LIMIT."""
+    if n_modes > MAP_MODE_LIMIT:
+        raise ResourceLimitError(f"{n_modes} modes exceeds the {MAP_MODE_LIMIT}-mode map limit")
+
+
 def map_operator(op: FermionOperator, scheme: MappingScheme) -> QubitOperator:
     """Transform a FermionOperator into a simplified QubitOperator.
 
     Each ladder product expands left to right, every factor doubling its
-    entries c X^x Z^z; all entries of one product share its X mask.  Products
-    are expanded in X-mask groups, whole groups in chunks of about _CHUNK
+    entries c X^x Z^z; all entries of one product share its X mask.  A
+    product flagged "plus its adjoint" is expanded once: since
+    (X^x Z^z)^dagger = (-1)^popcount(x & z) X^x Z^z, each of its entries
+    carries c + (-1)^popcount(x & z) conj(c), its pair's sum.  Products are
+    expanded in X-mask groups, whole groups in chunks of about _CHUNK
     entries, so equal (x, z) keys meet inside one chunk.  Each key is summed
     in product order and the terms keep the order of their first entries, as
     a left-to-right dictionary pass would.
     """
     scheme = MappingScheme(scheme)
     n = op.n_modes
-    if n > MAP_MODE_LIMIT:
-        raise ResourceLimitError(f"{n} modes exceeds the {MAP_MODE_LIMIT}-mode map limit")
-    coeffs, lengths, modes, dagger = op.arrays()
+    check_map_limit(n)
+    coeffs, lengths, modes, dagger, adjoint = op.arrays()
     if not len(coeffs):
         return QubitOperator(n, constant=op.constant)
     imgs = np.array(_ladder_images(n, scheme), dtype=np.uint64).reshape(n, 3)
@@ -158,8 +166,8 @@ def map_operator(op: FermionOperator, scheme: MappingScheme) -> QubitOperator:
         h = np.searchsorted(offset[gstart], offset[gstart[g]] + _CHUNK, side="right") - 1
         h = max(h, g + 1)
         a, b = gstart[g], gstart[h]
-        parts.append(_expand_chunk(imgs, coeffs, starts, modes, dagger, xmask, first_entry,
-                                   order[a:b], offset[a:b + 1] - offset[a]))
+        parts.append(_expand_chunk(imgs, coeffs, starts, modes, dagger, adjoint, xmask,
+                                   first_entry, order[a:b], offset[a:b + 1] - offset[a]))
         g = h
     x, z, coeff, first = (np.concatenate(c) for c in zip(*parts))
     by_first = np.argsort(first)
@@ -173,9 +181,11 @@ def map_operator(op: FermionOperator, scheme: MappingScheme) -> QubitOperator:
     return QubitOperator(n, constant=constant, arrays=(x[keep], z[keep], coeff[keep] + 0.0))
 
 
-def _expand_chunk(imgs, coeffs, starts, modes, dagger, xmask, first_entry, prods, loc):
+def _expand_chunk(imgs, coeffs, starts, modes, dagger, adjoint, xmask, first_entry,
+                  prods, loc):
     """(x, z, coefficient, first entry index) of one chunk's terms, the
-    identity included, each term's coefficient the sum of its entries.
+    identity included, each term's coefficient the sum of its entries in
+    product order; a folded product's entry holds its pair's sum.
 
     ``prods`` are the chunk's products by X mask, each group in product
     order, and ``loc`` holds their entry offsets in the chunk."""
@@ -194,6 +204,9 @@ def _expand_chunk(imgs, coeffs, starts, modes, dagger, xmask, first_entry, prods
                           c * np.where(odd == dagger[starts[p] + j, None], -0.5, 0.5)), -1)
             z = np.stack((z ^ z_sym[:, None], z ^ z_anti[:, None]), -1)
             c, z = c.reshape(len(p), -1), z.reshape(len(p), -1)
+        fold = adjoint[p]  # c X^x Z^z plus its adjoint, (-1)^popcount(x & z) conj(c) X^x Z^z
+        c[fold] += np.where(np.bitwise_count(xmask[p[fold], None] & z[fold]) & 1,
+                            -1, 1) * c[fold].conj()
         at = (loc[sel][:, None] + np.arange(count)).ravel()
         c_all[at], z_all[at] = c.ravel(), z.ravel()
     # The entries sit in (group, product) order, so a stable sort by z alone

@@ -583,6 +583,32 @@ def reference_excitations(ints) -> dict[tuple, float]:
 # The entry-by-entry loops the package must reproduce exactly: each ladder
 # product doubles a list of (c, x, z) entries per factor, one dictionary sums
 # the entries in order, and the terms are written in tuple-of-digits order.
+# A product flagged "plus its adjoint" also expands its adjoint A+ (factors
+# reversed, daggers flipped, coefficient conjugated) and adds it entry by
+# entry to its own expansion before the sum.
+
+def stored_products(op: FermionOperator):
+    """(coefficient, factors, plus-adjoint flag) per stored product, read
+    from the arrays."""
+    coeffs, lengths, modes, dagger, adjoint = op.arrays()
+    factors = iter(zip(modes.tolist(), dagger.tolist()))
+    for c, k, adj in zip(coeffs.tolist(), lengths.tolist(), adjoint.tolist()):
+        yield complex(c), [next(factors) for _ in range(k)], adj
+
+
+def _reference_entries(coeff: complex, factors, imgs) -> list[tuple[complex, int, int]]:
+    entries = [(coeff, 0, 0)]
+    for mode, dagger in factors:
+        fx, z_sym, z_anti = imgs[mode]
+        half = 0.5 if dagger else -0.5
+        new = []
+        for c, x, z in entries:
+            sign = -1.0 if (z & fx).bit_count() & 1 else 1.0
+            new.append((0.5 * sign * c, x ^ fx, z ^ z_sym))
+            new.append((half * sign * c, x ^ fx, z ^ z_anti))
+        entries = new
+    return entries
+
 
 def reference_map_operator(op: FermionOperator, scheme: MappingScheme,
                            tol: float = DEFAULT_TOL) -> QubitOperator:
@@ -590,17 +616,17 @@ def reference_map_operator(op: FermionOperator, scheme: MappingScheme,
     n = op.n_modes
     imgs = _ladder_images(n, scheme)
     acc: dict[tuple[int, int], complex] = {}
-    for coeff, factors in op.products:
-        entries = [(complex(coeff), 0, 0)]
-        for mode, dagger in factors:
-            fx, z_sym, z_anti = imgs[mode]
-            half = 0.5 if dagger else -0.5
-            new = []
-            for c, x, z in entries:
-                sign = -1.0 if (z & fx).bit_count() & 1 else 1.0
-                new.append((0.5 * sign * c, x ^ fx, z ^ z_sym))
-                new.append((half * sign * c, x ^ fx, z ^ z_anti))
-            entries = new
+    for coeff, factors, adjoint in stored_products(op):
+        entries = _reference_entries(coeff, factors, imgs)
+        if adjoint:
+            adj = _reference_entries(coeff.conjugate(),
+                                     [(m, not d) for m, d in reversed(factors)], imgs)
+            # Entry b of A (one sym/anti choice per factor, the first factor
+            # the highest bit) is the adjoint of entry b bit-reversed of A+.
+            k = len(factors)
+            mirror = [adj[int(f"{b:0{k}b}"[::-1], 2)] for b in range(len(adj))]
+            assert [e[1:] for e in entries] == [e[1:] for e in mirror]
+            entries = [(c + c2, x, z) for (c, x, z), (c2, _, _) in zip(entries, mirror)]
         for c, x, z in entries:
             acc[x, z] = acc.get((x, z), 0.0) + c
     out = QubitOperator(n, constant=op.constant)

@@ -503,20 +503,46 @@ class TestCli:
                              capture_output=True, text=True, env=env, check=True).stdout
         assert out == "False\n"
 
-    def test_register_above_map_limit_is_one_line(self, tmp_path):
-        # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map limit.
-        fcidump = tmp_path / "big.fcidump"
-        fcidump.write_text("&FCI NORB=33,NELEC=2,MS2=0,\n&END\n"
-                           " 0.5   1   1   0   0\n 1.0   0   0   0   0\n")
-        r = CliRunner().invoke(main, ["map", str(fcidump)])
+    def test_register_above_map_limit_is_one_line(self, tmp_path, monkeypatch):
+        # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map
+        # limit; the check comes before the Hamiltonian is built.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.fcidump").write_text("&FCI NORB=33,NELEC=2,MS2=0,\n&END\n"
+                                              " 0.5   1   1   0   0\n 1.0   0   0   0   0\n")
+
+        def build_hamiltonian(ints):
+            raise AssertionError("built a Hamiltonian above the map limit")
+
+        monkeypatch.setattr(fermion, "build_hamiltonian", build_hamiltonian)
+        for spec in ("big.fcidump", "synthetic:n=33"):
+            for command in ("map", "trotter-error"):
+                r = CliRunner().invoke(main, [command, spec])
+                assert r.exit_code == 1
+                assert isinstance(r.exception, SystemExit)
+                assert r.output == f"Error: {spec}: 66 modes exceeds the 64-mode map limit\n"
+            r = CliRunner().invoke(main, ["bench", spec, "--mapping", "bk", "--format", "json"])
+            assert r.exit_code == 2
+            assert isinstance(r.exception, SystemExit)
+            assert r.stderr == (f"cell failed: {BenchInput.parse(spec).system}/bk/magnitude/"
+                                "canonical: ResourceLimitError: 66 modes exceeds the 64-mode "
+                                "map limit\n")
+            [row] = json.loads(r.stdout)
+            assert row["n_qubits"] == 66
+
+    @pytest.mark.parametrize("command", ["map", "compile", "optimize", "bench", "trotter-error"])
+    def test_unwritable_output_is_one_line(self, command, tmp_path):
+        terms, circ = tmp_path / "h2.terms", tmp_path / "h2.circ"
+        h2 = str(fixture_path("h2_sto3g"))
+        assert self.run("map", h2, "-o", str(terms)).exit_code == 0
+        assert self.run("compile", str(terms), "-o", str(circ)).exit_code == 0
+        source = {"map": h2, "compile": terms, "optimize": circ}.get(command, h2)
+        out = tmp_path / "missing" / "out"
+        r = CliRunner().invoke(main, [command, str(source), "-o", str(out)])
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)
-        assert r.output == f"Error: {fcidump}: 66 modes exceeds the 64-mode map limit\n"
-        r = CliRunner().invoke(main, ["bench", str(fcidump), "--mapping", "bk"])
-        assert r.exit_code == 2
-        assert isinstance(r.exception, SystemExit)
-        assert r.stderr == ("cell failed: big/bk/magnitude/canonical: ResourceLimitError: "
-                            "66 modes exceeds the 64-mode map limit\n")
+        assert r.stderr.splitlines()[-1] == (
+            f"Error: {out}: [Errno 2] No such file or directory: '{out}'")
+        assert not out.parent.exists()
 
     def test_map_accepts_synthetic_spec(self, tmp_path):
         fcidump = tmp_path / "s.fcidump"

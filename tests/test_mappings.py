@@ -16,7 +16,7 @@ from fermiqc.simulator import operator_matrix
 from fermiqc.trotter import OrderingStrategy, plan_for
 
 from oracles import (fock_matrix, random_fermion_operator, reference_build_hamiltonian,
-                     reference_map_operator)
+                     reference_map_operator, stored_products)
 
 
 class TestBkMatrix:
@@ -230,6 +230,24 @@ def fermion_operators(draw):
     return FermionOperator.from_products(n, products, constant)
 
 
+@st.composite
+def folded_operators(draw, n_modes):
+    """Products a+...a+ a...a of one or two creators and as many
+    annihilators, modes repeating, each flagged "plus its adjoint" or not."""
+    n = draw(n_modes)
+    modes = st.integers(0, n - 1)
+    products, flags = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        m = draw(st.integers(1, 2))
+        factors = ([(draw(modes), True) for _ in range(m)]
+                   + [(draw(modes), False) for _ in range(m)])
+        products.append((draw(_COEFFS | st.complex_numbers(max_magnitude=2.0)), tuple(factors)))
+        flags.append(draw(st.booleans()))
+    *arrays, _ = FermionOperator.from_products(n, products).arrays()
+    return FermionOperator(n, draw(st.sampled_from([0.0, -0.25])),
+                           (*arrays, np.array(flags, dtype=bool)))
+
+
 class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(fermion_operators(), st.sampled_from(list(MappingScheme)),
@@ -251,6 +269,14 @@ class TestAgainstReference:
         for scheme in MappingScheme:
             assert_same_operator(map_operator(op, scheme), reference_map_operator(op, scheme))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(list(MappingScheme)), st.sampled_from([1, 16, 256]))
+    def test_folded_products_match_reference_loop(self, data, scheme, chunk):
+        op = data.draw(folded_operators(st.integers(1, 64)))
+        with mock.patch.object(mappings, "_CHUNK", chunk):
+            got = map_operator(op, scheme)
+        assert_same_operator(got, reference_map_operator(op, scheme))
+
     @pytest.mark.parametrize("scheme", list(MappingScheme))
     @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "synthetic-n6"])
     def test_hamiltonians(self, name, scheme):
@@ -258,6 +284,50 @@ class TestAgainstReference:
                 else fermion.parse_fcidump(fixture_text(name)))
         ham = fermion.build_hamiltonian(ints)
         assert_same_operator(map_operator(ham, scheme), reference_map_operator(ham, scheme))
+
+
+# ---- the folded Hamiltonian against its listed products ----------------------
+
+@pytest.mark.parametrize("scheme", list(MappingScheme))
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, *(f"synthetic-n{n}" for n in range(1, 7))])
+def test_folded_map_matches_listed_products(name, scheme):
+    # Each stored pair mapped once gives the terms, in the same order, of
+    # both members mapped as separate unflagged products.
+    n = name.removeprefix("synthetic-n")
+    ints = (fermion.parse_fcidump(fixture_text(name)) if n == name
+            else fermion.synthetic_integrals(int(n), seed=7))
+    ham = fermion.build_hamiltonian(ints)
+    got = map_operator(ham, scheme)
+    want = map_operator(FermionOperator.from_products(ham.n_modes, ham.products, ham.constant),
+                        scheme)
+    assert [s for s, _ in got.items()] == [s for s, _ in want.items()]
+    for a, b in [*zip(got.arrays()[2], want.arrays()[2]), (got.constant, want.constant)]:
+        assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "synthetic-n6"])
+def test_only_pairs_are_flagged(name):
+    ints = (fermion.synthetic_integrals(6, seed=3) if name == "synthetic-n6"
+            else fermion.parse_fcidump(fixture_text(name)))
+    flags = []
+    for _, factors, adjoint in stored_products(fermion.build_hamiltonian(ints)):
+        half = len(factors) // 2
+        swapped = [(m, not d) for m, d in factors[half:] + factors[:half]]
+        assert adjoint == (swapped != factors)  # a self-adjoint product is not flagged
+        flags.append(adjoint)
+    assert any(flags) and not all(flags)
+
+
+@settings(max_examples=50, deadline=None)
+@given(folded_operators(st.integers(1, 5)))
+def test_products_list_each_adjoint(op):
+    # The view holds A and then A+ for every flagged A.
+    want = 0.0
+    for coeff, factors, adjoint in stored_products(op):
+        a = fock_matrix(FermionOperator.from_products(op.n_modes, [(coeff, factors)])).toarray()
+        want = want + a + (a.conj().T if adjoint else 0.0)
+    listed = FermionOperator(op.n_modes, 0.0, op.arrays())
+    np.testing.assert_allclose(fock_matrix(listed).toarray(), want, atol=1e-12)
 
 
 # ---- the excitation-built map against the product-by-product route ---------
