@@ -135,15 +135,26 @@ def _plan_and_count(cfg: BenchConfig, qop: QubitOperator, ordering: OrderingStra
         return plan
 
 
+def sized_load(inp: BenchInput):
+    """The register size, then the integrals within the map limit.  A
+    synthetic spec names its size, so the limit is checked before its
+    integrals are made; both they and the Hamiltonian grow as n^4."""
+    ints = inp.load() if inp.synthetic is None else None
+    n_modes = 2 * (inp.synthetic[0] if ints is None else ints.n_spatial)
+    yield n_modes
+    mappings.check_map_limit(n_modes)
+    yield inp.load() if ints is None else ints
+
+
 def pair_stages(inp: BenchInput, scheme: MappingScheme, time: float):
     """The stages of one (input, mapping) pair, each run when the caller
     takes its value: the register size, then the qubit operator (the map
-    limit checked before the Hamiltonian is built) with ``time`` clamped
-    into the phase branch, then the sector ground state (energy, state,
-    sector fields)."""
-    ints = inp.load()
-    yield 2 * ints.n_spatial
-    mappings.check_map_limit(2 * ints.n_spatial)  # before the build, which grows as n^4
+    limit checked first, see :func:`sized_load`) with ``time`` clamped into
+    the phase branch, then the sector ground state (energy, state, sector
+    fields)."""
+    load = sized_load(inp)
+    yield next(load)
+    ints = next(load)
     qop = mappings.map_operator(fermion.build_hamiltonian(ints), scheme)
     yield qop, simulator.safe_evolution_time(qop, time)
     yield simulator.sector_ground_state(qop, ints, scheme)

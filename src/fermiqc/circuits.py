@@ -9,6 +9,7 @@ Gate conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
@@ -70,8 +71,10 @@ def _clifford(kind: str, qubits: tuple[int, ...]) -> tuple:
 
 @cache
 def _rz(q: int) -> tuple:
-    """The entry of every RZ on qubit q: key -1, no partner, no angle."""
-    return 1 << q, 1 << q, 0, -1, None, None
+    """The entry of every RZ on qubit q: its own key ``("RZ", (q,))``, so
+    the optimizer's per-key table knows its wire, but no partner and no
+    angle.  No Clifford's partner key is an RZ key, so an RZ never cancels."""
+    return 1 << q, 1 << q, 0, _KEYS.setdefault(("RZ", (q,)), len(_KEYS)), None, None
 
 
 def _entry(g: Gate) -> tuple:
@@ -334,7 +337,10 @@ def _parse_gate(fields: list[str], width: int) -> Gate:
     if len(fields) - 1 != operands:
         raise ValueError(f"{kind} takes {operands} operands, got {len(fields) - 1}")
     if kind == "RZ":
-        return RZ(_qubit(fields[1], width), float(fields[2]))
+        q, angle = _qubit(fields[1], width), float(fields[2])
+        if not math.isfinite(angle):
+            raise ValueError(f"RZ angle {fields[2]!r} is not finite")
+        return RZ(q, angle)
     qubits = tuple(_qubit(f, width) for f in fields[1:])
     return CZ(*qubits) if kind == "CZ" else _clifford(kind, qubits)[_GATE]
 

@@ -110,8 +110,7 @@ def _parse_inputs(specs) -> dict[bench_mod.BenchInput, str]:
 def map_cmd(integrals, mapping, output):
     """Map an FCIDUMP file or synthetic spec to a Pauli term file."""
     with _one_line_errors(integrals):
-        ints = bench_mod.BenchInput.parse(integrals).load()
-        mappings.check_map_limit(2 * ints.n_spatial)  # before the build, which grows as n^4
+        _, ints = bench_mod.sized_load(bench_mod.BenchInput.parse(integrals))
         qop = mappings.map_operator(fermion.build_hamiltonian(ints), MappingScheme(mapping))
     _write(pauli.format_terms(qop), output)
 

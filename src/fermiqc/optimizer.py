@@ -14,22 +14,33 @@ after every cancellation.
 
 The passes read a circuit's encoded form (``Circuit.entries``): one shared
 entry (qubit mask, Z mask, X mask, key, partner key, gate) per Clifford
-(kind, qubits) and one per RZ qubit.  Two gates commute when every qubit
-they share is Z for both or X for both.  Step seams come from
+(kind, qubits) and per RZ qubit.  Two gates commute when every qubit they
+share is Z for both or X for both.  Step seams come from
 ``Circuit.n_steps`` alone: without ``cross_step`` the steps are equal, so
 one step is optimized and the result repeated; with it the steps are
-optimized as one list.  The commute pass runs on two stacks, the gates
-already passed and the rest in reverse, so neither stepping back nor
-deleting a partner near the scan position shifts the whole list.
+optimized as one list.
+
+The commute pass does not scan gate by gate.  At its start, :func:`_stops`
+finds in numpy, for every gate, its stop: the first later gate on its wires
+that is its partner or blocks it.  Gates only ever leave the list during a
+pass, and every gate between a gate and its stop commutes with it, so that
+stop stays the first one for as long as it is present.  The greedy loop
+takes each outcome from the table.  It visits only the gates whose stop is
+their partner or lies out of the table's reach, and the gates it steps
+back to, and walks the list in Python only for a gate out of reach or
+whose stop has been deleted.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import length_hint
+from itertools import compress, islice
+from operator import itemgetter
 
-from .circuits import _KEY, _MASK, _PARTNER, _X, _Z, Circuit
+import numpy as np
+
+from .circuits import _KEY, _KEYS, _MASK, _PARTNER, _X, _Z, GATE_KINDS, Circuit
 
 
 def _cancel_adjacent_pass(seg: list[tuple]) -> None:
@@ -44,40 +55,138 @@ def _cancel_adjacent_pass(seg: list[tuple]) -> None:
     del seg[top:]
 
 
+# How a gate acts on each of its wires.  Two gates sharing a wire commute
+# there when both are diagonal on it or both are CNOT targets on it.
+_DIAGONAL, _TARGET, _OTHER = range(3)
+_WIRE_KINDS = {"RZ": (_DIAGONAL,), "CZ": (_DIAGONAL, _DIAGONAL), "CNOT": (_DIAGONAL, _TARGET)}
+_by_key = (np.empty((0, 2), np.int32), np.empty((0, 2), np.int32), np.empty(0, np.int32))
+
+
+def _key_table() -> tuple[np.ndarray, ...]:
+    """Per key of ``_KEYS``, extended as keys are added: the gate's qubits
+    and its kind on each, as rows of two (-1 where a gate has no second
+    qubit), and its partner key (-1 for none)."""
+    global _by_key
+    if len(_by_key[0]) != len(_KEYS):
+        rows = []
+        for kind, qubits in _KEYS:  # in key order: a key is its insertion index
+            wires = _WIRE_KINDS.get(kind, (_OTHER, _OTHER)[:len(qubits)])
+            rows.append((*qubits, -1)[:2] + (*wires, -1)[:2]
+                        + (_KEYS.get((GATE_KINDS[kind][1], qubits), -1),))
+        table = np.array(rows, np.int32)
+        _by_key = (table[:, :2].copy(), table[:, 2:4].copy(), table[:, 4].copy())
+    return _by_key
+
+
+# Gates per table block, and gates after a block that its table also reads.
+# Larger blocks save numpy calls but raise the peak: at 8,192 gates the
+# synthetic-compile process's peak RSS rose by about 3 MB.
+_BLOCK = 1 << 12
+_LOOKAHEAD = 1 << 9
+
+
+def _stops(seg: list[tuple], window: int | None) -> tuple[array, bytearray]:
+    """Each gate's stop, and a flag on each gate that can cancel.
+
+    A gate's stop is the index of the first later gate on its wires that is
+    its partner or does not commute with it: on some shared wire the two
+    are not both diagonal and not both CNOT targets.  -1 means no such gate
+    up to the end, or a gate without a partner; -2 means a partner that
+    ``window`` does not reach, or no stop inside the gate's block and its
+    lookahead.  A gate is flagged when its stop is its partner or -2.
+    """
+    qubits, kinds, partners = _key_table()
+    n = len(seg)
+    table, flags = array("i", [0]) * n, bytearray(n)
+    for a in range(0, n, _BLOCK):
+        k = np.fromiter(map(itemgetter(_KEY), seg[a:a + _BLOCK + _LOOKAHEAD]), np.int32)
+        m, b = len(k), min(_BLOCK, n - a)
+        shift = (2 * m).bit_length()  # an index below 2m fits in the low bits
+        low = (1 << shift) - 1
+        # Incidence 2g + slot is gate g on its first or second wire; sort
+        # them by wire, then by gate.
+        wires = qubits.take(k, 0).ravel()
+        inc = np.flatnonzero(wires >= 0)
+        code = np.sort((wires[inc].astype(np.int64) << shift) | inc)
+        wire, inc = code >> shift, code & low
+        kind = kinds.take(k, 0).ravel()[inc]
+        # A run is a stretch of one wire whose gates are all diagonal or all
+        # CNOT targets there; every other gate is a run of its own.  A
+        # gate's stop on a wire is the first gate of the wire's next run.
+        new = kind == _OTHER
+        new[1:] |= (kind[1:] != kind[:-1]) | (wire[1:] != wire[:-1])
+        new[0] = True
+        after = np.append(np.flatnonzero(new), len(new))[np.cumsum(new)]
+        wire, gate = np.append(wire, -1), np.append(inc >> 1, m)
+        reach = np.full(2 * m, m)  # m: no stop inside the block and its lookahead
+        reach[inc] = np.where(wire[after] == wire[:-1], gate[after], m)
+        stop = np.minimum(reach[0::2], reach[1::2])
+        # A gate that is neither diagonal nor a CNOT target on a wire stops
+        # at the wire's next gate, so only CZ and CNOT can reach a partner
+        # past their wire stops.  Each is its own partner: the next gate
+        # with the same key.
+        code = np.sort((k.astype(np.int64) << shift) | np.arange(m))
+        same = np.flatnonzero(code[1:] >> shift == code[:-1] >> shift)
+        first, second = code[same] & low, code[same + 1] & low
+        stop[first] = np.minimum(stop[first], second)
+        stop, p = stop[:b], partners.take(k[:b])
+        hit = (stop < m) & (k[np.minimum(stop, m - 1)] == p)
+        out = np.where(stop < m, stop + a, -1 if a + m == n else -2)
+        if window is not None:
+            out[hit & (stop - np.arange(b) > window)] = -2
+        out[p < 0] = -1
+        memoryview(table)[a:a + b] = out.astype(np.intc)
+        memoryview(flags)[a:a + b] = (hit | (out == -2)).view(np.uint8)
+    return table, flags
+
+
+def _scan(seg: list[tuple], alive: bytearray, i: int, window: int | None) -> int:
+    """Gate i's stop found by walking the live gates after it, as
+    :func:`_stops` encodes it, with -2 when ``window`` runs out first."""
+    mask, z, x, _, partner, _ = seg[i]
+    rest = compress(range(i + 1, len(seg)), memoryview(alive)[i + 1:])
+    for j in islice(rest, window):
+        h = seg[j]
+        if h[_KEY] == partner:
+            return j
+        # h blocks the scan unless the two commute.
+        shared = mask & h[_MASK]
+        if shared and shared != (z & h[_Z]) | (x & h[_X]):
+            return j
+    return -1 if next(rest, None) is None else -2
+
+
 def _commute_pass(seg: list[tuple], window: int | None) -> list[tuple]:
     """One greedy commute-and-cancel pass; consumes ``seg``.
 
-    ``done`` holds the gates left of the scan position, ``rest`` the gate
-    at it and everything right of it, reversed, so ``rest[-1]`` is the
-    current gate and ``rest[-1 - k]`` the k-th gate after it.
+    Gate i's outcome is read from the stop table: a hit when its stop is
+    its partner.  It holds while the stop is present, since the gates
+    right of i only ever lose members, and every gate deleted between i and
+    its stop was a commuting non-partner.  A stop that has been deleted, or
+    a -2, sends the gate to :func:`_scan`, whose answer replaces its entry.
+
+    A cancelled pair (i, s) is never the stop of a live gate right of i:
+    such a gate commutes with i on their shared wires, so with s, which acts
+    on them as i does.  So only gates the scan has passed can lose their
+    stop, and it meets them again only by stepping back.  The forward scan
+    therefore visits only the flagged gates; after a cancellation it steps
+    back to the nearest live gate, as the greedy scan does.  A pass with no
+    flag cancels nothing.
     """
-    rest = seg
-    rest.reverse()
-    done: list[tuple] = []
-    while rest:
-        g = rest[-1]
-        partner = g[_PARTNER]
-        hit = -1
-        if partner is not None:
-            mask, z, x = g[_MASK], g[_Z], g[_X]
-            it = reversed(rest)
-            next(it)
-            for h in islice(it, window):
-                if h[_KEY] == partner:
-                    hit = length_hint(it)  # the index of h in rest
-                    break
-                # h blocks the scan unless the two commute.
-                shared = mask & h[_MASK]
-                if shared and shared != (z & h[_Z]) | (x & h[_X]):
-                    break
-        if hit < 0:
-            done.append(rest.pop())
-        else:
-            del rest[hit]
-            rest.pop()
-            if done:
-                rest.append(done.pop())
-    return done
+    stop, flag = _stops(seg, window)
+    if 1 not in flag:
+        return seg
+    alive = bytearray(b"\1") * len(seg)
+    for i in compress(range(len(seg)), flag):
+        while i >= 0 and alive[i]:
+            s = stop[i]
+            if s == -2 or s >= 0 and not alive[s]:
+                s = stop[i] = _scan(seg, alive, i, window)
+            if s < 0 or seg[s][_KEY] != seg[i][_PARTNER]:
+                break
+            alive[i] = alive[s] = 0
+            i = alive.rfind(1, 0, i)
+    return list(compress(seg, alive))
 
 
 @dataclass

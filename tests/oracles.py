@@ -388,6 +388,30 @@ def _reference_commute_pass(gates: list[Gate], window: int | None) -> list[Gate]
     return gates
 
 
+def reference_stops(gates: list[Gate], window: int | None, block: int,
+                    lookahead: int) -> list[int]:
+    """Each gate's stop by a direct forward scan, encoded as the optimizer's
+    stop table: the index of the first later gate that is the gate's partner
+    or does not commute with it; -1 for none up to the end or no partner;
+    -2 for a partner farther than ``window``, or for no stop before the end
+    of the gate's ``block``-gate block and its ``lookahead`` gates."""
+    out = []
+    for i, g in enumerate(gates):
+        partner = reference_partner(g)
+        reach = min(len(gates), i // block * block + block + lookahead)
+        stop = None if partner is None else next(
+            (j for j in range(i + 1, reach)
+             if gates[j] == partner or not reference_commute(g, gates[j])), None)
+        if partner is None or stop is None and reach == len(gates):
+            out.append(-1)
+        elif stop is None or (gates[stop] == partner and window is not None
+                              and stop - i > window):
+            out.append(-2)
+        else:
+            out.append(stop)
+    return out
+
+
 def _reference_segments(c: Circuit, cross_step: bool) -> list[list[Gate]]:
     """The gates cut at the seams of the circuit's equal steps, or uncut."""
     gates = list(c.gates)
@@ -489,7 +513,10 @@ def reference_parse_circuit(text: str) -> Circuit:
                 raise ValueError(f"{kind} takes {_REF_FIELDS[kind] - 1} operands, "
                                  f"got {len(fields) - 1}")
             if kind == "RZ":
-                gates.append(Gate("RZ", (qubit(fields[1]),), float(fields[2])))
+                q, angle = qubit(fields[1]), float(fields[2])
+                if not math.isfinite(angle):
+                    raise ValueError(f"RZ angle {fields[2]!r} is not finite")
+                gates.append(Gate("RZ", (q,), angle))
             else:
                 gates.append(Gate(kind, tuple(qubit(f) for f in fields[1:])))
     except ValueError as exc:

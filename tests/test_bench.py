@@ -428,6 +428,7 @@ class TestCli:
         ("map", "empty-ms2.fcidump", "line 1: MS2 must be an integer, got ''"),
         ("map", "nan.fcidump", "line 3: value 'nan' is not finite"),
         ("compile", "nan.terms", "line 2: coefficient '(nan,0.0)' makes a non-finite sum"),
+        ("optimize", "nan.circ", "line 3: RZ angle 'nan' is not finite"),
         ("trotter-error", "parity.fcidump", "no sector has NELEC=3, MS2=0 in NORB=2 orbitals: "
          "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
         ("trotter-error", "spin.fcidump", "no sector has NELEC=1, MS2=3 in NORB=2 orbitals: "
@@ -437,8 +438,8 @@ class TestCli:
     ], ids=["missing-file", "malformed", "above-map-limit", "above-matrix-limit",
             "map-malformed", "map-missing-file", "compile-missing-file",
             "optimize-missing-file", "map-negative-norb", "map-empty-norb",
-            "map-empty-nelec", "map-empty-ms2", "map-nan", "compile-nan", "sector-parity",
-            "sector-ms2-above-nelec", "sector-above-norb"])
+            "map-empty-nelec", "map-empty-ms2", "map-nan", "compile-nan", "optimize-nan",
+            "sector-parity", "sector-ms2-above-nelec", "sector-above-norb"])
     def test_bad_input_is_one_line(self, command, spec, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write_impossible_sectors(tmp_path)
@@ -449,6 +450,7 @@ class TestCli:
         (tmp_path / "empty-ms2.fcidump").write_text("&FCI NORB=2,NELEC=2,MS2=,\n&END\n")
         (tmp_path / "nan.fcidump").write_text("&FCI NORB=2,NELEC=2,\n&END\n nan 1 1 0 0\n")
         (tmp_path / "nan.terms").write_text("(0.5,0.0) X0\n(nan,0.0) Y0\n")
+        (tmp_path / "nan.circ").write_text("QUBITS 1 ANCILLA 0\nH 0\nRZ 0 nan\nH 0\n")
         # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map limit.
         (tmp_path / "big.fcidump").write_text("&FCI NORB=33,NELEC=2,MS2=0,\n&END\n"
                                               " 0.5   1   1   0   0\n")
@@ -505,7 +507,8 @@ class TestCli:
 
     def test_register_above_map_limit_is_one_line(self, tmp_path, monkeypatch):
         # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map
-        # limit; the check comes before the Hamiltonian is built.
+        # limit; the check comes before the Hamiltonian is built, and for a
+        # synthetic spec before its integrals are made.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "big.fcidump").write_text("&FCI NORB=33,NELEC=2,MS2=0,\n&END\n"
                                               " 0.5   1   1   0   0\n 1.0   0   0   0   0\n")
@@ -513,7 +516,11 @@ class TestCli:
         def build_hamiltonian(ints):
             raise AssertionError("built a Hamiltonian above the map limit")
 
+        def synthetic_integrals(*args):
+            raise AssertionError("made synthetic integrals above the map limit")
+
         monkeypatch.setattr(fermion, "build_hamiltonian", build_hamiltonian)
+        monkeypatch.setattr(fermion, "synthetic_integrals", synthetic_integrals)
         for spec in ("big.fcidump", "synthetic:n=33"):
             for command in ("map", "trotter-error"):
                 r = CliRunner().invoke(main, [command, spec])

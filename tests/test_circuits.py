@@ -279,6 +279,12 @@ class TestSerialization:
         back = parse_circuit(text)
         assert back.gates == circ.gates and back.n_steps == 1
 
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_is_an_error(self, angle):
+        with pytest.raises(ValueError) as err:
+            parse_circuit(f"QUBITS 1 ANCILLA 0\nH 0\nRZ 0 {angle}\n")
+        assert str(err.value) == f"line 3: RZ angle '{angle}' is not finite"
+
     def test_both_zero_signs_written(self):
         text = format_circuit(Circuit.from_gates(1, [RZ(0, 0.0), RZ(0, -0.0)]))
         assert text == "QUBITS 1 ANCILLA 0\nRZ 0 0.0\nRZ 0 -0.0\n"
@@ -286,10 +292,11 @@ class TestSerialization:
         assert [math.copysign(1.0, g.angle) for g in back.gates] == [1.0, -1.0]
 
 
+# A circuit file holds finite angles only (TestSerialization.test_non_finite_angle_is_an_error).
 _ANGLES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                     math.inf, -math.inf, 0.1 + 1e-17, -1.2345678901234567]),
-    st.floats(allow_nan=False))
+                     1.7976931348623157e308, 0.1 + 1e-17, -1.2345678901234567]),
+    st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite

@@ -1,13 +1,21 @@
 """Peephole optimizer: rule soundness, exactness and step-seam discipline."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermiqc.circuits import (CNOT, CZ, RZ, SYNTHESIS_MODES, YB, YBD, Circuit, Gate, H, X,
-                              count_gates, parse_circuit, synthesize_plan)
+import fermiqc
+from fermiqc import optimizer
+from fermiqc.circuits import (_KEY, _KEYS, _PARTNER, CNOT, CZ, RZ, SYNTHESIS_MODES, YB, YBD,
+                              Circuit, Gate, H, X, _clifford, _rz, count_gates, parse_circuit,
+                              synthesize_plan)
 from fermiqc.optimizer import (LEVELS, OptimizationReport, cancel_adjacent,
                                commute_and_cancel, optimize, run_level)
 from fermiqc.pauli import QubitOperator
@@ -16,7 +24,7 @@ from fermiqc.trotter import OrderingStrategy, plan_for
 from oracles import (circuit_unitary, pauli, random_pauli_string, random_plan,
                      reference_cancel_adjacent, reference_commute,
                      reference_commute_and_cancel, reference_gate_counts, reference_optimize,
-                     reference_partner, reference_synthesize_plan, stepped)
+                     reference_partner, reference_stops, reference_synthesize_plan, stepped)
 
 
 def gate_unitary(g: Gate, n: int) -> np.ndarray:
@@ -85,6 +93,18 @@ class TestCancelAdjacent:
     def test_rz_never_cancelled(self):
         c = Circuit.from_gates(1, [RZ(0, 0.5), RZ(0, -0.5)])
         assert len(cancel_adjacent(c).gates) == 2
+
+    def test_rz_keys(self):
+        # One key per RZ qubit, never a Clifford's partner, so no RZ pairs up.
+        rz = [_rz(q)[_KEY] for q in range(4)]
+        assert rz == [_KEYS[("RZ", (q,))] for q in range(4)] and len(set(rz)) == 4
+        assert all(_rz(q)[_PARTNER] is None for q in range(4))
+        partners = {_clifford(g.kind, g.qubits)[_PARTNER] for g in all_gates(4)
+                    if g.kind != "RZ"}
+        assert not partners & set(rz)
+        gates = [RZ(q, a) for q in range(4) for a in (0.5, -0.5, 0.5)]
+        c = Circuit.from_gates(4, gates + [H(0), RZ(0, 0.1), RZ(0, 0.1), H(0)])
+        assert [g.kind for g in cancel_adjacent(c).gates].count("RZ") == 14
 
     def test_yb_pair_order_irrelevant(self):
         c = Circuit.from_gates(1, [YBD(0), YB(0)])
@@ -281,3 +301,74 @@ class TestSafety:
         rz = [g for g in circ.gates if g.kind == "RZ"]
         assert [g for g in out.gates if g.kind == "RZ"] == rz
         assert is_subsequence(out.gates, circ.gates)
+
+
+@st.composite
+def gate_lists(draw, max_qubits: int = 5, max_gates: int = 40) -> Circuit:
+    """One-step circuits of 1-5 qubits, with an ancilla or not."""
+    n, ancilla = draw(st.integers(1, max_qubits)), draw(st.booleans())
+    width = n + ancilla
+    kinds = ["H", "X", "YB", "YBD", "RZ"] + (["CNOT", "CZ"] if width > 1 else [])
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind, a = draw(st.sampled_from(kinds)), draw(st.integers(0, width - 1))
+        if kind in ("CNOT", "CZ"):
+            b = draw(st.integers(0, width - 2))
+            gates.append(Gate(kind, (a, b + (b >= a))) if kind == "CNOT" else CZ(a, b + (b >= a)))
+        else:
+            gates.append(RZ(a, 0.5) if kind == "RZ" else Gate(kind, (a,)))
+    return Circuit.from_gates(n, gates, ancilla)
+
+
+class TestStopTable:
+    """The commute pass reads each gate's outcome from ``_stops`` and
+    rescans only where the table's answer may have changed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gate_lists(), st.sampled_from([None, 0, 1, 2, 5]),
+           st.sampled_from([(1 << 14, 1 << 11), (4, 2), (3, 0), (1, 1)]))
+    def test_matches_direct_scan(self, circ, window, blocks):
+        block, lookahead = blocks
+        with mock.patch.multiple(optimizer, _BLOCK=block, _LOOKAHEAD=lookahead):
+            table, flags = optimizer._stops(list(circ.entries), window)
+        gates = list(circ.gates)
+        want = reference_stops(gates, window, block, lookahead)
+        assert list(table) == want
+        assert list(flags) == [s == -2 or s >= 0 and gates[s] == reference_partner(g)
+                               for g, s in zip(gates, want)]
+
+    def test_deleted_stop_is_rescanned(self):
+        # The CNOT's stop is the first H on its target.  That H cancels with
+        # the second one through the RZ; the scan steps back to the CNOT,
+        # whose stop is gone, and the rescan reaches its partner.
+        c = Circuit.from_gates(3, [CNOT(0, 1), H(1), RZ(0, 0.3), X(2), H(1), CNOT(0, 1)])
+        table, flags = optimizer._stops(list(c.entries), None)
+        assert (list(table), list(flags)) == ([1, 4, -1, -1, 5, -1], [0, 1, 0, 0, 0, 0])
+        scanned = []
+
+        def scan(seg, alive, i, window):
+            scanned.append(i)
+            return rescan(seg, alive, i, window)
+
+        rescan = optimizer._scan
+        with mock.patch.object(optimizer, "_scan", scan):
+            out = optimize(c)
+        assert scanned == [0]
+        assert out.gates == reference_optimize(c).gates == (RZ(0, 0.3), X(2))
+
+    def test_quiet_round_is_one_table(self):
+        # Nothing cancels: the pass returns without walking the gates.
+        c = Circuit.from_gates(2, [H(0), CNOT(0, 1), H(0), RZ(1, 0.2), CNOT(0, 1)])
+        table, flags = optimizer._stops(list(c.entries), None)
+        assert (list(table), list(flags)) == ([1, 2, 4, -1, -1], [0] * 5)
+        with mock.patch.object(optimizer, "_scan", side_effect=AssertionError):
+            assert optimize(c).gates == c.gates
+
+    def test_empty_circuit_before_any_key(self):
+        # In a fresh process no gate has a key yet, so the key table is empty.
+        script = ("from fermiqc.circuits import Circuit; from fermiqc.optimizer import optimize; "
+                  "print(len(optimize(Circuit(0, [], [])).entries))")
+        env = {**os.environ, "PYTHONPATH": str(Path(fermiqc.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout == "0\n"

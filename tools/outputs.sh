@@ -90,6 +90,16 @@ cp "$out/compile-magnitude-canonical.out" "$work/lih.circ"
 for level in full cancel none; do
     run "optimize-$level" optimize lih.circ --optimize "$level"
 done
+# A window sends far partners back to a gate-by-gate scan.
+for window in 0 3; do
+    run "optimize-window$window" optimize lih.circ --window "$window"
+done
+# Two lex files: on the ancilla wire, long runs of CNOT targets; in the canonical
+# one, cascades that step back onto gates whose stop is gone (1,697 rescans).
+for mode in ancilla canonical; do
+    cp "$out/compile-lex-$mode.out" "$work/lih-lex-$mode.circ"
+    run "optimize-lex-$mode" optimize "lih-lex-$mode.circ"
+done
 
 run bench-fixtures bench "$fixtures/h2_sto3g.fcidump" "$fixtures/h2_631g.fcidump" \
     "$fixtures/lih_sto3g.fcidump" --orderings magnitude,lex,lexomag,random:7 \
@@ -152,4 +162,6 @@ run optimize-identity optimize identity.circ
 printf '  # note\nQUBITS 2 ANCILLA 0\n\t# note\nH 0\n   #\nH 0\nCNOT 0 1\n' >"$work/comments.circ"
 run optimize-comments optimize comments.circ
 run bad-optimize-negative-qubits optimize neg.circ
+printf 'QUBITS 1 ANCILLA 0\nH 0\nRZ 0 nan\nH 0\n' >"$work/nan.circ"
+run bad-optimize-nan optimize nan.circ
 run bad-optimize-ancilla optimize anc.circ
