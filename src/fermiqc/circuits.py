@@ -46,39 +46,43 @@ class Gate:
             raise ValueError(f"{self.kind} on negative qubit {min(self.qubits)}")
         if (self.kind == "RZ") != (self.angle is not None):
             raise ValueError("angle given exactly for RZ")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"RZ angle '{self.angle}' is not finite")
         if self.kind == "CZ" and self.qubits[0] > self.qubits[1]:
             object.__setattr__(self, "qubits", self.qubits[::-1])
 
 
 # Fields of an encoded entry.  The Z mask holds the qubits on which the gate
 # is diagonal (RZ, CZ, CNOT control), the X mask a CNOT's target.
-_MASK, _Z, _X, _KEY, _PARTNER, _GATE = range(6)
+_MASK, _Z, _X, _KEY, _PARTNER, _GATE, _LINE = range(7)
 _KEYS: dict[tuple[str, tuple[int, ...]], int] = {}  # (kind, qubits) -> key
 
 
 @cache
 def _clifford(kind: str, qubits: tuple[int, ...]) -> tuple:
-    """The shared entry (qubit mask, Z mask, X mask, key, partner key, Gate)
-    of a Clifford (kind, qubits); its Gate is built and validated once."""
+    """The shared entry (qubit mask, Z mask, X mask, key, partner key, Gate,
+    file line) of a Clifford (kind, qubits); its Gate is built and validated
+    once."""
     g = Gate(kind, qubits)
     mask = sum(1 << q for q in qubits)
     z, x = ((1 << qubits[0], 1 << qubits[1]) if kind == "CNOT"
             else (mask if kind == "CZ" else 0, 0))
     key = _KEYS.setdefault((kind, qubits), len(_KEYS))
     partner = _KEYS.setdefault((GATE_KINDS[kind][1], qubits), len(_KEYS))
-    return mask, z, x, key, partner, g
+    return mask, z, x, key, partner, g, f"{kind} {' '.join(map(str, g.qubits))}"
 
 
 @cache
 def _rz(q: int) -> tuple:
     """The entry of every RZ on qubit q: its own key ``("RZ", (q,))``, so
-    the optimizer's per-key table knows its wire, but no partner and no
-    angle.  No Clifford's partner key is an RZ key, so an RZ never cancels."""
-    return 1 << q, 1 << q, 0, _KEYS.setdefault(("RZ", (q,)), len(_KEYS)), None, None
+    the optimizer's per-key table knows its wire, but no partner, angle or
+    line.  No Clifford's partner key is an RZ key, so an RZ never cancels."""
+    return 1 << q, 1 << q, 0, _KEYS.setdefault(("RZ", (q,)), len(_KEYS)), None, None, None
 
 
-def _entry(g: Gate) -> tuple:
-    return _clifford(g.kind, g.qubits) if g.angle is None else _rz(g.qubits[0])
+def _entry(kind: str, qubits: tuple[int, ...]) -> tuple:
+    """The entry of a gate (kind, qubits), or of the key of that name."""
+    return _rz(qubits[0]) if kind == "RZ" else _clifford(kind, qubits)
 
 
 def H(q: int) -> Gate:
@@ -132,7 +136,7 @@ class Circuit:
         for g in gates:
             if max(g.qubits) >= width:
                 raise ValueError(f"gate {g} outside register of width {width}")
-        return cls(n_qubits, [_entry(g) for g in gates],
+        return cls(n_qubits, [_entry(g.kind, g.qubits) for g in gates],
                    [g.angle for g in gates if g.angle is not None], 1, ancilla)
 
     @property
@@ -303,20 +307,9 @@ def format_circuit(c: Circuit) -> str:
 
     Step seams are not written, so a circuit read back has one step.
     """
-    # A Clifford entry is shared, so its line is built once and kept under
-    # its id; the interned entries stay alive.
-    clifford: dict[int, str] = {}
     rz = iter(c.angles)
     lines = [f"QUBITS {c.n_qubits} ANCILLA {1 if c.ancilla else 0}"]
-    for e in c.entries:
-        g = e[_GATE]
-        if g is None:
-            line = f"RZ {e[_MASK].bit_length() - 1} {next(rz)!r}"
-        else:
-            line = clifford.get(id(e))
-            if line is None:
-                line = clifford[id(e)] = f"{g.kind} {' '.join(map(str, g.qubits))}"
-        lines.append(line)
+    lines += [e[_LINE] or f"RZ {e[_MASK].bit_length() - 1} {next(rz)!r}" for e in c.entries]
     lines += lines[1:] * (c.n_steps - 1)
     lines.append("")  # the final newline, without a copy of the joined text
     return "\n".join(lines)
@@ -337,10 +330,7 @@ def _parse_gate(fields: list[str], width: int) -> Gate:
     if len(fields) - 1 != operands:
         raise ValueError(f"{kind} takes {operands} operands, got {len(fields) - 1}")
     if kind == "RZ":
-        q, angle = _qubit(fields[1], width), float(fields[2])
-        if not math.isfinite(angle):
-            raise ValueError(f"RZ angle {fields[2]!r} is not finite")
-        return RZ(q, angle)
+        return RZ(_qubit(fields[1], width), float(fields[2]))
     qubits = tuple(_qubit(f, width) for f in fields[1:])
     return CZ(*qubits) if kind == "CZ" else _clifford(kind, qubits)[_GATE]
 
@@ -377,7 +367,7 @@ def parse_circuit(text: str) -> Circuit:
                 if not ln or ln[0] == "#":
                     continue
                 g = _parse_gate(ln.split(), n_qubits + ancilla)
-                hit = seen[ln] = (_entry(g), g.angle)
+                hit = seen[ln] = (_entry(g.kind, g.qubits), g.angle)
             entries.append(hit[0])
             if hit[1] is not None:
                 angles.append(hit[1])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -65,8 +66,14 @@ def _ordering_option(fn):
 
 _orderings_option = click.option("--orderings", default=None,
                                  help="Comma-separated list overriding --ordering.")
+def _finite(ctx, param, value: float) -> float:
+    if not math.isfinite(value):  # FloatRange lets nan and inf through
+        raise click.BadParameter(f"{value} is not finite")
+    return value
+
+
 _time_option = click.option("--time", "time_", type=click.FloatRange(0, min_open=True),
-                            default=1.0, show_default=True)
+                            default=1.0, show_default=True, callback=_finite)
 _optimize_option = click.option("--optimize", "level", type=click.Choice(optimizer.LEVELS),
                                 default="full", show_default=True)
 _output_option = click.option("-o", "--output", default=None, help="Output file (default stdout).")

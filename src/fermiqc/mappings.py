@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fermion import FermionOperator, ResourceLimitError
-from .pauli import DEFAULT_TOL, QubitOperator
+from .pauli import DEFAULT_TOL, I_POWERS, QubitOperator
 
 
 class MappingScheme(str, Enum):
@@ -121,7 +121,6 @@ def _ladder_images(n: int, scheme: MappingScheme):
 
 MAP_MODE_LIMIT = 64  # X and Z masks are uint64 arrays
 _CHUNK = 16384  # entries expanded at once, in whole X-mask groups
-_Y_PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])  # X^x Z^z = (-i)^{#Y} * Pauli string
 
 
 def check_map_limit(n_modes: int) -> None:
@@ -177,7 +176,7 @@ def map_operator(op: FermionOperator, scheme: MappingScheme) -> QubitOperator:
     if ident.any():
         constant += complex(coeff[ident][0])
     keep = ~ident
-    # The keys are distinct; `+ 0.0`, as in add_term, turns -0.0 parts into +0.0.
+    # The keys are distinct; `+ 0.0`, as in parse_terms, turns -0.0 parts into +0.0.
     return QubitOperator(n, constant=constant, arrays=(x[keep], z[keep], coeff[keep] + 0.0))
 
 
@@ -217,7 +216,7 @@ def _expand_chunk(imgs, coeffs, starts, modes, dagger, adjoint, xmask, first_ent
     sums = np.zeros(np.count_nonzero(new), dtype=complex)
     np.add.at(sums, np.cumsum(new) - 1, c_all[o])  # entry order within each key
     x, z = xs[new], zs[new]
-    coeff = sums * _Y_PHASES[np.bitwise_count(x & z) & 3]
+    coeff = sums * I_POWERS[-np.bitwise_count(x & z) & 3]  # X^x Z^z = (-i)^{#Y} P
     first = (np.repeat(first_entry[prods] - loc[:-1], size) + np.arange(loc[-1]))[o[new]]
     keep = (np.abs(coeff) > DEFAULT_TOL) | (x == 0) & (z == 0)
     return x[keep], z[keep], coeff[keep], first[keep]

@@ -13,9 +13,9 @@ inverse partner reachable through commuting gates, and step back one gate
 after every cancellation.
 
 The passes read a circuit's encoded form (``Circuit.entries``): one shared
-entry (qubit mask, Z mask, X mask, key, partner key, gate) per Clifford
-(kind, qubits) and per RZ qubit.  Two gates commute when every qubit they
-share is Z for both or X for both.  Step seams come from
+entry (qubit mask, Z mask, X mask, key, partner key, gate, file line) per
+Clifford (kind, qubits) and per RZ qubit.  Two gates commute when every
+qubit they share is Z for both or X for both.  Step seams come from
 ``Circuit.n_steps`` alone: without ``cross_step`` the steps are equal, so
 one step is optimized and the result repeated; with it the steps are
 optimized as one list.
@@ -40,7 +40,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .circuits import _KEY, _KEYS, _MASK, _PARTNER, _X, _Z, GATE_KINDS, Circuit
+from .circuits import _KEY, _KEYS, _MASK, _PARTNER, _X, _Z, Circuit, _entry
 
 
 def _cancel_adjacent_pass(seg: list[tuple]) -> None:
@@ -55,24 +55,24 @@ def _cancel_adjacent_pass(seg: list[tuple]) -> None:
     del seg[top:]
 
 
-# How a gate acts on each of its wires.  Two gates sharing a wire commute
-# there when both are diagonal on it or both are CNOT targets on it.
-_DIAGONAL, _TARGET, _OTHER = range(3)
-_WIRE_KINDS = {"RZ": (_DIAGONAL,), "CZ": (_DIAGONAL, _DIAGONAL), "CNOT": (_DIAGONAL, _TARGET)}
 _by_key = (np.empty((0, 2), np.int32), np.empty((0, 2), np.int32), np.empty(0, np.int32))
 
 
 def _key_table() -> tuple[np.ndarray, ...]:
     """Per key of ``_KEYS``, extended as keys are added: the gate's qubits
     and its kind on each, as rows of two (-1 where a gate has no second
-    qubit), and its partner key (-1 for none)."""
+    qubit), and its partner key (-1 for none), all read from its entry.  A
+    wire's kind is its Z bit plus twice its X bit: 1 diagonal, 2 CNOT
+    target, 0 other; gates commute on a wire where their kinds are equal
+    and not 0."""
     global _by_key
     if len(_by_key[0]) != len(_KEYS):
         rows = []
         for kind, qubits in _KEYS:  # in key order: a key is its insertion index
-            wires = _WIRE_KINDS.get(kind, (_OTHER, _OTHER)[:len(qubits)])
+            _, z, x, _, partner, _, _ = _entry(kind, qubits)
+            wires = [(z >> q & 1) | (x >> q & 1) << 1 for q in qubits]
             rows.append((*qubits, -1)[:2] + (*wires, -1)[:2]
-                        + (_KEYS.get((GATE_KINDS[kind][1], qubits), -1),))
+                        + (-1 if partner is None else partner,))
         table = np.array(rows, np.int32)
         _by_key = (table[:, :2].copy(), table[:, 2:4].copy(), table[:, 4].copy())
     return _by_key
@@ -113,7 +113,7 @@ def _stops(seg: list[tuple], window: int | None) -> tuple[array, bytearray]:
         # A run is a stretch of one wire whose gates are all diagonal or all
         # CNOT targets there; every other gate is a run of its own.  A
         # gate's stop on a wire is the first gate of the wire's next run.
-        new = kind == _OTHER
+        new = kind == 0
         new[1:] |= (kind[1:] != kind[:-1]) | (wire[1:] != wire[:-1])
         new[0] = True
         after = np.append(np.flatnonzero(new), len(new))[np.cumsum(new)]
@@ -143,7 +143,7 @@ def _stops(seg: list[tuple], window: int | None) -> tuple[array, bytearray]:
 def _scan(seg: list[tuple], alive: bytearray, i: int, window: int | None) -> int:
     """Gate i's stop found by walking the live gates after it, as
     :func:`_stops` encodes it, with -2 when ``window`` runs out first."""
-    mask, z, x, _, partner, _ = seg[i]
+    mask, z, x, _, partner, _, _ = seg[i]
     rest = compress(range(i + 1, len(seg)), memoryview(alive)[i + 1:])
     for j in islice(rest, window):
         h = seg[j]

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 DEFAULT_TOL = 1e-12
+I_POWERS = np.array([1, 1j, -1, -1j])  # i^k: a string with k Ys is i^k X^x Z^z (Y = iXZ)
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,18 +35,6 @@ class PauliString:
         mask = (1 << self.n) - 1
         if self.x & ~mask or self.z & ~mask:
             raise ValueError("axis bits outside the register")
-
-    @classmethod
-    def from_ops(cls, n: int, ops: Iterable[tuple[int, str]]) -> "PauliString":
-        """Build from (qubit, axis-letter) pairs on an n-qubit register."""
-        x = z = 0
-        for q, c in ops:
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} outside register of size {n}")
-            d = "IXYZ".index(c)
-            x |= (d in (1, 2)) << q
-            z |= (d > 1) << q
-        return cls(n, x, z)
 
     @property
     def label(self) -> str:
@@ -85,7 +74,7 @@ class QubitOperator:
     The identity component is held apart as ``constant`` and never enters
     the terms, which are ``arrays()``: distinct, non-identity strings with
     their coefficients.  ``terms`` and ``items()`` build ``PauliString``
-    keys on each read.
+    keys on each read.  Nothing edits an operator after construction.
     """
 
     def __init__(self, n: int, constant: complex = 0.0, arrays: tuple | None = None):
@@ -96,28 +85,6 @@ class QubitOperator:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(X masks, Z masks, coefficients) in term order."""
         return self._arrays
-
-    def add_term(self, coeff: complex, string: PauliString) -> None:
-        """Add ``coeff`` to the string's coefficient, which stays in place
-        unless it sums to zero and leaves; a new string goes last, unless
-        it comes with a zero.  ``0.0 + c`` turns -0.0 parts into +0.0."""
-        if string.n != self.n:
-            raise ValueError(f"string on {string.n} qubits, register is {self.n}")
-        if not string.x | string.z:
-            self.constant += coeff
-            return
-        x, z, c = self._arrays
-        at = np.flatnonzero((x == string.x) & (z == string.z))  # at most one term
-        new = (c[at].item() if len(at) else 0.0) + coeff
-        if len(at) and new != 0:
-            c = c.copy()
-            c[at] = new
-            self._arrays = x, z, c
-        else:
-            xs, zs, cs = (np.delete(a, at).tolist() for a in (x, z, c))
-            if new != 0:
-                xs, zs, cs = xs + [string.x], zs + [string.z], cs + [new]
-            self._arrays = _term_arrays(self.n, xs, zs, cs)
 
     @property
     def terms(self) -> dict[PauliString, complex]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fermion import IntegralSet, ResourceLimitError
 from .mappings import MappingScheme, basis_permutation
-from .pauli import QubitOperator
+from .pauli import I_POWERS, QubitOperator
 from .trotter import TrotterPlan
 
 if TYPE_CHECKING:
@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 OPERATOR_QUBIT_LIMIT = 16
 _HERMITIAN_TOL = 1e-10  # max |m - m^H| that ground_state accepts
 _RESIDUAL_TOL = 1e-9  # max |m v - E v| of the returned eigenpair
-_I_POWERS = (1.0, 1.0j, -1.0, -1.0j)  # i^ny, the phase of P = i^ny X^x Z^z (Y = iXZ)
 
 
 class EigensolverError(RuntimeError):
@@ -82,7 +81,7 @@ def operator_matrix(op: QubitOperator, basis: np.ndarray | None = None) -> sp.cs
     dim = len(cols)
     groups: dict[int, list[tuple[int, complex]]] = {0: []}  # x = 0 holds the constant
     for x, z, c in zip(*(a.tolist() for a in op.arrays())):
-        groups.setdefault(x, []).append((z, c * _I_POWERS[(x & z).bit_count() % 4]))
+        groups.setdefault(x, []).append((z, c * I_POWERS[(x & z).bit_count() % 4]))
     rows, nz_cols, data = [], [], []
     for x, terms in groups.items():
         diag = np.full(dim, op.constant if x == 0 else 0j)
@@ -222,7 +221,7 @@ def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
 
     table = [(perms[x], signs(rows, z, (z & x).bit_count() & 1), signs(cols, z, 0),
               math.cos(0.5 * theta),
-              -1j * math.sin(0.5 * theta) * _I_POWERS[(x & z).bit_count() % 4])
+              -1j * math.sin(0.5 * theta) * I_POWERS[(x & z).bit_count() % 4])
              for x, z, theta in zip(xs, zs, plan.angles())]
     reached = (reps[:, None] ^ span).ravel()
     psi = state[reached].astype(complex, copy=False)

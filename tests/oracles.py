@@ -6,7 +6,8 @@ gate-by-gate circuit unitary, a term ordering over (string, coefficient)
 pairs, per-term Gate lists for Trotter circuits, a plain list-based
 peephole optimizer, gate-by-gate circuit-file loops, term-by-term
 simulator loops, a nested-loop Hamiltonian construction and its
-normal-ordered merge, a dictionary-based fermion-to-qubit expansion) so
+normal-ordered merge, a dictionary-based fermion-to-qubit expansion, a
+dictionary sum of (coefficient, string) pairs into a qubit operator) so
 the package code under test is never used to check itself.
 The package supplies its data types and, to the mapping reference, its
 per-mode ladder images.
@@ -36,6 +37,29 @@ def pauli(label: str) -> PauliString:
     """The string of a label like 'XIZY', qubit 0 first."""
     masks = (sum(1 << q for q, c in enumerate(label) if c in axes) for axes in ("XY", "YZ"))
     return PauliString(len(label), *masks)
+
+
+def qubit_operator(n: int, terms, constant: complex = 0.0) -> QubitOperator:
+    """The operator of (coefficient, PauliString) pairs, summed in a dict as
+    a term file's lines sum: a sum keeps its place, an exact-zero sum leaves,
+    a new string goes last, and ``0.0 + c`` clears -0.0 parts.  Identity
+    strings add to the constant."""
+    acc: dict[tuple[int, int], complex] = {}
+    constant = complex(constant)
+    for c, s in terms:
+        assert s.n == n, (s, n)
+        if not s.x | s.z:
+            constant += c
+            continue
+        new = acc.get((s.x, s.z), 0.0) + c
+        if new == 0:
+            acc.pop((s.x, s.z), None)
+        else:
+            acc[s.x, s.z] = new
+    mask = np.uint64 if n <= 64 else object
+    arrays = (np.array([x for x, _ in acc], dtype=mask), np.array([z for _, z in acc], dtype=mask),
+              np.array(list(acc.values()), dtype=complex))
+    return QubitOperator(n, constant, arrays=arrays)
 
 
 def _digit(s: PauliString, q: int) -> int:
@@ -285,9 +309,9 @@ def reference_gate_counts(gates: list[Gate]) -> GateCounts:
 def random_plan(rng: np.random.Generator, max_qubits: int = 8) -> TrotterPlan:
     """A plan of a few random terms, under a random ordering, time and step count."""
     n = int(rng.integers(1, max_qubits + 1))
-    op = QubitOperator(n, constant=float(rng.normal()))
-    for _ in range(int(rng.integers(1, 9))):
-        op.add_term(float(rng.normal()), random_pauli_string(rng, n))
+    constant = float(rng.normal())
+    op = qubit_operator(n, [(float(rng.normal()), random_pauli_string(rng, n))
+                            for _ in range(int(rng.integers(1, 9)))], constant)
     kind = str(rng.choice(OrderingStrategy.KINDS))
     strategy = OrderingStrategy(kind, int(rng.integers(100)) if kind == "random" else None)
     return plan_for(op, strategy, int(rng.integers(1, 4)), float(rng.uniform(0.1, 2.0)))
@@ -656,14 +680,12 @@ def reference_map_operator(op: FermionOperator, scheme: MappingScheme,
             entries = [(c + c2, x, z) for (c, x, z), (c2, _, _) in zip(entries, mirror)]
         for c, x, z in entries:
             acc[x, z] = acc.get((x, z), 0.0) + c
-    out = QubitOperator(n, constant=op.constant)
+    terms = []
     for (x, z), c in acc.items():
         coeff = c * (1.0, -1.0j, -1.0, 1.0j)[(x & z).bit_count() % 4]
-        if x == 0 and z == 0:
-            out.constant += coeff
-        elif abs(coeff) > tol:
-            out.add_term(coeff, PauliString(n, x, z))
-    return out
+        if not x | z or abs(coeff) > tol:
+            terms.append((coeff, PauliString(n, x, z)))
+    return qubit_operator(n, terms, op.constant)
 
 
 def reference_lex_key(s: PauliString) -> tuple[int, ...]:

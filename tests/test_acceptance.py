@@ -21,12 +21,11 @@ from fermiqc.fermion import build_hamiltonian, synthetic_integrals
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_path, fixture_text
 from fermiqc.mappings import (MappingScheme, basis_permutation, bk_index_sets,
                               bk_matrix, map_operator)
-from fermiqc.pauli import PauliString, QubitOperator
 from fermiqc.simulator import ground_state, operator_matrix, trotter_error
 from fermiqc.trotter import OrderingStrategy, plan_for
 
-from oracles import (circuit_unitary, fock_matrix, pauli_exponential, random_fermion_operator,
-                     random_pauli_string, strip_global_phase)
+from oracles import (circuit_unitary, fock_matrix, pauli, pauli_exponential, qubit_operator,
+                     random_fermion_operator, random_pauli_string, strip_global_phase)
 
 # Evolution time used for all error measurements: well inside the phase
 # branch |E t| < pi for every bundled fixture, with margin.
@@ -113,15 +112,15 @@ def test_criterion_4_circuit_fidelity():
     """All three constructions realize exp(-i theta/2 P) up to global phase."""
     with criterion(4, "circuit fidelity"):
         rng = np.random.default_rng(4)
-        cases = [(PauliString.from_ops(5, [(0, "Y"), (1, "Z"), (3, "Z"), (4, "X")]),
-                  0.3)]
+        cases = [(pauli("YZIZX"), 0.3)]
         # central-rotation parity cases: axis Z or Y on an even or odd
         # central qubit, paired with an even or odd parity qubit
         for axis in ("Z", "Y"):
             for central in (2, 3):
                 for partner in (0, 1):
-                    cases.append((PauliString.from_ops(
-                        4, [(partner, "Z"), (central, axis)]), 0.7))
+                    label = ["I"] * 4
+                    label[partner], label[central] = "Z", axis
+                    cases.append((pauli("".join(label)), 0.7))
         while len(cases) < 209:
             n = int(rng.integers(1, 7))
             cases.append((random_pauli_string(rng, n),
@@ -145,9 +144,8 @@ def test_criterion_5_optimizer_safety_and_trend():
         rng = np.random.default_rng(5)
         for _ in range(200):
             n = int(rng.integers(2, 6))
-            op = QubitOperator(n)
-            for _ in range(int(rng.integers(2, 7))):
-                op.add_term(float(rng.normal()), random_pauli_string(rng, n))
+            op = qubit_operator(n, [(float(rng.normal()), random_pauli_string(rng, n))
+                                    for _ in range(int(rng.integers(2, 7)))])
             plan = plan_for(op, OrderingStrategy("random", int(rng.integers(10000))),
                             int(rng.integers(1, 3)), 0.9)
             mode = SYNTHESIS_MODES[int(rng.integers(0, 3))]

@@ -307,6 +307,10 @@ class TestCli:
         ["bench", "synthetic:n=2,seed=1", "--error", "--time", "0"],
         ["bench", "synthetic:n=2,seed=1", "--time", "-1"],
         ["compile", "t.terms", "--time", "0"],
+        # Nor nan or inf, which would write `RZ q nan` lines or be clamped unseen.
+        *([*cmd, "--time", value] for value in ("nan", "inf")
+          for cmd in (["compile", "t.terms"], ["bench", "synthetic:n=2,seed=1", "--error"],
+                      ["trotter-error", "synthetic:n=2,seed=1"])),
     ])
     def test_time_must_be_positive(self, args):
         r = CliRunner().invoke(main, args)

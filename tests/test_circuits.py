@@ -13,11 +13,11 @@ from fermiqc.circuits import (CNOT, CZ, RZ, YB, YBD, Circuit, Gate, GateCounts, 
                               SYNTHESIS_MODES, count_gates, format_circuit,
                               parse_circuit, synthesize_plan, synthesize_term,
                               term_gate_counts)
-from fermiqc.pauli import PauliString, QubitOperator
+from fermiqc.pauli import PauliString
 from fermiqc.trotter import OrderingStrategy, plan_for
 
 from oracles import (assert_same_up_to_phase, circuit_unitary, pauli, pauli_exponential,
-                     random_pauli_string, random_plan, reference_format_circuit,
+                     qubit_operator, random_pauli_string, random_plan, reference_format_circuit,
                      reference_gate_counts, reference_parse_circuit, reference_synthesize_plan)
 
 def realized_unitary(circ: Circuit) -> np.ndarray:
@@ -149,9 +149,7 @@ class TestTermGateCounts:
 
 class TestSynthesizePlan:
     def make_plan(self, n_steps=1, time=1.0):
-        op = QubitOperator(3)
-        op.add_term(0.5, pauli("XZI"))
-        op.add_term(-0.25, pauli("IYZ"))
+        op = qubit_operator(3, [(0.5, pauli("XZI")), (-0.25, pauli("IYZ"))])
         return plan_for(op, OrderingStrategy("lex"), n_steps, time)
 
     def test_matches_term_product(self):
@@ -201,9 +199,8 @@ class TestTemplates:
                 assert count_gates(got) == reference_gate_counts(want.gates)
 
     def test_shared_table_gives_each_plan_its_angles(self, rng):
-        op = QubitOperator(5)
-        for _ in range(12):
-            op.add_term(float(rng.normal()), random_pauli_string(rng, 5))
+        op = qubit_operator(5, [(float(rng.normal()), random_pauli_string(rng, 5))
+                                for _ in range(12)])
         first = plan_for(op, OrderingStrategy("lex"), 1, 0.5)
         second = plan_for(op, OrderingStrategy("magnitude"), 3, 1.7)
         table: dict = {}
@@ -284,6 +281,9 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             parse_circuit(f"QUBITS 1 ANCILLA 0\nH 0\nRZ 0 {angle}\n")
         assert str(err.value) == f"line 3: RZ angle '{angle}' is not finite"
+        # The gate rejects it, so no Circuit holds one for format_circuit to write.
+        with pytest.raises(ValueError, match=f"^RZ angle '{angle}' is not finite$"):
+            RZ(0, float(angle))
 
     def test_both_zero_signs_written(self):
         text = format_circuit(Circuit.from_gates(1, [RZ(0, 0.0), RZ(0, -0.0)]))
@@ -292,11 +292,11 @@ class TestSerialization:
         assert [math.copysign(1.0, g.angle) for g in back.gates] == [1.0, -1.0]
 
 
-# A circuit file holds finite angles only (TestSerialization.test_non_finite_angle_is_an_error).
 _ANGLES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                     1.7976931348623157e308, 0.1 + 1e-17, -1.2345678901234567]),
-    st.floats(allow_nan=False, allow_infinity=False))
+                     1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                     0.1 + 1e-17, -1.2345678901234567]),
+    st.floats())
 
 
 @st.composite
@@ -314,7 +314,12 @@ def circuits(draw, max_qubits: int = 4, max_gates: int = 30) -> Circuit:
             b = draw(st.integers(0, width - 2))
             gates.append(Gate(kind, (a, b + (b >= a))))
         elif kind == "RZ":
-            gates.append(RZ(a, draw(_ANGLES)))
+            angle = draw(_ANGLES)
+            if math.isfinite(angle):
+                gates.append(RZ(a, angle))
+            else:  # a circuit, and so a circuit file, holds finite angles only
+                with pytest.raises(ValueError, match="^RZ angle '.*' is not finite$"):
+                    RZ(a, angle)
         else:
             gates.append(Gate(kind, (a,)))
     return Circuit.from_gates(n, gates, ancilla=ancilla)

@@ -18,11 +18,10 @@ from fermiqc.circuits import (_KEY, _KEYS, _PARTNER, CNOT, CZ, RZ, SYNTHESIS_MOD
                               synthesize_plan)
 from fermiqc.optimizer import (LEVELS, OptimizationReport, cancel_adjacent,
                                commute_and_cancel, optimize, run_level)
-from fermiqc.pauli import QubitOperator
 from fermiqc.trotter import OrderingStrategy, plan_for
 
-from oracles import (circuit_unitary, pauli, random_pauli_string, random_plan,
-                     reference_cancel_adjacent, reference_commute,
+from oracles import (circuit_unitary, pauli, qubit_operator, random_pauli_string,
+                     random_plan, reference_cancel_adjacent, reference_commute,
                      reference_commute_and_cancel, reference_gate_counts, reference_optimize,
                      reference_partner, reference_stops, reference_synthesize_plan, stepped)
 
@@ -145,8 +144,7 @@ class TestBarriers:
 
     def two_steps(self):
         # Each step is H RZ H, so the two steps meet in an H H pair.
-        op = QubitOperator(1)
-        op.add_term(0.5, pauli("X"))
+        op = qubit_operator(1, [(0.5, pauli("X"))])
         return synthesize_plan(plan_for(op, OrderingStrategy("lex"), 2, 1.0))
 
     def test_confined_by_default(self):
@@ -173,9 +171,8 @@ class TestOptimize:
     def test_preserves_unitary_on_random_plans(self, rng):
         for _ in range(25):
             n = int(rng.integers(2, 5))
-            op = QubitOperator(n)
-            for _ in range(int(rng.integers(2, 6))):
-                op.add_term(float(rng.normal()), random_pauli_string(rng, n))
+            op = qubit_operator(n, [(float(rng.normal()), random_pauli_string(rng, n))
+                                    for _ in range(int(rng.integers(2, 6)))])
             plan = plan_for(op, OrderingStrategy("random", int(rng.integers(1000))),
                             n_steps=int(rng.integers(1, 3)), time=0.8)
             circ = synthesize_plan(plan, rng.choice(["canonical", "basis_shift", "ancilla"]))
@@ -185,9 +182,8 @@ class TestOptimize:
             assert count_gates(opt).total <= count_gates(circ).total
 
     def test_idempotent(self):
-        op = QubitOperator(3)
-        op.add_term(0.5, random_pauli_string(np.random.default_rng(0), 3))
-        op.add_term(-0.3, random_pauli_string(np.random.default_rng(1), 3))
+        op = qubit_operator(3, [(0.5, random_pauli_string(np.random.default_rng(0), 3)),
+                                (-0.3, random_pauli_string(np.random.default_rng(1), 3))])
         circ = synthesize_plan(plan_for(op, OrderingStrategy("lex"), 2, 1.0), "canonical")
         once = optimize(circ)
         twice = optimize(once)

@@ -23,8 +23,6 @@ ENTRY_POINTS = {
     "tests/test_acceptance.py": {
         "synthesize_term": "criterion 4 checks single-term circuits",
         "term_gate_counts": "criterion 6 counts large registers in closed form",
-        "PauliString.from_ops": "criterion 4 builds its hand-picked strings",
-        "QubitOperator.add_term": "criterion 5 builds random operators term by term",
         "bk_matrix": "criterion 2 checks the dense BK matrix, an independent reference",
     },
     "perfbench/spans.py": {

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from fermiqc import pauli
 from fermiqc.pauli import DEFAULT_TOL, PauliString, QubitOperator, lex_order
 
-from oracles import (operator_dense, pauli as pauli_string, reference_format_terms,
-                     reference_lex_key)
+from oracles import (operator_dense, pauli as pauli_string, qubit_operator,
+                     reference_format_terms, reference_lex_key)
 
 labels = st.text("IXYZ", min_size=1, max_size=5)
 
@@ -40,17 +40,9 @@ class TestPauliString:
     def test_axes_roundtrip(self, label):
         s = pauli_string(label)
         assert s.label == label
-        assert PauliString.from_ops(len(label), enumerate(label)) == s
-
-    def test_from_ops(self):
-        s = PauliString.from_ops(4, [(1, "X"), (3, "Z")])
-        assert s.label == "IXIZ"
-        with pytest.raises(ValueError, match="qubit 2 outside register of size 2"):
-            PauliString.from_ops(2, [(2, "X")])
 
     def test_symplectic_encoding(self):
-        s = PauliString.from_ops(4, [(0, "X"), (1, "Y"), (2, "Z")])
-        assert (s.x, s.z) == (0b0011, 0b0110)
+        assert PauliString(4, 0b0011, 0b0110).label == "XYZI"
 
     def test_bits_outside_register_rejected(self):
         with pytest.raises(ValueError):
@@ -109,13 +101,18 @@ _TERM_COEFFS = st.sampled_from([1.0, -1.0, 0.5j, -0.0, 0.25 - 0.5j, 1e-300, 1 / 
 
 @st.composite
 def qubit_operators(draw, max_qubits=70):
-    """Operators built through add_term, the way parse_terms builds them."""
+    """Operators of drawn terms, summed as parse_terms sums a file's lines."""
     n = draw(st.integers(0, max_qubits))
-    op = QubitOperator(n)
     digits = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-    for _ in range(draw(st.integers(0, 8))):
-        op.add_term(draw(_TERM_COEFFS), from_digits(draw(digits)))
-    return op
+    return qubit_operator(n, [(draw(_TERM_COEFFS), from_digits(draw(digits)))
+                              for _ in range(draw(st.integers(0, 8)))])
+
+
+def term_lines(terms) -> str:
+    """Term-file lines of (coefficient, PauliString) pairs, in order."""
+    return "".join(f"({complex(c).real!r},{complex(c).imag!r}) "
+                   + " ".join(f"{a}{q}" for q, a in enumerate(s.label) if a != "I") + "\n"
+                   for c, s in terms)
 
 
 class TestTermFiles:
@@ -141,14 +138,11 @@ class TestTermFiles:
         st.sampled_from([0.5, -0.5, -0.0, complex(-0.0, -0.0), complex(-0.0, 1e-3), 1.0]),
         st.sampled_from(["III", "XII", "IYZ", "ZZZ"])), max_size=12))
     def test_repeated_lines_sum_as_add_term(self, lines):
-        # Repeats, cancellations that come back, identity lines and -0.0 parts.
-        text = "".join(f"({complex(c).real!r},{complex(c).imag!r}) "
-                       + " ".join(f"{a}{q}" for q, a in enumerate(label) if a != "I") + "\n"
-                       for c, label in lines)
-        want = QubitOperator(3)
-        for c, label in lines:
-            want.add_term(complex(c), pauli_string(label))
-        back = pauli.parse_terms(text, n_qubits=3)
+        # Repeats, cancellations that come back, identity lines and -0.0 parts,
+        # summed as the dict oracle sums them.
+        terms = [(complex(c), pauli_string(label)) for c, label in lines]
+        want = qubit_operator(3, terms)
+        back = pauli.parse_terms(term_lines(terms), n_qubits=3)
         forms_agree(back, want)
         assert repr(back.constant) == repr(want.constant)
         assert repr(back.arrays()[2].tolist()) == repr(want.arrays()[2].tolist())
@@ -185,77 +179,53 @@ class TestArrayForm:
     @settings(max_examples=200)
     @given(qubit_operators(), st.data())
     def test_from_arrays_matches_add_term(self, op, data):
-        # Both forms merge as a dictionary does: a sum stays in place, an
-        # exact-zero sum leaves, a zero never enters, a new string goes last,
-        # and `0.0 + c` turns -0.0 parts into +0.0.
-        built = from_arrays_of(op)
-        forms_agree(built, op)
-        want, constant = {(s.x, s.z): c for s, c in op.items()}, op.constant
+        # The array form agrees with the operator it was read from, and a
+        # file of its terms plus drawn lines parses as the dict oracle sums
+        # them: a sum stays in place, an exact-zero sum leaves, a zero never
+        # enters, a new string goes last, and `0.0 + c` turns -0.0 parts
+        # into +0.0.
+        forms_agree(from_arrays_of(op), op)
         digits = st.lists(st.integers(0, 3), min_size=op.n, max_size=op.n)
         pool = [s for s, _ in op.items()] + [PauliString(op.n)]
         pool += [from_digits(data.draw(digits)) for _ in range(2)]
-        for _ in range(data.draw(st.integers(1, 12))):
-            coeff, string = data.draw(_EDGE_COEFFS | _TERM_COEFFS), data.draw(st.sampled_from(pool))
-            for o in (op, built):
-                o.add_term(coeff, string)
-            forms_agree(built, op)
-            key = (string.x, string.z)
-            if key == (0, 0):
-                constant += coeff
-                continue
-            new = want.get(key, 0.0) + coeff
-            if new == 0:
-                want.pop(key, None)
-            else:
-                want[key] = new
-        assert ([(s.x, s.z, repr(c)) for s, c in op.items()]
-                == [(x, z, repr(complex(c))) for (x, z), c in want.items()])
-        assert repr(op.constant) == repr(constant)
-
-    def test_add_term_can_cancel_an_array_term(self):
-        s = pauli_string("XZ")
-        op = QubitOperator(2, arrays=(np.array([s.x], dtype=np.uint64),
-                                      np.array([s.z], dtype=np.uint64), np.array([0.5 + 0j])))
-        op.add_term(-0.5, s)
-        assert len(op) == 0 and op.arrays()[0].tolist() == []
-        assert pauli.format_terms(op) == ""
+        terms = [(op.constant, PauliString(op.n)), *((c, s) for s, c in op.items())]
+        terms += [(data.draw(_EDGE_COEFFS | _TERM_COEFFS), data.draw(st.sampled_from(pool)))
+                  for _ in range(data.draw(st.integers(1, 12)))]
+        want, text = qubit_operator(op.n, terms), term_lines(terms)
+        if not np.isfinite([*want.arrays()[2], want.constant]).all():  # a drawn sum overflowed
+            with pytest.raises(ValueError, match=r"^line \d+: .* makes a non-finite sum$"):
+                pauli.parse_terms(text, n_qubits=op.n)
+            return
+        back = pauli.parse_terms(text, n_qubits=op.n)
+        forms_agree(back, want)
+        assert ([(s.x, s.z, repr(c)) for s, c in back.items()]
+                == [(s.x, s.z, repr(c)) for s, c in want.items()])
+        assert repr(back.constant) == repr(want.constant)
 
 
 class TestQubitOperator:
     def test_merge_and_constant(self):
-        op = QubitOperator(2)
-        s = pauli_string("XZ")
-        op.add_term(1.0, s)
-        op.add_term(2.5, s)
-        op.add_term(0.5, PauliString(2))
-        assert op.terms == {s: 3.5}
+        op = pauli.parse_terms("(1.0,0.0) X0 Z1\n(2.5,0.0) X0 Z1\n(0.5,0.0)\n")
+        assert op.terms == {pauli_string("XZ"): 3.5}
         assert op.constant == 0.5
 
     def test_exact_cancellation_drops_term(self):
-        op = QubitOperator(1)
-        s = pauli_string("X")
-        op.add_term(1.0, s)
-        op.add_term(-1.0, s)
-        assert len(op) == 0
-
-    def test_dimension_check(self):
-        op = QubitOperator(2)
-        with pytest.raises(ValueError, match="string on 3 qubits, register is 2"):
-            op.add_term(1.0, PauliString(3))
+        op = pauli.parse_terms("(1.0,0.0) X0\n(-1.0,0.0) X0\n", n_qubits=1)
+        assert len(op) == 0 and op.arrays()[0].tolist() == []
+        assert pauli.format_terms(op) == ""
 
     def test_coefficient_norm(self):
-        op = QubitOperator(2, constant=7.0)
-        op.add_term(3.0, pauli_string("XI"))
-        op.add_term(-4.0, pauli_string("IZ"))
+        op = qubit_operator(2, [(3.0, pauli_string("XI")), (-4.0, pauli_string("IZ"))], 7.0)
         assert op.coefficient_norm() == pytest.approx(7.0)
 
 
 class TestSerialization:
     def test_roundtrip(self, rng):
-        op = QubitOperator(4, constant=0.25 - 0.5j)
+        terms = []
         for _ in range(10):
             s = from_digits(rng.integers(0, 4, size=4))
-            op.add_term(complex(rng.normal(), rng.normal()), s)
+            terms.append((complex(rng.normal(), rng.normal()), s))
+        op = qubit_operator(4, terms, 0.25 - 0.5j)
         text = pauli.format_terms(op)
         back = pauli.parse_terms(text, n_qubits=4)
         assert back.n == op.n
@@ -296,10 +266,8 @@ class TestSerialization:
             pauli.parse_terms("(0.0,-1e308) X0\n(1.0,0.0) X0\n(0.0,-1e308) X0\n")
 
     def test_dense_equivalence_after_roundtrip(self, rng):
-        op = QubitOperator(3, constant=1.0)
-        for _ in range(5):
-            op.add_term(complex(rng.normal(), rng.normal()),
-                        from_digits(rng.integers(0, 4, size=3)))
+        op = qubit_operator(3, [(complex(rng.normal(), rng.normal()),
+                                 from_digits(rng.integers(0, 4, size=3))) for _ in range(5)], 1.0)
         back = pauli.parse_terms(pauli.format_terms(op), n_qubits=3)
         np.testing.assert_allclose(operator_dense(back), operator_dense(op), atol=1e-12)
 

@@ -19,15 +19,14 @@ from fermiqc.fixtures import FIXTURE_NAMES, fixture_text, reference_energy
 from fermiqc.trotter import OrderingStrategy, TrotterPlan, plan_for
 
 from oracles import (assert_same_up_to_phase, circuit_unitary, fock_matrix, operator_dense,
-                     pauli, pauli_exponential, pauli_matrix, random_pauli_string,
+                     pauli, pauli_exponential, pauli_matrix, qubit_operator, random_pauli_string,
                      reference_apply_trotterized, reference_operator_matrix)
 
 
 def random_operator(rng, n, n_terms=5) -> QubitOperator:
-    op = QubitOperator(n, constant=float(rng.normal()))
-    for _ in range(n_terms):
-        op.add_term(float(rng.normal()), random_pauli_string(rng, n))
-    return op
+    constant = float(rng.normal())
+    return qubit_operator(n, [(float(rng.normal()), random_pauli_string(rng, n))
+                              for _ in range(n_terms)], constant)
 
 
 class TestOperatorMatrix:
@@ -221,9 +220,7 @@ class TestTrotterError:
 
     def test_exact_plan_has_negligible_error(self, rng):
         # single-term Hamiltonians Trotterize exactly
-        s = pauli("XZY")
-        op = QubitOperator(3, constant=0.5)
-        op.add_term(0.8, s)
+        op = qubit_operator(3, [(0.8, pauli("XZY"))], 0.5)
         energy, ground = ground_state(operator_matrix(op))
         plan = plan_for(op, OrderingStrategy("lex"), 1, 0.9)
         rep = trotter_error(plan, energy, ground)
@@ -234,13 +231,11 @@ class TestTrotterError:
 
 class TestSafeEvolutionTime:
     def test_passthrough_when_in_branch(self):
-        op = QubitOperator(1)
-        op.add_term(0.5, pauli("Z"))
+        op = qubit_operator(1, [(0.5, pauli("Z"))])
         assert safe_evolution_time(op, 1.0) == 1.0
 
     def test_shrinks_when_out_of_branch(self):
-        op = QubitOperator(1)
-        op.add_term(100.0, pauli("Z"))
+        op = qubit_operator(1, [(100.0, pauli("Z"))])
         t = safe_evolution_time(op, 1.0)
         assert t == pytest.approx(0.9 * np.pi / 100.0)
         assert op.coefficient_norm() * t < np.pi
@@ -333,13 +328,13 @@ _COEFFS = st.sampled_from([0.5, -0.5, 0.25, 1.0, 0.5j, -0.5j, 0.25 - 0.75j, 1e-3
 def operators(draw, max_qubits=6):
     n = draw(st.integers(0, max_qubits))
     constant = draw(st.sampled_from([0.0, 0.5, -0.25, 0.5 - 0.5j]))
-    op = QubitOperator(n, constant=constant)
     xs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    terms = []
     for _ in range(draw(st.integers(0, 12))):
         x, z = draw(st.sampled_from(xs)), draw(st.integers(0, (1 << n) - 1))
-        op.add_term(draw(_COEFFS | st.complex_numbers(max_magnitude=2.0)),
-                    PauliString(n, x, z))
-    return op
+        terms.append((draw(_COEFFS | st.complex_numbers(max_magnitude=2.0)),
+                      PauliString(n, x, z)))
+    return qubit_operator(n, terms, constant)
 
 
 def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix):

@@ -11,15 +11,13 @@ from fermiqc.mappings import map_operator
 from fermiqc.pauli import PauliString, QubitOperator
 from fermiqc.trotter import OrderingStrategy, order_terms, plan_for
 
-from oracles import pauli, reference_order_terms
+from oracles import pauli, qubit_operator, reference_order_terms
 
 
 def make_operator():
-    op = QubitOperator(3, constant=0.75)
-    for label, coeff in [("XII", 0.5), ("IYI", -2.0), ("IIZ", 1.0),
-                         ("XYI", -0.25), ("ZZZ", 1.5), ("IXX", -1.0)]:
-        op.add_term(coeff, pauli(label))
-    return op
+    return qubit_operator(3, [(coeff, pauli(label)) for label, coeff in [
+        ("XII", 0.5), ("IYI", -2.0), ("IIZ", 1.0), ("XYI", -0.25), ("ZZZ", 1.5), ("IXX", -1.0)]],
+        0.75)
 
 
 class TestOrderingStrategy:
@@ -120,12 +118,13 @@ class TestOrderTerms:
     def test_matches_reference_order(self, data):
         # Few magnitudes, so ties are common; 70 qubits takes the int-mask path.
         n = data.draw(st.sampled_from([1, 2, 3, 5, 8, 70]))
-        op = QubitOperator(n, constant=data.draw(st.sampled_from([0.0, -0.5])))
-        for _ in range(data.draw(st.integers(0, 40))):
-            coeff = data.draw(st.sampled_from([0.5, -0.5, 1.0, -1.0, 0.25, 1e-3])
-                              | st.floats(-2.0, 2.0, allow_nan=False))
-            op.add_term(coeff, PauliString(n, data.draw(st.integers(0, (1 << n) - 1)),
-                                           data.draw(st.integers(0, (1 << n) - 1))))
+        constant = data.draw(st.sampled_from([0.0, -0.5]))
+        coeffs = (st.sampled_from([0.5, -0.5, 1.0, -1.0, 0.25, 1e-3])
+                  | st.floats(-2.0, 2.0, allow_nan=False))
+        masks = st.integers(0, (1 << n) - 1)
+        op = qubit_operator(n, [(data.draw(coeffs),
+                                 PauliString(n, data.draw(masks), data.draw(masks)))
+                                for _ in range(data.draw(st.integers(0, 40)))], constant)
         kind = data.draw(st.sampled_from(OrderingStrategy.KINDS))
         strategy = OrderingStrategy(kind, data.draw(st.integers(0, 99)) if kind == "random"
                                     else None, descending_magnitude=data.draw(st.booleans()))
@@ -150,12 +149,10 @@ class TestTrotterPlan:
     @pytest.mark.parametrize("constant,coeff,bad", [(0.0, 1.0 + 2.0j, "XY"),
                                                     (0.5 - 1e-3j, 1.0, "II")])
     def test_plan_for_rejects_non_hermitian(self, constant, coeff, bad):
-        op = QubitOperator(2, constant=constant)
-        op.add_term(coeff, pauli("XY"))
+        op = qubit_operator(2, [(coeff, pauli("XY"))], constant)
         with pytest.raises(ValueError, match=f"not Hermitian: term {bad} "):
             plan_for(op, OrderingStrategy("lex"), 1, 1.0)
 
     def test_plan_for_keeps_imaginary_parts_within_tolerance(self):
-        op = QubitOperator(1, constant=1e-13j)
-        op.add_term(1.0 + 1e-13j, pauli("X"))
+        op = qubit_operator(1, [(1.0 + 1e-13j, pauli("X"))], 1e-13j)
         assert plan_for(op, OrderingStrategy("lex"), 1, 1.0).angles() == [2.0]

@@ -148,6 +148,9 @@ done
 run map-sector-parity map parity.fcidump
 run bad-bench-error-sector bench parity.fcidump --error --format json
 run bad-bench-density bench synthetic:n=2,density=nan
+# A --time that is not finite is a usage error, as one that is not positive is.
+run bad-compile-time-nan compile lih.terms --time nan
+run bad-trotter-error-time-inf trotter-error "$fixtures/h2_sto3g.fcidump" --time inf
 
 # Circuit files: CZ operands in either order, and bad headers.
 printf 'QUBITS 3 ANCILLA 0\nCZ 2 1\nCZ 1 2\nH 0\nH 0\n' >"$work/cz.circ"
