@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import itertools
@@ -14,10 +13,9 @@ from pathlib import Path
 import click
 
 from . import fermion, mappings, optimizer, simulator, trotter
-from .circuits import GateCounts, count_gates, synthesize_plan
+from .circuits import SYNTHESIS_MODES, GateCounts, count_gates, synthesize_plan
 from .fermion import IntegralSet
 from .mappings import MappingScheme
-from .pauli import QubitOperator
 from .trotter import OrderingStrategy
 
 CSV_HEADER = ("system,n_qubits,mapping,ordering,seed,mode,"
@@ -61,6 +59,8 @@ class BenchInput:
             if kv["n"] < 1:
                 raise click.BadParameter(f"{spec!r}: n must be at least 1, got {kv['n']}")
             n, seed, density = kv["n"], kv.get("seed", 0), kv.get("density", 1.0)
+            if seed < 0:
+                raise click.BadParameter(f"{spec!r}: seed must be at least 0, got {seed}")
             if not 0 < density <= 1:
                 raise click.BadParameter(f"{spec!r}: density must be in (0, 1], got {density}")
             return cls(f"synthetic-n{n}-s{seed}-d{density:g}", synthetic=(n, seed, density))
@@ -91,6 +91,11 @@ class BenchConfig:
             raise ValueError("need at least one input, mapping, ordering and mode")
         if self.optimize_level not in optimizer.LEVELS:
             raise ValueError(f"optimize level must be one of {optimizer.LEVELS}")
+        for mode in self.modes:
+            if mode not in SYNTHESIS_MODES:
+                raise ValueError(f"unknown synthesis mode {mode!r}; pick from {SYNTHESIS_MODES}")
+        if self.n_steps < 1:
+            raise ValueError(f"need at least one Trotter step, got {self.n_steps}")
 
 
 @dataclass
@@ -107,32 +112,6 @@ class BenchRow:
     trotter_error: float | None = None
     caveats: dict | None = None  # _CAVEATS, with --error
     error: str | None = None
-
-
-@contextlib.contextmanager
-def _isolated(rows: list[BenchRow]):
-    """Record a stage failure in each row that has none yet; sweeps never abort."""
-    try:
-        yield
-    except Exception as exc:
-        for row in rows:
-            row.error = row.error or f"{type(exc).__name__}: {exc}"
-
-
-def _plan_and_count(cfg: BenchConfig, qop: QubitOperator, ordering: OrderingStrategy,
-                    time: float, rows: list[BenchRow],
-                    templates: dict) -> trotter.TrotterPlan | None:
-    """Stage (ordering): one plan, then per row (mode) its synthesis and counts."""
-    with _isolated(rows):
-        plan = trotter.plan_for(qop, ordering, cfg.n_steps, time)
-        for row in rows:
-            with _isolated([row]):
-                circ = synthesize_plan(plan, row.mode, templates)
-                row.raw = count_gates(circ)
-                row.optimized = count_gates(optimizer.run_level(circ, cfg.optimize_level))
-                row.savings = ((row.raw.total - row.optimized.total) / row.raw.total
-                               if row.raw.total else 0.0)
-        return plan
 
 
 def sized_load(inp: BenchInput):
@@ -163,35 +142,40 @@ def pair_stages(inp: BenchInput, scheme: MappingScheme, time: float):
 def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> list[BenchRow]:
     """Every cell of one (input, mapping) pair, each stage run once per key:
     (input, mapping) → ordering → mode, then the sector ground state and one
-    Trotter error per ordering.  A ground-state failure leaves the counts in
-    place.  One table of synthesis templates serves the pair's orderings and
-    modes."""
+    Trotter error per ordering.  The pair fails as a unit: a stage that
+    raises writes its error into every cell and leaves the values already
+    made in place.  One table of synthesis templates serves the pair's
+    orderings and modes."""
     by_ordering = [[BenchRow(inp.system, 0, scheme.value, o.kind, o.seed, mode,
                              caveats=dict.fromkeys(_CAVEATS) if cfg.with_error else None)
                     for mode in cfg.modes] for o in cfg.orderings]
     rows = [row for group in by_ordering for row in group]
     stages = pair_stages(inp, scheme, cfg.time)
-    with _isolated(rows):
+    try:
         n_qubits = next(stages)
         for row in rows:
             row.n_qubits = n_qubits
         qop, time = next(stages)
         templates: dict = {}
-        plans = [_plan_and_count(cfg, qop, o, time, group, templates)
-                 for o, group in zip(cfg.orderings, by_ordering)]
+        plans = [trotter.plan_for(qop, o, cfg.n_steps, time) for o in cfg.orderings]
+        for plan, group in zip(plans, by_ordering):
+            for row in group:
+                circ = synthesize_plan(plan, row.mode, templates)
+                row.raw = count_gates(circ)
+                row.optimized = count_gates(optimizer.run_level(circ, cfg.optimize_level))
+                row.savings = ((row.raw.total - row.optimized.total) / row.raw.total
+                               if row.raw.total else 0.0)
         if cfg.with_error:
             energy, ground, sector = next(stages)
             for group, plan in zip(by_ordering, plans):
-                if plan is None:  # its rows already hold the plan's failure
-                    continue
-                with _isolated(group):
-                    rep = simulator.trotter_error(plan, energy, ground)
-                    for row in group:
-                        if row.error is None:
-                            row.trotter_error = rep.error
-                            row.caveats.update(time=rep.time, unreliable=rep.unreliable,
-                                               overlap_magnitude=rep.overlap_magnitude,
-                                               **sector)
+                rep = simulator.trotter_error(plan, energy, ground)
+                for row in group:
+                    row.trotter_error = rep.error
+                    row.caveats.update(time=rep.time, unreliable=rep.unreliable,
+                                       overlap_magnitude=rep.overlap_magnitude, **sector)
+    except Exception as exc:
+        for row in rows:
+            row.error = f"{type(exc).__name__}: {exc}"
     return rows
 
 

@@ -29,7 +29,7 @@ def _one_line_errors(source: str):
     ``Error: <source>: <message>`` line, exit 1."""
     try:
         yield
-    except (OSError, ValueError, fermion.ResourceLimitError,
+    except (OSError, ValueError, MemoryError, fermion.ResourceLimitError,
             simulator.EigensolverError) as exc:
         raise click.ClickException(f"{source}: {exc}") from None
 
@@ -103,11 +103,17 @@ def _steps_list(ctx, param, value: str) -> list[int]:
 
 
 def _parse_inputs(specs) -> dict[bench_mod.BenchInput, str]:
-    """Each distinct input once, in first-occurrence order, with its first spelling."""
-    parsed = {}
+    """Each distinct input once, in first-occurrence order, with its first
+    spelling.  Report rows are keyed by system name, so two distinct inputs
+    that share one are a usage error."""
+    by_system = {}
     for spec in specs:
-        parsed.setdefault(bench_mod.BenchInput.parse(spec), spec)
-    return parsed
+        inp = bench_mod.BenchInput.parse(spec)
+        first, first_spec = by_system.setdefault(inp.system, (inp, spec))
+        if inp != first:
+            raise click.BadParameter(f"{first_spec!r} and {spec!r} are distinct inputs "
+                                     f"that share the system name {inp.system!r}")
+    return dict(by_system.values())
 
 
 @main.command("map")

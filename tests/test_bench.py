@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import fermiqc
-from fermiqc import fermion, mappings, simulator, trotter, write_fcidump
+from fermiqc import bench, fermion, mappings, simulator, trotter, write_fcidump
 from fermiqc.bench import CSV_HEADER, BenchConfig, BenchInput, emit_report, run_bench
 from fermiqc.circuits import SYNTHESIS_MODES, GateCounts
 from fermiqc.cli import main
@@ -26,6 +26,11 @@ from oracles import reference_gate_counts, reference_optimize, reference_synthes
 
 
 SPEC = "synthetic:n=2,seed=1"
+# NORB=3000 asks parse_fcidump for 589 TiB of two-electron integrals, more
+# than a 47-bit address space holds, so the request fails before any memory
+# is touched.
+HUGE_ALLOCATION = ("Unable to allocate 589. TiB for an array with shape "
+                    "(3000, 3000, 3000, 3000) and data type float64")
 
 
 def write_impossible_sectors(directory):
@@ -70,6 +75,7 @@ class TestBenchInput:
         ("synthetic:n", "n must be int, got ''"),
         ("synthetic:n=0", "n must be at least 1, got 0"),
         ("synthetic:n=-1,seed=2", "n must be at least 1, got -1"),
+        ("synthetic:n=2,seed=-1", "seed must be at least 0, got -1"),
         ("synthetic:n=2,density=2", "density must be in (0, 1], got 2.0"),
         ("synthetic:n=2,density=0", "density must be in (0, 1], got 0.0"),
         ("synthetic:n=2,density=nan", "density must be in (0, 1], got nan"),
@@ -148,6 +154,32 @@ class TestRunBench:
             assert row.n_qubits == 4 and row.optimized is not None
             assert row.trotter_error is None
 
+    def test_pair_fails_as_a_unit(self, monkeypatch):
+        cfg = tiny_config(inputs=[BenchInput.parse("synthetic:n=2,seed=3"),
+                                  BenchInput.parse("synthetic:n=3,seed=3")],
+                          mappings=[MappingScheme.JORDAN_WIGNER],
+                          orderings=[OrderingStrategy("magnitude")])
+        clean = {(row.n_qubits, row.mode): row for row in run_bench(cfg)}
+        real = bench.synthesize_plan
+
+        def synthesize_plan(plan, mode, templates=None):
+            if plan.n_qubits == 6 and mode == "ancilla":
+                raise RuntimeError("no ancilla")
+            return real(plan, mode, templates)
+
+        monkeypatch.setattr(bench, "synthesize_plan", synthesize_plan)
+        rows = {(row.n_qubits, row.mode): row for row in run_bench(cfg)}
+        assert sorted(rows) == [(4, "ancilla"), (4, "canonical"),
+                                (6, "ancilla"), (6, "canonical")]
+        for mode in ("canonical", "ancilla"):
+            assert rows[6, mode].error == "RuntimeError: no ancilla"
+            assert rows[4, mode] == clean[4, mode] and rows[4, mode].error is None
+        # canonical runs before ancilla, so its counts were made before the failure
+        made = rows[6, "canonical"]
+        assert (made.raw, made.optimized) == (clean[6, "canonical"].raw,
+                                              clean[6, "canonical"].optimized)
+        assert rows[6, "ancilla"].raw is None
+
     def test_parallel_matches_serial(self):
         serial = emit_report(run_bench(tiny_config(workers=1)))
         parallel = emit_report(run_bench(tiny_config(workers=2)))
@@ -158,6 +190,10 @@ class TestRunBench:
             BenchConfig(inputs=[])
         with pytest.raises(ValueError):
             tiny_config(optimize_level="max")
+        with pytest.raises(ValueError, match="unknown synthesis mode 'bogus'"):
+            tiny_config(modes=["canonical", "bogus"])
+        with pytest.raises(ValueError, match="need at least one Trotter step, got 0"):
+            tiny_config(n_steps=0)
 
 
 class TestReports:
@@ -355,13 +391,33 @@ class TestCli:
 
     @pytest.mark.parametrize("spec", ["synthetic:n=2,sed=1", "synthetic:n=x", "synthetic:n=0",
                                       "synthetic:n=-1", "synthetic:n=2,density=2",
-                                      "synthetic:n=2,n=3"])
+                                      "synthetic:n=2,n=3", "synthetic:n=2,seed=-1"])
     def test_bad_synthetic_spec_is_one_line(self, spec):
         r = CliRunner().invoke(main, ["bench", spec])
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)
         assert r.output.splitlines()[-1].startswith(f"Error: Invalid value: {spec!r}: ")
         assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("command", ["bench", "trotter-error"])
+    @pytest.mark.parametrize("first,second,system", [
+        ("a/h2.fcidump", "b/h2.fcidump", "h2"),
+        # :g rounds the density in the system name
+        ("synthetic:n=2,density=0.1234567", "synthetic:n=2,density=0.1234568",
+         "synthetic-n2-s0-d0.123457"),
+    ], ids=["paths", "synthetic"])
+    def test_inputs_sharing_a_system_name_are_a_usage_error(self, command, first, second,
+                                                             system, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for directory, fixture in (("a", "h2_sto3g"), ("b", "h2_631g")):
+            (tmp_path / directory).mkdir()
+            (tmp_path / directory / "h2.fcidump").write_text(fixture_path(fixture).read_text())
+        r = CliRunner().invoke(main, [command, first, first, second])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert r.output.splitlines()[-1] == (
+            f"Error: Invalid value: {first!r} and {second!r} are distinct inputs "
+            f"that share the system name {system!r}")
 
     def test_optimize_reports_bad_circuit_line(self, tmp_path):
         circ = tmp_path / "c.txt"
@@ -439,11 +495,14 @@ class TestCli:
          "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
         ("trotter-error", "full.fcidump", "no sector has NELEC=6, MS2=0 in NORB=2 orbitals: "
          "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
+        ("map", "huge.fcidump", HUGE_ALLOCATION),
+        ("trotter-error", "huge.fcidump", HUGE_ALLOCATION),
     ], ids=["missing-file", "malformed", "above-map-limit", "above-matrix-limit",
             "map-malformed", "map-missing-file", "compile-missing-file",
             "optimize-missing-file", "map-negative-norb", "map-empty-norb",
             "map-empty-nelec", "map-empty-ms2", "map-nan", "compile-nan", "optimize-nan",
-            "sector-parity", "sector-ms2-above-nelec", "sector-above-norb"])
+            "sector-parity", "sector-ms2-above-nelec", "sector-above-norb",
+            "map-unallocatable", "trotter-error-unallocatable"])
     def test_bad_input_is_one_line(self, command, spec, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write_impossible_sectors(tmp_path)
@@ -455,6 +514,7 @@ class TestCli:
         (tmp_path / "nan.fcidump").write_text("&FCI NORB=2,NELEC=2,\n&END\n nan 1 1 0 0\n")
         (tmp_path / "nan.terms").write_text("(0.5,0.0) X0\n(nan,0.0) Y0\n")
         (tmp_path / "nan.circ").write_text("QUBITS 1 ANCILLA 0\nH 0\nRZ 0 nan\nH 0\n")
+        (tmp_path / "huge.fcidump").write_text("&FCI NORB=3000,NELEC=2,MS2=0,\n&END\n")
         # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map limit.
         (tmp_path / "big.fcidump").write_text("&FCI NORB=33,NELEC=2,MS2=0,\n&END\n"
                                               " 0.5   1   1   0   0\n")

@@ -117,6 +117,8 @@ run trotter-error trotter-error "$fixtures/lih_sto3g.fcidump" "$fixtures/h2_631g
 run trotter-error-open-shell trotter-error synthetic:n=3,seed=5,density=0.8
 # --time 100 is clamped; the JSON rows carry the time used.
 run bench-lih-error-clamped bench "$fixtures/lih_sto3g.fcidump" --error --format json --time 100
+# One pair completes and one fails at load; the report keeps both.
+run bench-mixed bench "$fixtures/h2_sto3g.fcidump" missing.fcidump --mapping jw
 
 # The bad inputs of tests/test_bench.py::TestCli::test_bad_input_is_one_line.
 printf '&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.5 1 1\n' >"$work/bad.fcidump"
@@ -138,6 +140,20 @@ for key in norb nelec ms2; do
     run "bad-map-empty-$key" map "empty-$key.fcidump"
 done
 run bad-map-density map synthetic:n=2,density=2
+run bad-map-negative-seed map synthetic:n=2,seed=-1
+run bad-bench-negative-seed bench synthetic:n=2,seed=-1
+# Integrals of NORB=3000 need 589 TiB, which no address space holds.
+printf '&FCI NORB=3000,NELEC=2,MS2=0,\n&END\n' >"$work/huge.fcidump"
+run bad-map-unallocatable map huge.fcidump
+run bad-trotter-error-unallocatable trotter-error huge.fcidump
+# Two distinct inputs may not share a system name: two h2.fcidump files, and
+# two densities that :g rounds to one.
+mkdir -p "$work/a" "$work/b"
+cp "$fixtures/h2_sto3g.fcidump" "$work/a/h2.fcidump"
+cp "$fixtures/h2_631g.fcidump" "$work/b/h2.fcidump"
+run bad-bench-shared-system bench a/h2.fcidump b/h2.fcidump --mapping jw
+run bad-trotter-error-shared-system trotter-error synthetic:n=2,density=0.1234567 \
+    synthetic:n=2,density=0.1234568
 # Headers whose NELEC and MS2 name no sector: only the exact energy rejects them.
 for sector in "parity 3 0" "spin 1 3" "full 6 0"; do
     read -r name nelec ms2 <<<"$sector"
