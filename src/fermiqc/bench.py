@@ -116,13 +116,17 @@ class BenchRow:
 
 def sized_load(inp: BenchInput):
     """The register size, then the integrals within the map limit.  A
-    synthetic spec names its size, so the limit is checked before its
-    integrals are made; both they and the Hamiltonian grow as n^4."""
-    ints = inp.load() if inp.synthetic is None else None
-    n_modes = 2 * (inp.synthetic[0] if ints is None else ints.n_spatial)
+    synthetic spec names its size and a file's header gives it, so the
+    limit is checked before any integral array is made; both they and the
+    Hamiltonian grow as n^4."""
+    if inp.synthetic is None:
+        text = Path(inp.path).read_text()
+        n_modes = 2 * fermion.fcidump_header(text.splitlines())[0]
+    else:
+        n_modes = 2 * inp.synthetic[0]
     yield n_modes
     mappings.check_map_limit(n_modes)
-    yield inp.load() if ints is None else ints
+    yield fermion.parse_fcidump(text) if inp.synthetic is None else inp.load()
 
 
 def pair_stages(inp: BenchInput, scheme: MappingScheme, time: float):

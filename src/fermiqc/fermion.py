@@ -121,12 +121,11 @@ def _header_int(keys: dict[str, str], key: str) -> int:
         raise ValueError(f"line 1: {key} must be an integer, got {value!r}") from None
 
 
-def parse_fcidump(text: str) -> IntegralSet:
-    """Read FCIDUMP text into an :class:`IntegralSet`; errors name the line.
-
-    Stored unique elements are expanded to the full symmetric arrays.
-    """
-    lines = text.splitlines()
+def fcidump_header(lines: list[str]) -> tuple[int, int, int, int]:
+    """NORB, NELEC and MS2 of the &FCI header of FCIDUMP text's lines, and
+    the index of the first line after it; errors name the line.  No
+    integral array is made, so a caller can check NORB against a limit
+    first."""
     header_buf = []
     body_start = None
     for i, line in enumerate(lines):
@@ -150,7 +149,16 @@ def parse_fcidump(text: str) -> IntegralSet:
     norb, nelec, ms2 = (_header_int(keys, key) for key in ("NORB", "NELEC", "MS2"))
     if norb < 1:
         raise ValueError(f"line 1: NORB must be at least 1, got {norb}")
+    return norb, nelec, ms2, body_start
 
+
+def parse_fcidump(text: str) -> IntegralSet:
+    """Read FCIDUMP text into an :class:`IntegralSet`; errors name the line.
+
+    Stored unique elements are expanded to the full symmetric arrays.
+    """
+    lines = text.splitlines()
+    norb, nelec, ms2, body_start = fcidump_header(lines)
     h = np.zeros((norb, norb))
     g = np.zeros((norb, norb, norb, norb))
     core = 0.0

@@ -27,6 +27,7 @@ if TYPE_CHECKING:
 OPERATOR_QUBIT_LIMIT = 16
 _HERMITIAN_TOL = 1e-10  # max |m - m^H| that ground_state accepts
 _RESIDUAL_TOL = 1e-9  # max |m v - E v| of the returned eigenpair
+_BLOCK_TIE_TOL = 1e-10  # coset blocks this close to the lowest energy tie
 
 
 class EigensolverError(RuntimeError):
@@ -141,23 +142,40 @@ def sector_ground_state(qop: QubitOperator, ints: IntegralSet,
                         scheme: MappingScheme | str) -> tuple[float, np.ndarray, dict]:
     """The exact energy: the lowest eigenpair of the qubit operator's block
     over the input's NELEC/MS2 sector, with the eigenvector embedded in the
-    2^n basis (a single Pauli rotation leaves the sector, so evolution runs
-    over the X-mask cosets of its support), and the sector as report fields.
+    2^n basis, and the sector as report fields.
 
     H conserves the alpha and the beta electron counts, so the block holds
-    every nonzero entry of its columns up to rounding."""
+    every nonzero entry of its columns up to rounding.  A term moves basis
+    state j only to j ^ x, so the block is block-diagonal over the cosets
+    j ^ span(X masks) of the sector states: the Z2 symmetries of qubit
+    tapering.  Each coset's block is solved (the dense path of
+    :func:`ground_state` applies to the block's dimension) and the lowest
+    is kept; blocks within _BLOCK_TIE_TOL of the minimum tie, and the one
+    of smallest representative wins.  The state is thus exactly zero
+    outside one coset, the only one its evolution runs over."""
     _check_register(qop.n)
     basis = sector_basis(ints.n_spatial, ints.n_electrons, ints.ms2, scheme)
-    energy, vec = ground_state(operator_matrix(qop, basis))
+    m = operator_matrix(qop, basis)
+    x_basis, span = _x_span(set(qop.arrays()[0].tolist()))
+    reps = basis ^ span[_pivot_coords(basis, x_basis)]
+    blocks = []
+    for rep in np.unique(reps).tolist():  # ascending representatives
+        idx = np.flatnonzero(reps == rep)
+        # A one-block sector is solved as built: slicing would copy it.
+        blocks.append((*ground_state(m if len(idx) == len(basis) else m[idx][:, idx]), idx))
+    lowest = min(b[0] for b in blocks)
+    energy, vec, idx = next(b for b in blocks if b[0] <= lowest + _BLOCK_TIE_TOL)
     state = np.zeros(1 << qop.n, dtype=vec.dtype)
-    state[basis] = vec
+    state[basis[idx]] = vec
     return energy, state, {"nelec": ints.n_electrons, "ms2": ints.ms2,
                            "sector_dim": len(basis)}
 
 
-def _x_span(xs: set[int]) -> list[int]:
+def _x_span(xs: set[int]) -> tuple[list[int], np.ndarray]:
     """Reduced row-echelon basis of the GF(2) span of the X masks, by
-    ascending pivot: each vector's top bit, which no other vector has."""
+    ascending pivot: each vector's top bit, which no other vector has; and
+    the span table, span[k] the XOR of the basis vectors picked by the bits
+    of k."""
     basis: dict[int, int] = {}  # pivot -> vector
     for x in xs:
         for p, b in basis.items():
@@ -169,7 +187,21 @@ def _x_span(xs: set[int]) -> list[int]:
                 if b >> top & 1:
                     basis[p] = b ^ x
             basis[top] = x
-    return [basis[p] for p in sorted(basis)]
+    basis = [basis[p] for p in sorted(basis)]
+    span = np.zeros(1, dtype=np.int64)
+    for b in basis:
+        span = np.concatenate([span, span ^ b])
+    return basis, span
+
+
+def _pivot_coords(j, basis: list[int]):
+    """Pivot coordinates: bit i of k is the bit of j at basis[i]'s pivot.
+    j ^ span[k] clears every pivot bit, so it is the representative of j's
+    coset j ^ span."""
+    k = j & 0
+    for i, b in enumerate(basis):
+        k |= (j >> (b.bit_length() - 1) & 1) << i
+    return k
 
 
 def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
@@ -190,25 +222,14 @@ def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
     if len(state) != dim:
         raise ValueError(f"state has dimension {len(state)}, plan needs {dim}")
     xs, zs = plan.x.tolist(), plan.z.tolist()
-    basis = _x_span(set(xs))
+    basis, span = _x_span(set(xs))
     rank, lo = len(basis), len(basis) // 2
-    span = np.zeros(1, dtype=np.int64)
-    for b in basis:
-        span = np.concatenate([span, span ^ b])
-
-    def coords(j):
-        """Pivot coordinates: bit i of k is the bit of j at basis[i]'s pivot."""
-        k = j & 0
-        for i, b in enumerate(basis):
-            k |= (j >> (b.bit_length() - 1) & 1) << i
-        return k
-
     nonzero = np.flatnonzero(state)
-    reps = np.unique(nonzero ^ span[coords(nonzero)])
+    reps = np.unique(nonzero ^ span[_pivot_coords(nonzero, basis)])
     rows = (reps[:, None] ^ span[::1 << lo]).reshape(-1, 1)
     cols = np.repeat(span[:1 << lo], 2)  # real, imaginary part
     pos = np.arange(len(reps) << rank, dtype=np.int64)
-    perms = {x: pos ^ coords(x) for x in set(xs)}
+    perms = {x: pos ^ _pivot_coords(x, basis) for x in set(xs)}
     shared: dict[tuple, np.ndarray | None] = {}
 
     def signs(vals: np.ndarray, z: int, flip: int) -> np.ndarray | None:

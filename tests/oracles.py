@@ -5,7 +5,7 @@ products, dense linear algebra, a ladder-operator Fock-space matrix, a
 gate-by-gate circuit unitary, a term ordering over (string, coefficient)
 pairs, per-term Gate lists for Trotter circuits, a plain list-based
 peephole optimizer, gate-by-gate circuit-file loops, term-by-term
-simulator loops, a nested-loop Hamiltonian construction and its
+simulator loops, an XOR closure of basis states, a nested-loop Hamiltonian construction and its
 normal-ordered merge, a dictionary-based fermion-to-qubit expansion, a
 dictionary sum of (coefficient, string) pairs into a qubit operator) so
 the package code under test is never used to check itself.
@@ -590,6 +590,16 @@ def reference_apply_trotterized(plan, state: np.ndarray) -> np.ndarray:
             rows, phases = _reference_pauli_action(string, len(psi))
             psi = math.cos(phi) * psi - 1j * math.sin(phi) * (phases * psi)[rows]
     return psi
+
+
+def x_closure(j: int, xs) -> set[int]:
+    """j ^ span(xs), by closing {j} under XOR with each mask."""
+    reach, frontier = {j}, [j]
+    while frontier:
+        new = {s ^ x for s in frontier for x in xs} - reach
+        reach |= new
+        frontier = list(new)
+    return reach
 
 
 # ---- reference Hamiltonian construction -------------------------------------

@@ -26,11 +26,6 @@ from oracles import reference_gate_counts, reference_optimize, reference_synthes
 
 
 SPEC = "synthetic:n=2,seed=1"
-# NORB=3000 asks parse_fcidump for 589 TiB of two-electron integrals, more
-# than a 47-bit address space holds, so the request fails before any memory
-# is touched.
-HUGE_ALLOCATION = ("Unable to allocate 589. TiB for an array with shape "
-                    "(3000, 3000, 3000, 3000) and data type float64")
 
 
 def write_impossible_sectors(directory):
@@ -495,8 +490,10 @@ class TestCli:
          "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
         ("trotter-error", "full.fcidump", "no sector has NELEC=6, MS2=0 in NORB=2 orbitals: "
          "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
-        ("map", "huge.fcidump", HUGE_ALLOCATION),
-        ("trotter-error", "huge.fcidump", HUGE_ALLOCATION),
+        # Integrals of NORB=3000 would need 589 TiB; the header's NORB is
+        # checked against the map limit before they are asked for.
+        ("map", "huge.fcidump", "6000 modes exceeds the 64-mode map limit"),
+        ("trotter-error", "huge.fcidump", "6000 modes exceeds the 64-mode map limit"),
     ], ids=["missing-file", "malformed", "above-map-limit", "above-matrix-limit",
             "map-malformed", "map-missing-file", "compile-missing-file",
             "optimize-missing-file", "map-negative-norb", "map-empty-norb",
@@ -599,6 +596,33 @@ class TestCli:
                                 "map limit\n")
             [row] = json.loads(r.stdout)
             assert row["n_qubits"] == 66
+
+    def test_no_integral_array_above_the_map_limit(self, tmp_path, monkeypatch):
+        # NORB=60 integrals take 104 MB, made zeroed and so never paged in;
+        # tracemalloc counts numpy's arrays as soon as they are made.
+        import tracemalloc
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "wide.fcidump").write_text("&FCI NORB=60,NELEC=2,MS2=0,\n&END\n")
+        for command in ("map", "trotter-error"):
+            tracemalloc.start()
+            try:
+                r = CliRunner().invoke(main, [command, "wide.fcidump"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert r.output == "Error: wide.fcidump: 120 modes exceeds the 64-mode map limit\n"
+            assert peak < 60 ** 4  # an eighth of the two-electron array
+
+    @pytest.mark.parametrize("command", ["map", "trotter-error"])
+    def test_memory_error_is_one_line(self, command, monkeypatch):
+        def sized_load(inp):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr(bench, "sized_load", sized_load)
+        r = CliRunner().invoke(main, [command, SPEC])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == f"Error: {SPEC}: Unable to allocate 8.00 GiB for an array\n"
 
     @pytest.mark.parametrize("command", ["map", "compile", "optimize", "bench", "trotter-error"])
     def test_unwritable_output_is_one_line(self, command, tmp_path):

@@ -20,7 +20,7 @@ from fermiqc.trotter import OrderingStrategy, TrotterPlan, plan_for
 
 from oracles import (assert_same_up_to_phase, circuit_unitary, fock_matrix, operator_dense,
                      pauli, pauli_exponential, pauli_matrix, qubit_operator, random_pauli_string,
-                     reference_apply_trotterized, reference_operator_matrix)
+                     reference_apply_trotterized, reference_operator_matrix, x_closure)
 
 
 def random_operator(rng, n, n_terms=5) -> QubitOperator:
@@ -128,18 +128,18 @@ class TestSector:
             sector_basis(n_spatial, nelec, ms2, "jw")
 
     @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "synthetic-1", "synthetic-2",
-                                      "synthetic-3", "synthetic-4"])
+                                      "synthetic-3", "synthetic-4", "synthetic-5"])
     def test_energy_matches_fock_oracle(self, name):
         if name.startswith("synthetic"):
             ints = fermion.synthetic_integrals(int(name[-1]), seed=5, density=0.8)
         else:
             ints = fermion.parse_fcidump(fixture_text(name))
         ham = fermion.build_hamiltonian(ints)
-        fock = fock_matrix(ham).toarray()
+        fock = fock_matrix(ham)
         up, down = (ints.n_electrons + ints.ms2) // 2, (ints.n_electrons - ints.ms2) // 2
-        sector = [s for s in range(len(fock))
+        sector = [s for s in range(fock.shape[0])
                   if ((s & self.EVEN).bit_count(), (s & self.EVEN << 1).bit_count()) == (up, down)]
-        want = np.linalg.eigvalsh(fock[np.ix_(sector, sector)])[0]
+        want = np.linalg.eigvalsh(fock[sector][:, sector].toarray())[0]
         for scheme in ("jw", "bk"):
             qop = mappings.map_operator(ham, scheme)
             energy, state, fields = sector_ground_state(qop, ints, scheme)
@@ -149,8 +149,42 @@ class TestSector:
             # The embedded vector is an eigenvector of the whole operator.
             assert np.linalg.norm(state) == pytest.approx(1.0)
             np.testing.assert_allclose(operator_matrix(qop) @ state, energy * state, atol=1e-9)
+            # It is exactly zero outside one coset j ^ span(X masks).
+            support = np.flatnonzero(state).tolist()
+            coset = x_closure(support[0], set(qop.arrays()[0].tolist()))
+            assert set(support) <= coset, scheme
+            if name == "lih_sto3g":  # whose sector meets four cosets
+                sector_states = set(sector_basis(ints.n_spatial, ints.n_electrons, ints.ms2,
+                                                 scheme).tolist())
+                assert sector_states - coset
             if not name.startswith("synthetic"):
                 assert energy == pytest.approx(reference_energy(name), abs=1e-10)
+
+    def test_tied_blocks_pick_the_smallest_representative(self):
+        # Z-only, so every basis state is its own coset.  The one-electron
+        # sector is {0b0001, 0b0100}: energies b - a = 1e-12 and a - b, tied
+        # within the tolerance, so 0b0001 wins though it is not the lowest.
+        a, b = 0.5, 0.5 + 1e-12
+        op = qubit_operator(4, [(a, pauli("ZIII")), (b, pauli("IIZI"))])
+        ints = fermion.IntegralSet(2, 1, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)), 0.0, 1)
+        assert sector_basis(2, 1, 1, "jw").tolist() == [0b0001, 0b0100]
+        energy, state, fields = sector_ground_state(op, ints, "jw")
+        assert energy == pytest.approx(b - a, abs=1e-15)
+        assert np.flatnonzero(state).tolist() == [0b0001]
+        assert fields["sector_dim"] == 2
+
+    def test_one_operator_matrix_per_call(self, monkeypatch):
+        calls, build = [], simulator.operator_matrix
+
+        def operator_matrix(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(simulator, "operator_matrix", operator_matrix)
+        ints = fermion.parse_fcidump(fixture_text("lih_sto3g"))
+        qop = mappings.map_operator(fermion.build_hamiltonian(ints), "jw")
+        sector_ground_state(qop, ints, "jw")
+        assert len(calls) == 1
 
     def test_limit_checked_before_the_sector(self):
         ints = fermion.synthetic_integrals(9, seed=0)
@@ -377,16 +411,6 @@ class TestAgainstReference:
                               reference_apply_trotterized(plan, state))
 
 
-def x_closure(j: int, xs) -> set[int]:
-    """j ^ span(xs), by closing {j} under XOR with each mask."""
-    reach, frontier = {j}, [j]
-    while frontier:
-        new = {s ^ x for s in frontier for x in xs} - reach
-        reach |= new
-        frontier = list(new)
-    return reach
-
-
 class TestReachedStates:
     """The evolution runs only over the cosets j ^ span(X masks) of the
     state's nonzero entries, with the reference loops' bits everywhere."""
@@ -446,7 +470,7 @@ class TestReachedStates:
 
     def test_no_table_of_full_register_arrays(self):
         # One int64 array of 2^n entries per distinct X mask is the table the
-        # coset layout replaces; LiH's sector ground state reaches 4 of 16 cosets.
+        # coset layout replaces; LiH's sector ground state reaches 1 of 16 cosets.
         import tracemalloc
         ints = fermion.parse_fcidump(fixture_text("lih_sto3g"))
         qop = mappings.map_operator(fermion.build_hamiltonian(ints), "jw")

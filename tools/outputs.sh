@@ -142,7 +142,8 @@ done
 run bad-map-density map synthetic:n=2,density=2
 run bad-map-negative-seed map synthetic:n=2,seed=-1
 run bad-bench-negative-seed bench synthetic:n=2,seed=-1
-# Integrals of NORB=3000 need 589 TiB, which no address space holds.
+# Integrals of NORB=3000 would need 589 TiB; the header's NORB meets the map
+# limit first.
 printf '&FCI NORB=3000,NELEC=2,MS2=0,\n&END\n' >"$work/huge.fcidump"
 run bad-map-unallocatable map huge.fcidump
 run bad-trotter-error-unallocatable trotter-error huge.fcidump
