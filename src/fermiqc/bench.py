@@ -10,11 +10,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import click
-
 from . import fermion, mappings, optimizer, simulator, trotter
 from .circuits import SYNTHESIS_MODES, GateCounts, count_gates, synthesize_plan
-from .fermion import IntegralSet
 from .mappings import MappingScheme
 from .trotter import OrderingStrategy
 
@@ -38,40 +35,34 @@ class BenchInput:
 
     @classmethod
     def parse(cls, spec: str) -> "BenchInput":
-        """``path/to/file.fcidump`` or ``synthetic:n=8,seed=1,density=1.0``."""
+        """``path/to/file.fcidump`` or ``synthetic:n=8,seed=1,density=1.0``;
+        a bad spec raises ValueError."""
         if spec.startswith("synthetic:"):
             kv = {}
             for part in spec[len("synthetic:"):].split(","):
                 key, _, value = part.partition("=")
                 if key not in _SYNTHETIC_KEYS:
-                    raise click.BadParameter(f"{spec!r}: unknown key {key!r}; "
-                                             f"expected {', '.join(_SYNTHETIC_KEYS)}")
+                    raise ValueError(f"{spec!r}: unknown key {key!r}; "
+                                     f"expected {', '.join(_SYNTHETIC_KEYS)}")
                 if key in kv:
-                    raise click.BadParameter(f"{spec!r}: key {key!r} given twice")
+                    raise ValueError(f"{spec!r}: key {key!r} given twice")
                 try:
                     kv[key] = _SYNTHETIC_KEYS[key](value)
                 except ValueError:
-                    raise click.BadParameter(f"{spec!r}: {key} must be "
-                                             f"{_SYNTHETIC_KEYS[key].__name__}, "
-                                             f"got {value!r}") from None
+                    raise ValueError(f"{spec!r}: {key} must be "
+                                     f"{_SYNTHETIC_KEYS[key].__name__}, "
+                                     f"got {value!r}") from None
             if "n" not in kv:
-                raise click.BadParameter(f"{spec!r}: missing key 'n'")
+                raise ValueError(f"{spec!r}: missing key 'n'")
             if kv["n"] < 1:
-                raise click.BadParameter(f"{spec!r}: n must be at least 1, got {kv['n']}")
+                raise ValueError(f"{spec!r}: n must be at least 1, got {kv['n']}")
             n, seed, density = kv["n"], kv.get("seed", 0), kv.get("density", 1.0)
             if seed < 0:
-                raise click.BadParameter(f"{spec!r}: seed must be at least 0, got {seed}")
+                raise ValueError(f"{spec!r}: seed must be at least 0, got {seed}")
             if not 0 < density <= 1:
-                raise click.BadParameter(f"{spec!r}: density must be in (0, 1], got {density}")
+                raise ValueError(f"{spec!r}: density must be in (0, 1], got {density}")
             return cls(f"synthetic-n{n}-s{seed}-d{density:g}", synthetic=(n, seed, density))
         return cls(Path(spec).stem, path=spec)
-
-    def load(self) -> IntegralSet:
-        if self.synthetic is not None:
-            n, seed, density = self.synthetic
-            return fermion.synthetic_integrals(n, seed, density)
-        return fermion.parse_fcidump(Path(self.path).read_text())
-
 
 @dataclass
 class BenchConfig:
@@ -114,11 +105,12 @@ class BenchRow:
     error: str | None = None
 
 
-def sized_load(inp: BenchInput):
-    """The register size, then the integrals within the map limit.  A
-    synthetic spec names its size and a file's header gives it, so the
-    limit is checked before any integral array is made; both they and the
-    Hamiltonian grow as n^4."""
+def pair_stages(inp: BenchInput, scheme: MappingScheme):
+    """The stages of one (input, mapping) pair, each run when the caller
+    takes its value: the register size (named by a synthetic spec, read
+    from a file's header), then the qubit operator, then the sector ground
+    state (energy, state, sector fields).  The map limit is checked before
+    any integral array is made; both they and the Hamiltonian grow as n^4."""
     if inp.synthetic is None:
         text = Path(inp.path).read_text()
         n_modes = 2 * fermion.fcidump_header(text.splitlines())[0]
@@ -126,20 +118,10 @@ def sized_load(inp: BenchInput):
         n_modes = 2 * inp.synthetic[0]
     yield n_modes
     mappings.check_map_limit(n_modes)
-    yield fermion.parse_fcidump(text) if inp.synthetic is None else inp.load()
-
-
-def pair_stages(inp: BenchInput, scheme: MappingScheme, time: float):
-    """The stages of one (input, mapping) pair, each run when the caller
-    takes its value: the register size, then the qubit operator (the map
-    limit checked first, see :func:`sized_load`) with ``time`` clamped into
-    the phase branch, then the sector ground state (energy, state, sector
-    fields)."""
-    load = sized_load(inp)
-    yield next(load)
-    ints = next(load)
+    ints = (fermion.parse_fcidump(text) if inp.synthetic is None
+            else fermion.synthetic_integrals(*inp.synthetic))
     qop = mappings.map_operator(fermion.build_hamiltonian(ints), scheme)
-    yield qop, simulator.safe_evolution_time(qop, time)
+    yield qop
     yield simulator.sector_ground_state(qop, ints, scheme)
 
 
@@ -150,16 +132,17 @@ def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> lis
     raises writes its error into every cell and leaves the values already
     made in place.  One table of synthesis templates serves the pair's
     orderings and modes."""
-    by_ordering = [[BenchRow(inp.system, 0, scheme.value, o.kind, o.seed, mode,
+    by_ordering = [[BenchRow(inp.system, 0, scheme.value, o.label, o.seed, mode,
                              caveats=dict.fromkeys(_CAVEATS) if cfg.with_error else None)
                     for mode in cfg.modes] for o in cfg.orderings]
     rows = [row for group in by_ordering for row in group]
-    stages = pair_stages(inp, scheme, cfg.time)
+    stages = pair_stages(inp, scheme)
     try:
         n_qubits = next(stages)
         for row in rows:
             row.n_qubits = n_qubits
-        qop, time = next(stages)
+        qop = next(stages)
+        time = simulator.safe_evolution_time(qop, cfg.time)
         templates: dict = {}
         plans = [trotter.plan_for(qop, o, cfg.n_steps, time) for o in cfg.orderings]
         for plan, group in zip(plans, by_ordering):

@@ -12,7 +12,7 @@ from pathlib import Path
 import click
 
 from . import bench as bench_mod
-from . import fermion, mappings, optimizer, pauli, simulator, trotter
+from . import fermion, optimizer, pauli, simulator, trotter
 from .circuits import SYNTHESIS_MODES, format_circuit, parse_circuit, synthesize_plan
 from .mappings import MappingScheme
 from .trotter import OrderingStrategy
@@ -108,7 +108,10 @@ def _parse_inputs(specs) -> dict[bench_mod.BenchInput, str]:
     that share one are a usage error."""
     by_system = {}
     for spec in specs:
-        inp = bench_mod.BenchInput.parse(spec)
+        try:
+            inp = bench_mod.BenchInput.parse(spec)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from None
         first, first_spec = by_system.setdefault(inp.system, (inp, spec))
         if inp != first:
             raise click.BadParameter(f"{first_spec!r} and {spec!r} are distinct inputs "
@@ -122,9 +125,11 @@ def _parse_inputs(specs) -> dict[bench_mod.BenchInput, str]:
 @_output_option
 def map_cmd(integrals, mapping, output):
     """Map an FCIDUMP file or synthetic spec to a Pauli term file."""
+    [inp] = _parse_inputs([integrals])
     with _one_line_errors(integrals):
-        _, ints = bench_mod.sized_load(bench_mod.BenchInput.parse(integrals))
-        qop = mappings.map_operator(fermion.build_hamiltonian(ints), MappingScheme(mapping))
+        stages = bench_mod.pair_stages(inp, MappingScheme(mapping))
+        _, qop = next(stages), next(stages)
+        stages.close()  # frees the file text and integrals before the terms are written
     _write(pauli.format_terms(qop), output)
 
 
@@ -226,8 +231,8 @@ def trotter_error_cmd(inputs, mapping, ordering, magnitude_direction, orderings,
     for inp, spec in _parse_inputs(inputs).items():
         for scheme in map(MappingScheme, mapping):
             with _one_line_errors(spec):
-                n_qubits, (qop, time_used), (energy, ground, sector) = bench_mod.pair_stages(
-                    inp, scheme, time_)
+                n_qubits, qop, (energy, ground, sector) = bench_mod.pair_stages(inp, scheme)
+                time_used = simulator.safe_evolution_time(qop, time_)
                 for strategy in strategies:
                     for n_steps in steps_list:
                         plan = trotter.plan_for(qop, strategy, n_steps, time_used)

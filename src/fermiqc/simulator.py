@@ -104,7 +104,8 @@ def operator_matrix(op: QubitOperator, basis: np.ndarray | None = None) -> sp.cs
 
 def _hermitian_defect(m: sp.csr_matrix) -> float:
     """max |m - m^H|, with one matrix-sized temporary (the transpose) when
-    m's sparsity pattern is symmetric, as every operator_matrix's is."""
+    m's sparsity pattern is symmetric, as the operator_matrix of a
+    Hermitian operator is; any other pattern takes the general difference."""
     t = m.transpose().tocsr()
     if not (np.array_equal(t.indptr, m.indptr) and np.array_equal(t.indices, m.indices)):
         return abs(m - m.getH()).max()

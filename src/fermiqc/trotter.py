@@ -36,8 +36,15 @@ class OrderingStrategy:
                 raise ValueError(f"random ordering needs an integer seed, got {text!r}") from None
         return cls(text, descending_magnitude=descending_magnitude)
 
+    @property
+    def label(self) -> str:
+        """The report's ordering name: the kind, ``-asc`` added when a
+        magnitude sort is ascending; a random ordering's seed goes apart."""
+        ascending = not self.descending_magnitude and self.kind in ("magnitude", "lexomag")
+        return f"{self.kind}-asc" if ascending else self.kind
+
     def __str__(self):
-        return f"random:{self.seed}" if self.kind == "random" else self.kind
+        return f"random:{self.seed}" if self.kind == "random" else self.label
 
 
 def order_terms(op: QubitOperator, strategy: OrderingStrategy) -> np.ndarray:

@@ -294,6 +294,12 @@ def reference_synthesize_plan(plan: TrotterPlan, mode: str) -> Circuit:
     return stepped(plan.n_qubits, step, plan.n_steps, ancilla=mode == "ancilla")
 
 
+def term_plan(s: PauliString, theta: float) -> TrotterPlan:
+    """The one-step plan of exp(-i theta/2 P): its one angle, 2 (theta/2)
+    (1/1), is theta exactly."""
+    return TrotterPlan(s.n, np.array([s.x]), np.array([s.z]), np.array([theta / 2]), 1, 1.0)
+
+
 def stepped(n: int, step: list[Gate], n_steps: int, ancilla: bool = False) -> Circuit:
     """The circuit of ``n_steps`` copies of ``step``, seams between them."""
     one = Circuit.from_gates(n, step, ancilla)

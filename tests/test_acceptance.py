@@ -15,8 +15,7 @@ import numpy as np
 
 from fermiqc import fermion, optimizer
 from fermiqc.bench import BenchConfig, BenchInput, emit_report, run_bench
-from fermiqc.circuits import (SYNTHESIS_MODES, count_gates, synthesize_plan,
-                              synthesize_term, term_gate_counts)
+from fermiqc.circuits import SYNTHESIS_MODES, count_gates, synthesize_plan, term_gate_counts
 from fermiqc.fermion import build_hamiltonian, synthetic_integrals
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_path, fixture_text
 from fermiqc.mappings import (MappingScheme, basis_permutation, bk_index_sets,
@@ -25,7 +24,7 @@ from fermiqc.simulator import ground_state, operator_matrix, trotter_error
 from fermiqc.trotter import OrderingStrategy, plan_for
 
 from oracles import (circuit_unitary, fock_matrix, pauli, pauli_exponential, qubit_operator,
-                     random_fermion_operator, random_pauli_string, strip_global_phase)
+                     random_fermion_operator, random_pauli_string, strip_global_phase, term_plan)
 
 # Evolution time used for all error measurements: well inside the phase
 # branch |E t| < pi for every bundled fixture, with margin.
@@ -128,7 +127,7 @@ def test_criterion_4_circuit_fidelity():
         for s, theta in cases:
             want = pauli_exponential(s, theta)
             for mode in SYNTHESIS_MODES:
-                u = circuit_unitary(synthesize_term(s, theta, mode))
+                u = circuit_unitary(synthesize_plan(term_plan(s, theta), mode))
                 if mode == "ancilla":
                     dim = 1 << s.n
                     np.testing.assert_allclose(u[dim:, :dim], 0.0, atol=1e-10)

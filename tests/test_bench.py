@@ -8,12 +8,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import click
 import pytest
 from click.testing import CliRunner
 
 import fermiqc
-from fermiqc import bench, fermion, mappings, simulator, trotter, write_fcidump
+from fermiqc import bench, fermion, mappings, pauli, simulator, trotter, write_fcidump
 from fermiqc.bench import CSV_HEADER, BenchConfig, BenchInput, emit_report, run_bench
 from fermiqc.circuits import SYNTHESIS_MODES, GateCounts
 from fermiqc.cli import main
@@ -51,7 +50,7 @@ class TestBenchInput:
         inp = BenchInput.parse("synthetic:n=4,seed=2,density=0.5")
         assert inp.synthetic == (4, 2, 0.5)
         assert inp.system == "synthetic-n4-s2-d0.5"
-        assert inp.load().n_spatial == 4
+        assert fermion.synthetic_integrals(*inp.synthetic).n_spatial == 4
 
     def test_parse_synthetic_defaults(self):
         assert BenchInput.parse("synthetic:n=3").synthetic == (3, 0, 1.0)
@@ -60,7 +59,7 @@ class TestBenchInput:
         path = fixture_path("h2_sto3g")
         inp = BenchInput.parse(str(path))
         assert inp.system == "h2_sto3g"
-        assert inp.load().n_spatial == 2
+        assert fermion.parse_fcidump(Path(inp.path).read_text()).n_spatial == 2
 
     @pytest.mark.parametrize("spec,fragment", [
         ("synthetic:n=2,sed=1", "unknown key 'sed'"),
@@ -76,9 +75,9 @@ class TestBenchInput:
         ("synthetic:n=2,density=nan", "density must be in (0, 1], got nan"),
     ])
     def test_parse_synthetic_rejects_bad_spec(self, spec, fragment):
-        with pytest.raises(click.BadParameter) as err:
+        with pytest.raises(ValueError) as err:
             BenchInput.parse(spec)
-        assert repr(spec) in err.value.message and fragment in err.value.message
+        assert repr(spec) in str(err.value) and fragment in str(err.value)
 
 
 class TestRunBench:
@@ -97,7 +96,7 @@ class TestRunBench:
     def test_rows_count_the_reference_gates(self, steps):
         inp = BenchInput.parse(str(fixture_path("h2_sto3g")))
         cfg = tiny_config(inputs=[inp], n_steps=steps, modes=list(SYNTHESIS_MODES))
-        ham = fermion.build_hamiltonian(inp.load())
+        ham = fermion.build_hamiltonian(fermion.parse_fcidump(Path(inp.path).read_text()))
         for row in run_bench(cfg):
             qop = mappings.map_operator(ham, MappingScheme(row.mapping))
             plan = trotter.plan_for(qop, OrderingStrategy(row.ordering, row.seed), steps,
@@ -327,11 +326,24 @@ class TestCli:
         assert r.output == f"Error: {SPEC}: no convergence\n"
 
     def test_magnitude_direction_flag(self):
-        base = ["bench", "synthetic:n=2,seed=1", "--mapping", "jw",
-                "--mode", "canonical", "--ordering", "magnitude"]
-        desc = self.run(*base, "--magnitude-direction", "desc")
-        asc = self.run(*base, "--magnitude-direction", "asc")
-        assert desc.exit_code == 0 and asc.exit_code == 0
+        base = ["bench", str(fixture_path("lih_sto3g")), "--mapping", "jw",
+                "--mode", "canonical", "--orderings", "magnitude,lexomag,lex"]
+        opt = {}
+        for direction in ("desc", "asc"):
+            r = self.run(*base, "--magnitude-direction", direction)
+            assert r.exit_code == 0
+            opt[direction] = {row["ordering"]: row["opt_total"]
+                              for row in csv.DictReader(r.output.splitlines())}
+        assert list(opt["desc"]) == ["lex", "lexomag", "magnitude"]
+        assert list(opt["asc"]) == ["lex", "lexomag-asc", "magnitude-asc"]
+        # lex ignores the direction; each magnitude sort counts another circuit.
+        assert opt["asc"]["lex"] == opt["desc"]["lex"]
+        for kind in ("magnitude", "lexomag"):
+            assert opt["asc"][f"{kind}-asc"] != opt["desc"][kind]
+        errors = self.run("trotter-error", SPEC, "--mapping", "jw", "--orderings",
+                          "magnitude,lexomag,lex,random:3", "--magnitude-direction", "asc")
+        assert [r["ordering"] for r in json.loads(errors.output)] == [
+            "magnitude-asc", "lexomag-asc", "lex", "random:3"]
 
     @pytest.mark.parametrize("args", [
         ["trotter-error", "synthetic:n=2,seed=1", "--time", "0"],
@@ -615,14 +627,41 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["map", "trotter-error"])
     def test_memory_error_is_one_line(self, command, monkeypatch):
-        def sized_load(inp):
+        def synthetic_integrals(*spec):
             raise MemoryError("Unable to allocate 8.00 GiB for an array")
 
-        monkeypatch.setattr(bench, "sized_load", sized_load)
+        monkeypatch.setattr(fermion, "synthetic_integrals", synthetic_integrals)
         r = CliRunner().invoke(main, [command, SPEC])
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)
         assert r.output == f"Error: {SPEC}: Unable to allocate 8.00 GiB for an array\n"
+
+    @pytest.mark.parametrize("command,pairs", [("map", 1), ("bench", 2), ("trotter-error", 2)])
+    def test_operator_comes_from_pair_stages(self, command, pairs, monkeypatch):
+        # Each map_operator call runs inside a pair_stages chain, and map
+        # closes its chain before it writes the terms.
+        real_stages, real_map, real_format = (bench.pair_stages, mappings.map_operator,
+                                              pauli.format_terms)
+        chains, inside, closed = [], [], []
+
+        def pair_stages(*args):
+            chains.append(real_stages(*args))
+            return chains[-1]
+
+        def map_operator(*args):
+            inside.append(any(chain.gi_running for chain in chains))
+            return real_map(*args)
+
+        def format_terms(op):
+            closed.append(all(chain.gi_frame is None for chain in chains))
+            return real_format(op)
+
+        monkeypatch.setattr(bench, "pair_stages", pair_stages)
+        monkeypatch.setattr(mappings, "map_operator", map_operator)
+        monkeypatch.setattr(pauli, "format_terms", format_terms)
+        assert self.run(command, SPEC).exit_code == 0
+        assert len(chains) == pairs and inside == [True] * pairs
+        assert closed == ([True] if command == "map" else [])
 
     @pytest.mark.parametrize("command", ["map", "compile", "optimize", "bench", "trotter-error"])
     def test_unwritable_output_is_one_line(self, command, tmp_path):
@@ -641,7 +680,8 @@ class TestCli:
 
     def test_map_accepts_synthetic_spec(self, tmp_path):
         fcidump = tmp_path / "s.fcidump"
-        fcidump.write_text(write_fcidump(BenchInput.parse("synthetic:n=2,seed=1").load()))
+        fcidump.write_text(write_fcidump(fermion.synthetic_integrals(
+            *BenchInput.parse("synthetic:n=2,seed=1").synthetic)))
         r = self.run("map", "synthetic:n=2,seed=1")
         assert r.exit_code == 0
         assert r.output == self.run("map", str(fcidump)).output

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from fermiqc.circuits import (CNOT, CZ, RZ, YB, YBD, Circuit, Gate, GateCounts, H, X,
                               SYNTHESIS_MODES, count_gates, format_circuit,
-                              parse_circuit, synthesize_plan, synthesize_term,
-                              term_gate_counts)
+                              parse_circuit, synthesize_plan, term_gate_counts)
 from fermiqc.pauli import PauliString
 from fermiqc.trotter import OrderingStrategy, plan_for
 
 from oracles import (assert_same_up_to_phase, circuit_unitary, pauli, pauli_exponential,
                      qubit_operator, random_pauli_string, random_plan, reference_format_circuit,
-                     reference_gate_counts, reference_parse_circuit, reference_synthesize_plan)
+                     reference_gate_counts, reference_parse_circuit, reference_synthesize_plan,
+                     term_plan)
 
 def realized_unitary(circ: Circuit) -> np.ndarray:
     """Data-register unitary; for ancilla circuits the |0> input block."""
@@ -91,7 +91,7 @@ class TestSynthesis:
     def test_single_qubit_terms(self, mode):
         for label, theta in [("Z", 0.7), ("X", -1.2), ("Y", 2.3)]:
             s = pauli(label)
-            circ = synthesize_term(s, theta, mode)
+            circ = synthesize_plan(term_plan(s, theta), mode)
             assert_same_up_to_phase(realized_unitary(circ), pauli_exponential(s, theta))
 
     @pytest.mark.parametrize("mode", SYNTHESIS_MODES)
@@ -100,17 +100,17 @@ class TestSynthesis:
             n = int(rng.integers(1, 6))
             s = random_pauli_string(rng, n)
             theta = float(rng.uniform(-np.pi, np.pi))
-            circ = synthesize_term(s, theta, mode)
+            circ = synthesize_plan(term_plan(s, theta), mode)
             assert_same_up_to_phase(realized_unitary(circ), pauli_exponential(s, theta))
 
     @pytest.mark.parametrize("mode", SYNTHESIS_MODES)
     def test_identity_rejected(self, mode):
-        with pytest.raises(ValueError):
-            synthesize_term(PauliString(3), 0.5, mode)
+        with pytest.raises(ValueError, match="identity term has no circuit"):
+            synthesize_plan(term_plan(PauliString(3), 0.5), mode)
 
     def test_canonical_structure(self):
         s = pauli("YZIZX")
-        circ = synthesize_term(s, 0.4)
+        circ = synthesize_plan(term_plan(s, 0.4))
         kinds = [g.kind for g in circ.gates]
         # basis changes bracket a symmetric CNOT ladder around one rotation
         assert kinds == ["YB", "H", "CNOT", "CNOT", "CNOT", "RZ",
@@ -119,14 +119,14 @@ class TestSynthesis:
 
     def test_ancilla_returns_to_zero(self):
         s = pauli("XYZ")
-        u = circuit_unitary(synthesize_term(s, 0.9, "ancilla"))
+        u = circuit_unitary(synthesize_plan(term_plan(s, 0.9), "ancilla"))
         dim = 1 << 3
         # no amplitude may leak from the |0>-ancilla block
         np.testing.assert_allclose(u[dim:, :dim], 0.0, atol=1e-12)
 
     def test_basis_shift_rotation_adjacent_to_basis_change(self):
         s = pauli("ZZZZX")
-        gates = synthesize_term(s, 0.3, "basis_shift").gates
+        gates = synthesize_plan(term_plan(s, 0.3), "basis_shift").gates
         i = next(k for k, g in enumerate(gates) if g.kind == "RZ")
         assert gates[i - 1] == H(4) and gates[i + 1] == H(4)
 
@@ -137,7 +137,8 @@ class TestTermGateCounts:
         for _ in range(40):
             n = int(rng.integers(1, 9))
             s = random_pauli_string(rng, n)
-            assert term_gate_counts(s, mode) == count_gates(synthesize_term(s, 0.1, mode)), s
+            circ = synthesize_plan(term_plan(s, 0.1), mode)
+            assert term_gate_counts(s, mode) == count_gates(circ), s
 
     def test_identity_is_free(self):
         assert term_gate_counts(PauliString(4)) == GateCounts(0, 0, 0, 0)

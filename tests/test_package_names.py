@@ -21,7 +21,6 @@ PACKAGE = REPO / "src" / "fermiqc"
 # file that uses the name -> {name: why it stays}
 ENTRY_POINTS = {
     "tests/test_acceptance.py": {
-        "synthesize_term": "criterion 4 checks single-term circuits",
         "term_gate_counts": "criterion 6 counts large registers in closed form",
         "bk_matrix": "criterion 2 checks the dense BK matrix, an independent reference",
     },

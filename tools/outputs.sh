@@ -105,6 +105,9 @@ run bench-fixtures bench "$fixtures/h2_sto3g.fcidump" "$fixtures/h2_631g.fcidump
     "$fixtures/lih_sto3g.fcidump" --orderings magnitude,lex,lexomag,random:7 \
     --mode canonical --mode basis_shift --mode ancilla
 run bench-lih-error bench "$fixtures/lih_sto3g.fcidump" --error --format json --steps 2
+# An ascending magnitude sort is named in the report (magnitude-asc, lexomag-asc).
+run bench-lih-asc bench "$fixtures/lih_sto3g.fcidump" --mapping jw --orderings magnitude,lexomag \
+    --magnitude-direction asc
 # The optimize levels below full, on three steps (each step optimized once).
 for level in cancel none; do
     run "bench-lih-steps3-$level" bench "$fixtures/lih_sto3g.fcidump" --steps 3 \
