@@ -131,7 +131,7 @@ def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> lis
     Trotter error per ordering.  The pair fails as a unit: a stage that
     raises writes its error into every cell and leaves the values already
     made in place.  One table of synthesis templates serves the pair's
-    orderings and modes."""
+    orderings and modes, and one set of evolution tables its orderings."""
     by_ordering = [[BenchRow(inp.system, 0, scheme.value, o.label, o.seed, mode,
                              caveats=dict.fromkeys(_CAVEATS) if cfg.with_error else None)
                     for mode in cfg.modes] for o in cfg.orderings]
@@ -154,8 +154,9 @@ def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> lis
                                if row.raw.total else 0.0)
         if cfg.with_error:
             energy, ground, sector = next(stages)
+            tables = simulator.evolution_tables(*qop.arrays()[:2], ground)
             for group, plan in zip(by_ordering, plans):
-                rep = simulator.trotter_error(plan, energy, ground)
+                rep = simulator.trotter_error(plan, energy, ground, tables)
                 for row in group:
                     row.trotter_error = rep.error
                     row.caveats.update(time=rep.time, unreliable=rep.unreliable,

@@ -233,13 +233,16 @@ def trotter_error_cmd(inputs, mapping, ordering, magnitude_direction, orderings,
             with _one_line_errors(spec):
                 n_qubits, qop, (energy, ground, sector) = bench_mod.pair_stages(inp, scheme)
                 time_used = simulator.safe_evolution_time(qop, time_)
-                for strategy in strategies:
-                    for n_steps in steps_list:
-                        plan = trotter.plan_for(qop, strategy, n_steps, time_used)
-                        rep = simulator.trotter_error(plan, energy, ground)
-                        reports.append({"system": inp.system, "n_qubits": n_qubits,
-                                        "mapping": scheme.value, "ordering": str(strategy),
-                                        **asdict(rep), **sector})
+                plans = [(strategy, trotter.plan_for(qop, strategy, n_steps, time_used))
+                         for strategy in strategies for n_steps in steps_list]
+                # One set of tables serves the pair's plans; it goes before the next pair's.
+                tables = simulator.evolution_tables(*qop.arrays()[:2], ground)
+                for strategy, plan in plans:
+                    rep = simulator.trotter_error(plan, energy, ground, tables)
+                    reports.append({"system": inp.system, "n_qubits": n_qubits,
+                                    "mapping": scheme.value, "ordering": str(strategy),
+                                    **asdict(rep), **sector})
+                del plans, tables
     _write(json.dumps(reports, indent=2) + "\n", output)
 
 

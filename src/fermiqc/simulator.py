@@ -28,6 +28,10 @@ OPERATOR_QUBIT_LIMIT = 16
 _HERMITIAN_TOL = 1e-10  # max |m - m^H| that ground_state accepts
 _RESIDUAL_TOL = 1e-9  # max |m v - E v| of the returned eigenpair
 _BLOCK_TIE_TOL = 1e-10  # coset blocks this close to the lowest energy tie
+# Bytes of column sign patterns for which evolution_tables widens its split
+# past rank // 2: LiH's 252 (z, flip) keys over a whole 256-state coset take
+# 1 MB, while 16 qubits keep the half split.
+_SIGN_PATTERN_BUDGET = 2 << 20
 
 
 class EigensolverError(RuntimeError):
@@ -205,50 +209,92 @@ def _pivot_coords(j, basis: list[int]):
     return k
 
 
-def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
-    """Apply (prod_j exp(-i theta_j/2 P_j))^n using the closed form
-    exp(-i phi P)|psi> = cos(phi)|psi> - i sin(phi) P|psi> (P^2 = I).
+@dataclass
+class EvolutionTables:
+    """What evolving one state under any plan of one operator needs: the
+    reached basis states, each X mask's gather and each (z, flip) sign
+    pattern pair; see :func:`evolution_tables`."""
 
-    (P|psi>)[j] = i^ny (-1)^parity(z & (j ^ x)) psi[j ^ x], and j ^ x stays
-    in the coset j ^ span(X masks), so only the cosets of the state's
-    nonzero entries are evolved; every other amplitude stays 0.  With span[k]
-    the XOR of the basis vectors picked by the bits of k, amplitude
-    rep ^ span[k] sits at position (coset, k), and X mask x moves it to
-    (coset, k ^ k_x), k_x its pivot bits.  The permutations, sign patterns
-    and scalars are built once per plan.  The sign factorises over
-    rep ^ span[k_hi << lo] and span[k_lo], so it flips the IEEE sign bits
-    of a (cosets * 2^hi, 2 * 2^lo) uint64 view by a row and a column pattern
-    (None when all zero)."""
-    dim = 1 << plan.n_qubits
-    if len(state) != dim:
-        raise ValueError(f"state has dimension {len(state)}, plan needs {dim}")
-    xs, zs = plan.x.tolist(), plan.z.tolist()
+    reached: np.ndarray  # basis state of each position, (coset, k) order
+    shape: tuple[int, ...]  # of the uint64 sign view of the gathered vector
+    perms: dict[int, np.ndarray]  # x -> positions gathered from
+    signs: dict[tuple[int, int], tuple[np.ndarray | None, np.ndarray | None]]  # row, column
+
+
+def evolution_tables(x: np.ndarray, z: np.ndarray, state: np.ndarray) -> EvolutionTables:
+    """Tables for evolving ``state`` under plans whose terms are the (x, z)
+    masks given, in any order and at any angles.
+
+    j ^ x stays in the coset j ^ span(X masks), so only the cosets of the
+    state's nonzero entries are laid out.  With span[k] the XOR of the basis
+    vectors picked by the bits of k, amplitude rep ^ span[k] sits at position
+    (coset, k), and X mask x moves it to (coset, k ^ k_x), k_x its pivot bits.
+    The sign of (P|psi>)[j] is parity(z & j) ^ flip, flip = parity(z & x);
+    it factorises over the rows rep ^ span[k_hi << lo] ^ r0 and the columns
+    span[k_lo] ^ r0 of a (rows, 2 * 2^lo) view (real and imaginary part),
+    for any offset r0.  With r0 the first representative and one row, the
+    row value is 0, so the flip rides on the column pattern and the view is
+    1-D: one same-shape XOR per term.  lo is the largest split, at least
+    rank // 2, whose column patterns fit _SIGN_PATTERN_BUDGET; with several
+    rows the flip stays on the row patterns, so each z keeps one column
+    pattern."""
+    xs, zs = x.tolist(), z.tolist()
+    keys = {(z, (z & x).bit_count() & 1) for x, z in zip(xs, zs)}
     basis, span = _x_span(set(xs))
-    rank, lo = len(basis), len(basis) // 2
+    rank = len(basis)
+    fits = (_SIGN_PATTERN_BUDGET // (16 * len(keys))).bit_length() - 1 if keys else rank
+    lo = max(rank // 2, min(rank, fits))
     nonzero = np.flatnonzero(state)
     reps = np.unique(nonzero ^ span[_pivot_coords(nonzero, basis)])
-    rows = (reps[:, None] ^ span[::1 << lo]).reshape(-1, 1)
-    cols = np.repeat(span[:1 << lo], 2)  # real, imaginary part
-    pos = np.arange(len(reps) << rank, dtype=np.int64)
-    perms = {x: pos ^ _pivot_coords(x, basis) for x in set(xs)}
+    r0 = reps[0] if len(reps) else 0
+    rows = (reps[:, None] ^ span[::1 << lo] ^ r0).reshape(-1, 1)
+    cols = np.repeat(span[:1 << lo] ^ r0, 2)  # real, imaginary part
+    one_row = len(rows) == 1
     shared: dict[tuple, np.ndarray | None] = {}
 
-    def signs(vals: np.ndarray, z: int, flip: int) -> np.ndarray | None:
-        """Sign bits of parity(z & vals) ^ flip."""
+    def pattern(vals: np.ndarray, z: int, flip: int) -> np.ndarray | None:
+        """Sign bits of parity(z & vals) ^ flip, None when all zero."""
         key = (vals.ndim, z, flip)
         if key not in shared:
             bits = _parity(vals, z) ^ flip
             shared[key] = bits.astype(np.uint64) << np.uint64(63) if bits.any() else None
         return shared[key]
 
-    table = [(perms[x], signs(rows, z, (z & x).bit_count() & 1), signs(cols, z, 0),
-              math.cos(0.5 * theta),
-              -1j * math.sin(0.5 * theta) * I_POWERS[(x & z).bit_count() % 4])
-             for x, z, theta in zip(xs, zs, plan.angles())]
-    reached = (reps[:, None] ^ span).ravel()
-    psi = state[reached].astype(complex, copy=False)
+    pos = np.arange(len(reps) << rank, dtype=np.int64)
+    return EvolutionTables(
+        reached=(reps[:, None] ^ span).ravel(),
+        shape=(len(cols),) if one_row else (len(rows), len(cols)),
+        perms={x: pos ^ _pivot_coords(x, basis) for x in set(xs)},
+        signs={(z, f): (None, pattern(cols, z, f)) if one_row
+               else (pattern(rows, z, f), pattern(cols, z, 0)) for z, f in keys})
+
+
+def apply_trotterized(plan: TrotterPlan, state: np.ndarray,
+                      tables: EvolutionTables | None = None) -> np.ndarray:
+    """Apply (prod_j exp(-i theta_j/2 P_j))^n using the closed form
+    exp(-i phi P)|psi> = cos(phi)|psi> - i sin(phi) P|psi> (P^2 = I), with
+    (P|psi>)[j] = i^ny (-1)^parity(z & (j ^ x)) psi[j ^ x].
+
+    Only the reached amplitudes of ``tables`` (built from the plan and the
+    state when omitted; see :func:`evolution_tables`) are evolved; every
+    other amplitude stays 0.  Each term costs a gather, one or two sign-bit
+    XORs into a uint64 view, a scale, a cos multiply and an add on buffers
+    of the reached size, its scalars complex128 so that numpy takes its
+    scalar fast path."""
+    dim = 1 << plan.n_qubits
+    if len(state) != dim:
+        raise ValueError(f"state has dimension {len(state)}, plan needs {dim}")
+    if tables is None:
+        tables = evolution_tables(plan.x, plan.z, state)
+    psi = state[tables.reached].astype(complex, copy=False)
+    if np.count_nonzero(psi) != np.count_nonzero(state):
+        raise ValueError("state has amplitudes outside the cosets of its evolution tables")
+    table = [(tables.perms[x], *tables.signs[z, (x & z).bit_count() & 1],
+              np.complex128(math.cos(0.5 * theta)),
+              np.complex128(-1j * math.sin(0.5 * theta) * I_POWERS[(x & z).bit_count() % 4]))
+             for x, z, theta in zip(plan.x.tolist(), plan.z.tolist(), plan.angles())]
     moved = np.empty_like(psi)
-    bits = moved.view(np.uint64).reshape(len(rows), len(cols))
+    bits = moved.view(np.uint64).reshape(tables.shape)
     for _ in range(plan.n_steps):
         for perm, row, col, cos, scale in table:
             # mode="wrap" spares the copy of `out` that "raise" makes; perm is in range.
@@ -261,7 +307,7 @@ def apply_trotterized(plan: TrotterPlan, state: np.ndarray) -> np.ndarray:
             psi *= cos
             psi += moved
     out = np.zeros(dim, dtype=complex)
-    out[reached] = psi
+    out[tables.reached] = psi
     return out
 
 
@@ -276,13 +322,15 @@ class TrotterErrorReport:
     unreliable: bool
 
 
-def trotter_error(plan: TrotterPlan, exact_energy: float, ground: np.ndarray) -> TrotterErrorReport:
-    """Phase-based energy estimate from one Trotterized evolution.
+def trotter_error(plan: TrotterPlan, exact_energy: float, ground: np.ndarray,
+                  tables: EvolutionTables | None = None) -> TrotterErrorReport:
+    """Phase-based energy estimate from one Trotterized evolution; ``tables``
+    as for :func:`apply_trotterized`.
 
     The overlap <g|U|g> carries phase -E t for the exact propagator; the
     branch assumes |E t| < pi, with E excluding the scalar offset.
     """
-    evolved = apply_trotterized(plan, ground)
+    evolved = apply_trotterized(plan, ground, tables)
     overlap = complex(np.vdot(ground, evolved))
     mag = abs(overlap)
     estimated = -cmath.phase(overlap) / plan.time + plan.scalar_offset

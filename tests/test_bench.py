@@ -663,6 +663,31 @@ class TestCli:
         assert len(chains) == pairs and inside == [True] * pairs
         assert closed == ([True] if command == "map" else [])
 
+    @pytest.mark.parametrize("command,names,extra,pairs,plans", [
+        ("trotter-error", ["lih_sto3g", "h2_631g"], ["--steps", "1,20"], 4, 16),
+        ("bench", ["lih_sto3g"], ["--error"], 2, 4)])
+    def test_evolution_tables_built_once_per_pair(self, command, names, extra, pairs, plans,
+                                                  monkeypatch):
+        # The sector ground state takes one X-mask span per pair; any other
+        # span is an evolution table build, and each serves all the pair's plans.
+        real_span, real_error = simulator._x_span, simulator.trotter_error
+        builds, errors = [], []
+
+        def _x_span(xs):
+            builds.append(sys._getframe(1).f_code.co_name != "sector_ground_state")
+            return real_span(xs)
+
+        def trotter_error(*args):
+            errors.append(args[0])
+            return real_error(*args)
+
+        monkeypatch.setattr(simulator, "_x_span", _x_span)
+        monkeypatch.setattr(simulator, "trotter_error", trotter_error)
+        inputs = [str(fixture_path(name)) for name in names]
+        assert self.run(command, *inputs, "--orderings", "magnitude,lex", *extra).exit_code == 0
+        assert len(errors) == plans
+        assert builds.count(False) == pairs and builds.count(True) == pairs
+
     @pytest.mark.parametrize("command", ["map", "compile", "optimize", "bench", "trotter-error"])
     def test_unwritable_output_is_one_line(self, command, tmp_path):
         terms, circ = tmp_path / "h2.terms", tmp_path / "h2.circ"

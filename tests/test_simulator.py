@@ -483,3 +483,49 @@ class TestReachedStates:
         finally:
             tracemalloc.stop()
         assert peak < len(set(plan.x.tolist())) * len(state) * 8
+
+
+class TestEvolutionTables:
+    """The sign patterns take the whole coset only inside their byte budget."""
+
+    @staticmethod
+    def tables(ints, scheme):
+        qop = mappings.map_operator(fermion.build_hamiltonian(ints), scheme)
+        state = sector_ground_state(qop, ints, scheme)[1]
+        return simulator.evolution_tables(*qop.arrays()[:2], state), qop, state
+
+    @pytest.mark.parametrize("scheme", ["jw", "bk"])
+    def test_one_coset_takes_one_xor(self, scheme):
+        tables = self.tables(fermion.parse_fcidump(fixture_text("lih_sto3g")), scheme)[0]
+        assert len(tables.reached) == 256
+        assert tables.shape == (512,)
+        assert all(row is None for row, _ in tables.signs.values())
+
+    def test_sixteen_qubits_keep_the_half_split(self):
+        # 1,145 (z, flip) keys over a coset of 2^14 states: whole-coset
+        # patterns would take 300 MB, and even a split at 2^9 columns 9 MB.
+        tables = self.tables(fermion.synthetic_integrals(8, seed=3), "jw")[0]
+        rank = len(tables.reached).bit_length() - 1
+        assert (rank, len(tables.signs)) == (14, 1145)
+        assert tables.shape == (1 << (rank - rank // 2), 2 << (rank // 2))
+        # The half split's patterns before the one-coset fold held 3,245,056 bytes.
+        patterns = [p for pair in tables.signs.values() for p in pair if p is not None]
+        assert sum(p.nbytes for p in patterns) <= 3_245_056
+
+    def test_split_path_matches_reference(self, monkeypatch):
+        # With no budget, LiH's coset is split into rows and columns again.
+        monkeypatch.setattr(simulator, "_SIGN_PATTERN_BUDGET", 0)
+        tables, qop, state = self.tables(fermion.parse_fcidump(fixture_text("lih_sto3g")), "jw")
+        assert tables.shape == (16, 32)
+        plan = plan_for(qop, OrderingStrategy("magnitude"), 2, time=0.1)
+        assert np.array_equal(apply_trotterized(plan, state, tables),
+                              reference_apply_trotterized(plan, state))
+
+    def test_rejects_a_state_outside_its_cosets(self):
+        # X0 and Z1 reach the coset {0, 1} of state 0 only.
+        plan = plan_for(qubit_operator(2, [(0.5, pauli("XI")), (0.25, pauli("IZ"))]),
+                        OrderingStrategy("lex"), 1, 0.3)
+        tables = simulator.evolution_tables(plan.x, plan.z, np.array([1, 0, 0, 0]))
+        assert sorted(tables.reached.tolist()) == [0, 1]
+        with pytest.raises(ValueError, match="outside the cosets"):
+            apply_trotterized(plan, np.array([1, 0, 1, 0], dtype=complex), tables)

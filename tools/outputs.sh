@@ -118,6 +118,9 @@ run trotter-error trotter-error "$fixtures/lih_sto3g.fcidump" "$fixtures/h2_631g
     --orderings magnitude,lex --steps 1,20 --time 0.1
 # An open-shell header (NELEC=3, MS2=1), below the Fock-space minimum's electron count.
 run trotter-error-open-shell trotter-error synthetic:n=3,seed=5,density=0.8
+# 16 qubits: a coset of 16,384 states whose sign patterns exceed the budget for
+# a whole-coset pattern, so each term XORs a row and a column pattern.
+run trotter-error-16q trotter-error synthetic:n=8,seed=3 --mapping jw
 # --time 100 is clamped; the JSON rows carry the time used.
 run bench-lih-error-clamped bench "$fixtures/lih_sto3g.fcidump" --error --format json --time 100
 # One pair completes and one fails at load; the report keeps both.
