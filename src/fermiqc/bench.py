@@ -105,12 +105,13 @@ class BenchRow:
     error: str | None = None
 
 
-def pair_stages(inp: BenchInput, scheme: MappingScheme):
+def pair_stages(inp: BenchInput, scheme: MappingScheme, orderings=(), step_counts=(), time=1.0):
     """The stages of one (input, mapping) pair, each run when the caller
     takes its value: the register size (named by a synthetic spec, read
-    from a file's header), then the qubit operator, then the sector ground
-    state (energy, state, sector fields).  The map limit is checked before
-    any integral array is made; both they and the Hamiltonian grow as n^4."""
+    from a file's header), the qubit operator, its Trotter plans by
+    (ordering, n_steps) at the clamped time, then per plan its key, error
+    report and sector fields.  The map limit is checked before any integral
+    array is made; both they and the Hamiltonian grow as n^4."""
     if inp.synthetic is None:
         text = Path(inp.path).read_text()
         n_modes = 2 * fermion.fcidump_header(text.splitlines())[0]
@@ -122,45 +123,43 @@ def pair_stages(inp: BenchInput, scheme: MappingScheme):
             else fermion.synthetic_integrals(*inp.synthetic))
     qop = mappings.map_operator(fermion.build_hamiltonian(ints), scheme)
     yield qop
-    yield simulator.sector_ground_state(qop, ints, scheme)
+    time = simulator.safe_evolution_time(qop, time)
+    plans = {(o, n): trotter.plan_for(qop, o, n, time) for o in orderings for n in step_counts}
+    yield plans
+    energy, ground, sector = simulator.sector_ground_state(qop, ints, scheme)
+    tables = simulator.evolution_tables(*qop.arrays()[:2], ground)
+    for key, plan in plans.items():
+        yield key, simulator.trotter_error(plan, energy, ground, tables), sector
 
 
 def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> list[BenchRow]:
-    """Every cell of one (input, mapping) pair, each stage run once per key:
-    (input, mapping) → ordering → mode, then the sector ground state and one
-    Trotter error per ordering.  The pair fails as a unit: a stage that
-    raises writes its error into every cell and leaves the values already
-    made in place.  One table of synthesis templates serves the pair's
-    orderings and modes, and one set of evolution tables its orderings."""
-    by_ordering = [[BenchRow(inp.system, 0, scheme.value, o.label, o.seed, mode,
-                             caveats=dict.fromkeys(_CAVEATS) if cfg.with_error else None)
-                    for mode in cfg.modes] for o in cfg.orderings]
-    rows = [row for group in by_ordering for row in group]
-    stages = pair_stages(inp, scheme)
+    """Every cell of one (input, mapping) pair from its stages: the counts
+    per (ordering, mode), then with ``with_error`` one Trotter error per
+    ordering.  The pair fails as a unit: a stage that raises writes its
+    error into every cell and leaves the values already made in place."""
+    by_ordering = {o: [BenchRow(inp.system, 0, scheme.value, o.label, o.seed, mode,
+                                caveats=dict.fromkeys(_CAVEATS) if cfg.with_error else None)
+                       for mode in cfg.modes] for o in cfg.orderings}
+    rows = [row for group in by_ordering.values() for row in group]
+    stages = pair_stages(inp, scheme, cfg.orderings, [cfg.n_steps], cfg.time)
     try:
         n_qubits = next(stages)
         for row in rows:
             row.n_qubits = n_qubits
-        qop = next(stages)
-        time = simulator.safe_evolution_time(qop, cfg.time)
-        templates: dict = {}
-        plans = [trotter.plan_for(qop, o, cfg.n_steps, time) for o in cfg.orderings]
-        for plan, group in zip(plans, by_ordering):
-            for row in group:
+        next(stages)  # the qubit operator
+        templates: dict = {}  # one table serves the pair's orderings and modes
+        for (ordering, _), plan in next(stages).items():
+            for row in by_ordering[ordering]:
                 circ = synthesize_plan(plan, row.mode, templates)
                 row.raw = count_gates(circ)
                 row.optimized = count_gates(optimizer.run_level(circ, cfg.optimize_level))
                 row.savings = ((row.raw.total - row.optimized.total) / row.raw.total
                                if row.raw.total else 0.0)
-        if cfg.with_error:
-            energy, ground, sector = next(stages)
-            tables = simulator.evolution_tables(*qop.arrays()[:2], ground)
-            for group, plan in zip(by_ordering, plans):
-                rep = simulator.trotter_error(plan, energy, ground, tables)
-                for row in group:
-                    row.trotter_error = rep.error
-                    row.caveats.update(time=rep.time, unreliable=rep.unreliable,
-                                       overlap_magnitude=rep.overlap_magnitude, **sector)
+        for (ordering, _), rep, sector in (stages if cfg.with_error else ()):
+            for row in by_ordering[ordering]:
+                row.trotter_error = rep.error
+                row.caveats.update(time=rep.time, unreliable=rep.unreliable,
+                                   overlap_magnitude=rep.overlap_magnitude, **sector)
     except Exception as exc:
         for row in rows:
             row.error = f"{type(exc).__name__}: {exc}"

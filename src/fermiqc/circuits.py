@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
 
-from .pauli import PauliString
 from .trotter import TrotterPlan
 
 # kind -> (qubit count, inverse kind); RZ has no inverse among the kinds.
@@ -276,23 +275,6 @@ def synthesize_plan(plan: TrotterPlan, mode: str = "canonical",
         step += template
     return Circuit(plan.n_qubits, step, plan.angles(), plan.n_steps,
                    ancilla=(mode == "ancilla"))
-
-
-def term_gate_counts(string: PauliString, mode: str = "canonical") -> GateCounts:
-    """Closed-form gate tally of one term circuit, without materializing it.
-
-    Validated against the synthesizers in the test suite; acceptance
-    criterion 6 sums it over the terms of large registers.
-    """
-    _template(mode)
-    w = string.weight
-    if w == 0:
-        return GateCounts(0, 0, 0, 0)
-    single = 2 * string.x.bit_count()  # a basis change on each side of every X or Y
-    # basis_shift has the canonical multiset: basis pairs move inward, each
-    # group contributes (|group|-1) chain CNOTs plus one coupling per side.
-    ent = 2 * w if mode == "ancilla" else 2 * (w - 1)
-    return GateCounts(single + ent + 1, ent, single, 1)
 
 
 def format_circuit(c: Circuit) -> str:

@@ -29,8 +29,7 @@ def _one_line_errors(source: str):
     ``Error: <source>: <message>`` line, exit 1."""
     try:
         yield
-    except (OSError, ValueError, MemoryError, fermion.ResourceLimitError,
-            simulator.EigensolverError) as exc:
+    except (OSError, ValueError, MemoryError, fermion.ResourceLimitError) as exc:
         raise click.ClickException(f"{source}: {exc}") from None
 
 
@@ -102,10 +101,9 @@ def _steps_list(ctx, param, value: str) -> list[int]:
     return list(dict.fromkeys(steps))
 
 
-def _parse_inputs(specs) -> dict[bench_mod.BenchInput, str]:
-    """Each distinct input once, in first-occurrence order, with its first
-    spelling.  Report rows are keyed by system name, so two distinct inputs
-    that share one are a usage error."""
+def _parse_inputs(specs) -> list[bench_mod.BenchInput]:
+    """Each distinct input once, in first-occurrence order.  Report rows are
+    keyed by system name, so two distinct inputs that share one are a usage error."""
     by_system = {}
     for spec in specs:
         try:
@@ -116,7 +114,15 @@ def _parse_inputs(specs) -> dict[bench_mod.BenchInput, str]:
         if inp != first:
             raise click.BadParameter(f"{first_spec!r} and {spec!r} are distinct inputs "
                                      f"that share the system name {inp.system!r}")
-    return dict(by_system.values())
+    return [inp for inp, _ in by_system.values()]
+
+
+def _write_report(text: str, output: str | None, failures: list[str]) -> None:
+    """Write a report, then the failure lines on stderr and exit 2 if any."""
+    _write(text, output)
+    if failures:
+        click.echo("\n".join(failures), err=True)
+        sys.exit(2)
 
 
 @main.command("map")
@@ -194,7 +200,7 @@ def bench_cmd(inputs, mapping, ordering, magnitude_direction, orderings, modes,
     ``synthetic:n=8,seed=1,density=1.0``.
     """
     cfg = bench_mod.BenchConfig(
-        inputs=list(_parse_inputs(inputs)),
+        inputs=_parse_inputs(inputs),
         mappings=[MappingScheme(m) for m in mapping],
         orderings=_parse_orderings(ordering, orderings, magnitude_direction),
         modes=modes,
@@ -205,13 +211,9 @@ def bench_cmd(inputs, mapping, ordering, magnitude_direction, orderings, modes,
         workers=workers,
     )
     rows = bench_mod.run_bench(cfg)
-    _write(bench_mod.emit_report(rows, fmt), output)
-    failed = [row for row in rows if row.error is not None]
-    for row in failed:
-        click.echo(f"cell failed: {row.system}/{row.mapping}/{row.ordering}/"
-                   f"{row.mode}: {row.error}", err=True)
-    if failed:
-        sys.exit(2)
+    _write_report(bench_mod.emit_report(rows, fmt), output,
+                  [f"cell failed: {r.system}/{r.mapping}/{r.ordering}/{r.mode}: {r.error}"
+                   for r in rows if r.error is not None])
 
 
 @main.command("trotter-error")
@@ -225,25 +227,24 @@ def bench_cmd(inputs, mapping, ordering, magnitude_direction, orderings, modes,
 @_output_option
 def trotter_error_cmd(inputs, mapping, ordering, magnitude_direction, orderings,
                       steps_list, time_, output):
-    """Measure Trotter error against exact ground energies (JSON report)."""
+    """Measure Trotter error against exact ground energies (JSON report).
+    A failed pair writes one ``error`` object in place of its reports; exit 2."""
     strategies = _parse_orderings(ordering, orderings, magnitude_direction)
-    reports = []
-    for inp, spec in _parse_inputs(inputs).items():
+    reports, failures = [], []
+    for inp in _parse_inputs(inputs):
         for scheme in map(MappingScheme, mapping):
-            with _one_line_errors(spec):
-                n_qubits, qop, (energy, ground, sector) = bench_mod.pair_stages(inp, scheme)
-                time_used = simulator.safe_evolution_time(qop, time_)
-                plans = [(strategy, trotter.plan_for(qop, strategy, n_steps, time_used))
-                         for strategy in strategies for n_steps in steps_list]
-                # One set of tables serves the pair's plans; it goes before the next pair's.
-                tables = simulator.evolution_tables(*qop.arrays()[:2], ground)
-                for strategy, plan in plans:
-                    rep = simulator.trotter_error(plan, energy, ground, tables)
-                    reports.append({"system": inp.system, "n_qubits": n_qubits,
-                                    "mapping": scheme.value, "ordering": str(strategy),
-                                    **asdict(rep), **sector})
-                del plans, tables
-    _write(json.dumps(reports, indent=2) + "\n", output)
+            head = {"system": inp.system, "n_qubits": 0, "mapping": scheme.value}
+            stages = bench_mod.pair_stages(inp, scheme, strategies, steps_list, time_)
+            try:
+                head["n_qubits"] = next(stages)
+                next(stages), next(stages)  # the qubit operator and the plans
+                reports += [{**head, "ordering": str(strategy), **asdict(rep), **sector}
+                            for (strategy, _), rep, sector in stages]
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                reports.append({**head, "error": error})
+                failures.append(f"pair failed: {inp.system}/{scheme.value}: {error}")
+    _write_report(json.dumps(reports, indent=2) + "\n", output, failures)
 
 
 if __name__ == "__main__":

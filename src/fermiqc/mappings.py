@@ -4,8 +4,8 @@ The Bravyi-Kitaev encoding is the binary-tree (Fenwick) scheme: qubit i
 stores the mod-2 sum of a contiguous block of orbital occupations ending
 at orbital i, with block length lowbit(i+1).  Update/parity/flip sets are
 computed in closed form from that tree, and the X masks of the ladder
-images give the basis permutation; the dense transformation matrix is an
-independent reference for both.
+images give the basis permutation; the tests check both against the
+dense transformation matrix.
 """
 
 from __future__ import annotations
@@ -36,26 +36,6 @@ class BKIndexSets:
     @property
     def remainder(self) -> frozenset[int]:
         return self.parity - self.flip
-
-
-def bk_matrix(n: int) -> np.ndarray:
-    """Occupation-to-qubit-state int8 matrix, built by block doubling.
-
-    Non-power-of-two sizes take the top-left n x n block of the
-    next-power-of-two matrix.
-    """
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    size = 1
-    m = np.ones((1, 1), dtype=np.int8)
-    while size < n:
-        big = np.zeros((2 * size, 2 * size), dtype=np.int8)
-        big[:size, :size] = m
-        big[size:, size:] = m
-        big[-1, :size] = 1
-        m = big
-        size *= 2
-    return m[:n, :n].copy()
 
 
 def _lowbit(m: int) -> int:

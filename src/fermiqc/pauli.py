@@ -41,10 +41,6 @@ class PauliString:
         """One letter per qubit, qubit 0 first, like 'XIZY'."""
         return "".join("IXZY"[(self.x >> q & 1) | (self.z >> q & 1) << 1] for q in range(self.n))
 
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
     def __repr__(self):
         return f"PauliString({self.label!r})"
 

@@ -7,8 +7,9 @@ pairs, per-term Gate lists for Trotter circuits, a plain list-based
 peephole optimizer, gate-by-gate circuit-file loops, term-by-term
 simulator loops, an XOR closure of basis states, a nested-loop Hamiltonian construction and its
 normal-ordered merge, a dictionary-based fermion-to-qubit expansion, a
-dictionary sum of (coefficient, string) pairs into a qubit operator) so
-the package code under test is never used to check itself.
+block-doubled Bravyi-Kitaev matrix, a closed-form gate tally of one term
+circuit, a dictionary sum of (coefficient, string) pairs into a qubit
+operator) so the package code under test is never used to check itself.
 The package supplies its data types and, to the mapping reference, its
 per-mode ladder images.
 """
@@ -20,7 +21,7 @@ import random
 import numpy as np
 import scipy.sparse as sp
 
-from fermiqc.circuits import Circuit, Gate, GateCounts
+from fermiqc.circuits import SYNTHESIS_MODES, Circuit, Gate, GateCounts
 from fermiqc.fermion import FermionOperator, ResourceLimitError
 from fermiqc.mappings import MappingScheme, _ladder_images
 from fermiqc.pauli import DEFAULT_TOL, PauliString, QubitOperator
@@ -94,7 +95,7 @@ def random_pauli_string(rng: np.random.Generator, n: int,
                         min_weight: int = 1) -> PauliString:
     while True:
         s = PauliString(n, *(int(m) for m in rng.integers(0, 1 << n, size=2)))
-        if s.weight >= min_weight:
+        if (s.x | s.z).bit_count() >= min_weight:
             return s
 
 
@@ -310,6 +311,21 @@ def reference_gate_counts(gates: list[Gate]) -> GateCounts:
     entangling = sum(len(g.qubits) == 2 for g in gates)
     rz = sum(g.kind == "RZ" for g in gates)
     return GateCounts(len(gates), entangling, len(gates) - entangling - rz, rz)
+
+
+def term_gate_counts(string: PauliString, mode: str = "canonical") -> GateCounts:
+    """Closed-form gate tally of one term circuit, without materializing it;
+    acceptance criterion 6 sums it over the terms of large registers."""
+    if mode not in SYNTHESIS_MODES:
+        raise ValueError(f"unknown synthesis mode {mode!r}")
+    w = (string.x | string.z).bit_count()
+    if w == 0:
+        return GateCounts(0, 0, 0, 0)
+    single = 2 * string.x.bit_count()  # a basis change on each side of every X or Y
+    # basis_shift has the canonical multiset: basis pairs move inward, each
+    # group contributes (|group|-1) chain CNOTs plus one coupling per side.
+    ent = 2 * w if mode == "ancilla" else 2 * (w - 1)
+    return GateCounts(single + ent + 1, ent, single, 1)
 
 
 def random_plan(rng: np.random.Generator, max_qubits: int = 8) -> TrotterPlan:
@@ -675,6 +691,27 @@ def _reference_entries(coeff: complex, factors, imgs) -> list[tuple[complex, int
             new.append((half * sign * c, x ^ fx, z ^ z_anti))
         entries = new
     return entries
+
+
+def bk_matrix(n: int) -> np.ndarray:
+    """Bravyi-Kitaev occupation-to-qubit-state int8 matrix, built by block
+    doubling.
+
+    Non-power-of-two sizes take the top-left n x n block of the
+    next-power-of-two matrix.
+    """
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    size = 1
+    m = np.ones((1, 1), dtype=np.int8)
+    while size < n:
+        big = np.zeros((2 * size, 2 * size), dtype=np.int8)
+        big[:size, :size] = m
+        big[size:, size:] = m
+        big[-1, :size] = 1
+        m = big
+        size *= 2
+    return m[:n, :n].copy()
 
 
 def reference_map_operator(op: FermionOperator, scheme: MappingScheme,

@@ -15,16 +15,16 @@ import numpy as np
 
 from fermiqc import fermion, optimizer
 from fermiqc.bench import BenchConfig, BenchInput, emit_report, run_bench
-from fermiqc.circuits import SYNTHESIS_MODES, count_gates, synthesize_plan, term_gate_counts
+from fermiqc.circuits import SYNTHESIS_MODES, count_gates, synthesize_plan
 from fermiqc.fermion import build_hamiltonian, synthetic_integrals
 from fermiqc.fixtures import FIXTURE_NAMES, fixture_path, fixture_text
-from fermiqc.mappings import (MappingScheme, basis_permutation, bk_index_sets,
-                              bk_matrix, map_operator)
+from fermiqc.mappings import MappingScheme, basis_permutation, bk_index_sets, map_operator
 from fermiqc.simulator import ground_state, operator_matrix, trotter_error
 from fermiqc.trotter import OrderingStrategy, plan_for
 
-from oracles import (circuit_unitary, fock_matrix, pauli, pauli_exponential, qubit_operator,
-                     random_fermion_operator, random_pauli_string, strip_global_phase, term_plan)
+from oracles import (bk_matrix, circuit_unitary, fock_matrix, pauli, pauli_exponential,
+                     qubit_operator, random_fermion_operator, random_pauli_string,
+                     strip_global_phase, term_gate_counts, term_plan)
 
 # Evolution time used for all error measurements: well inside the phase
 # branch |E t| < pi for every bundled fixture, with margin.

@@ -34,6 +34,37 @@ def write_impossible_sectors(directory):
             f"&FCI NORB=2,NELEC={nelec},MS2={ms2},\n&END\n 0.5   1   1   0   0\n")
 
 
+def write_bad_inputs(directory):
+    """The bad input files of test_bad_input_is_one_line and
+    test_bad_input_fails_its_pair."""
+    write_impossible_sectors(directory)
+    for name, text in (
+            ("bad.fcidump", "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.5 1 1\n"),
+            ("neg.fcidump", "&FCI NORB=-1,NELEC=2,\n&END\n"),
+            ("empty-norb.fcidump", "&FCI NORB=,NELEC=2,\n&END\n"),
+            ("empty-nelec.fcidump", "&FCI NORB=2,NELEC=,\n&END\n"),
+            ("empty-ms2.fcidump", "&FCI NORB=2,NELEC=2,MS2=,\n&END\n"),
+            ("nan.fcidump", "&FCI NORB=2,NELEC=2,\n&END\n nan 1 1 0 0\n"),
+            ("nan.terms", "(0.5,0.0) X0\n(nan,0.0) Y0\n"),
+            ("nan.circ", "QUBITS 1 ANCILLA 0\nH 0\nRZ 0 nan\nH 0\n"),
+            ("huge.fcidump", "&FCI NORB=3000,NELEC=2,MS2=0,\n&END\n"),
+            # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map limit.
+            ("big.fcidump", "&FCI NORB=33,NELEC=2,MS2=0,\n&END\n 0.5   1   1   0   0\n")):
+        (directory / name).write_text(text)
+
+
+def assert_pairs_failed(r, spec, n_qubits, error, mappings=("jw", "bk")):
+    """A trotter-error run in which each (spec, mapping) pair failed with
+    ``error``: one error object and one ``pair failed:`` line per mapping,
+    written in full, and exit status 2."""
+    system = BenchInput.parse(spec).system
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert json.loads(r.stdout) == [{"system": system, "n_qubits": n_qubits, "mapping": m,
+                                     "error": error} for m in mappings]
+    assert r.stderr == "".join(f"pair failed: {system}/{m}: {error}\n" for m in mappings)
+
+
 def tiny_config(**overrides):
     cfg = dict(
         inputs=[BenchInput.parse("synthetic:n=2,seed=3")],
@@ -320,10 +351,19 @@ class TestCli:
         def fail(m):
             raise simulator.EigensolverError("no convergence")
         monkeypatch.setattr(simulator, "ground_state", fail)
-        r = CliRunner().invoke(main, ["trotter-error", SPEC])
-        assert r.exit_code == 1
-        assert isinstance(r.exception, SystemExit)
-        assert r.output == f"Error: {SPEC}: no convergence\n"
+        r = CliRunner().invoke(main, ["trotter-error", SPEC, "--mapping", "jw"])
+        assert_pairs_failed(r, SPEC, 4, "EigensolverError: no convergence", ["jw"])
+
+    def test_trotter_error_keeps_finished_pairs(self):
+        # A pair that fails takes only its own reports with it.
+        h2 = str(fixture_path("h2_sto3g"))
+        alone = json.loads(self.run("trotter-error", h2, "--mapping", "jw").output)
+        r = CliRunner().invoke(main, ["trotter-error", h2, "synthetic:n=9", "--mapping", "jw"])
+        assert r.exit_code == 2
+        error = "ResourceLimitError: 18 qubits exceeds the 16-qubit matrix limit"
+        assert json.loads(r.stdout) == alone + [{"system": "synthetic-n9-s0-d1", "n_qubits": 18,
+                                                 "mapping": "jw", "error": error}]
+        assert r.stderr == f"pair failed: synthetic-n9-s0-d1/jw: {error}\n"
 
     def test_magnitude_direction_flag(self):
         base = ["bench", str(fixture_path("lih_sto3g")), "--mapping", "jw",
@@ -480,11 +520,6 @@ class TestCli:
         assert "Traceback" not in r.output
 
     @pytest.mark.parametrize("command,spec,message", [
-        ("trotter-error", "missing.fcidump",
-         "[Errno 2] No such file or directory: 'missing.fcidump'"),
-        ("trotter-error", "bad.fcidump", "line 3: expected 'value i j k l', got ' 0.5 1 1'"),
-        ("trotter-error", "big.fcidump", "66 modes exceeds the 64-mode map limit"),
-        ("trotter-error", "synthetic:n=9", "18 qubits exceeds the 16-qubit matrix limit"),
         ("map", "bad.fcidump", "line 3: expected 'value i j k l', got ' 0.5 1 1'"),
         ("map", "missing.fcidump", "[Errno 2] No such file or directory: 'missing.fcidump'"),
         ("compile", "missing.terms", "[Errno 2] No such file or directory: 'missing.terms'"),
@@ -496,41 +531,48 @@ class TestCli:
         ("map", "nan.fcidump", "line 3: value 'nan' is not finite"),
         ("compile", "nan.terms", "line 2: coefficient '(nan,0.0)' makes a non-finite sum"),
         ("optimize", "nan.circ", "line 3: RZ angle 'nan' is not finite"),
-        ("trotter-error", "parity.fcidump", "no sector has NELEC=3, MS2=0 in NORB=2 orbitals: "
-         "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
-        ("trotter-error", "spin.fcidump", "no sector has NELEC=1, MS2=3 in NORB=2 orbitals: "
-         "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
-        ("trotter-error", "full.fcidump", "no sector has NELEC=6, MS2=0 in NORB=2 orbitals: "
-         "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
         # Integrals of NORB=3000 would need 589 TiB; the header's NORB is
         # checked against the map limit before they are asked for.
         ("map", "huge.fcidump", "6000 modes exceeds the 64-mode map limit"),
-        ("trotter-error", "huge.fcidump", "6000 modes exceeds the 64-mode map limit"),
-    ], ids=["missing-file", "malformed", "above-map-limit", "above-matrix-limit",
-            "map-malformed", "map-missing-file", "compile-missing-file",
+    ], ids=["map-malformed", "map-missing-file", "compile-missing-file",
             "optimize-missing-file", "map-negative-norb", "map-empty-norb",
             "map-empty-nelec", "map-empty-ms2", "map-nan", "compile-nan", "optimize-nan",
-            "sector-parity", "sector-ms2-above-nelec", "sector-above-norb",
-            "map-unallocatable", "trotter-error-unallocatable"])
+            "map-unallocatable"])
     def test_bad_input_is_one_line(self, command, spec, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        write_impossible_sectors(tmp_path)
-        (tmp_path / "bad.fcidump").write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.5 1 1\n")
-        (tmp_path / "neg.fcidump").write_text("&FCI NORB=-1,NELEC=2,\n&END\n")
-        (tmp_path / "empty-norb.fcidump").write_text("&FCI NORB=,NELEC=2,\n&END\n")
-        (tmp_path / "empty-nelec.fcidump").write_text("&FCI NORB=2,NELEC=,\n&END\n")
-        (tmp_path / "empty-ms2.fcidump").write_text("&FCI NORB=2,NELEC=2,MS2=,\n&END\n")
-        (tmp_path / "nan.fcidump").write_text("&FCI NORB=2,NELEC=2,\n&END\n nan 1 1 0 0\n")
-        (tmp_path / "nan.terms").write_text("(0.5,0.0) X0\n(nan,0.0) Y0\n")
-        (tmp_path / "nan.circ").write_text("QUBITS 1 ANCILLA 0\nH 0\nRZ 0 nan\nH 0\n")
-        (tmp_path / "huge.fcidump").write_text("&FCI NORB=3000,NELEC=2,MS2=0,\n&END\n")
-        # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map limit.
-        (tmp_path / "big.fcidump").write_text("&FCI NORB=33,NELEC=2,MS2=0,\n&END\n"
-                                              " 0.5   1   1   0   0\n")
+        write_bad_inputs(tmp_path)
         r = CliRunner().invoke(main, [command, spec])
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)
         assert r.output == f"Error: {spec}: {message}\n"
+
+    @pytest.mark.parametrize("spec,n_qubits,kind,message", [
+        ("missing.fcidump", 0, "FileNotFoundError",
+         "[Errno 2] No such file or directory: 'missing.fcidump'"),
+        ("bad.fcidump", 4, "ValueError", "line 3: expected 'value i j k l', got ' 0.5 1 1'"),
+        ("big.fcidump", 66, "ResourceLimitError", "66 modes exceeds the 64-mode map limit"),
+        ("synthetic:n=9", 18, "ResourceLimitError",
+         "18 qubits exceeds the 16-qubit matrix limit"),
+        ("parity.fcidump", 4, "ValueError", "no sector has NELEC=3, MS2=0 in NORB=2 orbitals: "
+         "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
+        ("spin.fcidump", 4, "ValueError", "no sector has NELEC=1, MS2=3 in NORB=2 orbitals: "
+         "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
+        ("full.fcidump", 4, "ValueError", "no sector has NELEC=6, MS2=0 in NORB=2 orbitals: "
+         "(NELEC + MS2)/2 and (NELEC - MS2)/2 must be whole numbers in 0..2"),
+        # Integrals of NORB=3000 would need 589 TiB; the header's NORB is
+        # checked against the map limit before they are asked for.
+        ("huge.fcidump", 6000, "ResourceLimitError", "6000 modes exceeds the 64-mode map limit"),
+    ], ids=["missing-file", "malformed", "above-map-limit", "above-matrix-limit",
+            "sector-parity", "sector-ms2-above-nelec", "sector-above-norb",
+            "trotter-error-unallocatable"])
+    def test_bad_input_fails_its_pair(self, spec, n_qubits, kind, message, tmp_path,
+                                      monkeypatch):
+        # trotter-error writes one error object per failed (input, mapping)
+        # pair, as bench fails the pair's cells, and exits 2.
+        monkeypatch.chdir(tmp_path)
+        write_bad_inputs(tmp_path)
+        r = CliRunner().invoke(main, ["trotter-error", spec])
+        assert_pairs_failed(r, spec, n_qubits, f"{kind}: {message}")
 
     def test_impossible_sector_fails_only_where_the_sector_is_built(self, tmp_path):
         write_impossible_sectors(tmp_path)
@@ -595,11 +637,13 @@ class TestCli:
         monkeypatch.setattr(fermion, "build_hamiltonian", build_hamiltonian)
         monkeypatch.setattr(fermion, "synthetic_integrals", synthetic_integrals)
         for spec in ("big.fcidump", "synthetic:n=33"):
-            for command in ("map", "trotter-error"):
-                r = CliRunner().invoke(main, [command, spec])
-                assert r.exit_code == 1
-                assert isinstance(r.exception, SystemExit)
-                assert r.output == f"Error: {spec}: 66 modes exceeds the 64-mode map limit\n"
+            r = CliRunner().invoke(main, ["map", spec])
+            assert r.exit_code == 1
+            assert isinstance(r.exception, SystemExit)
+            assert r.output == f"Error: {spec}: 66 modes exceeds the 64-mode map limit\n"
+            r = CliRunner().invoke(main, ["trotter-error", spec, "--mapping", "bk"])
+            assert_pairs_failed(r, spec, 66, "ResourceLimitError: 66 modes exceeds the "
+                                "64-mode map limit", ["bk"])
             r = CliRunner().invoke(main, ["bench", spec, "--mapping", "bk", "--format", "json"])
             assert r.exit_code == 2
             assert isinstance(r.exception, SystemExit)
@@ -622,7 +666,11 @@ class TestCli:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert r.output == "Error: wide.fcidump: 120 modes exceeds the 64-mode map limit\n"
+            message = "120 modes exceeds the 64-mode map limit"
+            if command == "map":
+                assert r.output == f"Error: wide.fcidump: {message}\n"
+            else:
+                assert_pairs_failed(r, "wide.fcidump", 120, f"ResourceLimitError: {message}")
             assert peak < 60 ** 4  # an eighth of the two-electron array
 
     @pytest.mark.parametrize("command", ["map", "trotter-error"])
@@ -631,10 +679,14 @@ class TestCli:
             raise MemoryError("Unable to allocate 8.00 GiB for an array")
 
         monkeypatch.setattr(fermion, "synthetic_integrals", synthetic_integrals)
-        r = CliRunner().invoke(main, [command, SPEC])
-        assert r.exit_code == 1
-        assert isinstance(r.exception, SystemExit)
-        assert r.output == f"Error: {SPEC}: Unable to allocate 8.00 GiB for an array\n"
+        r = CliRunner().invoke(main, [command, SPEC, "--mapping", "jw"])
+        message = "Unable to allocate 8.00 GiB for an array"
+        if command == "map":
+            assert r.exit_code == 1
+            assert isinstance(r.exception, SystemExit)
+            assert r.output == f"Error: {SPEC}: {message}\n"
+        else:
+            assert_pairs_failed(r, SPEC, 4, f"MemoryError: {message}", ["jw"])
 
     @pytest.mark.parametrize("command,pairs", [("map", 1), ("bench", 2), ("trotter-error", 2)])
     def test_operator_comes_from_pair_stages(self, command, pairs, monkeypatch):

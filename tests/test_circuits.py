@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from fermiqc.circuits import (CNOT, CZ, RZ, YB, YBD, Circuit, Gate, GateCounts, H, X,
                               SYNTHESIS_MODES, count_gates, format_circuit,
-                              parse_circuit, synthesize_plan, term_gate_counts)
+                              parse_circuit, synthesize_plan)
 from fermiqc.pauli import PauliString
 from fermiqc.trotter import OrderingStrategy, plan_for
 
 from oracles import (assert_same_up_to_phase, circuit_unitary, pauli, pauli_exponential,
                      qubit_operator, random_pauli_string, random_plan, reference_format_circuit,
                      reference_gate_counts, reference_parse_circuit, reference_synthesize_plan,
-                     term_plan)
+                     term_gate_counts, term_plan)
 
 def realized_unitary(circ: Circuit) -> np.ndarray:
     """Data-register unitary; for ancilla circuits the |0> input block."""

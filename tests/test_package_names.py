@@ -20,10 +20,6 @@ PACKAGE = REPO / "src" / "fermiqc"
 
 # file that uses the name -> {name: why it stays}
 ENTRY_POINTS = {
-    "tests/test_acceptance.py": {
-        "term_gate_counts": "criterion 6 counts large registers in closed form",
-        "bk_matrix": "criterion 2 checks the dense BK matrix, an independent reference",
-    },
     "perfbench/spans.py": {
         "commute_and_cancel": "the tracer patches it as an optimizer span",
         "FermionOperator.products": "the tracer counts and hashes the products",

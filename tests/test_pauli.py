@@ -25,7 +25,7 @@ class TestPauliString:
     def test_label_roundtrip(self):
         s = pauli_string("XIZY")
         assert s.label == "XIZY"
-        assert s.weight == 3
+        assert (s.x | s.z).bit_count() == 3
 
     def test_slotted_pickle_hash_and_equality(self):
         # Strings cross process boundaries with `bench --workers` and key dicts.

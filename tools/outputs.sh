@@ -125,8 +125,11 @@ run trotter-error-16q trotter-error synthetic:n=8,seed=3 --mapping jw
 run bench-lih-error-clamped bench "$fixtures/lih_sto3g.fcidump" --error --format json --time 100
 # One pair completes and one fails at load; the report keeps both.
 run bench-mixed bench "$fixtures/h2_sto3g.fcidump" missing.fcidump --mapping jw
+# One pair completes and one fails at the matrix limit; the report keeps both.
+run trotter-error-mixed trotter-error "$fixtures/h2_sto3g.fcidump" synthetic:n=9 --mapping jw
 
-# The bad inputs of tests/test_bench.py::TestCli::test_bad_input_is_one_line.
+# The bad inputs of tests/test_bench.py::TestCli::test_bad_input_is_one_line and
+# test_bad_input_fails_its_pair.
 printf '&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.5 1 1\n' >"$work/bad.fcidump"
 printf '&FCI NORB=33,NELEC=2,MS2=0,\n&END\n 0.5   1   1   0   0\n' >"$work/big.fcidump"
 printf '&FCI NORB=-1,NELEC=2,\n&END\n' >"$work/neg.fcidump"
