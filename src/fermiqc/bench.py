@@ -6,7 +6,6 @@ import csv
 import io
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,7 +91,7 @@ class BenchConfig:
 @dataclass
 class BenchRow:
     system: str
-    n_qubits: int
+    n_qubits: int | None  # None until the pair's register size is known
     mapping: str
     ordering: str
     seed: int | None
@@ -137,7 +136,7 @@ def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> lis
     per (ordering, mode), then with ``with_error`` one Trotter error per
     ordering.  The pair fails as a unit: a stage that raises writes its
     error into every cell and leaves the values already made in place."""
-    by_ordering = {o: [BenchRow(inp.system, 0, scheme.value, o.label, o.seed, mode,
+    by_ordering = {o: [BenchRow(inp.system, None, scheme.value, o.label, o.seed, mode,
                                 caveats=dict.fromkeys(_CAVEATS) if cfg.with_error else None)
                        for mode in cfg.modes] for o in cfg.orderings}
     rows = [row for group in by_ordering.values() for row in group]
@@ -170,6 +169,8 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     """Cartesian sweep; rows sorted by (system, mapping, ordering, mode)."""
     args = zip(*itertools.product([cfg], cfg.inputs, cfg.mappings))  # cfgs, inputs, schemes
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             groups = list(pool.map(_sweep_pair, *args))
     else:

@@ -10,6 +10,7 @@ Gate conventions:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
@@ -55,6 +56,7 @@ class Gate:
 # is diagonal (RZ, CZ, CNOT control), the X mask a CNOT's target.
 _MASK, _Z, _X, _KEY, _PARTNER, _GATE, _LINE = range(7)
 _KEYS: dict[tuple[str, tuple[int, ...]], int] = {}  # (kind, qubits) -> key
+_SLICE = 8192  # gate lines per text slice of format_circuit
 
 
 @cache
@@ -277,18 +279,20 @@ def synthesize_plan(plan: TrotterPlan, mode: str = "canonical",
                    ancilla=(mode == "ancilla"))
 
 
-def format_circuit(c: Circuit) -> str:
-    """One gate per line under a ``QUBITS <n> ANCILLA <0|1>`` header,
-    written from the encoded form: one step's lines, repeated.
+def format_circuit(c: Circuit) -> Iterator[str]:
+    """One gate per line under a ``QUBITS <n> ANCILLA <0|1>`` header, as
+    text slices: the header line, then each step's lines in slices of at
+    most ``_SLICE`` lines, each ending in a newline.  Join them for the
+    whole file.
 
     Step seams are not written, so a circuit read back has one step.
     """
-    rz = iter(c.angles)
-    lines = [f"QUBITS {c.n_qubits} ANCILLA {1 if c.ancilla else 0}"]
-    lines += [e[_LINE] or f"RZ {e[_MASK].bit_length() - 1} {next(rz)!r}" for e in c.entries]
-    lines += lines[1:] * (c.n_steps - 1)
-    lines.append("")  # the final newline, without a copy of the joined text
-    return "\n".join(lines)
+    yield f"QUBITS {c.n_qubits} ANCILLA {1 if c.ancilla else 0}\n"
+    for _ in range(c.n_steps):
+        rz = iter(c.angles)
+        for start in range(0, len(c.entries), _SLICE):
+            yield "\n".join([e[_LINE] or f"RZ {e[_MASK].bit_length() - 1} {next(rz)!r}"
+                             for e in c.entries[start:start + _SLICE]]) + "\n"
 
 
 def _qubit(text: str, width: int) -> int:
@@ -311,13 +315,14 @@ def _parse_gate(fields: list[str], width: int) -> Gate:
     return CZ(*qubits) if kind == "CZ" else _clifford(kind, qubits)[_GATE]
 
 
-def parse_circuit(text: str) -> Circuit:
-    """Inverse of :func:`format_circuit`; errors name the offending line.
+def parse_circuit(source: str | Iterable[str]) -> Circuit:
+    """Inverse of :func:`format_circuit`, from a file's text or its lines
+    (an open file); errors name the offending line.
 
     Each distinct gate line is parsed and validated once; its repeats
     share the resulting entry.
     """
-    lines = enumerate(text.splitlines(), start=1)
+    lines = enumerate(source.splitlines() if isinstance(source, str) else source, start=1)
     for lineno, raw in lines:
         head = raw.strip()
         if head and head[0] != "#":
@@ -347,6 +352,8 @@ def parse_circuit(text: str) -> Circuit:
             entries.append(hit[0])
             if hit[1] is not None:
                 angles.append(hit[1])
+    except UnicodeDecodeError:
+        raise  # an open file decodes by the block: lineno need not hold the bad byte
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
     return Circuit(n_qubits, entries, angles, ancilla=ancilla)

@@ -6,6 +6,7 @@ import contextlib
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -33,12 +34,13 @@ def _one_line_errors(source: str):
         raise click.ClickException(f"{source}: {exc}") from None
 
 
-def _write(text: str, output: str | None) -> None:
+def _write(chunks: Iterable[str], output: str | None) -> None:
+    """Write text slices as they come, to ``output`` or stdout."""
     if output is None or output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        with _one_line_errors(output):
-            Path(output).write_text(text)
+        with _one_line_errors(output), open(output, "w") as f:
+            f.writelines(chunks)
 
 
 def _unique(ctx, param, values):
@@ -119,7 +121,7 @@ def _parse_inputs(specs) -> list[bench_mod.BenchInput]:
 
 def _write_report(text: str, output: str | None, failures: list[str]) -> None:
     """Write a report, then the failure lines on stderr and exit 2 if any."""
-    _write(text, output)
+    _write([text], output)
     if failures:
         click.echo("\n".join(failures), err=True)
         sys.exit(2)
@@ -136,7 +138,7 @@ def map_cmd(integrals, mapping, output):
         stages = bench_mod.pair_stages(inp, MappingScheme(mapping))
         _, qop = next(stages), next(stages)
         stages.close()  # frees the file text and integrals before the terms are written
-    _write(pauli.format_terms(qop), output)
+    _write([pauli.format_terms(qop)], output)
 
 
 @main.command("compile")
@@ -166,8 +168,8 @@ def compile_cmd(terms, ordering, magnitude_direction, steps, time_, mode, qubits
 @_output_option
 def optimize_cmd(circuit, level, cross_step, window, output):
     """Run peephole optimization on a circuit file."""
-    with _one_line_errors(circuit):
-        circ = parse_circuit(Path(circuit).read_text())
+    with _one_line_errors(circuit), open(circuit) as lines:
+        circ = parse_circuit(lines)
     report = optimizer.OptimizationReport()
     out = optimizer.run_level(circ, level, cross_step, window, report)
     if level == "full":
@@ -233,7 +235,7 @@ def trotter_error_cmd(inputs, mapping, ordering, magnitude_direction, orderings,
     reports, failures = [], []
     for inp in _parse_inputs(inputs):
         for scheme in map(MappingScheme, mapping):
-            head = {"system": inp.system, "n_qubits": 0, "mapping": scheme.value}
+            head = {"system": inp.system, "n_qubits": None, "mapping": scheme.value}
             stages = bench_mod.pair_stages(inp, scheme, strategies, steps_list, time_)
             try:
                 head["n_qubits"] = next(stages)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -303,6 +304,18 @@ class TestCli:
         r = CliRunner().invoke(main, ["bench", "/missing.fcidump"])
         assert r.exit_code == 2
 
+    def test_bench_register_size_unknown_before_load(self):
+        # A pair that fails before its register size is known writes no
+        # size: an empty CSV field and a JSON null, not a 0-qubit register.
+        args = ["bench", "/missing.fcidump", "--mapping", "jw"]
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 2
+        assert r.stdout.splitlines()[1].startswith("missing,,jw,")
+        r = CliRunner().invoke(main, [*args, "--format", "json"])
+        assert r.exit_code == 2
+        [row] = json.loads(r.stdout)
+        assert row["n_qubits"] is None and row["error"].startswith("FileNotFoundError")
+
     @pytest.mark.parametrize("option,value", [("--mode", "canonical,ancilla"),
                                               ("--mapping", "jw,bk"),
                                               ("--workers", "0")])
@@ -546,8 +559,21 @@ class TestCli:
         assert isinstance(r.exception, SystemExit)
         assert r.output == f"Error: {spec}: {message}\n"
 
+    @pytest.mark.parametrize("gates", [0, 5000], ids=["first-block", "later-block"])
+    def test_undecodable_circuit_is_one_line(self, gates, tmp_path, monkeypatch):
+        # optimize decodes its file as it reads; a bad byte past the first
+        # block still fails with one line naming the file and no line number.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.circ").write_bytes(b"QUBITS 1 ANCILLA 0\n" + b"H 0\n" * gates
+                                            + b"H \xff\n")
+        r = CliRunner().invoke(main, ["optimize", "bad.circ"])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert re.fullmatch(r"Error: bad\.circ: 'utf-8' codec can't decode byte 0xff "
+                            r"in position \d+: invalid start byte\n", r.output)
+
     @pytest.mark.parametrize("spec,n_qubits,kind,message", [
-        ("missing.fcidump", 0, "FileNotFoundError",
+        ("missing.fcidump", None, "FileNotFoundError",
          "[Errno 2] No such file or directory: 'missing.fcidump'"),
         ("bad.fcidump", 4, "ValueError", "line 3: expected 'value i j k l', got ' 0.5 1 1'"),
         ("big.fcidump", 66, "ResourceLimitError", "66 modes exceeds the 64-mode map limit"),
@@ -619,6 +645,15 @@ class TestCli:
                               "-o", str(tmp_path / "lih.terms")],
                              capture_output=True, text=True, env=env, check=True).stdout
         assert out == "False\n"
+
+    def test_cli_does_not_import_the_process_pool(self):
+        # Only a bench sweep with --workers > 1 loads multiprocessing.
+        script = ("import sys, fermiqc.cli; print(sorted({'multiprocessing', "
+                  "'concurrent.futures.process'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": str(Path(fermiqc.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, env=env, check=True).stdout
+        assert out == "[]\n"
 
     def test_register_above_map_limit_is_one_line(self, tmp_path, monkeypatch):
         # 33 spatial orbitals are 66 spin-orbitals, beyond the 64-mode map

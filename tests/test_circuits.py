@@ -1,17 +1,21 @@
 """Circuit synthesis against the dense Pauli-exponential oracle."""
 
 import dataclasses
+import io
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermiqc.circuits import (CNOT, CZ, RZ, YB, YBD, Circuit, Gate, GateCounts, H, X,
+from fermiqc.circuits import (_SLICE, CNOT, CZ, RZ, YB, YBD, Circuit, Gate, GateCounts, H, X,
                               SYNTHESIS_MODES, count_gates, format_circuit,
                               parse_circuit, synthesize_plan)
+from fermiqc.cli import main
+from fermiqc.fixtures import fixture_path
 from fermiqc.pauli import PauliString
 from fermiqc.trotter import OrderingStrategy, plan_for
 
@@ -27,6 +31,14 @@ def realized_unitary(circ: Circuit) -> np.ndarray:
         dim = 1 << circ.n_qubits
         return u[:dim, :dim]
     return u
+
+
+def parse_file(tmp_path, data: bytes) -> Circuit:
+    """parse_circuit of an open file holding ``data``, as ``optimize`` reads one."""
+    path = tmp_path / "parsed.circ"
+    path.write_bytes(data)
+    with open(path) as lines:
+        return parse_circuit(lines)
 
 
 class TestGate:
@@ -215,17 +227,32 @@ class TestTemplates:
         assert len(table) == size  # the second plan reused every template
 
 
+# A circuit body after a two-qubit header, the line its error names, and the message.
+GATE_ERRORS = [
+    ("H 0\nCNOT 1\n", 3, "CNOT takes 2 operands, got 1"),
+    ("H 0\n\n# note\nFOO 1\n", 5, "unknown gate kind 'FOO'"),
+    ("H x\n", 2, "invalid literal for int()"),
+    ("RZ 0 half\n", 2, "could not convert string to float"),
+    ("H 0 1\n", 2, "H takes 1 operands, got 2"),
+    ("CNOT 1 1\n", 2, "CNOT needs two distinct qubits"),
+    ("H 7\n", 2, "qubit 7 outside register of width 2"),
+    ("CZ 0 -1\n", 2, "qubit -1 outside register of width 2"),
+    ("H 0\n  # indented\nFOO 1\n", 4, "unknown gate kind 'FOO'"),
+    ("H 0\nH 5\nH 0\nH 5\n", 3, "qubit 5 outside register of width 2"),
+]
+
+
 class TestSerialization:
     def test_roundtrip(self):
         circ = Circuit.from_gates(3, [H(0), YB(1), CNOT(0, 3), CZ(1, 2), RZ(3, -0.125), X(2),
                                       YBD(1)], ancilla=True)
-        back = parse_circuit(format_circuit(circ))
+        back = parse_circuit("".join(format_circuit(circ)))
         assert back.n_qubits == 3 and back.ancilla
         assert back.gates == circ.gates
 
     def test_rz_angle_exact(self):
         circ = Circuit.from_gates(1, [RZ(0, 0.1 + 1e-17)])
-        assert parse_circuit(format_circuit(circ)).gates[0].angle == circ.gates[0].angle
+        assert parse_circuit("".join(format_circuit(circ))).gates[0].angle == circ.gates[0].angle
 
     def test_bad_header(self):
         with pytest.raises(ValueError):
@@ -233,21 +260,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_circuit("")
 
-    @pytest.mark.parametrize("body,line,message", [
-        ("H 0\nCNOT 1\n", 3, "CNOT takes 2 operands, got 1"),
-        ("H 0\n\n# note\nFOO 1\n", 5, "unknown gate kind 'FOO'"),
-        ("H x\n", 2, "invalid literal for int()"),
-        ("RZ 0 half\n", 2, "could not convert string to float"),
-        ("H 0 1\n", 2, "H takes 1 operands, got 2"),
-        ("CNOT 1 1\n", 2, "CNOT needs two distinct qubits"),
-        ("H 7\n", 2, "qubit 7 outside register of width 2"),
-        ("CZ 0 -1\n", 2, "qubit -1 outside register of width 2"),
-        ("H 0\n  # indented\nFOO 1\n", 4, "unknown gate kind 'FOO'"),
-        ("H 0\nH 5\nH 0\nH 5\n", 3, "qubit 5 outside register of width 2"),
-    ])
+    @pytest.mark.parametrize("body,line,message", GATE_ERRORS)
     def test_gate_errors_name_the_line(self, body, line, message):
         with pytest.raises(ValueError, match=rf"^line {line}: ") as err:
             parse_circuit("QUBITS 2 ANCILLA 0\n" + body)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("body,line,message", GATE_ERRORS)
+    def test_gate_errors_in_a_file_name_the_line(self, body, line, message, tmp_path):
+        with pytest.raises(ValueError, match=rf"^line {line}: ") as err:
+            parse_file(tmp_path, b"QUBITS 2 ANCILLA 0\n" + body.encode())
         assert message in str(err.value)
 
     def test_header_error_names_the_line(self):
@@ -272,7 +294,7 @@ class TestSerialization:
         # written gate by gate and reads back as one step.
         plan = TestSynthesizePlan().make_plan(n_steps=3)
         circ = synthesize_plan(plan, "ancilla")
-        text = format_circuit(circ)
+        text = "".join(format_circuit(circ))
         assert text == reference_format_circuit(circ)
         back = parse_circuit(text)
         assert back.gates == circ.gates and back.n_steps == 1
@@ -287,7 +309,7 @@ class TestSerialization:
             RZ(0, float(angle))
 
     def test_both_zero_signs_written(self):
-        text = format_circuit(Circuit.from_gates(1, [RZ(0, 0.0), RZ(0, -0.0)]))
+        text = "".join(format_circuit(Circuit.from_gates(1, [RZ(0, 0.0), RZ(0, -0.0)])))
         assert text == "QUBITS 1 ANCILLA 0\nRZ 0 0.0\nRZ 0 -0.0\n"
         back = parse_circuit(text)
         assert [math.copysign(1.0, g.angle) for g in back.gates] == [1.0, -1.0]
@@ -329,15 +351,15 @@ def circuits(draw, max_qubits: int = 4, max_gates: int = 30) -> Circuit:
 class TestCircuitFileProperties:
     @given(circuits())
     def test_roundtrip(self, circ):
-        text = format_circuit(circ)
+        text = "".join(format_circuit(circ))
         back = parse_circuit(text)
         assert back == circ
-        assert format_circuit(back) == text
+        assert "".join(format_circuit(back)) == text
 
     @given(circuits(), st.lists(st.sampled_from(["", "# note", "  # note", "  "])),
            st.randoms(use_true_random=False))
     def test_matches_reference_loops(self, circ, extra, random):
-        text = format_circuit(circ)
+        text = "".join(format_circuit(circ))
         assert text == reference_format_circuit(circ)
         # Blank lines, comments and indentation between the gate lines.
         lines = text.splitlines()
@@ -362,6 +384,57 @@ class TestCircuitFileProperties:
             assert str(err.value) == str(exc)
         else:
             assert parse_circuit(text) == want
+
+
+class TestCircuitFileStreaming:
+    @pytest.mark.parametrize("n_steps", [1, 2, 3])
+    @pytest.mark.parametrize("n_gates", [0, 5, _SLICE, 2 * _SLICE + 3])
+    def test_slices_are_bounded(self, n_steps, n_gates):
+        pattern = [H(0), CNOT(0, 2), YB(1), CZ(1, 2)]
+        gates = [RZ(k % 3, 0.001 * k) if k % 5 == 0 else pattern[k % 4] for k in range(n_gates)]
+        step = Circuit.from_gates(2, gates, ancilla=True)
+        circ = Circuit(2, step.entries, step.angles, n_steps, ancilla=True)
+        slices = list(format_circuit(circ))
+        assert slices[0] == "QUBITS 2 ANCILLA 1\n"
+        assert len(slices) == 1 + n_steps * -(-n_gates // _SLICE)
+        for piece in slices:
+            assert piece.endswith("\n") and piece.count("\n") <= _SLICE
+        assert "".join(slices) == reference_format_circuit(circ)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_open_file_reads_as_its_text(self, newline, tmp_path):
+        text = ("  # note\n\nQUBITS 2 ANCILLA 1\n\t# note\nH 0\n\n   #\nRZ 2 -0.125\n"
+                "CNOT 0 2\n  H 0\nRZ 2 -0.125\n")
+        want = Circuit.from_gates(2, [H(0), RZ(2, -0.125), CNOT(0, 2), H(0), RZ(2, -0.125)],
+                                  ancilla=True)
+        data = text.replace("\n", newline).encode()
+        assert parse_file(tmp_path, data) == parse_circuit(data.decode()) == want
+
+    @given(circuits(), st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_lines_parse_as_the_text(self, circ, newline):
+        text = "".join(format_circuit(circ)).replace("\n", newline)
+        # newline=None reads universal newlines, as an open file does.
+        assert parse_circuit(io.StringIO(text, newline=None)) == parse_circuit(text) == circ
+
+    def test_optimize_holds_no_copy_of_the_file(self, tmp_path):
+        # optimize reads the file line by line and writes its circuit in
+        # slices, so neither the file's text nor a list of its lines is held.
+        terms, circ, out = (str(tmp_path / name) for name in ("lih.terms", "lih.circ", "o.circ"))
+        main(["map", str(fixture_path("lih_sto3g")), "-o", terms], standalone_mode=False)
+        main(["compile", terms, "--steps", "3", "-o", circ], standalone_mode=False)
+        with open(circ) as f:
+            assert sum(1 for _ in f) > 30_000
+        args = ["optimize", circ, "--optimize", "none", "-o", out]
+        main(args, standalone_mode=False)  # fills the gate caches before the measured run
+        tracemalloc.start()
+        try:
+            main(args, standalone_mode=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "lih.circ").stat().st_size
+        assert peak < 2 * size, f"peak {peak} B for a {size}-byte file"
+        assert (tmp_path / "o.circ").read_bytes() == (tmp_path / "lih.circ").read_bytes()
 
 
 def test_phase_oracle_ignores_magnitude_ties():

@@ -90,6 +90,12 @@ cp "$out/compile-magnitude-canonical.out" "$work/lih.circ"
 for level in full cancel none; do
     run "optimize-$level" optimize lih.circ --optimize "$level"
 done
+# The same two commands writing with -o: the file-write path and the seams
+# between the writer's slices (8,192 lines each) are compared too.
+run compile-file compile lih.terms --steps 2 -o lih-file.circ
+cp "$work/lih-file.circ" "$out/compile-file.circ"
+run optimize-file optimize lih-file.circ -o lih-file-opt.circ
+cp "$work/lih-file-opt.circ" "$out/optimize-file.circ"
 # A window sends far partners back to a gate-by-gate scan.
 for window in 0 3; do
     run "optimize-window$window" optimize lih.circ --window "$window"
