@@ -20,15 +20,16 @@ qubit they share is Z for both or X for both.  Step seams come from
 one step is optimized and the result repeated; with it the steps are
 optimized as one list.
 
-The commute pass does not scan gate by gate.  At its start, :func:`_stops`
-finds in numpy, for every gate, its stop: the first later gate on its wires
-that is its partner or blocks it.  Gates only ever leave the list during a
-pass, and every gate between a gate and its stop commutes with it, so that
-stop stays the first one for as long as it is present.  The greedy loop
-takes each outcome from the table.  It visits only the gates whose stop is
-their partner or lies out of the table's reach, and the gates it steps
-back to, and walks the list in Python only for a gate out of reach or
-whose stop has been deleted.
+The rounds share one key array, cut down with the gate list.  The adjacent
+pass walks in Python only the sites numpy finds, gates followed by their
+partner.  The commute pass does not scan gate by gate: at its start,
+:func:`_stops` finds in numpy, for every gate, its stop, the first later
+gate on its wires that is its partner or blocks it.  Gates only ever leave
+the list during a pass, and every gate between a gate and its stop commutes
+with it, so that stop stays the first one while it is present.  The greedy
+loop takes each outcome from the table, and walks the list in Python only
+for a gate whose stop is out of the table's reach or has been deleted.  The
+table a pass ends with certifies the fixpoint: no round only confirms it.
 """
 
 from __future__ import annotations
@@ -41,18 +42,6 @@ from operator import itemgetter
 import numpy as np
 
 from .circuits import _KEY, _KEYS, _MASK, _PARTNER, _X, _Z, Circuit, _entry
-
-
-def _cancel_adjacent_pass(seg: list[tuple]) -> None:
-    """Drop adjacent inverse pairs in place with a stack; none remain."""
-    top = 0
-    for e in seg:
-        if top and seg[top - 1][_PARTNER] == e[_KEY]:
-            top -= 1
-        else:
-            seg[top] = e
-            top += 1
-    del seg[top:]
 
 
 _by_key = (np.empty((0, 2), np.int32), np.empty((0, 2), np.int32), np.empty(0, np.int32))
@@ -78,14 +67,41 @@ def _key_table() -> tuple[np.ndarray, ...]:
     return _by_key
 
 
+def _drop(seg: list[tuple], keys: np.ndarray, keep: bytearray | None) -> tuple:
+    """``seg`` and its keys without the gates whose ``keep`` flag is 0."""
+    if keep is None:
+        return seg, keys
+    return list(compress(seg, keep)), keys[np.frombuffer(keep, bool)]
+
+
+def _adjacent(seg: list[tuple], keys: np.ndarray) -> bytearray | None:
+    """Keep flags of the left-to-right stack pass that drops adjacent inverse
+    pairs, or None when there are none.  Only a gate followed by its partner
+    starts a cancellation, which cascades outward; ``below`` links the first
+    gate of each run pushed between such sites to the gate under it."""
+    sites = np.flatnonzero(_key_table()[2][keys[:-1]] == keys[1:])
+    if not len(sites):
+        return None
+    keep, below, top, end = bytearray(b"\1") * len(seg), {}, -1, 0
+    for s in sites.tolist():
+        if s < end:
+            continue
+        below[end] = top
+        top, end = s, s + 1
+        while top >= 0 and end < len(seg) and seg[top][_PARTNER] == seg[end][_KEY]:
+            keep[top] = keep[end] = 0
+            top, end = below.get(top, top - 1), end + 1
+    return keep
+
+
 # Gates per table block, and gates after a block that its table also reads.
-# Larger blocks save numpy calls but raise the peak: at 8,192 gates the
-# synthetic-compile process's peak RSS rose by about 3 MB.
+# Blocks are views of the key array, but at 8,192 gates the sort and run
+# arrays raised a 127,328-gate optimize's peak RSS by 0.5 MB, at no gain.
 _BLOCK = 1 << 12
 _LOOKAHEAD = 1 << 9
 
 
-def _stops(seg: list[tuple], window: int | None) -> tuple[array, bytearray]:
+def _stops(keys: np.ndarray, window: int | None) -> tuple[array, bytearray]:
     """Each gate's stop, and a flag on each gate that can cancel.
 
     A gate's stop is the index of the first later gate on its wires that is
@@ -96,10 +112,10 @@ def _stops(seg: list[tuple], window: int | None) -> tuple[array, bytearray]:
     lookahead.  A gate is flagged when its stop is its partner or -2.
     """
     qubits, kinds, partners = _key_table()
-    n = len(seg)
+    n = len(keys)
     table, flags = array("i", [0]) * n, bytearray(n)
     for a in range(0, n, _BLOCK):
-        k = np.fromiter(map(itemgetter(_KEY), seg[a:a + _BLOCK + _LOOKAHEAD]), np.int32)
+        k = keys[a:a + _BLOCK + _LOOKAHEAD]
         m, b = len(k), min(_BLOCK, n - a)
         shift = (2 * m).bit_length()  # an index below 2m fits in the low bits
         low = (1 << shift) - 1
@@ -156,8 +172,9 @@ def _scan(seg: list[tuple], alive: bytearray, i: int, window: int | None) -> int
     return -1 if next(rest, None) is None else -2
 
 
-def _commute_pass(seg: list[tuple], window: int | None) -> list[tuple]:
-    """One greedy commute-and-cancel pass; consumes ``seg``.
+def _commute_pass(seg: list[tuple], keys: np.ndarray, window: int | None) -> tuple:
+    """One greedy commute-and-cancel pass: its keep flags, None when it
+    cancels nothing, and whether it is clean.
 
     Gate i's outcome is read from the stop table: a hit when its stop is
     its partner.  It holds while the stop is present, since the gates
@@ -171,11 +188,13 @@ def _commute_pass(seg: list[tuple], window: int | None) -> list[tuple]:
     stop, and it meets them again only by stepping back.  The forward scan
     therefore visits only the flagged gates; after a cancellation it steps
     back to the nearest live gate, as the greedy scan does.  A pass with no
-    flag cancels nothing.
+    flag cancels nothing.  A pass is clean when its table, each -2 or
+    deleted stop of a live gate rescanned, holds only -1 and live
+    non-partners: a fresh pass would find the same stops and cancel nothing.
     """
-    stop, flag = _stops(seg, window)
+    stop, flag = _stops(keys, window)
     if 1 not in flag:
-        return seg
+        return None, True
     alive = bytearray(b"\1") * len(seg)
     for i in compress(range(len(seg)), flag):
         while i >= 0 and alive[i]:
@@ -186,7 +205,14 @@ def _commute_pass(seg: list[tuple], window: int | None) -> list[tuple]:
                 break
             alive[i] = alive[s] = 0
             i = alive.rfind(1, 0, i)
-    return list(compress(seg, alive))
+    stops, live = np.frombuffer(stop, np.intc), np.frombuffer(alive, bool)
+    # Live gates whose stop is -2 or deleted; where() drops what -1 and -2 read.
+    redo = live & np.where(stops >= 0, ~live[stops], stops == -2)
+    for i in np.flatnonzero(redo).tolist():
+        s = _scan(seg, alive, i, window)
+        if s == -2 or s >= 0 and seg[s][_KEY] == seg[i][_PARTNER]:
+            return alive, False
+    return alive, True
 
 
 @dataclass
@@ -198,40 +224,44 @@ class OptimizationReport:
         return sum(self.passes)
 
 
-def _step(c: Circuit, cross_step: bool) -> tuple[list[tuple], list[float], int]:
-    """A fresh entry list to optimize, its RZ angles and how often its
-    result repeats: one step of the equal steps, or all of them at once
-    with ``cross_step``.  RZs are never removed or reordered, so the angles
-    pair up unchanged, and a repeated step never empties."""
+def _step(c: Circuit, cross_step: bool) -> tuple[list[tuple], np.ndarray, list[float], int]:
+    """The entry list to optimize, which no pass edits, its keys, its RZ
+    angles and how often its result repeats: one step of the equal steps, or
+    all of them at once with ``cross_step``.  RZs are never removed or
+    reordered, so the angles pair up unchanged; a repeated step never empties."""
     k = c.n_steps if cross_step else 1
-    return c.entries * k, c.angles * k, c.n_steps // k
+    seg = c.entries * k if k > 1 else c.entries
+    keys = np.fromiter(map(itemgetter(_KEY), seg), np.int32, len(seg))
+    return seg, keys, c.angles * k, c.n_steps // k
 
 
 def cancel_adjacent(c: Circuit, cross_step: bool = False) -> Circuit:
     """Remove adjacent self-inverse pairs; one stack pass leaves none."""
-    seg, angles, repeat = _step(c, cross_step)
-    _cancel_adjacent_pass(seg)
+    seg, keys, angles, repeat = _step(c, cross_step)
+    seg, _ = _drop(seg, keys, _adjacent(seg, keys))
     return Circuit(c.n_qubits, seg, angles, repeat, c.ancilla)
 
 
 def commute_and_cancel(c: Circuit, cross_step: bool = False,
                        window: int | None = None) -> Circuit:
     """Cancel self-inverse pairs reachable through commuting gates."""
-    seg, angles, repeat = _step(c, cross_step)
-    return Circuit(c.n_qubits, _commute_pass(seg, window), angles, repeat, c.ancilla)
+    seg, keys, angles, repeat = _step(c, cross_step)
+    seg, _ = _drop(seg, keys, _commute_pass(seg, keys, window)[0])
+    return Circuit(c.n_qubits, seg, angles, repeat, c.ancilla)
 
 
 def optimize(c: Circuit, cross_step: bool = False, window: int | None = None,
              report: OptimizationReport | None = None) -> Circuit:
-    """Alternate both cancellation passes until a full sweep changes nothing."""
-    seg, angles, repeat = _step(c, cross_step)
+    """Alternate both passes until a round removes nothing or ends clean."""
+    seg, keys, angles, repeat = _step(c, cross_step)
     while True:
         before = len(seg)
-        _cancel_adjacent_pass(seg)
-        seg = _commute_pass(seg, window)
+        seg, keys = _drop(seg, keys, _adjacent(seg, keys))
+        keep, clean = _commute_pass(seg, keys, window)
+        seg, keys = _drop(seg, keys, keep)
         if report is not None and len(seg) < before:
             report.passes.append((before - len(seg)) * repeat)
-        if len(seg) == before:
+        if clean or len(seg) == before:
             return Circuit(c.n_qubits, seg, angles, repeat, c.ancilla)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,9 @@ from fermiqc import optimizer
 from fermiqc.circuits import (_KEY, _KEYS, _PARTNER, CNOT, CZ, RZ, SYNTHESIS_MODES, YB, YBD,
                               Circuit, Gate, H, X, _clifford, _rz, count_gates, parse_circuit,
                               synthesize_plan)
+from fermiqc.fermion import build_hamiltonian, parse_fcidump
+from fermiqc.fixtures import fixture_text
+from fermiqc.mappings import MappingScheme, map_operator
 from fermiqc.optimizer import (LEVELS, OptimizationReport, cancel_adjacent,
                                commute_and_cancel, optimize, run_level)
 from fermiqc.trotter import OrderingStrategy, plan_for
@@ -104,6 +108,21 @@ class TestCancelAdjacent:
         gates = [RZ(q, a) for q in range(4) for a in (0.5, -0.5, 0.5)]
         c = Circuit.from_gates(4, gates + [H(0), RZ(0, 0.1), RZ(0, 0.1), H(0)])
         assert [g.kind for g in cancel_adjacent(c).gates].count("RZ") == 14
+
+    @pytest.mark.parametrize("gates, want", [
+        ([X(0), X(0), X(0)], [X(0)]),
+        ([H(0), CNOT(0, 1), CNOT(0, 1), H(0)], []),
+        # Two cascades meet once the run between them empties.
+        ([X(2), H(0), H(0), YB(1), YBD(1), X(2)], []),
+        ([H(0), RZ(0, 0.5), X(0), X(0), H(0)], [H(0), RZ(0, 0.5), H(0)]),
+        ([YB(0), YB(0), YBD(0)], [YB(0)]),  # YB is not its own inverse
+        ([], []),
+        ([H(1)], [H(1)]),
+    ], ids=["xxx", "nested", "cascades-meet", "stopped-by-rz", "yb-yb-ybd", "empty",
+            "one-gate"])
+    def test_site_walk_is_the_stack_pass(self, gates, want):
+        c = Circuit.from_gates(3, gates)
+        assert cancel_adjacent(c).gates == reference_cancel_adjacent(c).gates == tuple(want)
 
     def test_yb_pair_order_irrelevant(self):
         c = Circuit.from_gates(1, [YBD(0), YB(0)])
@@ -316,6 +335,10 @@ def gate_lists(draw, max_qubits: int = 5, max_gates: int = 40) -> Circuit:
     return Circuit.from_gates(n, gates, ancilla)
 
 
+def key_array(c: Circuit) -> np.ndarray:
+    return np.array([e[_KEY] for e in c.entries], np.int32)
+
+
 class TestStopTable:
     """The commute pass reads each gate's outcome from ``_stops`` and
     rescans only where the table's answer may have changed."""
@@ -326,7 +349,7 @@ class TestStopTable:
     def test_matches_direct_scan(self, circ, window, blocks):
         block, lookahead = blocks
         with mock.patch.multiple(optimizer, _BLOCK=block, _LOOKAHEAD=lookahead):
-            table, flags = optimizer._stops(list(circ.entries), window)
+            table, flags = optimizer._stops(key_array(circ), window)
         gates = list(circ.gates)
         want = reference_stops(gates, window, block, lookahead)
         assert list(table) == want
@@ -338,7 +361,7 @@ class TestStopTable:
         # the second one through the RZ; the scan steps back to the CNOT,
         # whose stop is gone, and the rescan reaches its partner.
         c = Circuit.from_gates(3, [CNOT(0, 1), H(1), RZ(0, 0.3), X(2), H(1), CNOT(0, 1)])
-        table, flags = optimizer._stops(list(c.entries), None)
+        table, flags = optimizer._stops(key_array(c), None)
         assert (list(table), list(flags)) == ([1, 4, -1, -1, 5, -1], [0, 1, 0, 0, 0, 0])
         scanned = []
 
@@ -355,10 +378,42 @@ class TestStopTable:
     def test_quiet_round_is_one_table(self):
         # Nothing cancels: the pass returns without walking the gates.
         c = Circuit.from_gates(2, [H(0), CNOT(0, 1), H(0), RZ(1, 0.2), CNOT(0, 1)])
-        table, flags = optimizer._stops(list(c.entries), None)
+        table, flags = optimizer._stops(key_array(c), None)
         assert (list(table), list(flags)) == ([1, 2, 4, -1, -1], [0] * 5)
         with mock.patch.object(optimizer, "_scan", side_effect=AssertionError):
             assert optimize(c).gates == c.gates
+
+    @settings(max_examples=300, deadline=None)
+    @given(gate_lists())
+    def test_clean_pass_leaves_a_quiet_table(self, circ):
+        # optimize stops on a clean pass without a confirming round: a
+        # fresh table of its result flags nothing, and no adjacent pair is left.
+        out = optimize(circ)
+        _, flags = optimizer._stops(key_array(out), None)
+        assert 1 not in flags
+        gates = out.gates
+        assert all(reference_partner(a) != b for a, b in zip(gates, gates[1:]))
+
+    def test_out_of_window_stop_is_not_clean(self):
+        # The H pair is 5 apart, beyond the window, so the first pass ends
+        # with a -2 and only cancels the CNOTs.  That pass is not clean: the
+        # second one reaches the Hs.
+        c = Circuit.from_gates(4, [H(0), X(3), CNOT(1, 2), RZ(1, 0.3), CNOT(1, 2), H(0)])
+        report = OptimizationReport()
+        assert optimize(c, window=3, report=report).gates == (X(3), RZ(1, 0.3))
+        assert report.passes == [2, 2]
+
+    def test_lih_optimizes_with_one_table(self):
+        # LiH/JW, magnitude, canonical: one round cancels every pair, and its
+        # table certifies that, so no round runs only to confirm it.
+        ints = parse_fcidump(fixture_text("lih_sto3g"))
+        qop = map_operator(build_hamiltonian(ints), MappingScheme.JORDAN_WIGNER)
+        c = synthesize_plan(plan_for(qop, OrderingStrategy("magnitude"), 1, 1.0), "canonical")
+        report = OptimizationReport()
+        with mock.patch.object(optimizer, "_stops", wraps=optimizer._stops) as stops:
+            out = optimize(c, report=report)
+        assert stops.call_count == 1
+        assert (len(c.entries), len(out.entries), report.passes) == (10506, 8600, [1906])
 
     def test_empty_circuit_before_any_key(self):
         # In a fresh process no gate has a key yet, so the key table is empty.
