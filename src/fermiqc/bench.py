@@ -88,20 +88,10 @@ class BenchConfig:
             raise ValueError(f"need at least one Trotter step, got {self.n_steps}")
 
 
-@dataclass
-class BenchRow:
-    system: str
-    n_qubits: int | None  # None until the pair's register size is known
-    mapping: str
-    ordering: str
-    seed: int | None
-    mode: str
-    raw: GateCounts | None = None
-    optimized: GateCounts | None = None
-    savings: float | None = None
-    trotter_error: float | None = None
-    caveats: dict | None = None  # _CAVEATS, with --error
-    error: str | None = None
+def report_counts(counts: GateCounts) -> dict:
+    """A report's ``raw`` or ``opt`` object."""
+    return {"total": counts.total, "entangling": counts.entangling,
+            "single": counts.single_qubit, "nonclifford": counts.non_clifford}
 
 
 def pair_stages(inp: BenchInput, scheme: MappingScheme, orderings=(), step_counts=(), time=1.0):
@@ -131,41 +121,44 @@ def pair_stages(inp: BenchInput, scheme: MappingScheme, orderings=(), step_count
         yield key, simulator.trotter_error(plan, energy, ground, tables), sector
 
 
-def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> list[BenchRow]:
-    """Every cell of one (input, mapping) pair from its stages: the counts
-    per (ordering, mode), then with ``with_error`` one Trotter error per
-    ordering.  The pair fails as a unit: a stage that raises writes its
-    error into every cell and leaves the values already made in place."""
-    by_ordering = {o: [BenchRow(inp.system, None, scheme.value, o.label, o.seed, mode,
-                                caveats=dict.fromkeys(_CAVEATS) if cfg.with_error else None)
+def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> list[dict]:
+    """Every cell of one (input, mapping) pair from its stages, each made
+    once as the report's JSON object, every key in place: the counts per
+    (ordering, mode), then with ``with_error`` one Trotter error per
+    ordering.  The pair fails as a unit: a stage that raises adds its error
+    to every cell and leaves the values already made in place."""
+    caveats = dict.fromkeys(_CAVEATS) if cfg.with_error else {}
+    by_ordering = {o: [{"system": inp.system, "n_qubits": None, "mapping": scheme.value,
+                        "ordering": o.label, "seed": o.seed, "mode": mode, "savings": None,
+                        "trotter_error": None, **caveats, "raw": None, "opt": None}
                        for mode in cfg.modes] for o in cfg.orderings}
-    rows = [row for group in by_ordering.values() for row in group]
+    cells = [cell for group in by_ordering.values() for cell in group]
     stages = pair_stages(inp, scheme, cfg.orderings, [cfg.n_steps], cfg.time)
     try:
         n_qubits = next(stages)
-        for row in rows:
-            row.n_qubits = n_qubits
+        for cell in cells:
+            cell["n_qubits"] = n_qubits
         next(stages)  # the qubit operator
         templates: dict = {}  # one table serves the pair's orderings and modes
         for (ordering, _), plan in next(stages).items():
-            for row in by_ordering[ordering]:
-                circ = synthesize_plan(plan, row.mode, templates)
-                row.raw = count_gates(circ)
-                row.optimized = count_gates(optimizer.run_level(circ, cfg.optimize_level))
-                row.savings = ((row.raw.total - row.optimized.total) / row.raw.total
-                               if row.raw.total else 0.0)
+            for cell in by_ordering[ordering]:
+                circ = synthesize_plan(plan, cell["mode"], templates)
+                raw = count_gates(circ)
+                cell["raw"] = report_counts(raw)
+                opt = count_gates(optimizer.run_level(circ, cfg.optimize_level))
+                cell.update(opt=report_counts(opt),
+                            savings=(raw.total - opt.total) / raw.total if raw.total else 0.0)
         for (ordering, _), rep, sector in (stages if cfg.with_error else ()):
-            for row in by_ordering[ordering]:
-                row.trotter_error = rep.error
-                row.caveats.update(time=rep.time, unreliable=rep.unreliable,
-                                   overlap_magnitude=rep.overlap_magnitude, **sector)
+            for cell in by_ordering[ordering]:
+                cell.update(trotter_error=rep.error, time=rep.time, unreliable=rep.unreliable,
+                            overlap_magnitude=rep.overlap_magnitude, **sector)
     except Exception as exc:
-        for row in rows:
-            row.error = f"{type(exc).__name__}: {exc}"
-    return rows
+        for cell in cells:
+            cell["error"] = f"{type(exc).__name__}: {exc}"
+    return cells
 
 
-def run_bench(cfg: BenchConfig) -> list[BenchRow]:
+def run_bench(cfg: BenchConfig) -> list[dict]:
     """Cartesian sweep; rows sorted by (system, mapping, ordering, mode)."""
     args = zip(*itertools.product([cfg], cfg.inputs, cfg.mappings))  # cfgs, inputs, schemes
     if cfg.workers > 1:
@@ -176,31 +169,12 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     else:
         groups = list(map(_sweep_pair, *args))
     rows = [row for group in groups for row in group]
-    rows.sort(key=lambda r: (r.system, r.mapping, r.ordering, str(r.seed), r.mode))
+    rows.sort(key=lambda r: (r["system"], r["mapping"], r["ordering"], str(r["seed"]), r["mode"]))
     return rows
 
 
-def _row_dict(row: BenchRow) -> dict:
-    """A report row as its JSON object; the CSV row is read from it."""
-    d = {
-        "system": row.system, "n_qubits": row.n_qubits,
-        "mapping": row.mapping, "ordering": row.ordering,
-        "seed": row.seed, "mode": row.mode,
-        "savings": row.savings, "trotter_error": row.trotter_error,
-        **(row.caveats or {}),
-    }
-    for label, counts in (("raw", row.raw), ("opt", row.optimized)):
-        d[label] = None if counts is None else {
-            "total": counts.total, "entangling": counts.entangling,
-            "single": counts.single_qubit, "nonclifford": counts.non_clifford,
-        }
-    if row.error is not None:
-        d["error"] = row.error
-    return d
-
-
-def emit_report(rows: list[BenchRow], fmt: str = "csv") -> str:
-    payload = [_row_dict(row) for row in rows]
+def emit_report(rows: list[dict], fmt: str = "csv") -> str:
+    """The rows of ``run_bench`` as a CSV or JSON report."""
     if fmt == "csv":
         # CSV_HEADER picks the columns; d["raw"]["total"] is column raw_total,
         # and None or a missing count is an empty field.
@@ -208,10 +182,10 @@ def emit_report(rows: list[BenchRow], fmt: str = "csv") -> str:
         writer = csv.DictWriter(buf, CSV_HEADER.split(","), extrasaction="ignore",
                                 lineterminator="\n")
         writer.writeheader()
-        for d in payload:
+        for d in rows:
             writer.writerow({**d, **{f"{label}_{key}": n for label in ("raw", "opt")
                                      for key, n in (d[label] or {}).items()}})
         return buf.getvalue()
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(rows, indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

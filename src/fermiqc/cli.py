@@ -56,17 +56,22 @@ def _mapping_option(multiple: bool):
                         callback=_unique if multiple else None)
 
 
-def _ordering_option(fn):
-    fn = click.option("--ordering", default="magnitude", show_default=True,
-                      help="magnitude | lex | lexomag | random:<seed>")(fn)
-    fn = click.option("--magnitude-direction", type=click.Choice(["desc", "asc"]),
-                      default="desc", show_default=True,
-                      help="Direction of the magnitude ordering.")(fn)
-    return fn
+def _orderings(ctx, param, value: str) -> list[OrderingStrategy]:
+    """Ordering names as the reports print them: ``--orderings`` takes a
+    comma-separated list, each ordering kept once; ``--ordering`` takes one."""
+    names = value.split(",") if param.name == "orderings" else [value]
+    try:
+        return list(dict.fromkeys(map(OrderingStrategy.parse, names)))
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
-_orderings_option = click.option("--orderings", default=None,
-                                 help="Comma-separated list overriding --ordering.")
+_ORDERING_NAMES = "magnitude[-asc] | lex | lexomag[-asc] | random:<seed>"
+_orderings_option = click.option("--orderings", default="magnitude", show_default=True,
+                                 callback=_orderings,
+                                 help=f"Comma-separated list of {_ORDERING_NAMES}.")
+
+
 def _finite(ctx, param, value: float) -> float:
     if not math.isfinite(value):  # FloatRange lets nan and inf through
         raise click.BadParameter(f"{value} is not finite")
@@ -78,18 +83,6 @@ _time_option = click.option("--time", "time_", type=click.FloatRange(0, min_open
 _optimize_option = click.option("--optimize", "level", type=click.Choice(optimizer.LEVELS),
                                 default="full", show_default=True)
 _output_option = click.option("-o", "--output", default=None, help="Output file (default stdout).")
-
-
-def _parse_orderings(ordering: str, orderings: str | None,
-                     magnitude_direction: str) -> list[OrderingStrategy]:
-    """``--orderings`` (comma-separated) if given, else ``--ordering``; each ordering once."""
-    option = "--orderings" if orderings else "--ordering"
-    names = orderings.split(",") if orderings else [ordering]
-    try:
-        return list(dict.fromkeys(OrderingStrategy.parse(
-            n, descending_magnitude=magnitude_direction == "desc") for n in names))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint=f"'{option}'") from None
 
 
 def _steps_list(ctx, param, value: str) -> list[int]:
@@ -143,16 +136,17 @@ def map_cmd(integrals, mapping, output):
 
 @main.command("compile")
 @click.argument("terms")
-@_ordering_option
+@click.option("--ordering", "strategies", default="magnitude", show_default=True,
+              callback=_orderings, help=_ORDERING_NAMES)
 @click.option("--steps", type=click.IntRange(min=1), default=1, show_default=True)
 @_time_option
 @click.option("--mode", type=click.Choice(SYNTHESIS_MODES), default="canonical",
               show_default=True)
 @click.option("--qubits", type=click.IntRange(min=1), help="Register size override.")
 @_output_option
-def compile_cmd(terms, ordering, magnitude_direction, steps, time_, mode, qubits, output):
+def compile_cmd(terms, strategies, steps, time_, mode, qubits, output):
     """Compile a Pauli term file into a Trotter-step circuit file."""
-    [strategy] = _parse_orderings(ordering, None, magnitude_direction)
+    [strategy] = strategies
     with _one_line_errors(terms):
         qop = pauli.parse_terms(Path(terms).read_text(), n_qubits=qubits)
         plan = trotter.plan_for(qop, strategy, steps, time_)
@@ -180,7 +174,6 @@ def optimize_cmd(circuit, level, cross_step, window, output):
 @main.command("bench")
 @click.argument("inputs", nargs=-1, required=True)
 @_mapping_option(multiple=True)
-@_ordering_option
 @_orderings_option
 @click.option("--mode", "modes", type=click.Choice(SYNTHESIS_MODES), multiple=True,
               default=("canonical",), show_default=True, callback=_unique)
@@ -194,8 +187,8 @@ def optimize_cmd(circuit, level, cross_step, window, output):
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @_output_option
-def bench_cmd(inputs, mapping, ordering, magnitude_direction, orderings, modes,
-              level, steps, time_, with_error, workers, fmt, output):
+def bench_cmd(inputs, mapping, orderings, modes, level, steps, time_, with_error, workers,
+              fmt, output):
     """Sweep (input x mapping x ordering x mode) and emit a report.
 
     INPUTS are FCIDUMP paths or synthetic specs like
@@ -204,7 +197,7 @@ def bench_cmd(inputs, mapping, ordering, magnitude_direction, orderings, modes,
     cfg = bench_mod.BenchConfig(
         inputs=_parse_inputs(inputs),
         mappings=[MappingScheme(m) for m in mapping],
-        orderings=_parse_orderings(ordering, orderings, magnitude_direction),
+        orderings=orderings,
         modes=modes,
         optimize_level=level,
         n_steps=steps,
@@ -214,29 +207,26 @@ def bench_cmd(inputs, mapping, ordering, magnitude_direction, orderings, modes,
     )
     rows = bench_mod.run_bench(cfg)
     _write_report(bench_mod.emit_report(rows, fmt), output,
-                  [f"cell failed: {r.system}/{r.mapping}/{r.ordering}/{r.mode}: {r.error}"
-                   for r in rows if r.error is not None])
+                  [f"cell failed: {r['system']}/{r['mapping']}/{r['ordering']}/{r['mode']}: "
+                   f"{r['error']}" for r in rows if "error" in r])
 
 
 @main.command("trotter-error")
 @click.argument("inputs", nargs=-1, required=True)
 @_mapping_option(multiple=True)
-@_ordering_option
 @_orderings_option
 @click.option("--steps", "steps_list", default="1", show_default=True, callback=_steps_list,
               help="Comma-separated Trotter step counts.")
 @_time_option
 @_output_option
-def trotter_error_cmd(inputs, mapping, ordering, magnitude_direction, orderings,
-                      steps_list, time_, output):
+def trotter_error_cmd(inputs, mapping, orderings, steps_list, time_, output):
     """Measure Trotter error against exact ground energies (JSON report).
     A failed pair writes one ``error`` object in place of its reports; exit 2."""
-    strategies = _parse_orderings(ordering, orderings, magnitude_direction)
     reports, failures = [], []
     for inp in _parse_inputs(inputs):
         for scheme in map(MappingScheme, mapping):
             head = {"system": inp.system, "n_qubits": None, "mapping": scheme.value}
-            stages = bench_mod.pair_stages(inp, scheme, strategies, steps_list, time_)
+            stages = bench_mod.pair_stages(inp, scheme, orderings, steps_list, time_)
             try:
                 head["n_qubits"] = next(stages)
                 next(stages), next(stages)  # the qubit operator and the plans

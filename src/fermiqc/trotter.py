@@ -27,14 +27,17 @@ class OrderingStrategy:
             raise ValueError("random ordering requires a seed")
 
     @classmethod
-    def parse(cls, text: str, descending_magnitude: bool = True) -> "OrderingStrategy":
-        """Parse CLI spellings: magnitude | lex | lexomag | random:<seed>."""
+    def parse(cls, text: str) -> "OrderingStrategy":
+        """The inverse of ``str()``: magnitude[-asc] | lex | lexomag[-asc] | random:<seed>."""
         if text.startswith("random:"):
             try:
                 return cls("random", int(text.split(":", 1)[1]))
             except ValueError:
                 raise ValueError(f"random ordering needs an integer seed, got {text!r}") from None
-        return cls(text, descending_magnitude=descending_magnitude)
+        kind = text.removesuffix("-asc")
+        if kind != text and kind not in ("magnitude", "lexomag"):
+            raise ValueError(f"unknown ordering {text!r}")
+        return cls(kind, descending_magnitude=kind == text)
 
     @property
     def label(self) -> str:

@@ -14,8 +14,9 @@ from click.testing import CliRunner
 
 import fermiqc
 from fermiqc import bench, fermion, mappings, pauli, simulator, trotter, write_fcidump
-from fermiqc.bench import CSV_HEADER, BenchConfig, BenchInput, emit_report, run_bench
-from fermiqc.circuits import SYNTHESIS_MODES, GateCounts
+from fermiqc.bench import (CSV_HEADER, BenchConfig, BenchInput, emit_report, report_counts,
+                           run_bench)
+from fermiqc.circuits import SYNTHESIS_MODES, GateCounts, count_gates, parse_circuit
 from fermiqc.cli import main
 from fermiqc.fixtures import fixture_path
 from fermiqc.mappings import MappingScheme
@@ -117,12 +118,12 @@ class TestRunBench:
         rows = run_bench(tiny_config())
         assert len(rows) == 2 * 2 * 2  # mappings x orderings x modes
         for row in rows:
-            assert row.error is None
-            assert row.n_qubits == 4
-            assert row.raw.total >= row.optimized.total
-            assert 0.0 <= row.savings < 1.0
+            assert "error" not in row
+            assert row["n_qubits"] == 4
+            assert row["raw"]["total"] >= row["opt"]["total"]
+            assert 0.0 <= row["savings"] < 1.0
             # every term keeps exactly one rotation through optimization
-            assert row.optimized.non_clifford == row.raw.non_clifford
+            assert row["opt"]["nonclifford"] == row["raw"]["nonclifford"]
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_rows_count_the_reference_gates(self, steps):
@@ -130,25 +131,26 @@ class TestRunBench:
         cfg = tiny_config(inputs=[inp], n_steps=steps, modes=list(SYNTHESIS_MODES))
         ham = fermion.build_hamiltonian(fermion.parse_fcidump(Path(inp.path).read_text()))
         for row in run_bench(cfg):
-            qop = mappings.map_operator(ham, MappingScheme(row.mapping))
-            plan = trotter.plan_for(qop, OrderingStrategy(row.ordering, row.seed), steps,
+            qop = mappings.map_operator(ham, MappingScheme(row["mapping"]))
+            plan = trotter.plan_for(qop, OrderingStrategy(row["ordering"], row["seed"]), steps,
                                     simulator.safe_evolution_time(qop, cfg.time))
-            circ = reference_synthesize_plan(plan, row.mode)
-            assert row.raw == reference_gate_counts(circ.gates)
-            assert row.optimized == reference_gate_counts(reference_optimize(circ).gates)
+            circ = reference_synthesize_plan(plan, row["mode"])
+            assert row["raw"] == report_counts(reference_gate_counts(circ.gates))
+            assert row["opt"] == report_counts(
+                reference_gate_counts(reference_optimize(circ).gates))
 
     def test_with_error_column(self):
         cfg = tiny_config(with_error=True, time=0.1,
                           orderings=[OrderingStrategy("magnitude")],
                           modes=["canonical"])
         rows = run_bench(cfg)
-        assert all(row.trotter_error is not None for row in rows)
-        assert all(row.trotter_error < 1e-2 for row in rows)
+        assert all(row["trotter_error"] is not None for row in rows)
+        assert all(row["trotter_error"] < 1e-2 for row in rows)
 
     def test_cell_isolation(self):
         cfg = tiny_config(inputs=[BenchInput.parse("/no/such/file.fcidump")])
         rows = run_bench(cfg)
-        assert all(row.error is not None for row in rows)
+        assert all(row["error"] is not None for row in rows)
 
     def test_each_stage_runs_once_per_key(self, monkeypatch):
         calls = Counter()
@@ -166,7 +168,7 @@ class TestRunBench:
         counted(trotter, "plan_for")
         counted(simulator, "trotter_error")
         rows = run_bench(tiny_config(with_error=True, time=0.1))
-        assert len(rows) == 8 and all(row.error is None for row in rows)
+        assert len(rows) == 8 and all("error" not in row for row in rows)
         # 2 (input, mapping) pairs x 2 orderings; the modes share each plan.
         assert calls == {"map_operator": 2, "operator_matrix": 2,
                          "plan_for": 4, "trotter_error": 4}
@@ -176,16 +178,16 @@ class TestRunBench:
             raise simulator.EigensolverError("no convergence")
         monkeypatch.setattr(simulator, "ground_state", fail)
         for row in run_bench(tiny_config(with_error=True, time=0.1)):
-            assert row.error == "EigensolverError: no convergence"
-            assert row.n_qubits == 4 and row.optimized is not None
-            assert row.trotter_error is None
+            assert row["error"] == "EigensolverError: no convergence"
+            assert row["n_qubits"] == 4 and row["opt"] is not None
+            assert row["trotter_error"] is None
 
     def test_pair_fails_as_a_unit(self, monkeypatch):
         cfg = tiny_config(inputs=[BenchInput.parse("synthetic:n=2,seed=3"),
                                   BenchInput.parse("synthetic:n=3,seed=3")],
                           mappings=[MappingScheme.JORDAN_WIGNER],
                           orderings=[OrderingStrategy("magnitude")])
-        clean = {(row.n_qubits, row.mode): row for row in run_bench(cfg)}
+        clean = {(row["n_qubits"], row["mode"]): row for row in run_bench(cfg)}
         real = bench.synthesize_plan
 
         def synthesize_plan(plan, mode, templates=None):
@@ -194,17 +196,17 @@ class TestRunBench:
             return real(plan, mode, templates)
 
         monkeypatch.setattr(bench, "synthesize_plan", synthesize_plan)
-        rows = {(row.n_qubits, row.mode): row for row in run_bench(cfg)}
+        rows = {(row["n_qubits"], row["mode"]): row for row in run_bench(cfg)}
         assert sorted(rows) == [(4, "ancilla"), (4, "canonical"),
                                 (6, "ancilla"), (6, "canonical")]
         for mode in ("canonical", "ancilla"):
-            assert rows[6, mode].error == "RuntimeError: no ancilla"
-            assert rows[4, mode] == clean[4, mode] and rows[4, mode].error is None
+            assert rows[6, mode]["error"] == "RuntimeError: no ancilla"
+            assert rows[4, mode] == clean[4, mode] and "error" not in rows[4, mode]
         # canonical runs before ancilla, so its counts were made before the failure
         made = rows[6, "canonical"]
-        assert (made.raw, made.optimized) == (clean[6, "canonical"].raw,
-                                              clean[6, "canonical"].optimized)
-        assert rows[6, "ancilla"].raw is None
+        assert (made["raw"], made["opt"]) == (clean[6, "canonical"]["raw"],
+                                              clean[6, "canonical"]["opt"])
+        assert rows[6, "ancilla"]["raw"] is None
 
     def test_parallel_matches_serial(self):
         serial = emit_report(run_bench(tiny_config(workers=1)))
@@ -236,11 +238,12 @@ class TestReports:
         back = list(csv.DictReader(emit_report(rows).splitlines()))
         assert len(back) == len(rows)
         for a, b in zip(rows, back):
-            assert (a.system, a.mapping, a.ordering, a.seed, a.mode) == \
+            assert (a["system"], a["mapping"], a["ordering"], a["seed"], a["mode"]) == \
                 (b["system"], b["mapping"], b["ordering"],
                  None if b["seed"] == "" else int(b["seed"]), b["mode"])
-            assert a.raw == counts(b, "raw") and a.optimized == counts(b, "opt")
-            assert a.savings == pytest.approx(float(b["savings"]))
+            assert a["raw"] == report_counts(counts(b, "raw"))
+            assert a["opt"] == report_counts(counts(b, "opt"))
+            assert a["savings"] == pytest.approx(float(b["savings"]))
 
     def test_json_report(self):
         payload = json.loads(emit_report(run_bench(tiny_config()), "json"))
@@ -296,7 +299,7 @@ class TestCli:
 
     def test_bench_csv_to_stdout(self):
         r = self.run("bench", "synthetic:n=2,seed=1", "--mode", "canonical",
-                     "--ordering", "lex")
+                     "--orderings", "lex")
         assert r.exit_code == 0
         assert r.output.splitlines()[0] == CSV_HEADER
 
@@ -333,7 +336,7 @@ class TestCli:
 
     def test_trotter_error_json(self):
         r = self.run("trotter-error", str(fixture_path("h2_sto3g")),
-                     "--mapping", "jw", "--ordering", "magnitude",
+                     "--mapping", "jw", "--orderings", "magnitude",
                      "--steps", "1,10", "--time", "0.1")
         payload = json.loads(r.output)
         assert len(payload) == 2
@@ -378,25 +381,60 @@ class TestCli:
                                                  "mapping": "jw", "error": error}]
         assert r.stderr == f"pair failed: synthetic-n9-s0-d1/jw: {error}\n"
 
-    def test_magnitude_direction_flag(self):
-        base = ["bench", str(fixture_path("lih_sto3g")), "--mapping", "jw",
-                "--mode", "canonical", "--orderings", "magnitude,lexomag,lex"]
-        opt = {}
-        for direction in ("desc", "asc"):
-            r = self.run(*base, "--magnitude-direction", direction)
+    def test_mixed_direction_sweep(self):
+        # One sweep takes both directions of each magnitude sort; each label
+        # counts the circuit that a sweep of that direction alone counts.
+        def opt_totals(orderings):
+            r = self.run("bench", str(fixture_path("lih_sto3g")), "--mapping", "jw",
+                         "--mode", "canonical", "--orderings", orderings)
             assert r.exit_code == 0
-            opt[direction] = {row["ordering"]: row["opt_total"]
-                              for row in csv.DictReader(r.output.splitlines())}
-        assert list(opt["desc"]) == ["lex", "lexomag", "magnitude"]
-        assert list(opt["asc"]) == ["lex", "lexomag-asc", "magnitude-asc"]
-        # lex ignores the direction; each magnitude sort counts another circuit.
-        assert opt["asc"]["lex"] == opt["desc"]["lex"]
-        for kind in ("magnitude", "lexomag"):
-            assert opt["asc"][f"{kind}-asc"] != opt["desc"][kind]
+            return {row["ordering"]: int(row["opt_total"])
+                    for row in csv.DictReader(r.output.splitlines())}
+
+        mixed = opt_totals("magnitude,magnitude-asc,lexomag,lexomag-asc,lex")
+        assert mixed == {**opt_totals("magnitude,lexomag,lex"),
+                         **opt_totals("magnitude-asc,lexomag-asc,lex")}
+        # The counts of the separate descending and ascending sweeps that a
+        # direction flag once chose.
+        assert mixed == {"lex": 6052, "lexomag": 9168, "lexomag-asc": 9118,
+                         "magnitude": 8600, "magnitude-asc": 8568}
         errors = self.run("trotter-error", SPEC, "--mapping", "jw", "--orderings",
-                          "magnitude,lexomag,lex,random:3", "--magnitude-direction", "asc")
+                          "magnitude-asc,lexomag-asc,lex,random:3,magnitude")
         assert [r["ordering"] for r in json.loads(errors.output)] == [
-            "magnitude-asc", "lexomag-asc", "lex", "random:3"]
+            "magnitude-asc", "lexomag-asc", "lex", "random:3", "magnitude"]
+
+    def test_printed_orderings_compile_back(self, tmp_path):
+        # Each ordering a bench report prints, spelled back as compile
+        # --ordering, gives a circuit that optimizes to the row's count.
+        lih = str(fixture_path("lih_sto3g"))
+        terms, circ, opt = tmp_path / "lih.terms", tmp_path / "lih.circ", tmp_path / "opt.circ"
+        assert self.run("map", lih, "--mapping", "jw", "-o", str(terms)).exit_code == 0
+        r = self.run("bench", lih, "--mapping", "jw", "--mode", "canonical", "--orderings",
+                     "magnitude,magnitude-asc,lexomag-asc,lex,random:3")
+        rows = list(csv.DictReader(r.output.splitlines()))
+        assert len(rows) == 5
+        for row in rows:
+            spelled = f"{row['ordering']}:{row['seed']}" if row["seed"] else row["ordering"]
+            assert self.run("compile", str(terms), "--ordering", spelled,
+                            "-o", str(circ)).exit_code == 0, spelled
+            assert self.run("optimize", str(circ), "-o", str(opt)).exit_code == 0
+            assert count_gates(parse_circuit(opt.read_text())).total == int(row["opt_total"])
+
+    def test_bench_json_row_layout(self):
+        head = ["system", "n_qubits", "mapping", "ordering", "seed", "mode", "savings",
+                "trotter_error"]
+        caveats = ["time", "unreliable", "overlap_magnitude", "nelec", "ms2", "sector_dim"]
+        counts = ["total", "entangling", "single", "nonclifford"]
+        for error, keys in (([], head), (["--error"], head + caveats)):
+            r = self.run("bench", SPEC, "--mapping", "jw", *error, "--format", "json")
+            [row] = json.loads(r.output)
+            assert list(row) == keys + ["raw", "opt"]
+            assert list(row["raw"]) == list(row["opt"]) == counts
+            r = CliRunner().invoke(main, ["bench", "/missing.fcidump", "--mapping", "jw",
+                                          *error, "--format", "json"])
+            assert r.exit_code == 2
+            [row] = json.loads(r.stdout)
+            assert list(row) == keys + ["raw", "opt", "error"]
 
     @pytest.mark.parametrize("args", [
         ["trotter-error", "synthetic:n=2,seed=1", "--time", "0"],
@@ -514,22 +552,40 @@ class TestCli:
         assert isinstance(r.exception, SystemExit)
         assert r.output == f"Error: {terms}: {message}\n"
 
-    @pytest.mark.parametrize("args,option", [
-        (["compile", "TERMS", "--ordering", "foo"], "--ordering"),
-        (["compile", "TERMS", "--ordering", "random:x"], "--ordering"),
-        (["bench", "synthetic:n=2,seed=1", "--orderings", "lex,random:x"], "--orderings"),
-        (["bench", "synthetic:n=2,seed=1", "--ordering", "foo"], "--ordering"),
-        (["trotter-error", "synthetic:n=2,seed=1", "--orderings", "lex,foo"], "--orderings"),
-        (["trotter-error", "synthetic:n=2,seed=1", "--ordering", "random:"], "--ordering"),
-    ], ids=["compile", "compile-seed", "bench-seed", "bench", "trotter-error",
-            "trotter-error-seed"])
-    def test_bad_ordering_is_one_line(self, args, option, tmp_path):
+    @pytest.mark.parametrize("args,option,message", [
+        (["compile", "TERMS", "--ordering", "foo"], "--ordering", "unknown ordering 'foo'"),
+        (["compile", "TERMS", "--ordering", "random:x"], "--ordering",
+         "random ordering needs an integer seed, got 'random:x'"),
+        # compile takes one name; a comma is part of it.
+        (["compile", "TERMS", "--ordering", "lex,magnitude"], "--ordering",
+         "unknown ordering 'lex,magnitude'"),
+        (["bench", "synthetic:n=2,seed=1", "--orderings", "lex,random:x"], "--orderings",
+         "random ordering needs an integer seed, got 'random:x'"),
+        (["bench", "synthetic:n=2,seed=1", "--orderings", "foo"], "--orderings",
+         "unknown ordering 'foo'"),
+        (["bench", "synthetic:n=2,seed=1", "--orderings", ""], "--orderings",
+         "unknown ordering ''"),
+        # lex and random have no direction.
+        (["bench", "synthetic:n=2,seed=1", "--orderings", "lex-asc"], "--orderings",
+         "unknown ordering 'lex-asc'"),
+        (["trotter-error", "synthetic:n=2,seed=1", "--orderings", "lex,foo"], "--orderings",
+         "unknown ordering 'foo'"),
+        (["trotter-error", "synthetic:n=2,seed=1", "--orderings", "random:"], "--orderings",
+         "random ordering needs an integer seed, got 'random:'"),
+        (["trotter-error", "synthetic:n=2,seed=1", "--orderings", "random:3-asc"],
+         "--orderings", "random ordering needs an integer seed, got 'random:3-asc'"),
+        (["compile", "TERMS", "--ordering", "magnitude-asc-asc"], "--ordering",
+         "unknown ordering 'magnitude-asc-asc'"),
+    ], ids=["compile", "compile-seed", "compile-list", "bench-seed", "bench", "bench-empty",
+            "bench-lex-asc", "trotter-error", "trotter-error-seed", "trotter-error-random-asc",
+            "compile-asc-twice"])
+    def test_bad_ordering_is_one_line(self, args, option, message, tmp_path):
         terms = tmp_path / "t.terms"
         terms.write_text("(1.0,0.0) X0\n")
         r = CliRunner().invoke(main, [str(terms) if a == "TERMS" else a for a in args])
         assert r.exit_code == 2
         assert isinstance(r.exception, SystemExit)
-        assert r.output.splitlines()[-1].startswith(f"Error: Invalid value for '{option}': ")
+        assert r.output.splitlines()[-1] == f"Error: Invalid value for '{option}': {message}"
         assert "Traceback" not in r.output
 
     @pytest.mark.parametrize("command,spec,message", [

@@ -59,9 +59,8 @@ for ordering in magnitude lex lexomag random:7; do
     done
 done
 
-for ordering in magnitude lexomag; do
-    run "compile-$ordering-asc" compile lih.terms --steps 2 --ordering "$ordering" \
-        --magnitude-direction asc
+for ordering in magnitude-asc lexomag-asc; do
+    run "compile-$ordering" compile lih.terms --steps 2 --ordering "$ordering"
 done
 
 # A hand-written term file: a repeated line, a pair that cancels and comes
@@ -111,9 +110,12 @@ run bench-fixtures bench "$fixtures/h2_sto3g.fcidump" "$fixtures/h2_631g.fcidump
     "$fixtures/lih_sto3g.fcidump" --orderings magnitude,lex,lexomag,random:7 \
     --mode canonical --mode basis_shift --mode ancilla
 run bench-lih-error bench "$fixtures/lih_sto3g.fcidump" --error --format json --steps 2
-# An ascending magnitude sort is named in the report (magnitude-asc, lexomag-asc).
-run bench-lih-asc bench "$fixtures/lih_sto3g.fcidump" --mapping jw --orderings magnitude,lexomag \
-    --magnitude-direction asc
+# An ascending magnitude sort is named as it is given (magnitude-asc, lexomag-asc),
+# and one sweep can take both directions.
+run bench-lih-asc bench "$fixtures/lih_sto3g.fcidump" --mapping jw \
+    --orderings magnitude-asc,lexomag-asc
+run bench-lih-mixed-direction bench "$fixtures/lih_sto3g.fcidump" --mapping jw \
+    --orderings magnitude,magnitude-asc
 # The optimize levels below full, on three steps (each step optimized once).
 for level in cancel none; do
     run "bench-lih-steps3-$level" bench "$fixtures/lih_sto3g.fcidump" --steps 3 \
