@@ -139,10 +139,9 @@ def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> lis
         for cell in cells:
             cell["n_qubits"] = n_qubits
         next(stages)  # the qubit operator
-        templates: dict = {}  # one table serves the pair's orderings and modes
         for (ordering, _), plan in next(stages).items():
             for cell in by_ordering[ordering]:
-                circ = synthesize_plan(plan, cell["mode"], templates)
+                circ = synthesize_plan(plan, cell["mode"])
                 raw = count_gates(circ)
                 cell["raw"] = report_counts(raw)
                 opt = count_gates(optimizer.run_level(circ, cfg.optimize_level))

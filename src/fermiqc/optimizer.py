@@ -12,15 +12,15 @@ greedy one: scan left to right, cancel each Clifford gate with the first
 inverse partner reachable through commuting gates, and step back one gate
 after every cancellation.
 
-The passes read a circuit's encoded form (``Circuit.entries``): one shared
-entry (qubit mask, Z mask, X mask, key, partner key, gate, file line) per
-Clifford (kind, qubits) and per RZ qubit.  Two gates commute when every
-qubit they share is Z for both or X for both.  Step seams come from
-``Circuit.n_steps`` alone: without ``cross_step`` the steps are equal, so
-one step is optimized and the result repeated; with it the steps are
-optimized as one list.
+The passes read a circuit's int32 keys (``Circuit.keys``), one key per
+Clifford (kind, qubits) and per RZ qubit, and the per-key tables of the
+circuits module: qubit, Z and X masks, partner key, wires.  Two gates
+commute when every qubit they share is Z for both or X for both.  Step
+seams come from ``Circuit.n_steps`` alone: without ``cross_step`` the
+steps are equal, so one step is optimized and the result repeated; with
+it the steps are optimized as one list.
 
-The rounds share one key array, cut down with the gate list.  The adjacent
+The rounds share one key array, cut down after each pass.  The adjacent
 pass walks in Python only the sites numpy finds, gates followed by their
 partner.  The commute pass does not scan gate by gate: at its start,
 :func:`_stops` finds in numpy, for every gate, its stop, the first later
@@ -37,58 +37,33 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress, islice
-from operator import itemgetter
 
 import numpy as np
 
-from .circuits import _KEY, _KEYS, _MASK, _PARTNER, _X, _Z, Circuit, _entry
+from .circuits import _MASKS, _PARTNERS, Circuit, _table
 
 
-_by_key = (np.empty((0, 2), np.int32), np.empty((0, 2), np.int32), np.empty(0, np.int32))
+def _drop(keys: np.ndarray, keep: bytearray | None) -> np.ndarray:
+    """The keys without the gates whose ``keep`` flag is 0."""
+    return keys if keep is None else keys[np.frombuffer(keep, bool)]
 
 
-def _key_table() -> tuple[np.ndarray, ...]:
-    """Per key of ``_KEYS``, extended as keys are added: the gate's qubits
-    and its kind on each, as rows of two (-1 where a gate has no second
-    qubit), and its partner key (-1 for none), all read from its entry.  A
-    wire's kind is its Z bit plus twice its X bit: 1 diagonal, 2 CNOT
-    target, 0 other; gates commute on a wire where their kinds are equal
-    and not 0."""
-    global _by_key
-    if len(_by_key[0]) != len(_KEYS):
-        rows = []
-        for kind, qubits in _KEYS:  # in key order: a key is its insertion index
-            _, z, x, _, partner, _, _ = _entry(kind, qubits)
-            wires = [(z >> q & 1) | (x >> q & 1) << 1 for q in qubits]
-            rows.append((*qubits, -1)[:2] + (*wires, -1)[:2]
-                        + (-1 if partner is None else partner,))
-        table = np.array(rows, np.int32)
-        _by_key = (table[:, :2].copy(), table[:, 2:4].copy(), table[:, 4].copy())
-    return _by_key
-
-
-def _drop(seg: list[tuple], keys: np.ndarray, keep: bytearray | None) -> tuple:
-    """``seg`` and its keys without the gates whose ``keep`` flag is 0."""
-    if keep is None:
-        return seg, keys
-    return list(compress(seg, keep)), keys[np.frombuffer(keep, bool)]
-
-
-def _adjacent(seg: list[tuple], keys: np.ndarray) -> bytearray | None:
+def _adjacent(keys: np.ndarray) -> bytearray | None:
     """Keep flags of the left-to-right stack pass that drops adjacent inverse
     pairs, or None when there are none.  Only a gate followed by its partner
     starts a cancellation, which cascades outward; ``below`` links the first
     gate of each run pushed between such sites to the gate under it."""
-    sites = np.flatnonzero(_key_table()[2][keys[:-1]] == keys[1:])
+    sites = np.flatnonzero(_table()[2][keys[:-1]] == keys[1:])
     if not len(sites):
         return None
-    keep, below, top, end = bytearray(b"\1") * len(seg), {}, -1, 0
+    seg, n = memoryview(keys), len(keys)
+    keep, below, top, end = bytearray(b"\1") * n, {}, -1, 0
     for s in sites.tolist():
         if s < end:
             continue
         below[end] = top
         top, end = s, s + 1
-        while top >= 0 and end < len(seg) and seg[top][_PARTNER] == seg[end][_KEY]:
+        while top >= 0 and end < n and _PARTNERS[seg[top]] == seg[end]:
             keep[top] = keep[end] = 0
             top, end = below.get(top, top - 1), end + 1
     return keep
@@ -111,7 +86,7 @@ def _stops(keys: np.ndarray, window: int | None) -> tuple[array, bytearray]:
     ``window`` does not reach, or no stop inside the gate's block and its
     lookahead.  A gate is flagged when its stop is its partner or -2.
     """
-    qubits, kinds, partners = _key_table()
+    qubits, kinds, partners = _table()
     n = len(keys)
     table, flags = array("i", [0]) * n, bytearray(n)
     for a in range(0, n, _BLOCK):
@@ -156,23 +131,24 @@ def _stops(keys: np.ndarray, window: int | None) -> tuple[array, bytearray]:
     return table, flags
 
 
-def _scan(seg: list[tuple], alive: bytearray, i: int, window: int | None) -> int:
-    """Gate i's stop found by walking the live gates after it, as
+def _scan(seg: memoryview, alive: bytearray, i: int, window: int | None) -> int:
+    """Gate i's stop found by walking the live keys after it, as
     :func:`_stops` encodes it, with -2 when ``window`` runs out first."""
-    mask, z, x, _, partner, _, _ = seg[i]
+    (mask, z, x), partner = _MASKS[seg[i]], _PARTNERS[seg[i]]
     rest = compress(range(i + 1, len(seg)), memoryview(alive)[i + 1:])
     for j in islice(rest, window):
         h = seg[j]
-        if h[_KEY] == partner:
+        if h == partner:
             return j
         # h blocks the scan unless the two commute.
-        shared = mask & h[_MASK]
-        if shared and shared != (z & h[_Z]) | (x & h[_X]):
+        h_mask, h_z, h_x = _MASKS[h]
+        shared = mask & h_mask
+        if shared and shared != (z & h_z) | (x & h_x):
             return j
     return -1 if next(rest, None) is None else -2
 
 
-def _commute_pass(seg: list[tuple], keys: np.ndarray, window: int | None) -> tuple:
+def _commute_pass(keys: np.ndarray, window: int | None) -> tuple:
     """One greedy commute-and-cancel pass: its keep flags, None when it
     cancels nothing, and whether it is clean.
 
@@ -195,13 +171,14 @@ def _commute_pass(seg: list[tuple], keys: np.ndarray, window: int | None) -> tup
     stop, flag = _stops(keys, window)
     if 1 not in flag:
         return None, True
+    seg = memoryview(keys)
     alive = bytearray(b"\1") * len(seg)
     for i in compress(range(len(seg)), flag):
         while i >= 0 and alive[i]:
             s = stop[i]
             if s == -2 or s >= 0 and not alive[s]:
                 s = stop[i] = _scan(seg, alive, i, window)
-            if s < 0 or seg[s][_KEY] != seg[i][_PARTNER]:
+            if s < 0 or seg[s] != _PARTNERS[seg[i]]:
                 break
             alive[i] = alive[s] = 0
             i = alive.rfind(1, 0, i)
@@ -210,7 +187,7 @@ def _commute_pass(seg: list[tuple], keys: np.ndarray, window: int | None) -> tup
     redo = live & np.where(stops >= 0, ~live[stops], stops == -2)
     for i in np.flatnonzero(redo).tolist():
         s = _scan(seg, alive, i, window)
-        if s == -2 or s >= 0 and seg[s][_KEY] == seg[i][_PARTNER]:
+        if s == -2 or s >= 0 and seg[s] == _PARTNERS[seg[i]]:
             return alive, False
     return alive, True
 
@@ -224,45 +201,42 @@ class OptimizationReport:
         return sum(self.passes)
 
 
-def _step(c: Circuit, cross_step: bool) -> tuple[list[tuple], np.ndarray, list[float], int]:
-    """The entry list to optimize, which no pass edits, its keys, its RZ
-    angles and how often its result repeats: one step of the equal steps, or
-    all of them at once with ``cross_step``.  RZs are never removed or
-    reordered, so the angles pair up unchanged; a repeated step never empties."""
+def _step(c: Circuit, cross_step: bool) -> tuple[np.ndarray, list[float], int]:
+    """The keys to optimize, their RZ angles and how often the result
+    repeats: one step of the equal steps, or all of them at once with
+    ``cross_step``.  RZs are never removed or reordered, so the angles pair
+    up unchanged; a repeated step never empties."""
     k = c.n_steps if cross_step else 1
-    seg = c.entries * k if k > 1 else c.entries
-    keys = np.fromiter(map(itemgetter(_KEY), seg), np.int32, len(seg))
-    return seg, keys, c.angles * k, c.n_steps // k
+    return np.tile(c.keys, k) if k > 1 else c.keys, c.angles * k, c.n_steps // k
 
 
 def cancel_adjacent(c: Circuit, cross_step: bool = False) -> Circuit:
     """Remove adjacent self-inverse pairs; one stack pass leaves none."""
-    seg, keys, angles, repeat = _step(c, cross_step)
-    seg, _ = _drop(seg, keys, _adjacent(seg, keys))
-    return Circuit(c.n_qubits, seg, angles, repeat, c.ancilla)
+    keys, angles, repeat = _step(c, cross_step)
+    return Circuit(c.n_qubits, _drop(keys, _adjacent(keys)), angles, repeat, c.ancilla)
 
 
 def commute_and_cancel(c: Circuit, cross_step: bool = False,
                        window: int | None = None) -> Circuit:
     """Cancel self-inverse pairs reachable through commuting gates."""
-    seg, keys, angles, repeat = _step(c, cross_step)
-    seg, _ = _drop(seg, keys, _commute_pass(seg, keys, window)[0])
-    return Circuit(c.n_qubits, seg, angles, repeat, c.ancilla)
+    keys, angles, repeat = _step(c, cross_step)
+    keys = _drop(keys, _commute_pass(keys, window)[0])
+    return Circuit(c.n_qubits, keys, angles, repeat, c.ancilla)
 
 
 def optimize(c: Circuit, cross_step: bool = False, window: int | None = None,
              report: OptimizationReport | None = None) -> Circuit:
     """Alternate both passes until a round removes nothing or ends clean."""
-    seg, keys, angles, repeat = _step(c, cross_step)
+    keys, angles, repeat = _step(c, cross_step)
     while True:
-        before = len(seg)
-        seg, keys = _drop(seg, keys, _adjacent(seg, keys))
-        keep, clean = _commute_pass(seg, keys, window)
-        seg, keys = _drop(seg, keys, keep)
-        if report is not None and len(seg) < before:
-            report.passes.append((before - len(seg)) * repeat)
-        if clean or len(seg) == before:
-            return Circuit(c.n_qubits, seg, angles, repeat, c.ancilla)
+        before = len(keys)
+        keys = _drop(keys, _adjacent(keys))
+        keep, clean = _commute_pass(keys, window)
+        keys = _drop(keys, keep)
+        if report is not None and len(keys) < before:
+            report.passes.append((before - len(keys)) * repeat)
+        if clean or len(keys) == before:
+            return Circuit(c.n_qubits, keys, angles, repeat, c.ancilla)
 
 
 LEVELS = ("none", "cancel", "full")

@@ -12,7 +12,9 @@ from .pauli import DEFAULT_TOL, PauliString, QubitOperator, lex_order
 
 @dataclass(frozen=True)
 class OrderingStrategy:
-    """One of magnitude / lex / random / lexomag; random carries its seed."""
+    """One of magnitude / lex / random / lexomag; random carries its seed.
+    Only the magnitude sorts have a direction: lex and random always hold
+    ``descending_magnitude=True``, so equal orderings compare equal."""
 
     kind: str
     seed: int | None = None
@@ -25,6 +27,8 @@ class OrderingStrategy:
             raise ValueError(f"unknown ordering {self.kind!r}")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random ordering requires a seed")
+        if self.kind in ("lex", "random"):
+            object.__setattr__(self, "descending_magnitude", True)
 
     @classmethod
     def parse(cls, text: str) -> "OrderingStrategy":

@@ -94,7 +94,11 @@ def pauli_exponential(s: PauliString, theta: float) -> np.ndarray:
 def random_pauli_string(rng: np.random.Generator, n: int,
                         min_weight: int = 1) -> PauliString:
     while True:
-        s = PauliString(n, *(int(m) for m in rng.integers(0, 1 << n, size=2)))
+        if n < 63:  # rng.integers draws int64
+            s = PauliString(n, *(int(m) for m in rng.integers(0, 1 << n, size=2)))
+        else:
+            s = PauliString(n, *(sum(int(b) << q for q, b in enumerate(bits))
+                                 for bits in rng.integers(0, 2, size=(2, n))))
         if (s.x | s.z).bit_count() >= min_weight:
             return s
 
@@ -304,7 +308,7 @@ def term_plan(s: PauliString, theta: float) -> TrotterPlan:
 def stepped(n: int, step: list[Gate], n_steps: int, ancilla: bool = False) -> Circuit:
     """The circuit of ``n_steps`` copies of ``step``, seams between them."""
     one = Circuit.from_gates(n, step, ancilla)
-    return Circuit(n, one.entries, one.angles, n_steps, ancilla)
+    return Circuit(n, one.keys, one.angles, n_steps, ancilla)
 
 
 def reference_gate_counts(gates: list[Gate]) -> GateCounts:

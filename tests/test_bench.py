@@ -190,10 +190,10 @@ class TestRunBench:
         clean = {(row["n_qubits"], row["mode"]): row for row in run_bench(cfg)}
         real = bench.synthesize_plan
 
-        def synthesize_plan(plan, mode, templates=None):
+        def synthesize_plan(plan, mode):
             if plan.n_qubits == 6 and mode == "ancilla":
                 raise RuntimeError("no ancilla")
-            return real(plan, mode, templates)
+            return real(plan, mode)
 
         monkeypatch.setattr(bench, "synthesize_plan", synthesize_plan)
         rows = {(row["n_qubits"], row["mode"]): row for row in run_bench(cfg)}
@@ -207,6 +207,15 @@ class TestRunBench:
         assert (made["raw"], made["opt"]) == (clean[6, "canonical"]["raw"],
                                               clean[6, "canonical"]["opt"])
         assert rows[6, "ancilla"]["raw"] is None
+
+    def test_equal_orderings_give_one_row(self):
+        # lex has no direction, so both spellings are one ordering and one row.
+        lex, jw = OrderingStrategy("lex"), [MappingScheme.JORDAN_WIGNER]
+        both = [lex, OrderingStrategy("lex", descending_magnitude=False)]
+        rows = run_bench(tiny_config(orderings=both, mappings=jw))
+        assert rows == run_bench(tiny_config(orderings=[lex], mappings=jw))
+        assert [(row["ordering"], row["mode"]) for row in rows] == [("lex", "ancilla"),
+                                                                   ("lex", "canonical")]
 
     def test_parallel_matches_serial(self):
         serial = emit_report(run_bench(tiny_config(workers=1)))

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermiqc.circuits import (_SLICE, CNOT, CZ, RZ, YB, YBD, Circuit, Gate, GateCounts, H, X,
-                              SYNTHESIS_MODES, count_gates, format_circuit,
+from fermiqc.circuits import (_KEYS, _SLICE, CNOT, CZ, RZ, YB, YBD, Circuit, Gate, GateCounts,
+                              H, X, SYNTHESIS_MODES, count_gates, format_circuit,
                               parse_circuit, synthesize_plan)
 from fermiqc.cli import main
 from fermiqc.fixtures import fixture_path
@@ -176,7 +176,7 @@ class TestSynthesizePlan:
     def test_barriers_at_step_seams(self):
         plan = self.make_plan(n_steps=3)
         circ = synthesize_plan(plan, "canonical")
-        assert circ.n_steps == 3 and len(circ.gates) == 3 * len(circ.entries) > 0
+        assert circ.n_steps == 3 and len(circ.gates) == 3 * len(circ.keys) > 0
 
     def test_ancilla_mode_flags_circuit(self):
         circ = synthesize_plan(self.make_plan(), "ancilla")
@@ -194,16 +194,18 @@ class TestSynthesizePlan:
         gates = three.gates
         assert gates == one.gates * 3
         assert all(a is b for a, b in zip(gates, gates[:len(one.gates)] * 3))
-        assert (three.n_steps, three.entries) == (3, one.entries)
+        assert three.n_steps == 3 and np.array_equal(three.keys, one.keys)
 
 
 class TestTemplates:
-    """Plans assembled from per-term templates equal the per-term Gate lists."""
+    """Plans synthesized in numpy equal the per-term Gate lists."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_reference_synthesis(self, seed):
-        plan = random_plan(np.random.default_rng(seed))
+        # Every other seed draws registers up to 70 qubits, whose masks
+        # are ints above 64 qubits rather than uint64.
+        plan = random_plan(np.random.default_rng(seed), max_qubits=(8, 70)[seed % 2])
         for n_steps in (1, 2, 3):
             plan = dataclasses.replace(plan, n_steps=n_steps)
             for mode in SYNTHESIS_MODES:
@@ -211,20 +213,32 @@ class TestTemplates:
                 assert got == want
                 assert count_gates(got) == reference_gate_counts(want.gates)
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 70])
+    def test_object_masks_match_reference(self, n, rng):
+        # Terms on qubits 0 and n - 1, across the uint64/object boundary at 64.
+        op = qubit_operator(n, [(float(rng.normal()), random_pauli_string(rng, n))
+                                for _ in range(6)] + [(0.5, pauli("X" + "I" * (n - 2) + "Y"))])
+        assert op.arrays()[0].dtype == (np.uint64 if n <= 64 else object)
+        plan = plan_for(op, OrderingStrategy("magnitude"), 2, 0.7)
+        for mode in SYNTHESIS_MODES:
+            got, want = synthesize_plan(plan, mode), reference_synthesize_plan(plan, mode)
+            assert got == want
+            assert count_gates(got) == reference_gate_counts(want.gates)
+
     def test_shared_table_gives_each_plan_its_angles(self, rng):
+        # The per-key tables are shared by every plan; the angles are each plan's own.
         op = qubit_operator(5, [(float(rng.normal()), random_pauli_string(rng, 5))
                                 for _ in range(12)])
         first = plan_for(op, OrderingStrategy("lex"), 1, 0.5)
         second = plan_for(op, OrderingStrategy("magnitude"), 3, 1.7)
-        table: dict = {}
         for mode in SYNTHESIS_MODES:
-            assert synthesize_plan(first, mode, table) == reference_synthesize_plan(first, mode)
-        size = len(table)
+            assert synthesize_plan(first, mode) == reference_synthesize_plan(first, mode)
+        size = len(_KEYS)
         for mode in SYNTHESIS_MODES:
-            circ = synthesize_plan(second, mode, table)
+            circ = synthesize_plan(second, mode)
             assert circ == reference_synthesize_plan(second, mode)
             assert [g.angle for g in circ.gates if g.kind == "RZ"] == second.angles() * 3
-        assert len(table) == size  # the second plan reused every template
+        assert len(_KEYS) == size  # the second plan reused every key
 
 
 # A circuit body after a two-qubit header, the line its error names, and the message.
@@ -393,7 +407,7 @@ class TestCircuitFileStreaming:
         pattern = [H(0), CNOT(0, 2), YB(1), CZ(1, 2)]
         gates = [RZ(k % 3, 0.001 * k) if k % 5 == 0 else pattern[k % 4] for k in range(n_gates)]
         step = Circuit.from_gates(2, gates, ancilla=True)
-        circ = Circuit(2, step.entries, step.angles, n_steps, ancilla=True)
+        circ = Circuit(2, step.keys, step.angles, n_steps, ancilla=True)
         slices = list(format_circuit(circ))
         assert slices[0] == "QUBITS 2 ANCILLA 1\n"
         assert len(slices) == 1 + n_steps * -(-n_gates // _SLICE)

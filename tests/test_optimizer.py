@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import fermiqc
 from fermiqc import optimizer
-from fermiqc.circuits import (_KEY, _KEYS, _PARTNER, CNOT, CZ, RZ, SYNTHESIS_MODES, YB, YBD,
-                              Circuit, Gate, H, X, _clifford, _rz, count_gates, parse_circuit,
+from fermiqc.circuits import (_KEYS, _PARTNERS, CNOT, CZ, RZ, SYNTHESIS_MODES, YB, YBD,
+                              Circuit, Gate, H, X, _key, count_gates, parse_circuit,
                               synthesize_plan)
 from fermiqc.fermion import build_hamiltonian, parse_fcidump
 from fermiqc.fixtures import fixture_text
@@ -99,10 +99,10 @@ class TestCancelAdjacent:
 
     def test_rz_keys(self):
         # One key per RZ qubit, never a Clifford's partner, so no RZ pairs up.
-        rz = [_rz(q)[_KEY] for q in range(4)]
+        rz = [_key("RZ", (q,)) for q in range(4)]
         assert rz == [_KEYS[("RZ", (q,))] for q in range(4)] and len(set(rz)) == 4
-        assert all(_rz(q)[_PARTNER] is None for q in range(4))
-        partners = {_clifford(g.kind, g.qubits)[_PARTNER] for g in all_gates(4)
+        assert all(_PARTNERS[k] == -1 for k in rz)
+        partners = {_PARTNERS[_key(g.kind, g.qubits)] for g in all_gates(4)
                     if g.kind != "RZ"}
         assert not partners & set(rz)
         gates = [RZ(q, a) for q in range(4) for a in (0.5, -0.5, 0.5)]
@@ -335,10 +335,6 @@ def gate_lists(draw, max_qubits: int = 5, max_gates: int = 40) -> Circuit:
     return Circuit.from_gates(n, gates, ancilla)
 
 
-def key_array(c: Circuit) -> np.ndarray:
-    return np.array([e[_KEY] for e in c.entries], np.int32)
-
-
 class TestStopTable:
     """The commute pass reads each gate's outcome from ``_stops`` and
     rescans only where the table's answer may have changed."""
@@ -349,7 +345,7 @@ class TestStopTable:
     def test_matches_direct_scan(self, circ, window, blocks):
         block, lookahead = blocks
         with mock.patch.multiple(optimizer, _BLOCK=block, _LOOKAHEAD=lookahead):
-            table, flags = optimizer._stops(key_array(circ), window)
+            table, flags = optimizer._stops(circ.keys, window)
         gates = list(circ.gates)
         want = reference_stops(gates, window, block, lookahead)
         assert list(table) == want
@@ -361,7 +357,7 @@ class TestStopTable:
         # the second one through the RZ; the scan steps back to the CNOT,
         # whose stop is gone, and the rescan reaches its partner.
         c = Circuit.from_gates(3, [CNOT(0, 1), H(1), RZ(0, 0.3), X(2), H(1), CNOT(0, 1)])
-        table, flags = optimizer._stops(key_array(c), None)
+        table, flags = optimizer._stops(c.keys, None)
         assert (list(table), list(flags)) == ([1, 4, -1, -1, 5, -1], [0, 1, 0, 0, 0, 0])
         scanned = []
 
@@ -378,7 +374,7 @@ class TestStopTable:
     def test_quiet_round_is_one_table(self):
         # Nothing cancels: the pass returns without walking the gates.
         c = Circuit.from_gates(2, [H(0), CNOT(0, 1), H(0), RZ(1, 0.2), CNOT(0, 1)])
-        table, flags = optimizer._stops(key_array(c), None)
+        table, flags = optimizer._stops(c.keys, None)
         assert (list(table), list(flags)) == ([1, 2, 4, -1, -1], [0] * 5)
         with mock.patch.object(optimizer, "_scan", side_effect=AssertionError):
             assert optimize(c).gates == c.gates
@@ -389,7 +385,7 @@ class TestStopTable:
         # optimize stops on a clean pass without a confirming round: a
         # fresh table of its result flags nothing, and no adjacent pair is left.
         out = optimize(circ)
-        _, flags = optimizer._stops(key_array(out), None)
+        _, flags = optimizer._stops(out.keys, None)
         assert 1 not in flags
         gates = out.gates
         assert all(reference_partner(a) != b for a, b in zip(gates, gates[1:]))
@@ -413,12 +409,12 @@ class TestStopTable:
         with mock.patch.object(optimizer, "_stops", wraps=optimizer._stops) as stops:
             out = optimize(c, report=report)
         assert stops.call_count == 1
-        assert (len(c.entries), len(out.entries), report.passes) == (10506, 8600, [1906])
+        assert (len(c.keys), len(out.keys), report.passes) == (10506, 8600, [1906])
 
     def test_empty_circuit_before_any_key(self):
         # In a fresh process no gate has a key yet, so the key table is empty.
         script = ("from fermiqc.circuits import Circuit; from fermiqc.optimizer import optimize; "
-                  "print(len(optimize(Circuit(0, [], [])).entries))")
+                  "print(len(optimize(Circuit(0, [], [])).keys))")
         env = {**os.environ, "PYTHONPATH": str(Path(fermiqc.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, check=True)

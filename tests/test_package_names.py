@@ -24,6 +24,7 @@ ENTRY_POINTS = {
         "commute_and_cancel": "the tracer patches it as an optimizer span",
         "FermionOperator.products": "the tracer counts and hashes the products",
         "TrotterPlan.ordered_terms": "the tracer counts the terms a plan applies",
+        "Circuit.gates": "the tracer counts a circuit's gates",
     },
     "tools/make_fixtures.py": {
         "write_fcidump": "writes the bundled fixtures",

@@ -35,6 +35,14 @@ class TestOrderingStrategy:
                      *(f"random:{seed}" for seed in range(100))):
             assert str(OrderingStrategy.parse(name)) == name
 
+    def test_only_magnitude_sorts_have_a_direction(self):
+        for kind, seed in (("lex", None), ("random", 3)):
+            up, down = OrderingStrategy(kind, seed, False), OrderingStrategy(kind, seed)
+            assert up == down and hash(up) == hash(down)
+            assert up.descending_magnitude and str(up) == str(down)
+        for kind in ("magnitude", "lexomag"):
+            assert OrderingStrategy(kind, descending_magnitude=False) != OrderingStrategy(kind)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             OrderingStrategy("alphabetical")

@@ -81,6 +81,23 @@ for ordering in lex magnitude random:7; do
     run "compile-merge-${ordering/:/-}" compile merge.terms --ordering "$ordering" \
         --mode basis_shift
 done
+# A 70-qubit term file, whose masks are ints rather than uint64: terms on
+# qubits 0, 63, 64 and 69 in every axis, compiled in each mode and optimized.
+cat >"$work/wide.terms" <<'TERMS'
+(0.5,0.0) X0 Y63 Z64 X69
+(-0.25,0.0) Y0 X64
+(0.125,0.0) Z63 Y69
+(0.75,0.0) X63 X64
+(-0.375,0.0) Z0 Z69
+(0.0625,0.0) Y64
+(0.3,0.0) Y0 Z63 Y64 Z69
+(0.2,0.0) X0 X63 Y64 X69
+TERMS
+for mode in canonical basis_shift ancilla; do
+    run "compile-wide-$mode" compile wide.terms --steps 2 --mode "$mode"
+    cp "$out/compile-wide-$mode.out" "$work/wide-$mode.circ"
+    run "optimize-wide-$mode" optimize "wide-$mode.circ"
+done
 # A term with an imaginary part above the tolerance has no real rotation angle.
 printf '(0.5,0.0) X0\n(0.25,0.5) Y0 Z1\n' >"$work/imaginary.terms"
 run bad-compile-imaginary compile imaginary.terms
