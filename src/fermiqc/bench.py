@@ -6,11 +6,11 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import fermion, mappings, optimizer, simulator, trotter
-from .circuits import SYNTHESIS_MODES, GateCounts, count_gates, synthesize_plan
+from .circuits import SYNTHESIS_MODES, count_gates, synthesize_plan
 from .mappings import MappingScheme
 from .trotter import OrderingStrategy
 
@@ -88,12 +88,6 @@ class BenchConfig:
             raise ValueError(f"need at least one Trotter step, got {self.n_steps}")
 
 
-def report_counts(counts: GateCounts) -> dict:
-    """A report's ``raw`` or ``opt`` object."""
-    return {"total": counts.total, "entangling": counts.entangling,
-            "single": counts.single_qubit, "nonclifford": counts.non_clifford}
-
-
 def pair_stages(inp: BenchInput, scheme: MappingScheme, orderings=(), step_counts=(), time=1.0):
     """The stages of one (input, mapping) pair, each run when the caller
     takes its value: the register size (named by a synthetic spec, read
@@ -129,7 +123,7 @@ def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> lis
     to every cell and leaves the values already made in place."""
     caveats = dict.fromkeys(_CAVEATS) if cfg.with_error else {}
     by_ordering = {o: [{"system": inp.system, "n_qubits": None, "mapping": scheme.value,
-                        "ordering": o.label, "seed": o.seed, "mode": mode, "savings": None,
+                        "ordering": o.kind, "seed": o.seed, "mode": mode, "savings": None,
                         "trotter_error": None, **caveats, "raw": None, "opt": None}
                        for mode in cfg.modes] for o in cfg.orderings}
     cells = [cell for group in by_ordering.values() for cell in group]
@@ -143,9 +137,9 @@ def _sweep_pair(cfg: BenchConfig, inp: BenchInput, scheme: MappingScheme) -> lis
             for cell in by_ordering[ordering]:
                 circ = synthesize_plan(plan, cell["mode"])
                 raw = count_gates(circ)
-                cell["raw"] = report_counts(raw)
+                cell["raw"] = asdict(raw)
                 opt = count_gates(optimizer.run_level(circ, cfg.optimize_level))
-                cell.update(opt=report_counts(opt),
+                cell.update(opt=asdict(opt),
                             savings=(raw.total - opt.total) / raw.total if raw.total else 0.0)
         for (ordering, _), rep, sector in (stages if cfg.with_error else ()):
             for cell in by_ordering[ordering]:

@@ -176,10 +176,12 @@ class Circuit:
 
 @dataclass(frozen=True)
 class GateCounts:
+    """A gate tally; its fields are the keys of a report's ``raw`` and ``opt``."""
+
     total: int
     entangling: int
-    single_qubit: int
-    non_clifford: int
+    single: int
+    nonclifford: int
 
 
 def count_gates(c: Circuit) -> GateCounts:

@@ -48,28 +48,38 @@ def _unique(ctx, param, values):
     return list(dict.fromkeys(values))
 
 
+def _schemes(ctx, param, value):
+    """``--mapping``'s scheme, or a repeated flag's schemes, each once."""
+    return MappingScheme(value) if isinstance(value, str) else _unique(
+        ctx, param, map(MappingScheme, value))
+
+
 def _mapping_option(multiple: bool):
     """``--mapping``: one scheme, or a repeatable flag defaulting to all of them."""
     names = [scheme.value for scheme in MappingScheme]
-    return click.option("--mapping", type=click.Choice(names), multiple=multiple,
-                        default=names if multiple else "jw", show_default=True,
-                        callback=_unique if multiple else None)
+    return click.option("--mapping", "mappings" if multiple else "scheme",
+                        type=click.Choice(names), multiple=multiple,
+                        default=names if multiple else "jw", show_default=True, callback=_schemes)
 
 
-def _orderings(ctx, param, value: str) -> list[OrderingStrategy]:
+def _orderings(ctx, param, value: str):
     """Ordering names as the reports print them: ``--orderings`` takes a
     comma-separated list, each ordering kept once; ``--ordering`` takes one."""
-    names = value.split(",") if param.name == "orderings" else [value]
     try:
-        return list(dict.fromkeys(map(OrderingStrategy.parse, names)))
+        if param.name == "strategy":
+            return OrderingStrategy.parse(value)
+        return _unique(ctx, param, map(OrderingStrategy.parse, value.split(",")))
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from None
 
 
-_ORDERING_NAMES = "magnitude[-asc] | lex | lexomag[-asc] | random:<seed>"
-_orderings_option = click.option("--orderings", default="magnitude", show_default=True,
-                                 callback=_orderings,
-                                 help=f"Comma-separated list of {_ORDERING_NAMES}.")
+def _ordering_option(multiple: bool):
+    """``--orderings``, a comma-separated list, or ``--ordering``, one name."""
+    names = " | ".join("random:<seed>" if k == "random" else k for k in OrderingStrategy.KINDS)
+    return click.option("--orderings" if multiple else "--ordering",
+                        "orderings" if multiple else "strategy", default="magnitude",
+                        show_default=True, callback=_orderings,
+                        help=f"Comma-separated list of {names}." if multiple else names)
 
 
 def _finite(ctx, param, value: float) -> float:
@@ -78,11 +88,13 @@ def _finite(ctx, param, value: float) -> float:
     return value
 
 
-_time_option = click.option("--time", "time_", type=click.FloatRange(0, min_open=True),
+_time_option = click.option("--time", type=click.FloatRange(0, min_open=True),
                             default=1.0, show_default=True, callback=_finite)
-_optimize_option = click.option("--optimize", "level", type=click.Choice(optimizer.LEVELS),
+_optimize_option = click.option("--optimize", "optimize_level", type=click.Choice(optimizer.LEVELS),
                                 default="full", show_default=True)
 _output_option = click.option("-o", "--output", default=None, help="Output file (default stdout).")
+_steps_option = click.option("--steps", "n_steps", type=click.IntRange(min=1), default=1,
+                             show_default=True)
 
 
 def _steps_list(ctx, param, value: str) -> list[int]:
@@ -124,11 +136,11 @@ def _write_report(text: str, output: str | None, failures: list[str]) -> None:
 @click.argument("integrals")
 @_mapping_option(multiple=False)
 @_output_option
-def map_cmd(integrals, mapping, output):
+def map_cmd(integrals, scheme, output):
     """Map an FCIDUMP file or synthetic spec to a Pauli term file."""
     [inp] = _parse_inputs([integrals])
     with _one_line_errors(integrals):
-        stages = bench_mod.pair_stages(inp, MappingScheme(mapping))
+        stages = bench_mod.pair_stages(inp, scheme)
         _, qop = next(stages), next(stages)
         stages.close()  # frees the file text and integrals before the terms are written
     _write([pauli.format_terms(qop)], output)
@@ -136,37 +148,36 @@ def map_cmd(integrals, mapping, output):
 
 @main.command("compile")
 @click.argument("terms")
-@click.option("--ordering", "strategies", default="magnitude", show_default=True,
-              callback=_orderings, help=_ORDERING_NAMES)
-@click.option("--steps", type=click.IntRange(min=1), default=1, show_default=True)
+@_ordering_option(multiple=False)
+@_steps_option
 @_time_option
 @click.option("--mode", type=click.Choice(SYNTHESIS_MODES), default="canonical",
               show_default=True)
-@click.option("--qubits", type=click.IntRange(min=1), help="Register size override.")
+@click.option("--qubits", "n_qubits", type=click.IntRange(min=1), help="Register size override.")
 @_output_option
-def compile_cmd(terms, strategies, steps, time_, mode, qubits, output):
+def compile_cmd(terms, strategy, n_steps, time, mode, n_qubits, output):
     """Compile a Pauli term file into a Trotter-step circuit file."""
-    [strategy] = strategies
     with _one_line_errors(terms):
-        qop = pauli.parse_terms(Path(terms).read_text(), n_qubits=qubits)
-        plan = trotter.plan_for(qop, strategy, steps, time_)
+        qop = pauli.parse_terms(Path(terms).read_text(), n_qubits=n_qubits)
+        plan = trotter.plan_for(qop, strategy, n_steps, time)
     _write(format_circuit(synthesize_plan(plan, mode)), output)
 
 
 @main.command("optimize")
 @click.argument("circuit")
 @_optimize_option
-@click.option("--cross-step", is_flag=True, help="Cancel across Trotter-step seams.")
+@click.option("--cross-step", is_flag=True,
+              help="Cancel across Trotter-step seams (a circuit file reads back as one step).")
 @click.option("--window", type=click.IntRange(min=0), default=None,
               help="Bound on the forward commutation scan.")
 @_output_option
-def optimize_cmd(circuit, level, cross_step, window, output):
+def optimize_cmd(circuit, optimize_level, cross_step, window, output):
     """Run peephole optimization on a circuit file."""
     with _one_line_errors(circuit), open(circuit) as lines:
         circ = parse_circuit(lines)
     report = optimizer.OptimizationReport()
-    out = optimizer.run_level(circ, level, cross_step, window, report)
-    if level == "full":
+    out = optimizer.run_level(circ, optimize_level, cross_step, window, report)
+    if optimize_level == "full":
         click.echo(f"removed {report.removed} gates in {len(report.passes)} passes", err=True)
     _write(format_circuit(out), output)
 
@@ -174,11 +185,11 @@ def optimize_cmd(circuit, level, cross_step, window, output):
 @main.command("bench")
 @click.argument("inputs", nargs=-1, required=True)
 @_mapping_option(multiple=True)
-@_orderings_option
+@_ordering_option(multiple=True)
 @click.option("--mode", "modes", type=click.Choice(SYNTHESIS_MODES), multiple=True,
               default=("canonical",), show_default=True, callback=_unique)
 @_optimize_option
-@click.option("--steps", type=click.IntRange(min=1), default=1, show_default=True)
+@_steps_option
 @_time_option
 @click.option("--error/--no-error", "with_error", default=False,
               help="Also measure Trotter error; a register above "
@@ -187,25 +198,13 @@ def optimize_cmd(circuit, level, cross_step, window, output):
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @_output_option
-def bench_cmd(inputs, mapping, orderings, modes, level, steps, time_, with_error, workers,
-              fmt, output):
+def bench_cmd(inputs, fmt, output, **config):
     """Sweep (input x mapping x ordering x mode) and emit a report.
 
     INPUTS are FCIDUMP paths or synthetic specs like
     ``synthetic:n=8,seed=1,density=1.0``.
     """
-    cfg = bench_mod.BenchConfig(
-        inputs=_parse_inputs(inputs),
-        mappings=[MappingScheme(m) for m in mapping],
-        orderings=orderings,
-        modes=modes,
-        optimize_level=level,
-        n_steps=steps,
-        time=time_,
-        with_error=with_error,
-        workers=workers,
-    )
-    rows = bench_mod.run_bench(cfg)
+    rows = bench_mod.run_bench(bench_mod.BenchConfig(_parse_inputs(inputs), **config))
     _write_report(bench_mod.emit_report(rows, fmt), output,
                   [f"cell failed: {r['system']}/{r['mapping']}/{r['ordering']}/{r['mode']}: "
                    f"{r['error']}" for r in rows if "error" in r])
@@ -214,19 +213,19 @@ def bench_cmd(inputs, mapping, orderings, modes, level, steps, time_, with_error
 @main.command("trotter-error")
 @click.argument("inputs", nargs=-1, required=True)
 @_mapping_option(multiple=True)
-@_orderings_option
-@click.option("--steps", "steps_list", default="1", show_default=True, callback=_steps_list,
+@_ordering_option(multiple=True)
+@click.option("--steps", "step_counts", default="1", show_default=True, callback=_steps_list,
               help="Comma-separated Trotter step counts.")
 @_time_option
 @_output_option
-def trotter_error_cmd(inputs, mapping, orderings, steps_list, time_, output):
+def trotter_error_cmd(inputs, mappings, orderings, step_counts, time, output):
     """Measure Trotter error against exact ground energies (JSON report).
     A failed pair writes one ``error`` object in place of its reports; exit 2."""
     reports, failures = [], []
     for inp in _parse_inputs(inputs):
-        for scheme in map(MappingScheme, mapping):
+        for scheme in mappings:
             head = {"system": inp.system, "n_qubits": None, "mapping": scheme.value}
-            stages = bench_mod.pair_stages(inp, scheme, orderings, steps_list, time_)
+            stages = bench_mod.pair_stages(inp, scheme, orderings, step_counts, time)
             try:
                 head["n_qubits"] = next(stages)
                 next(stages), next(stages)  # the qubit operator and the plans

@@ -92,6 +92,7 @@ class FermionOperator:
 
 
 _HEADER_RE = re.compile(r"&FCI(.*)", re.IGNORECASE | re.DOTALL)
+_END_RE = re.compile(r"&END|(?<!\S)/", re.IGNORECASE)
 _KEY_RE = re.compile(r"(\w+)\s*=\s*([-\d,\s]+?)(?=(?:\w+\s*=)|$)")
 
 
@@ -113,43 +114,41 @@ def _fill_8fold(g: np.ndarray, p: int, q: int, r: int, s: int, v: float) -> None
 
 def _header_int(keys: dict[str, str], key: str) -> int:
     if key not in keys:
-        raise ValueError(f"line 1: header missing {key}")
+        raise ValueError(f"header missing {key}")
     value = keys[key].split(",")[0]
     try:
         return int(value)
     except ValueError:
-        raise ValueError(f"line 1: {key} must be an integer, got {value!r}") from None
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
 
 def fcidump_header(lines: list[str]) -> tuple[int, int, int, int]:
     """NORB, NELEC and MS2 of the &FCI header of FCIDUMP text's lines, and
-    the index of the first line after it; errors name the line.  No
-    integral array is made, so a caller can check NORB against a limit
-    first."""
-    header_buf = []
-    body_start = None
-    for i, line in enumerate(lines):
-        if line.lstrip().startswith("#"):
-            continue
-        header_buf.append(line)
-        if "&END" in line.upper() or line.strip() == "/":
-            body_start = i + 1
-            break
-    if body_start is None:
-        raise ValueError("line 1: missing &END terminator in header")
-
-    header = " ".join(header_buf)
-    m = _HEADER_RE.search(header)
-    if m is None:
-        raise ValueError("line 1: missing &FCI header")
-    content = re.split(r"&END|(?<=\s)/", m.group(1), flags=re.IGNORECASE)[0]
-    keys = {"MS2": "0"}
-    for key, val in _KEY_RE.findall(content):
-        keys[key.upper()] = val
-    norb, nelec, ms2 = (_header_int(keys, key) for key in ("NORB", "NELEC", "MS2"))
-    if norb < 1:
-        raise ValueError(f"line 1: NORB must be at least 1, got {norb}")
-    return norb, nelec, ms2, body_start
+    the index of the first line after it.  The header ends at ``&END`` or
+    a ``/`` that starts a word; its errors name its first line that is
+    neither blank nor a comment.  No integral array is made, so a caller
+    can check NORB against a limit first."""
+    start = next((i for i, line in enumerate(lines)
+                  if line.strip() and not line.lstrip().startswith("#")), 0)
+    try:
+        for end in range(start, len(lines)):
+            if not lines[end].lstrip().startswith("#") and _END_RE.search(lines[end]):
+                break
+        else:
+            raise ValueError("missing &END terminator in header")
+        m = _HEADER_RE.search(" ".join(line for line in lines[start:end + 1]
+                                       if not line.lstrip().startswith("#")))
+        if m is None:
+            raise ValueError("missing &FCI header")
+        keys = {"MS2": "0"}
+        for key, val in _KEY_RE.findall(_END_RE.split(m.group(1))[0]):
+            keys[key.upper()] = val
+        norb, nelec, ms2 = (_header_int(keys, key) for key in ("NORB", "NELEC", "MS2"))
+        if norb < 1:
+            raise ValueError(f"NORB must be at least 1, got {norb}")
+    except ValueError as exc:
+        raise ValueError(f"line {start + 1}: {exc}") from None
+    return norb, nelec, ms2, end + 1
 
 
 def parse_fcidump(text: str) -> IntegralSet:

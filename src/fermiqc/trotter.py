@@ -12,46 +12,34 @@ from .pauli import DEFAULT_TOL, PauliString, QubitOperator, lex_order
 
 @dataclass(frozen=True)
 class OrderingStrategy:
-    """One of magnitude / lex / random / lexomag; random carries its seed.
-    Only the magnitude sorts have a direction: lex and random always hold
-    ``descending_magnitude=True``, so equal orderings compare equal."""
+    """An ordering by the name the reports print: a kind, ``-asc`` marking
+    an ascending magnitude sort; only random takes a seed, and needs one."""
 
     kind: str
     seed: int | None = None
-    descending_magnitude: bool = True
 
-    KINDS = ("magnitude", "lex", "random", "lexomag")
+    KINDS = ("magnitude", "magnitude-asc", "lex", "random", "lexomag", "lexomag-asc")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown ordering {self.kind!r}")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random ordering requires a seed")
-        if self.kind in ("lex", "random"):
-            object.__setattr__(self, "descending_magnitude", True)
+        if self.kind != "random" and self.seed is not None:
+            raise ValueError(f"{self.kind} ordering takes no seed, got {self.seed!r}")
 
     @classmethod
     def parse(cls, text: str) -> "OrderingStrategy":
-        """The inverse of ``str()``: magnitude[-asc] | lex | lexomag[-asc] | random:<seed>."""
+        """The inverse of ``str()``: a kind other than random, or random:<seed>."""
         if text.startswith("random:"):
             try:
                 return cls("random", int(text.split(":", 1)[1]))
             except ValueError:
                 raise ValueError(f"random ordering needs an integer seed, got {text!r}") from None
-        kind = text.removesuffix("-asc")
-        if kind != text and kind not in ("magnitude", "lexomag"):
-            raise ValueError(f"unknown ordering {text!r}")
-        return cls(kind, descending_magnitude=kind == text)
-
-    @property
-    def label(self) -> str:
-        """The report's ordering name: the kind, ``-asc`` added when a
-        magnitude sort is ascending; a random ordering's seed goes apart."""
-        ascending = not self.descending_magnitude and self.kind in ("magnitude", "lexomag")
-        return f"{self.kind}-asc" if ascending else self.kind
+        return cls(text)
 
     def __str__(self):
-        return f"random:{self.seed}" if self.kind == "random" else self.label
+        return f"random:{self.seed}" if self.kind == "random" else self.kind
 
 
 def order_terms(op: QubitOperator, strategy: OrderingStrategy) -> np.ndarray:
@@ -67,8 +55,8 @@ def order_terms(op: QubitOperator, strategy: OrderingStrategy) -> np.ndarray:
     # A stable sort of the lex permutation, so ties keep lex order; magnitudes
     # are ranked in steps of 2^-40, so float noise in the last bits ties too.
     mags = np.rint(np.abs(coeffs[lex]) * 2.0**40)
-    mag = lex[np.argsort(-mags if strategy.descending_magnitude else mags, kind="stable")]
-    if strategy.kind == "magnitude":
+    mag = lex[np.argsort(mags if strategy.kind.endswith("-asc") else -mags, kind="stable")]
+    if strategy.kind.startswith("magnitude"):
         return mag
     # lexomag: the lex and magnitude streams in turn, lex first, skipping taken terms.
     streams, out = [iter(lex.tolist()), iter(mag.tolist())], []

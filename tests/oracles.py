@@ -359,8 +359,9 @@ def reference_order_terms(op: QubitOperator,
     terms = sorted(op.items(), key=lambda t: reference_lex_key(t[0]))
     if strategy.kind == "lex":
         return terms
-    if strategy.kind == "magnitude":
-        return _reference_magnitude_sorted(terms, strategy.descending_magnitude)
+    descending = not strategy.kind.endswith("-asc")
+    if strategy.kind.startswith("magnitude"):
+        return _reference_magnitude_sorted(terms, descending)
     if strategy.kind == "random":
         rng = random.Random(strategy.seed)
         shuffled = list(terms)
@@ -368,7 +369,7 @@ def reference_order_terms(op: QubitOperator,
         return shuffled
     # lexomag: alternate the lex and magnitude streams, lex first,
     # skipping terms already emitted.
-    mag = _reference_magnitude_sorted(terms, strategy.descending_magnitude)
+    mag = _reference_magnitude_sorted(terms, descending)
     streams = [iter(terms), iter(mag)]
     emitted: set[PauliString] = set()
     out: list[tuple[PauliString, complex]] = []

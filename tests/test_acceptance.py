@@ -100,7 +100,7 @@ def test_criterion_3_non_clifford_invariance():
                 for strategy in orderings:
                     plan = plan_for(qop, strategy, 1, 1.0)
                     for mode in SYNTHESIS_MODES:
-                        rz = count_gates(synthesize_plan(plan, mode)).non_clifford
+                        rz = count_gates(synthesize_plan(plan, mode)).nonclifford
                         assert rz == len(qop), (name, scheme, strategy, mode)
                         counts_by_scheme.setdefault((strategy.kind, mode), set()).add(rz)
             for key, values in counts_by_scheme.items():

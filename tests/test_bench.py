@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,7 @@ from click.testing import CliRunner
 
 import fermiqc
 from fermiqc import bench, fermion, mappings, pauli, simulator, trotter, write_fcidump
-from fermiqc.bench import (CSV_HEADER, BenchConfig, BenchInput, emit_report, report_counts,
-                           run_bench)
+from fermiqc.bench import CSV_HEADER, BenchConfig, BenchInput, emit_report, run_bench
 from fermiqc.circuits import SYNTHESIS_MODES, GateCounts, count_gates, parse_circuit
 from fermiqc.cli import main
 from fermiqc.fixtures import fixture_path
@@ -135,9 +135,8 @@ class TestRunBench:
             plan = trotter.plan_for(qop, OrderingStrategy(row["ordering"], row["seed"]), steps,
                                     simulator.safe_evolution_time(qop, cfg.time))
             circ = reference_synthesize_plan(plan, row["mode"])
-            assert row["raw"] == report_counts(reference_gate_counts(circ.gates))
-            assert row["opt"] == report_counts(
-                reference_gate_counts(reference_optimize(circ).gates))
+            assert row["raw"] == asdict(reference_gate_counts(circ.gates))
+            assert row["opt"] == asdict(reference_gate_counts(reference_optimize(circ).gates))
 
     def test_with_error_column(self):
         cfg = tiny_config(with_error=True, time=0.1,
@@ -209,13 +208,25 @@ class TestRunBench:
         assert rows[6, "ancilla"]["raw"] is None
 
     def test_equal_orderings_give_one_row(self):
-        # lex has no direction, so both spellings are one ordering and one row.
+        # An ordering is its printed name, so the built and the parsed lex are one
+        # ordering and one row (a seed cannot make a second lex; see test_trotter).
         lex, jw = OrderingStrategy("lex"), [MappingScheme.JORDAN_WIGNER]
-        both = [lex, OrderingStrategy("lex", descending_magnitude=False)]
+        both = [lex, OrderingStrategy.parse("lex")]
         rows = run_bench(tiny_config(orderings=both, mappings=jw))
         assert rows == run_bench(tiny_config(orderings=[lex], mappings=jw))
         assert [(row["ordering"], row["mode"]) for row in rows] == [("lex", "ancilla"),
                                                                    ("lex", "canonical")]
+
+    def test_rows_respell_their_orderings(self):
+        # A row's ordering and seed columns build its strategy back, for
+        # every kind and for random seeds of any size and sign.
+        strategies = [OrderingStrategy(kind) for kind in OrderingStrategy.KINDS
+                      if kind != "random"]
+        strategies += [OrderingStrategy("random", seed) for seed in (0, 11, -3, 2**40)]
+        rows = run_bench(tiny_config(orderings=strategies, modes=["canonical"],
+                                     mappings=[MappingScheme.JORDAN_WIGNER]))
+        assert len(rows) == len(strategies)
+        assert {OrderingStrategy(row["ordering"], row["seed"]) for row in rows} == set(strategies)
 
     def test_parallel_matches_serial(self):
         serial = emit_report(run_bench(tiny_config(workers=1)))
@@ -250,8 +261,8 @@ class TestReports:
             assert (a["system"], a["mapping"], a["ordering"], a["seed"], a["mode"]) == \
                 (b["system"], b["mapping"], b["ordering"],
                  None if b["seed"] == "" else int(b["seed"]), b["mode"])
-            assert a["raw"] == report_counts(counts(b, "raw"))
-            assert a["opt"] == report_counts(counts(b, "opt"))
+            assert a["raw"] == asdict(counts(b, "raw"))
+            assert a["opt"] == asdict(counts(b, "opt"))
             assert a["savings"] == pytest.approx(float(b["savings"]))
 
     def test_json_report(self):

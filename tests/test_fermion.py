@@ -1,5 +1,7 @@
 """Integral I/O, Hamiltonian construction and the occupation-basis oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,26 @@ class TestParseFcidump:
     def test_missing_terminator(self):
         with pytest.raises(ValueError, match="&END"):
             parse_fcidump("&FCI NORB=2,NELEC=2,\n")
+
+    @pytest.mark.parametrize("header", [
+        "&FCI NORB=2,NELEC=2,MS2=0 /", "&fci norb=2,nelec=2,ms2=0\n  /",
+        "&FCI NORB=2,NELEC=2,MS2=0,\n&end", "&FCI NORB=2,\n  NELEC=2 &END"])
+    def test_header_ends_at_end_or_slash(self, header):
+        # One terminator rule for the line scan and the key text: &END, or a
+        # slash that starts a word, on the header's own line or a later one.
+        ints = parse_fcidump(f"{header}\n0.5 1 1 0 0\n")
+        assert (ints.n_spatial, ints.n_electrons, ints.one_body[0, 0]) == (2, 2, 0.5)
+
+    @pytest.mark.parametrize("text,message", [
+        ("# c\n# c\n&FCI NORB=,NELEC=2,\n&END\n", "line 3: NORB must be an integer, got ''"),
+        ("\n  # c\n\n&FCI NORB=2,\n&END\n", "line 4: header missing NELEC"),
+        ("# c\n&FCI NORB=0,NELEC=2 /\n", "line 2: NORB must be at least 1, got 0"),
+        ("# c\nNORB=2\n&END\n", "line 2: missing &FCI header"),
+        ("# c\n# c\n", "line 1: missing &END terminator in header"),
+    ])
+    def test_header_errors_name_its_first_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_fcidump(text)
 
     def test_bad_row_reports_line(self):
         text = "&FCI NORB=2,NELEC=2,\n&END\n0.5 1 1\n"

@@ -35,21 +35,32 @@ class TestOrderingStrategy:
                      *(f"random:{seed}" for seed in range(100))):
             assert str(OrderingStrategy.parse(name)) == name
 
+    @given(st.sampled_from(OrderingStrategy.KINDS), st.integers())
+    def test_parse_inverts_str(self, kind, seed):
+        strategy = OrderingStrategy(kind, seed if kind == "random" else None)
+        assert OrderingStrategy.parse(str(strategy)) == strategy
+
     def test_only_magnitude_sorts_have_a_direction(self):
-        for kind, seed in (("lex", None), ("random", 3)):
-            up, down = OrderingStrategy(kind, seed, False), OrderingStrategy(kind, seed)
-            assert up == down and hash(up) == hash(down)
-            assert up.descending_magnitude and str(up) == str(down)
+        # The kind names the direction; lex and random have none to name.
         for kind in ("magnitude", "lexomag"):
-            assert OrderingStrategy(kind, descending_magnitude=False) != OrderingStrategy(kind)
+            assert OrderingStrategy(f"{kind}-asc") != OrderingStrategy(kind)
+        for name in ("lex-asc", "random-asc"):
+            with pytest.raises(ValueError, match=f"unknown ordering '{name}'"):
+                OrderingStrategy(name)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             OrderingStrategy("alphabetical")
 
     def test_random_requires_seed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="random ordering requires a seed"):
             OrderingStrategy("random")
+
+    @pytest.mark.parametrize("kind", ["magnitude", "magnitude-asc", "lex", "lexomag",
+                                      "lexomag-asc"])
+    def test_only_random_takes_a_seed(self, kind):
+        with pytest.raises(ValueError, match=f"{kind} ordering takes no seed, got 5"):
+            OrderingStrategy(kind, 5)
 
 
 def ordered(op, strategy):
@@ -76,14 +87,13 @@ class TestOrderTerms:
         assert mags == sorted(mags, reverse=True)
 
     def test_magnitude_ascending(self):
-        strat = OrderingStrategy("magnitude", descending_magnitude=False)
+        strat = OrderingStrategy("magnitude-asc")
         mags = [abs(c) for _, c in ordered(make_operator(), strat)]
         assert mags == sorted(mags)
 
     @pytest.mark.parametrize("strategy,labels", [
         (OrderingStrategy("magnitude"), ["IYI", "ZZZ", "IIZ", "IXX", "XII", "XYI"]),
-        (OrderingStrategy("magnitude", descending_magnitude=False),
-         ["XYI", "XII", "IIZ", "IXX", "ZZZ", "IYI"]),
+        (OrderingStrategy("magnitude-asc"), ["XYI", "XII", "IIZ", "IXX", "ZZZ", "IYI"]),
         (OrderingStrategy("lexomag"), ["IIZ", "IYI", "IXX", "ZZZ", "XII", "XYI"]),
     ], ids=["magnitude-desc", "magnitude-asc", "lexomag"])
     def test_magnitude_ties_keep_lex_order(self, strategy, labels):
@@ -140,7 +150,7 @@ class TestOrderTerms:
                                 for _ in range(data.draw(st.integers(0, 40)))], constant)
         kind = data.draw(st.sampled_from(OrderingStrategy.KINDS))
         strategy = OrderingStrategy(kind, data.draw(st.integers(0, 99)) if kind == "random"
-                                    else None, descending_magnitude=data.draw(st.booleans()))
+                                    else None)
         assert ordered(op, strategy) == reference_order_terms(op, strategy)
 
 

@@ -173,6 +173,12 @@ run bad-map-negative-norb map neg.fcidump
 for key in norb nelec ms2; do
     run "bad-map-empty-$key" map "empty-$key.fcidump"
 done
+# A header closed by a slash on its own line, and a header error below two
+# comment lines, which names the header's line.
+printf '&FCI NORB=1,NELEC=2,MS2=0 /\n 0.5   1   1   0   0\n' >"$work/slash.fcidump"
+run map-fcidump-slash-header map slash.fcidump
+printf '# c\n# c\n&FCI NORB=,NELEC=2,\n&END\n' >"$work/commented.fcidump"
+run bad-map-header-after-comments map commented.fcidump
 run bad-map-density map synthetic:n=2,density=2
 run bad-map-negative-seed map synthetic:n=2,seed=-1
 run bad-bench-negative-seed bench synthetic:n=2,seed=-1
