@@ -25,6 +25,8 @@ class OrderingStrategy:
             raise ValueError(f"unknown ordering {self.kind!r}")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random ordering requires a seed")
+        if self.kind == "random" and type(self.seed) is not int:  # bool is an int subclass
+            raise ValueError(f"random ordering needs an integer seed, got {self.seed!r}")
         if self.kind != "random" and self.seed is not None:
             raise ValueError(f"{self.kind} ordering takes no seed, got {self.seed!r}")
 

@@ -61,6 +61,10 @@ class TestOrderingStrategy:
     def test_only_random_takes_a_seed(self, kind):
         with pytest.raises(ValueError, match=f"{kind} ordering takes no seed, got 5"):
             OrderingStrategy(kind, 5)
+        # str() of any other seed would be a name that parse rejects.
+        for seed in (5.5, True):
+            with pytest.raises(ValueError, match=f"needs an integer seed, got {seed!r}"):
+                OrderingStrategy("random", seed)
 
 
 def ordered(op, strategy):
