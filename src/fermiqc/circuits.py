@@ -212,8 +212,9 @@ def _bits(masks: np.ndarray, width: int) -> np.ndarray:
     return np.unpackbits(raw, 1, width, "little").view(bool)
 
 
-def _step_keys(xs: np.ndarray, zs: np.ndarray, width: int, n: int, mode: str) -> np.ndarray:
-    """The keys of the terms (xs, zs) in turn, each V RZ V^-1.
+def _step_keys(xs: np.ndarray, zs: np.ndarray, width: int, n: int, mode: str,
+               out: np.ndarray) -> None:
+    """Write into ``out`` the keys of the terms (xs, zs) in turn, each V RZ V^-1.
 
     Incidence i is term t[i] on support qubit q[i], in qubit order.  V is
     a run of groups of consecutive incidences: each group holds the basis
@@ -227,10 +228,7 @@ def _step_keys(xs: np.ndarray, zs: np.ndarray, width: int, n: int, mode: str) ->
     mirror of V holds the partners of its gates in reverse order.
     """
     xb, zb = _bits(xs, width), _bits(zs, width)
-    on = xb | zb
-    if not on.any(1).all():
-        raise ValueError("identity term has no circuit; handle it as an offset")
-    t, q = np.nonzero(on)
+    t, q = np.nonzero(xb | zb)
     basis, y = xb[t, q], zb[t, q]  # X or Y; a basis change with a Z bit is Y's
     m, size = len(xs), len(t)
     last = np.append(t[1:] != t[:-1], True)  # the central qubit
@@ -270,26 +268,34 @@ def _step_keys(xs: np.ndarray, zs: np.ndarray, width: int, n: int, mode: str) ->
     length = np.bincount(owner, minlength=m)
     hs = np.cumsum(length) - length
     j = np.arange(m)
-    out = np.empty(len(codes) + len(half), np.int32)
     out[(hs + j)[owner] + half] = keys[:len(half)]
     out[(3 * hs + 2 * length + j)[owner] - half] = _table()[2][keys[:len(half)]]
     out[2 * hs + length + j] = keys[len(half):]
-    return out
 
 
 def synthesize_plan(plan: TrotterPlan, mode: str = "canonical") -> Circuit:
     """One Trotter step built in numpy from the plan's masks, a chunk of
-    terms at a time, and repeated n_steps times; the angles are kept apart,
-    in plan order."""
+    terms at a time into one key array, and repeated n_steps times; the
+    angles are kept apart, in plan order."""
     if mode not in SYNTHESIS_MODES:
         raise ValueError(f"unknown synthesis mode {mode!r}; pick from {SYNTHESIS_MODES}")
     xs, zs = plan.x, plan.z
-    width = max(int(np.bitwise_or.reduce(xs | zs)).bit_length(), 1)
+    support = xs | zs
+    if not np.all(support):
+        raise ValueError("identity term has no circuit; handle it as an offset")
+    width = max(int(np.bitwise_or.reduce(support)).bit_length(), 1)
     step = max(_CHUNK // width, 1)
-    keys = [_step_keys(xs[a:a + step], zs[a:a + step], width, plan.n_qubits, mode)
-            for a in range(0, len(xs), step)]
-    return Circuit(plan.n_qubits, np.concatenate([np.empty(0, np.int32), *keys]),
-                   plan.angles(), plan.n_steps, ancilla=(mode == "ancilla"))
+    # A term's keys: its RZ, and each way a basis change per X bit and a link
+    # per support qubit but the rotated one (every one in ancilla mode).
+    ends = np.cumsum(2 * (np.bitwise_count(xs).astype(np.int64) + np.bitwise_count(support))
+                     + (1 if mode == "ancilla" else -1))
+    starts = np.concatenate(([0], ends)).astype(np.int64)
+    keys = np.empty(starts[-1], np.int32)
+    for a in range(0, len(xs), step):
+        b = min(a + step, len(xs))
+        _step_keys(xs[a:b], zs[a:b], width, plan.n_qubits, mode, keys[starts[a]:starts[b]])
+    return Circuit(plan.n_qubits, keys, plan.angles(), plan.n_steps,
+                   ancilla=(mode == "ancilla"))
 
 
 def format_circuit(c: Circuit) -> Iterator[str]:

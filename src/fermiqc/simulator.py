@@ -1,10 +1,10 @@
-"""Desk-scale numerics: sparse operator matrices, ground states, symbolic
-Trotter evolution on state vectors and error reports.
+"""Desk-scale numerics: operator matrices, ground states, symbolic Trotter
+evolution on state vectors and error reports.
 
 Qubit 0 is the least significant bit of every basis-state index, matching
-the occupation-number convention of :mod:`fermiqc.fermion`.  scipy is
-imported by the functions that use it, so commands that never build a
-matrix do not load it.
+the occupation-number convention of :mod:`fermiqc.fermion`.  A matrix of
+at most _DENSE_DIM states is a numpy array, so scipy is imported only for a
+larger sector or matrix (CSR and Lanczos), never for the molecule fixtures.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ OPERATOR_QUBIT_LIMIT = 16
 _HERMITIAN_TOL = 1e-10  # max |m - m^H| that ground_state accepts
 _RESIDUAL_TOL = 1e-9  # max |m v - E v| of the returned eigenpair
 _BLOCK_TIE_TOL = 1e-10  # coset blocks this close to the lowest energy tie
+_DENSE_DIM = 256  # largest matrix solved as a numpy array (1 MB): LiH's 225-state sector
 # Bytes of column sign patterns for which evolution_tables widens its split
 # past rank // 2: LiH's 252 (z, flip) keys over a whole 256-state coset take
 # 1 MB, while 16 qubits keep the half split.
@@ -70,19 +71,15 @@ def sector_basis(n_spatial: int, nelec: int, ms2: int,
     return np.sort(basis_permutation(2 * n_spatial, scheme)[states])
 
 
-def operator_matrix(op: QubitOperator, basis: np.ndarray | None = None) -> sp.csr_matrix:
-    """Sparse matrix of the Pauli terms plus the identity constant over the
-    sorted basis-state indices ``basis`` (default: all 2^n of them).
+def _matrix_entries(op: QubitOperator, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(rows, cols, values) of the nonzero entries of the Pauli terms plus
+    the identity constant over the sorted basis-state indices ``cols``.
 
     Terms with X mask x fill only the entries (c ^ x, c): each X mask is one
     vector over the columns, summed in term order (the constant first on
-    x = 0), so every entry is the sum term-by-term assembly makes.  An entry
-    whose row c ^ x is not in ``basis`` is dropped, so the result is exactly
-    the full matrix's block at (basis, basis)."""
-    import scipy.sparse as sp
-
-    _check_register(op.n)
-    cols = np.arange(1 << op.n, dtype=np.int64) if basis is None else basis
+    x = 0), so every entry is the sum term-by-term assembly makes, and no
+    two masks meet at one entry.  An entry whose row c ^ x is not in
+    ``cols`` is dropped: the entries are the full matrix's block there."""
     dim = len(cols)
     groups: dict[int, list[tuple[int, complex]]] = {0: []}  # x = 0 holds the constant
     for x, z, c in zip(*(a.tolist() for a in op.arrays())):
@@ -100,10 +97,18 @@ def operator_matrix(op: QubitOperator, basis: np.ndarray | None = None) -> sp.cs
         rows.append(row[inside].astype(np.int32))
         nz_cols.append(nz.astype(np.int32))
         data.append(diag[nz])
-    coo = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(nz_cols))),
-                        shape=(dim, dim))
-    del rows, nz_cols, data  # the pieces would otherwise live through the CSR copy
-    return coo.tocsr()
+    return np.concatenate(rows), np.concatenate(nz_cols), np.concatenate(data)
+
+
+def operator_matrix(op: QubitOperator, basis: np.ndarray | None = None) -> sp.csr_matrix:
+    """CSR matrix of :func:`_matrix_entries` over the sorted basis-state
+    indices ``basis`` (default: all 2^n of them)."""
+    import scipy.sparse as sp
+
+    _check_register(op.n)
+    cols = np.arange(1 << op.n, dtype=np.int64) if basis is None else basis
+    rows, nz_cols, data = _matrix_entries(op, cols)
+    return sp.coo_matrix((data, (rows, nz_cols)), shape=(len(cols), len(cols))).tocsr()
 
 
 def _hermitian_defect(m: sp.csr_matrix) -> float:
@@ -118,25 +123,28 @@ def _hermitian_defect(m: sp.csr_matrix) -> float:
 
 
 def ground_state(m: sp.spmatrix | np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a Hermitian matrix."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    m = sp.csr_matrix(m)
-    if _hermitian_defect(m) > _HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian")
-    dim = m.shape[0]
-    if dim <= 64:
-        vals, vecs = np.linalg.eigh(m.toarray())
-        energy, vec = vals[0], vecs[:, 0]
+    """Lowest eigenpair of a Hermitian matrix: dense ``eigh`` up to
+    _DENSE_DIM states, seeded Lanczos on a CSR matrix above."""
+    dim = np.shape(m)[0]
+    if dim <= _DENSE_DIM:
+        m = m.toarray() if hasattr(m, "toarray") else np.asarray(m)
+        if np.abs(m - m.conj().T).max(initial=0.0) > _HERMITIAN_TOL:
+            raise ValueError("matrix is not Hermitian")
+        vals, vecs = np.linalg.eigh(m)
     else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        m = sp.csr_matrix(m)
+        if _hermitian_defect(m) > _HERMITIAN_TOL:
+            raise ValueError("matrix is not Hermitian")
         try:
             # A fixed start vector makes the result repeatable bit for bit.
             v0 = np.random.default_rng(0).standard_normal(dim).astype(m.dtype)
             vals, vecs = spla.eigsh(m, k=1, which="SA", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise EigensolverError("lowest-eigenpair iteration did not converge") from exc
-        energy, vec = vals[0], vecs[:, 0]
+    energy, vec = vals[0], vecs[:, 0]
     residual = np.linalg.norm(m @ vec - energy * vec)
     if residual > _RESIDUAL_TOL:
         raise EigensolverError(f"eigenpair residual {residual:.2e} above tolerance")
@@ -153,14 +161,19 @@ def sector_ground_state(qop: QubitOperator, ints: IntegralSet,
     every nonzero entry of its columns up to rounding.  A term moves basis
     state j only to j ^ x, so the block is block-diagonal over the cosets
     j ^ span(X masks) of the sector states: the Z2 symmetries of qubit
-    tapering.  Each coset's block is solved (the dense path of
-    :func:`ground_state` applies to the block's dimension) and the lowest
-    is kept; blocks within _BLOCK_TIE_TOL of the minimum tie, and the one
-    of smallest representative wins.  The state is thus exactly zero
-    outside one coset, the only one its evolution runs over."""
+    tapering.  Each coset's block (of a numpy array up to _DENSE_DIM states,
+    else of a CSR matrix) is solved and the lowest is kept; blocks within
+    _BLOCK_TIE_TOL of the minimum tie, and the one of smallest
+    representative wins.  The state is thus exactly zero outside one
+    coset, the only one its evolution runs over."""
     _check_register(qop.n)
     basis = sector_basis(ints.n_spatial, ints.n_electrons, ints.ms2, scheme)
-    m = operator_matrix(qop, basis)
+    if len(basis) <= _DENSE_DIM:
+        rows, cols, values = _matrix_entries(qop, basis)
+        m = np.zeros((len(basis), len(basis)), complex)
+        m[rows, cols] = values
+    else:
+        m = operator_matrix(qop, basis)
     x_basis, span = _x_span(set(qop.arrays()[0].tolist()))
     reps = basis ^ span[_pivot_coords(basis, x_basis)]
     blocks = []

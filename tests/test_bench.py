@@ -163,13 +163,13 @@ class TestRunBench:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(mappings, "map_operator")
-        counted(simulator, "operator_matrix")
+        counted(simulator, "_matrix_entries")
         counted(trotter, "plan_for")
         counted(simulator, "trotter_error")
         rows = run_bench(tiny_config(with_error=True, time=0.1))
         assert len(rows) == 8 and all("error" not in row for row in rows)
         # 2 (input, mapping) pairs x 2 orderings; the modes share each plan.
-        assert calls == {"map_operator": 2, "operator_matrix": 2,
+        assert calls == {"map_operator": 2, "_matrix_entries": 2,
                          "plan_for": 4, "trotter_error": 4}
 
     def test_ground_state_failure_keeps_counts(self, monkeypatch):
@@ -721,6 +721,20 @@ class TestCli:
                               "-o", str(tmp_path / "lih.terms")],
                              capture_output=True, text=True, env=env, check=True).stdout
         assert out == "False\n"
+
+    def test_desk_scale_error_runs_do_not_import_scipy(self, tmp_path):
+        # LiH's 225-state and H2/6-31G's 16-state sectors are numpy arrays.
+        script = ("import sys; from fermiqc.cli import main; "
+                  "main(sys.argv[1:], standalone_mode=False); "
+                  "print('scipy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(fermiqc.__file__).parents[1])}
+        lih, h2 = str(fixture_path("lih_sto3g")), str(fixture_path("h2_631g"))
+        for args in (["bench", lih, "--error", "--time", "0.1", "-o", str(tmp_path / "b.csv")],
+                     ["trotter-error", lih, h2, "--steps", "1,20", "--time", "0.1",
+                      "-o", str(tmp_path / "t.json")]):
+            out = subprocess.run([sys.executable, "-c", script, *args],
+                                 capture_output=True, text=True, env=env, check=True).stdout
+            assert out == "False\n", args
 
     def test_cli_does_not_import_the_process_pool(self):
         # Only a bench sweep with --workers > 1 loads multiprocessing.

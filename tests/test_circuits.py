@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermiqc import fermion, mappings
 from fermiqc.circuits import (_KEYS, _SLICE, CNOT, CZ, RZ, YB, YBD, Circuit, Gate, GateCounts,
                               H, X, SYNTHESIS_MODES, count_gates, format_circuit,
                               parse_circuit, synthesize_plan)
@@ -195,6 +196,23 @@ class TestSynthesizePlan:
         assert gates == one.gates * 3
         assert all(a is b for a, b in zip(gates, gates[:len(one.gates)] * 3))
         assert three.n_steps == 3 and np.array_equal(three.keys, one.keys)
+
+    def test_chunks_fill_one_key_array(self, monkeypatch):
+        # 94,848 terms on 32 qubits are three chunks, each written into the
+        # step's key array: no chunk's keys are held beside it.
+        ints = fermion.synthetic_integrals(16, seed=7)
+        plan = plan_for(mappings.map_operator(fermion.build_hamiltonian(ints), "jw"),
+                        OrderingStrategy("magnitude"), 1, 1.0)
+        synthesize_plan(plan)  # fills the key tables before the measured run
+        tracemalloc.start()
+        try:
+            keys = synthesize_plan(plan).keys
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * keys.nbytes, f"peak {peak} B for {keys.nbytes} B of keys"
+        monkeypatch.setattr("fermiqc.circuits._CHUNK", 1000 * 32)  # 95 chunks
+        assert np.array_equal(synthesize_plan(plan).keys, keys)
 
 
 class TestTemplates:

@@ -54,8 +54,8 @@ class TestGroundState:
         assert abs(vec[1]) == pytest.approx(1.0)
 
     def test_sparse_path(self, rng):
-        # above the 64-dim cutoff the Lanczos branch is used
-        op = random_operator(rng, 7, n_terms=8)
+        # above the _DENSE_DIM cutoff the Lanczos branch is used
+        op = random_operator(rng, 9, n_terms=8)
         m = operator_matrix(op)
         energy, vec = ground_state(m)
         dense = np.linalg.eigvalsh(m.toarray())
@@ -63,7 +63,7 @@ class TestGroundState:
         np.testing.assert_allclose(m @ vec, energy * vec, atol=1e-8)
 
     def test_sparse_path_repeatable(self, rng):
-        m = operator_matrix(random_operator(rng, 7, n_terms=8))
+        m = operator_matrix(random_operator(rng, 9, n_terms=8))
         (e1, v1), (e2, v2) = ground_state(m), ground_state(m)
         assert e1 == e2
         assert np.array_equal(v1, v2)
@@ -174,17 +174,38 @@ class TestSector:
         assert fields["sector_dim"] == 2
 
     def test_one_operator_matrix_per_call(self, monkeypatch):
-        calls, build = [], simulator.operator_matrix
+        calls, build = [], simulator._matrix_entries
 
-        def operator_matrix(*args):
+        def matrix_entries(*args):
             calls.append(args)
             return build(*args)
 
-        monkeypatch.setattr(simulator, "operator_matrix", operator_matrix)
+        monkeypatch.setattr(simulator, "_matrix_entries", matrix_entries)
         ints = fermion.parse_fcidump(fixture_text("lih_sto3g"))
         qop = mappings.map_operator(fermion.build_hamiltonian(ints), "jw")
         sector_ground_state(qop, ints, "jw")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("scheme", ["jw", "bk"])
+    @pytest.mark.parametrize("name", ["lih_sto3g", "h2_631g"])
+    def test_lanczos_path_agrees(self, name, scheme, monkeypatch):
+        # With no dense cutoff the sector is a CSR matrix and every block is
+        # solved by Lanczos, as sectors above 256 states are.
+        ints = fermion.parse_fcidump(fixture_text(name))
+        qop = mappings.map_operator(fermion.build_hamiltonian(ints), scheme)
+        plan = plan_for(qop, OrderingStrategy("magnitude"), 20, time=0.1)
+
+        def solve():
+            energy, state, _ = sector_ground_state(qop, ints, scheme)
+            tables = simulator.evolution_tables(*qop.arrays()[:2], state)
+            return energy, tables.reached, trotter_error(plan, energy, state, tables).error
+
+        dense = solve()
+        monkeypatch.setattr(simulator, "_DENSE_DIM", 0)
+        lanczos = solve()
+        assert np.array_equal(lanczos[1], dense[1])  # the same coset block
+        assert lanczos[0] == pytest.approx(dense[0], abs=1e-12)
+        assert lanczos[2] == pytest.approx(dense[2], abs=1e-10)
 
     def test_limit_checked_before_the_sector(self):
         ints = fermion.synthetic_integrals(9, seed=0)
@@ -377,6 +398,18 @@ def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(operators(), st.randoms())
+def test_dense_fill_equals_csr(op, random):
+    # No two entries share a (row, column), so filling an array with them
+    # equals the CSR matrix, which sums duplicates.
+    basis = np.array(sorted(random.sample(range(1 << op.n), random.randint(1, 1 << op.n))))
+    rows, cols, values = simulator._matrix_entries(op, basis)
+    m = np.zeros((len(basis), len(basis)), complex)
+    m[rows, cols] = values
+    assert np.array_equal(m, operator_matrix(op, basis).toarray())
 
 
 class TestAgainstReference:
